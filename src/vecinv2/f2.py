@@ -51,6 +51,21 @@ class RowSpan:
     def contains(self, row: int) -> bool:
         return self.reduce(row) == 0
 
+    def remainder(self, row: int) -> int:
+        """Cancel every pivot bit, not just the leading ones.  The result
+        has no pivot bit, so two rows have the same remainder exactly
+        when their sum lies in the span, and remainders of rows add."""
+        out = 0
+        while row:
+            low = row & -row
+            pivot = self.pivots.get(low.bit_length() - 1)
+            if pivot is None:
+                out |= low
+                row ^= low
+            else:
+                row ^= pivot
+        return out
+
 
 def left_kernel(rows: list[int], ncols: int) -> list[int]:
     """Masks over row indices whose XOR-combination of ``rows`` is zero.

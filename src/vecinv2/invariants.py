@@ -157,7 +157,9 @@ def generator_set(m: int) -> GeneratorSet:
     norms = tuple(norm(m, i) for i in range(m))
     traces = {a: transfer(a) for a in all_subsets(m, min_size=2)}
     gens = GeneratorSet(m, xs, norms, traces)
-    assert gens.count == 2 ** m + m - 1
+    if gens.count != 2 ** m + m - 1:
+        raise RuntimeError(
+            f"{gens.count} generators at m = {m}, want {2 ** m + m - 1}")
     return gens
 
 

@@ -7,13 +7,17 @@ linear algebra over monomial bases:
   presentation ring that evaluates to zero, by computing the left
   kernel of the evaluation matrix (rows: presentation monomials of
   degree d, columns: polynomial monomials of degree d);
-* ``verify_relation_ideal`` checks that the declared relation families
-  span that kernel in each degree up to a bound (generation) and that
-  no declared relation lies in the span of the others at its own degree
-  (minimality);
+* ``verify_relation_ideal`` checks a relation family degree by degree
+  up to a bound.  Its report passes when every declared relation
+  evaluates to zero (so the relation span lies in the kernel), the
+  span has the kernel's dimension in every checked degree (so the two
+  are equal: generation), no declared relation lies in the span of
+  the others at its own degree (minimality), and at least one degree
+  was checked.  The kernel dimension is a rank count, so no kernel
+  basis is built unless a degree fails and a counterexample is wanted;
 * ``max_relation_degree`` finds the largest degree where the kernel is
   not yet generated by lower-degree kernel elements — the degree at
-  which the last new relation appears;
+  which the last new relation appears — by the same rank comparison;
 * ``invariant_dimension`` counts fixed polynomials of a degree
   directly, and ``evaluation_rank`` counts what the generators span
   there; the two agree exactly when the generators generate.
@@ -131,13 +135,20 @@ def _evaluation_rows(m: int, d: int) -> tuple[int, ...]:
                  for t in q_monomials(m, d))
 
 
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _kernel_from_rows(m: int, d: int, basis: tuple[QMon, ...],
                       rows: list[int]) -> list[QPoly]:
     ncols = len(poly_monomials(m, d))
     members = []
     for mask in left_kernel(rows, ncols):
-        terms = [basis[i] for i in range(len(basis)) if mask >> i & 1]
-        members.append(QPoly.from_terms(m, terms))
+        members.append(QPoly.from_terms(m, (basis[i] for i in _bits(mask))))
     return members
 
 
@@ -199,17 +210,19 @@ def _q_bits(q: QPoly, index: dict) -> int:
     return bits
 
 
-def _ideal_span(m: int, d: int, relations: list[Relation], budget: int,
+def _lower_span(m: int, d: int, relations: list[Relation], budget: int,
                 index: dict) -> RowSpan:
     """Row space, in degree-d presentation coordinates, of every product
-    (monomial of degree d - deg r) * (relation element r)."""
+    (monomial of degree d - deg r) * (relation element r) with deg r < d.
+    The budget is charged for the relations of degree d as well, one row
+    each, since every caller adds those rows next."""
     ncols = len(index)
     nrows = sum(len(q_monomials(m, d - r.degree))
                 for r in relations if r.degree <= d)
     _charge(nrows, ncols, budget, f"relation span at degree {d}")
     span = RowSpan(ncols)
     for relation in relations:
-        if relation.degree > d:
+        if relation.degree >= d:
             continue
         for mult in q_monomials(m, d - relation.degree):
             product = QPoly.monomial(mult) * relation.element
@@ -309,50 +322,68 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
                           ) -> VerificationReport:
     """Check generation and minimality of a relation list degree by degree.
 
-    Generation: at each degree up to ``d_max`` (default twice the number
-    of variable pairs), every kernel element of the evaluation map must
-    lie in the span of (monomial multiples of) the relations.
-    Minimality: no relation of degree at most ``d_max`` may lie in the
-    span of the others at its own degree.  Passing ``relations``
-    overrides the declared basis, which is how deliberately broken
-    families can be shown to fail.
+    Generation: at each degree d from 2 to ``d_max`` (default twice the
+    number of variable pairs), the span of (monomial multiples of) the
+    relations must equal the kernel of the evaluation map.  Every
+    relation of degree at most ``d_max`` must evaluate to zero, which
+    puts the span inside the kernel; equality then holds exactly when
+    the span's rank is the kernel's dimension.  Failing degrees carry a
+    counterexample: a kernel element outside the span, or a monomial
+    multiple of the first relation that does not evaluate to zero.
+    Minimality: no relation of degree 2 to ``d_max`` may lie in the span
+    of the others at its own degree.  Both are decided by one
+    elimination per degree: the relations of degree d are reduced
+    modulo the multiples of the lower ones, and a relation is dependent
+    exactly when some left-kernel vector of the remainders uses it.
+    Passing ``relations`` overrides the declared basis, which is how
+    deliberately broken families can be shown to fail.
     """
+    if m < 1:
+        raise ValueError(f"verify wants m >= 1 variable pairs, got {m}")
     if d_max is None:
         d_max = 2 * m
+    if d_max < 2:
+        raise ValueError(f"verify wants d_max >= 2, got {d_max}")
+    if budget < 1:
+        raise ValueError(f"verify wants a positive budget, got {budget}")
     if relations is None:
         relations = relation_basis(m, flavor)
     max_degree = max((r.degree for r in relations), default=0)
+    stray = next((r for r in sorted(relations, key=lambda r: r.degree)
+                  if r.degree <= d_max and evaluate(r.element)), None)
     reports = []
+    dependent: set[int] = set()
     for d in range(2, d_max + 1):
         basis = q_monomials(m, d)
         index = _q_index(m, d, basis)
-        kernel = kernel_basis(m, d, budget)
-        span = _ideal_span(m, d, relations, budget, index)
+        kernel_dimension = len(basis) - evaluation_rank(m, d, budget)
+        span = _lower_span(m, d, relations, budget, index)
+        same = [p for p, r in enumerate(relations) if r.degree == d]
+        rows = [span.remainder(_q_bits(relations[p].element, index))
+                for p in same]
+        used = 0
+        for mask in left_kernel(rows, len(basis)):
+            used |= mask
+        dependent.update(same[i] for i in _bits(used))
+        for row in rows:
+            span.add(row)
         counterexample = None
-        for member in kernel:
-            if not span.contains(_q_bits(member, index)):
-                counterexample = member
-                break
+        if stray is not None and stray.degree <= d:
+            lift = q_monomials(m, d - stray.degree)[0]
+            counterexample = QPoly.monomial(lift) * stray.element
+        elif span.rank != kernel_dimension:
+            counterexample = next(
+                member for member in kernel_basis(m, d, budget)
+                if not span.contains(_q_bits(member, index)))
         reports.append(DegreeReport(
             degree=d,
             n_q_monomials=len(basis),
             n_poly_monomials=len(poly_monomials(m, d)),
-            kernel_dimension=len(kernel),
+            kernel_dimension=kernel_dimension,
             span_rank=span.rank,
             generated=counterexample is None,
             counterexample=counterexample,
         ))
-    dependent = []
-    for position, relation in enumerate(relations):
-        if relation.degree > d_max:
-            continue
-        d = relation.degree
-        basis = q_monomials(m, d)
-        index = _q_index(m, d, basis)
-        others = relations[:position] + relations[position + 1:]
-        span = _ideal_span(m, d, others, budget, index)
-        if span.contains(_q_bits(relation.element, index)):
-            dependent.append(relation.label())
     return VerificationReport(
         m=m,
         flavor=flavor,
@@ -360,7 +391,7 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
         n_relations=len(relations),
         max_degree=max_degree,
         degrees=tuple(reports),
-        dependent=tuple(dependent),
+        dependent=tuple(relations[p].label() for p in sorted(dependent)),
     )
 
 
@@ -376,20 +407,32 @@ def span_contains(relations: list[Relation], q: QPoly,
         raise ValueError("span membership wants a homogeneous element")
     basis = q_monomials(q.m, d)
     index = _q_index(q.m, d, basis)
-    span = _ideal_span(q.m, d, relations, budget, index)
+    span = _lower_span(q.m, d, relations, budget, index)
+    for relation in relations:
+        if relation.degree == d:
+            span.add(_q_bits(relation.element, index))
     return span.contains(_q_bits(q, index))
 
 
 def max_relation_degree(m: int, budget: int = DEFAULT_BUDGET) -> int:
     """Largest degree whose kernel is not spanned by lower-degree kernel
-    elements; the search stops one past twice the number of pairs."""
+    elements; the search stops one past twice the number of pairs.
+
+    Multiples of kernel elements lie in the kernel, so the lower-degree
+    span falls short exactly when its rank is below the kernel's
+    dimension; kernel bases are built only for the degrees whose
+    multiples a later degree needs."""
     top = 0
     kernels: dict[int, list[QPoly]] = {}
     for d in range(2, 2 * m + 2):
-        kernels[d] = kernel_basis(m, d, budget)
-        if not kernels[d]:
-            continue
         basis = q_monomials(m, d)
+        if d <= 2 * m:
+            kernels[d] = kernel_basis(m, d, budget)
+            kernel_dimension = len(kernels[d])
+        else:
+            kernel_dimension = len(basis) - evaluation_rank(m, d, budget)
+        if not kernel_dimension:
+            continue
         index = _q_index(m, d, basis)
         ncols = len(basis)
         nrows = sum(len(q_monomials(m, d - e)) * len(kernels[e])
@@ -400,7 +443,6 @@ def max_relation_degree(m: int, budget: int = DEFAULT_BUDGET) -> int:
             for member in kernels[e]:
                 for mult in q_monomials(m, d - e):
                     span.add(_q_bits(QPoly.monomial(mult) * member, index))
-        if any(not span.contains(_q_bits(member, index))
-               for member in kernels[d]):
+        if span.rank < kernel_dimension:
             top = d
     return top

@@ -94,7 +94,8 @@ class Relation:
 def _finish(family: str, a: Subset, b: Subset | None, index: int | None,
             element: QPoly) -> Relation:
     degree = element.degree()
-    assert degree is not None, "relation elements are homogeneous"
+    if degree is None:
+        raise ValueError(f"relation element {element} is not homogeneous")
     return Relation(family, a, b, index, element, degree)
 
 

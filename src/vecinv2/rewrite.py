@@ -184,7 +184,9 @@ def normal_form(q: QPoly) -> ReductionTrace:
         multiplier = make_qmon(term.xe, term.ne, rest)
         q = q + QPoly.monomial(multiplier) * relation.element
         measure = (qmon_degree(term), qmon_trace_degree(term))
-        assert last_measure is None or measure <= last_measure
+        if last_measure is not None and measure > last_measure:
+            raise RuntimeError(
+                f"normal_form measure rose from {last_measure} to {measure}")
         last_measure = measure
         steps.append(ReductionStep(term, relation, multiplier, measure))
     return ReductionTrace(start=start, result=q, steps=tuple(steps))
@@ -240,7 +242,8 @@ def _lead_achievers(h: QPoly) -> tuple[Monomial, list[QMon]]:
             best, best_key, achievers = mono, key, [term]
         elif key == best_key:
             achievers.append(term)
-    assert best is not None
+    if best is None:
+        raise ZeroPolynomialError("zero element has no lead achievers")
     return best, achievers
 
 
@@ -332,7 +335,10 @@ def linear_reduce(h: QPoly) -> LinearCertificate:
         other = min_index(second.traces[0])
         subset = union(first.traces[0], singleton(m, other))
         xe = list(first.xe)
-        assert xe[other] >= 1
+        if xe[other] < 1:
+            raise RuntimeError(
+                "descent would give a negative exponent at "
+                + monomial_text(lead))
         xe[other] -= 1
         multiplier = make_qmon(tuple(xe), first.ne, ())
         relation = type_i_relation(subset)
@@ -340,7 +346,9 @@ def linear_reduce(h: QPoly) -> LinearCertificate:
         current = current + scaled * relation.element
         coefficients[subset] = coefficients.get(subset, QPoly.zero(m)) + scaled
         rank = (monomial_key(lead), len(achievers))
-        assert last_rank is None or rank < last_rank
+        if last_rank is not None and rank >= last_rank:
+            raise RuntimeError(
+                "descent did not fall at " + monomial_text(lead))
         last_rank = rank
         steps.append(LinearStep(subset, multiplier, lead, len(achievers)))
     coefficients = {a: c for a, c in coefficients.items() if c.terms}

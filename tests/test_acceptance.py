@@ -203,9 +203,11 @@ def test_criterion_10_width_four_smoke():
     zero = Poly.zero(4)
     for rel in basis:
         assert evaluate(rel.element) == zero
-    report = verify_relation_ideal(4, d_max=6)
+    report = verify_relation_ideal(4)
     assert report.ok, report.to_text()
+    assert report.max_degree == 8
     assert [r.kernel_dimension for r in report.degrees] == [
-        0, 4, 37, 164, 606]
+        0, 4, 37, 164, 606, 1808, 4921]
+    assert all(r.span_rank == r.kernel_dimension for r in report.degrees)
     print("PASS 10: the 71 relations at m = 4 vanish and generate "
-          "through degree 6")
+          "minimally through degree 8")

@@ -7,10 +7,11 @@ import sys
 
 import pytest
 
-from vecinv2 import cli
+from vecinv2 import cli, oracle
 from vecinv2.oracle import verify_relation_ideal
 from vecinv2.poly import Poly
-from vecinv2.qring import QPoly
+from vecinv2.qring import QPoly, formal_trace
+from vecinv2.relations import Relation, relation_basis
 
 
 def run_cli(capsys, *argv):
@@ -208,11 +209,18 @@ def test_usage_errors_exit_two(capsys):
         ("count",),  # missing -m
         ("basis", "-m", "3", "--flavor", "IV"),
         ("nonsense",),
+        # nothing to check: these must not pass vacuously
+        ("verify", "-m", "0"),
+        ("verify", "-m", "-3"),
+        ("verify", "-m", "2", "--dmax", "1"),
+        ("verify", "-m", "2", "--budget", "0"),
     ]
     for argv in cases:
         code = cli.main(list(argv))
-        capsys.readouterr()
+        captured = capsys.readouterr()
         assert code == 2, argv
+        assert captured.out == "", argv
+        assert "error:" in captured.err, argv
 
 
 def test_verification_failure_exits_one(capsys, monkeypatch):
@@ -227,6 +235,17 @@ def test_verification_failure_exits_one(capsys, monkeypatch):
     assert "degree 4: kernel 1, span 0, NOT GENERATED" in lines
     assert lines[-1] == "FAIL: generation"
     assert any(line.startswith("  counterexample: ") for line in lines)
+    # the real check, on a family with the non-relation Tr(110) appended
+    monkeypatch.undo()
+    family = relation_basis(3) + [
+        Relation("bogus", (1, 1, 0), None, None, formal_trace((1, 1, 0)), 2)]
+    monkeypatch.setattr(oracle, "relation_basis", lambda m, flavor: family)
+    code, out, err = run_cli(capsys, "verify", "-m", "3")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[:2] == ["degree 2: kernel 0, span 1, NOT GENERATED",
+                         "  counterexample: Tr(110)"]
+    assert lines[-1] == "FAIL: generation"
 
 
 def test_budget_exceeded_exits_three(capsys):

@@ -20,8 +20,9 @@ from vecinv2.oracle import (
     verify_relation_ideal,
 )
 from vecinv2.poly import Poly, monomial_key
-from vecinv2.qring import QPoly, evaluate, qmon_degree, qmon_key
+from vecinv2.qring import QPoly, evaluate, formal_trace, qmon_degree, qmon_key
 from vecinv2.relations import (
+    Relation,
     relation_basis,
     type_i_relation,
     type_iii_relation,
@@ -211,12 +212,44 @@ def test_dropping_any_relation_breaks_generation():
 
 def test_duplicate_relation_flagged_dependent():
     basis = relation_basis(3)
-    report = verify_relation_ideal(3, relations=basis + [basis[0]])
-    assert report.generated
-    assert not report.minimal
-    assert len(report.dependent) == 2
-    assert all(label.startswith("I ") for label in report.dependent)
-    assert report.to_text().splitlines()[-1] == "FAIL: minimality"
+    first, second = [r for r in basis if r.degree == 4][:2]
+    total = Relation("sum", first.a, second.a, None,
+                     first.element + second.element, 4)
+    shifted = Relation("shifted", first.a, first.b, None,
+                       first.element + QPoly.x_power((1, 0, 0))
+                       * basis[0].element, 4)
+    cases = [
+        (basis + [basis[0]], [basis[0].label()] * 2),
+        # each of the three is the sum of the other two
+        (basis + [total], [first.label(), second.label(), total.label()]),
+        # equal modulo a multiple of the degree-3 relation
+        (basis + [shifted], [first.label(), shifted.label()]),
+    ]
+    for family, labels in cases:
+        report = verify_relation_ideal(3, relations=family)
+        assert report.generated
+        assert not report.minimal
+        assert list(report.dependent) == labels
+        assert report.to_text().splitlines()[-1] == "FAIL: minimality"
+
+
+def test_non_relation_fails_generation():
+    # Tr(110) does not evaluate to zero, so the span leaves the kernel
+    # from degree 2 on, even though it still contains the whole kernel
+    bogus = formal_trace((1, 1, 0))
+    family = relation_basis(3) + [
+        Relation("bogus", (1, 1, 0), None, None, bogus, 2)]
+    report = verify_relation_ideal(3, relations=family)
+    assert not report.ok
+    assert report.minimal
+    assert not any(r.generated for r in report.degrees)
+    first = report.degrees[0]
+    assert (first.degree, first.kernel_dimension, first.span_rank) == (2, 0, 1)
+    assert first.counterexample == bogus
+    for r in report.degrees:
+        assert evaluate(r.counterexample) != Poly.zero(3)
+        assert r.counterexample.degree() == r.degree
+    assert report.to_text().splitlines()[-1] == "FAIL: generation"
 
 
 def test_span_contains_examples():
