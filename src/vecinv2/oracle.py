@@ -329,7 +329,8 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
     puts the span inside the kernel; equality then holds exactly when
     the span's rank is the kernel's dimension.  Failing degrees carry a
     counterexample: a kernel element outside the span, or a monomial
-    multiple of the first relation that does not evaluate to zero.
+    multiple of the lowest-degree relation (first among equals) that
+    does not evaluate to zero.
     Minimality: no relation of degree 2 to ``d_max`` may lie in the span
     of the others at its own degree.  Both are decided by one
     elimination per degree: the relations of degree d are reduced
@@ -420,19 +421,14 @@ def max_relation_degree(m: int, budget: int = DEFAULT_BUDGET) -> int:
 
     Multiples of kernel elements lie in the kernel, so the lower-degree
     span falls short exactly when its rank is below the kernel's
-    dimension; kernel bases are built only for the degrees whose
-    multiples a later degree needs."""
+    dimension."""
     top = 0
     kernels: dict[int, list[QPoly]] = {}
     for d in range(2, 2 * m + 2):
-        basis = q_monomials(m, d)
-        if d <= 2 * m:
-            kernels[d] = kernel_basis(m, d, budget)
-            kernel_dimension = len(kernels[d])
-        else:
-            kernel_dimension = len(basis) - evaluation_rank(m, d, budget)
-        if not kernel_dimension:
+        kernels[d] = kernel_basis(m, d, budget)
+        if not kernels[d]:
             continue
+        basis = q_monomials(m, d)
         index = _q_index(m, d, basis)
         ncols = len(basis)
         nrows = sum(len(q_monomials(m, d - e)) * len(kernels[e])
@@ -443,6 +439,6 @@ def max_relation_degree(m: int, budget: int = DEFAULT_BUDGET) -> int:
             for member in kernels[e]:
                 for mult in q_monomials(m, d - e):
                     span.add(_q_bits(QPoly.monomial(mult) * member, index))
-        if span.rank < kernel_dimension:
+        if span.rank < len(kernels[d]):
             top = d
     return top

@@ -95,7 +95,7 @@ def _finish(family: str, a: Subset, b: Subset | None, index: int | None,
             element: QPoly) -> Relation:
     degree = element.degree()
     if degree is None:
-        raise ValueError(f"relation element {element} is not homogeneous")
+        raise RuntimeError(f"relation element {element} is not homogeneous")
     return Relation(family, a, b, index, element, degree)
 
 
