@@ -2,16 +2,16 @@
 
 A vector is a Python int whose bit i is the coefficient of basis
 element i; a matrix is a list of such ints plus a column count.  XOR is
-addition, so rank, span membership, kernels, and reduced echelon forms
-all come down to pivoting on bits.  Pivots sit at the lowest set bit of
-a row: every stored row has its pivot bit cleared in all later-examined
-positions below it, which makes greedy reduction (repeatedly cancel the
-lowest set bit) a complete membership test.
+addition, so rank, span membership and kernels all come down to
+pivoting on bits.  Pivots sit at the lowest set bit of a row: every
+stored row has its pivot bit cleared in all later-examined positions
+below it, which makes greedy reduction (repeatedly cancel the lowest set
+bit) a complete membership test.
 """
 
 from __future__ import annotations
 
-__all__ = ["RowSpan", "left_kernel", "F2Matrix"]
+__all__ = ["RowSpan", "left_kernel"]
 
 
 def _low_bit(value: int) -> int:
@@ -90,52 +90,3 @@ def left_kernel(rows: list[int], ncols: int) -> list[int]:
         else:
             kernel.append(augmented >> ncols)
     return kernel
-
-
-class F2Matrix:
-    """A list of int rows with a fixed column count."""
-
-    def __init__(self, ncols: int, rows: list[int] | None = None):
-        self.ncols = ncols
-        self.rows = list(rows) if rows else []
-
-    def append(self, row: int) -> None:
-        self.rows.append(row)
-
-    def rank(self) -> int:
-        span = RowSpan(self.ncols)
-        for row in self.rows:
-            span.add(row)
-        return span.rank
-
-    def left_kernel(self) -> list[int]:
-        return left_kernel(self.rows, self.ncols)
-
-    def in_rowspan(self, row: int) -> bool:
-        span = RowSpan(self.ncols)
-        for own in self.rows:
-            span.add(own)
-        return span.contains(row)
-
-    def rref(self) -> "F2Matrix":
-        """Canonical reduced form: each pivot occurs in exactly one row,
-        rows sorted by pivot position, zero rows dropped."""
-        span = RowSpan(self.ncols)
-        for row in self.rows:
-            span.add(row)
-        reduced: dict[int, int] = {}
-        for bit in sorted(span.pivots, reverse=True):
-            row = span.pivots[bit]
-            for done_bit, done_row in reduced.items():
-                if row >> done_bit & 1:
-                    row ^= done_row
-            reduced[bit] = row
-        return F2Matrix(self.ncols, [reduced[b] for b in sorted(reduced)])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, F2Matrix):
-            return NotImplemented
-        return self.ncols == other.ncols and self.rows == other.rows
-
-    def __repr__(self) -> str:
-        return f"F2Matrix(ncols={self.ncols}, rows={len(self.rows)})"

@@ -20,6 +20,7 @@ from .poly import (
     all_subsets,
     cardinality,
     int_submasks,
+    parity_collect,
     subset_to_bits,
 )
 
@@ -27,7 +28,6 @@ __all__ = [
     "involution",
     "is_invariant",
     "transfer",
-    "cofactor_power",
     "norm",
     "GeneratorSet",
     "generator_set",
@@ -41,22 +41,19 @@ def involution(f: Poly) -> Poly:
     (y + x)^a expands over GF(2) to the sum of y^j x^(a-j) over the
     bitwise submasks j of a, by the parity of binomial coefficients.
     """
-    m = f.m
-    acc: dict = {}
-    for mono in f.terms:
-        hot = [i for i in range(m) if mono[2 * i]]
-        if not hot:
-            acc[mono] = acc.get(mono, 0) ^ 1
-            continue
-        choices = [list(int_submasks(mono[2 * i])) for i in hot]
-        for combo in itertools.product(*choices):
-            new = list(mono)
-            for i, j in zip(hot, combo):
-                new[2 * i] = j
-                new[2 * i + 1] = mono[2 * i + 1] + (mono[2 * i] - j)
-            key = tuple(new)
-            acc[key] = acc.get(key, 0) ^ 1
-    return Poly(m, frozenset(k for k, v in acc.items() if v))
+    return Poly(f.m, parity_collect(
+        image for mono in f.terms for image in _sheared(mono)))
+
+
+def _sheared(mono: tuple):
+    """The terms of the image of one monomial under ``involution``."""
+    hot = [i for i in range(len(mono) // 2) if mono[2 * i]]
+    for combo in itertools.product(*(int_submasks(mono[2 * i]) for i in hot)):
+        new = list(mono)
+        for i, j in zip(hot, combo):
+            new[2 * i] = j
+            new[2 * i + 1] += mono[2 * i] - j
+        yield tuple(new)
 
 
 def is_invariant(f: Poly) -> bool:
@@ -89,24 +86,6 @@ def transfer(a: Subset) -> Poly:
             break
         s = (s - 1) & amask
     return Poly(m, frozenset(terms))
-
-
-def cofactor_power(exps: Subset) -> Poly:
-    """The product over i of (y_i + x_i)^(exps_i)."""
-    m = len(exps)
-    hot = [i for i in range(m) if exps[i]]
-    if not hot:
-        return Poly.one(m)
-    acc: dict = {}
-    choices = [list(int_submasks(exps[i])) for i in hot]
-    for combo in itertools.product(*choices):
-        mono = [0] * (2 * m)
-        for i, j in zip(hot, combo):
-            mono[2 * i] = j
-            mono[2 * i + 1] = exps[i] - j
-        key = tuple(mono)
-        acc[key] = acc.get(key, 0) ^ 1
-    return Poly(m, frozenset(k for k, v in acc.items() if v))
 
 
 def norm(m: int, i: int) -> Poly:

@@ -116,10 +116,12 @@ def q_monomials(m: int, d: int) -> tuple[QMon, ...]:
     return tuple(found)
 
 
-def _poly_bits(p: Poly, index: dict) -> int:
+def _row(element, index: dict) -> int:
+    """Bit mask of an element's terms, with ``index`` mapping each term
+    to its column; works for ``Poly`` and ``QPoly`` alike."""
     bits = 0
-    for mono in p.terms:
-        bits |= 1 << index[mono]
+    for term in element.terms:
+        bits |= 1 << index[term]
     return bits
 
 
@@ -131,7 +133,7 @@ def _poly_index(m: int, d: int) -> dict:
 @lru_cache(maxsize=None)
 def _evaluation_rows(m: int, d: int) -> tuple[int, ...]:
     index = _poly_index(m, d)
-    return tuple(_poly_bits(evaluate(QPoly.monomial(t)), index)
+    return tuple(_row(evaluate(QPoly.monomial(t)), index)
                  for t in q_monomials(m, d))
 
 
@@ -167,7 +169,7 @@ def linear_kernel_basis(m: int, d: int,
     _charge(len(basis), len(poly_monomials(m, d)), budget,
             f"trace-linear kernel at degree {d}")
     index = _poly_index(m, d)
-    rows = [_poly_bits(evaluate(QPoly.monomial(t)), index) for t in basis]
+    rows = [_row(evaluate(QPoly.monomial(t)), index) for t in basis]
     return _kernel_from_rows(m, d, basis, rows)
 
 
@@ -191,23 +193,12 @@ def invariant_dimension(m: int, d: int, budget: int = DEFAULT_BUDGET) -> int:
     span = RowSpan(len(monos))
     for mono in monos:
         single = Poly.monomial(m, mono)
-        span.add(_poly_bits(involution(single) + single, index))
+        span.add(_row(involution(single) + single, index))
     return len(monos) - span.rank
 
 
 # ---------------------------------------------------------------------------
 # the relation ideal
-
-
-def _q_index(m: int, d: int, basis: tuple[QMon, ...]) -> dict:
-    return {t: i for i, t in enumerate(basis)}
-
-
-def _q_bits(q: QPoly, index: dict) -> int:
-    bits = 0
-    for term in q.terms:
-        bits |= 1 << index[term]
-    return bits
 
 
 def _lower_span(m: int, d: int, relations: list[Relation], budget: int,
@@ -226,7 +217,7 @@ def _lower_span(m: int, d: int, relations: list[Relation], budget: int,
             continue
         for mult in q_monomials(m, d - relation.degree):
             product = QPoly.monomial(mult) * relation.element
-            span.add(_q_bits(product, index))
+            span.add(_row(product, index))
     return span
 
 
@@ -356,11 +347,11 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
     dependent: set[int] = set()
     for d in range(2, d_max + 1):
         basis = q_monomials(m, d)
-        index = _q_index(m, d, basis)
+        index = {t: i for i, t in enumerate(basis)}
         kernel_dimension = len(basis) - evaluation_rank(m, d, budget)
         span = _lower_span(m, d, relations, budget, index)
         same = [p for p, r in enumerate(relations) if r.degree == d]
-        rows = [span.remainder(_q_bits(relations[p].element, index))
+        rows = [span.remainder(_row(relations[p].element, index))
                 for p in same]
         used = 0
         for mask in left_kernel(rows, len(basis)):
@@ -375,7 +366,7 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
         elif span.rank != kernel_dimension:
             counterexample = next(
                 member for member in kernel_basis(m, d, budget)
-                if not span.contains(_q_bits(member, index)))
+                if not span.contains(_row(member, index)))
         reports.append(DegreeReport(
             degree=d,
             n_q_monomials=len(basis),
@@ -407,12 +398,12 @@ def span_contains(relations: list[Relation], q: QPoly,
     if d is None:
         raise ValueError("span membership wants a homogeneous element")
     basis = q_monomials(q.m, d)
-    index = _q_index(q.m, d, basis)
+    index = {t: i for i, t in enumerate(basis)}
     span = _lower_span(q.m, d, relations, budget, index)
     for relation in relations:
         if relation.degree == d:
-            span.add(_q_bits(relation.element, index))
-    return span.contains(_q_bits(q, index))
+            span.add(_row(relation.element, index))
+    return span.contains(_row(q, index))
 
 
 def max_relation_degree(m: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -422,6 +413,12 @@ def max_relation_degree(m: int, budget: int = DEFAULT_BUDGET) -> int:
     Multiples of kernel elements lie in the kernel, so the lower-degree
     span falls short exactly when its rank is below the kernel's
     dimension."""
+    if m < 1:
+        raise ValueError(
+            f"max_relation_degree wants m >= 1 variable pairs, got {m}")
+    if budget < 1:
+        raise ValueError(
+            f"max_relation_degree wants a positive budget, got {budget}")
     top = 0
     kernels: dict[int, list[QPoly]] = {}
     for d in range(2, 2 * m + 2):
@@ -429,7 +426,7 @@ def max_relation_degree(m: int, budget: int = DEFAULT_BUDGET) -> int:
         if not kernels[d]:
             continue
         basis = q_monomials(m, d)
-        index = _q_index(m, d, basis)
+        index = {t: i for i, t in enumerate(basis)}
         ncols = len(basis)
         nrows = sum(len(q_monomials(m, d - e)) * len(kernels[e])
                     for e in range(2, d))
@@ -438,7 +435,7 @@ def max_relation_degree(m: int, budget: int = DEFAULT_BUDGET) -> int:
         for e in range(2, d):
             for member in kernels[e]:
                 for mult in q_monomials(m, d - e):
-                    span.add(_q_bits(QPoly.monomial(mult) * member, index))
+                    span.add(_row(QPoly.monomial(mult) * member, index))
         if span.rank < len(kernels[d]):
             top = d
     return top

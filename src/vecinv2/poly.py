@@ -3,9 +3,16 @@
 The ambient ring is F2[y1, x1, y2, x2, ..., ym, xm] for a runtime width
 m.  A monomial is a tuple of 2m natural exponents listed in the fixed
 variable sequence y1, x1, y2, x2, ..., ym, xm; position 2*i holds the
-exponent of y_{i+1} and position 2*i+1 the exponent of x_{i+1}.  A
+exponent of y_{i+1} and position 2*i+1 the exponent of x_{i+1}.
+
+The representation lives in this module, in ``SparsePoly``, the sparse
+GF(2) core that ``Poly`` here and ``qring.QPoly`` both build on.  A
 polynomial is a frozenset of monomials: over the two-element field every
-stored monomial has coefficient 1 and addition is symmetric difference.
+stored monomial has coefficient 1, addition is symmetric difference, and
+a product keeps the monomials that arise from an odd number of term
+pairs (``parity_collect``).  The core also owns the width check, the
+text format's skeleton and its parser; each subclass supplies only its
+monomial type, its constructors and its ``__mul__``.
 
 Monomials are compared in graded reverse lexicographic order induced by
 y1 > x1 > y2 > x2 > ... > ym > xm: higher total degree wins, and among
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Iterator, Tuple
 
 Monomial = Tuple[int, ...]
@@ -34,11 +42,14 @@ __all__ = [
     "ZeroPolynomialError",
     "Monomial",
     "Subset",
+    "SparsePoly",
     "Poly",
+    "parity_collect",
+    "term_text",
+    "variable_index",
     "monomial_key",
     "monomial_degree",
     "monomial_text",
-    "compare_monomials",
     "cardinality",
     "intersect",
     "setminus",
@@ -186,7 +197,107 @@ def bits_to_subset(text: str) -> Subset:
 
 
 # ---------------------------------------------------------------------------
-# monomial order
+# the sparse GF(2) core shared by ``Poly`` and the presentation ring
+# ---------------------------------------------------------------------------
+
+def parity_collect(terms: Iterable) -> frozenset:
+    """The terms that occur an odd number of times.  Over GF(2) a term
+    listed twice cancels, so this turns a list of products into a sum."""
+    odd: set = set()
+    for term in terms:
+        if term in odd:
+            odd.remove(term)
+        else:
+            odd.add(term)
+    return frozenset(odd)
+
+
+def term_text(factors: Iterable[tuple[str, int]]) -> str:
+    """Render a term from (symbol, exponent) factors, skipping exponent 0;
+    the empty product prints as 1."""
+    return "*".join(name if e == 1 else f"{name}^{e}"
+                    for name, e in factors if e) or "1"
+
+
+def variable_index(m: int, digits: str) -> int:
+    """0-based position of a 1-based variable number read from text."""
+    idx = int(digits)
+    if not 1 <= idx <= m:
+        raise ValueError(f"variable index {idx} out of range for m={m}")
+    return idx - 1
+
+
+@dataclass(frozen=True)
+class SparsePoly:
+    """A polynomial over GF(2) as the frozenset of its monomials.
+
+    Every stored monomial has coefficient 1 and addition is symmetric
+    difference.  A subclass fixes the monomial type: ``_order`` (sort
+    key, largest printed first), ``_check_term`` (validates one monomial
+    against the width m and returns it), ``_term_text``, ``_factor`` (a
+    regex for one factor of a term) and ``_parse_term`` (builds a
+    monomial from the matched factors); it also defines ``__mul__``.
+    """
+
+    m: int
+    terms: frozenset
+
+    @classmethod
+    def zero(cls, m: int):
+        return cls(m, frozenset())
+
+    @classmethod
+    def from_terms(cls, m: int, terms: Iterable):
+        """Build from monomials with mod-2 cancellation of repeats."""
+        return cls(m, parity_collect(cls._check_term(m, t) for t in terms))
+
+    def _check_m(self, other: "SparsePoly") -> None:
+        if self.m != other.m:
+            raise DimensionMismatch(f"mixed widths: m={self.m} vs m={other.m}")
+
+    def __add__(self, other):
+        self._check_m(other)
+        return type(self)(self.m, self.terms ^ other.terms)
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+    def sorted_terms(self) -> list:
+        return sorted(self.terms, key=self._order, reverse=True)
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        return " + ".join(self._term_text(t) for t in self.sorted_terms())
+
+    @classmethod
+    def parse(cls, m: int, text: str):
+        """Inverse of ``str``; accepts terms and factors in any order."""
+        body = text.strip()
+        if body == "0":
+            return cls.zero(m)
+        terms = []
+        for chunk in body.split("+"):
+            if not chunk.strip():
+                raise ValueError(f"empty term in {text!r}")
+            factors = []
+            for factor in chunk.split("*"):
+                factor = factor.strip()
+                if factor == "1":
+                    continue
+                match = cls._factor.match(factor)
+                if not match:
+                    raise ValueError(f"bad factor {factor!r}")
+                factors.append(match.groups())
+            terms.append(cls._parse_term(m, factors))
+        return cls(m, parity_collect(terms))
+
+
+# ---------------------------------------------------------------------------
+# monomials of F2[y1, x1, ..., ym, xm]
 # ---------------------------------------------------------------------------
 
 def monomial_degree(mono: Monomial) -> int:
@@ -203,44 +314,43 @@ def monomial_key(mono: Monomial):
     return (sum(mono), tuple(-e for e in reversed(mono)))
 
 
-def compare_monomials(a: Monomial, b: Monomial) -> int:
-    """Return -1, 0, or 1 as a <, =, > b in the monomial order."""
-    if len(a) != len(b):
-        raise DimensionMismatch(f"monomial widths differ: {len(a)} vs {len(b)}")
-    ka, kb = monomial_key(a), monomial_key(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
+def monomial_text(mono: Monomial) -> str:
+    """Render a single monomial the way ``Poly.__str__`` would."""
+    m = len(mono) // 2
+    return term_text([(f"x{i + 1}", mono[2 * i + 1]) for i in range(m)]
+                     + [(f"y{i + 1}", mono[2 * i]) for i in range(m)])
+
+
+def _check_monomial(m: int, exps: Iterable[int]) -> Monomial:
+    exps = tuple(exps)
+    if len(exps) != 2 * m:
+        raise DimensionMismatch(f"expected {2 * m} exponents, got {len(exps)}")
+    if any(e < 0 for e in exps):
+        raise ValueError("negative exponent")
+    return exps
+
+
+def _parse_monomial(m: int, factors: list[tuple]) -> Monomial:
+    exps = [0] * (2 * m)
+    for name, digits, exp in factors:
+        exps[2 * variable_index(m, digits) + (name == "x")] += int(exp or 1)
+    return tuple(exps)
 
 
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
 
-_TERM_FACTOR = re.compile(r"([xy])(\d+)(?:\^(\d+))?\Z")
-
-
-def _collect(monos: Iterable[Monomial]) -> frozenset:
-    seen: dict = {}
-    for mono in monos:
-        seen[mono] = seen.get(mono, 0) ^ 1
-    return frozenset(k for k, v in seen.items() if v)
-
-
-@dataclass(frozen=True)
-class Poly:
+class Poly(SparsePoly):
     """A polynomial over GF(2); ``terms`` is a frozenset of monomials."""
 
-    m: int
-    terms: frozenset
+    _order = staticmethod(monomial_key)
+    _check_term = staticmethod(_check_monomial)
+    _term_text = staticmethod(monomial_text)
+    _factor = re.compile(r"([xy])(\d+)(?:\^(\d+))?\Z")
+    _parse_term = staticmethod(_parse_monomial)
 
     # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def zero(m: int) -> "Poly":
-        return Poly(m, frozenset())
 
     @staticmethod
     def one(m: int) -> "Poly":
@@ -248,20 +358,7 @@ class Poly:
 
     @staticmethod
     def monomial(m: int, exps: Monomial) -> "Poly":
-        if len(exps) != 2 * m:
-            raise DimensionMismatch(f"expected {2 * m} exponents, got {len(exps)}")
-        if any(e < 0 for e in exps):
-            raise ValueError("negative exponent")
-        return Poly(m, frozenset([tuple(exps)]))
-
-    @staticmethod
-    def from_terms(m: int, monos: Iterable[Monomial]) -> "Poly":
-        """Build from monomials with mod-2 cancellation of repeats."""
-        monos = [tuple(mo) for mo in monos]
-        for mo in monos:
-            if len(mo) != 2 * m:
-                raise DimensionMismatch(f"expected {2 * m} exponents, got {len(mo)}")
-        return Poly(m, _collect(monos))
+        return Poly.from_terms(m, [exps])
 
     @staticmethod
     def y_variable(m: int, i: int) -> "Poly":
@@ -292,22 +389,10 @@ class Poly:
 
     # -- ring operations ----------------------------------------------------
 
-    def _check_m(self, other: "Poly") -> None:
-        if self.m != other.m:
-            raise DimensionMismatch(f"mixed widths: m={self.m} vs m={other.m}")
-
-    def __add__(self, other: "Poly") -> "Poly":
-        self._check_m(other)
-        return Poly(self.m, self.terms ^ other.terms)
-
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_m(other)
-        acc: dict = {}
-        for a in self.terms:
-            for b in other.terms:
-                key = tuple(u + v for u, v in zip(a, b))
-                acc[key] = acc.get(key, 0) ^ 1
-        return Poly(self.m, frozenset(k for k, v in acc.items() if v))
+        return Poly(self.m, parity_collect(
+            tuple(map(add, a, b)) for a in self.terms for b in other.terms))
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -320,12 +405,6 @@ class Poly:
             base = base * base
             n >>= 1
         return out
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __len__(self) -> int:
-        return len(self.terms)
 
     # -- inspection ---------------------------------------------------------
 
@@ -346,68 +425,3 @@ class Poly:
             raise ZeroPolynomialError("zero polynomial has no degree")
         degs = {sum(t) for t in self.terms}
         return degs.pop() if len(degs) == 1 else None
-
-    def sorted_terms(self) -> list[Monomial]:
-        return sorted(self.terms, key=monomial_key, reverse=True)
-
-    # -- text format --------------------------------------------------------
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(_term_text(t) for t in self.sorted_terms())
-
-    @staticmethod
-    def parse(m: int, text: str) -> "Poly":
-        """Inverse of ``str``; accepts terms and factors in any order."""
-        body = text.strip()
-        if body == "0":
-            return Poly.zero(m)
-        monos = []
-        for chunk in body.split("+"):
-            chunk = chunk.strip()
-            if not chunk:
-                raise ValueError(f"empty term in {text!r}")
-            monos.append(_parse_term(m, chunk))
-        return Poly(m, _collect(monos))
-
-
-def monomial_text(mono: Monomial) -> str:
-    """Render a single monomial the way ``Poly.__str__`` would."""
-    return _term_text(mono)
-
-
-def _term_text(mono: Monomial) -> str:
-    m = len(mono) // 2
-    parts = []
-    for i in range(m):
-        e = mono[2 * i + 1]
-        if e == 1:
-            parts.append(f"x{i + 1}")
-        elif e > 1:
-            parts.append(f"x{i + 1}^{e}")
-    for i in range(m):
-        e = mono[2 * i]
-        if e == 1:
-            parts.append(f"y{i + 1}")
-        elif e > 1:
-            parts.append(f"y{i + 1}^{e}")
-    return "*".join(parts) if parts else "1"
-
-
-def _parse_term(m: int, chunk: str) -> Monomial:
-    exps = [0] * (2 * m)
-    for factor in chunk.split("*"):
-        factor = factor.strip()
-        if factor == "1":
-            continue
-        match = _TERM_FACTOR.match(factor)
-        if not match:
-            raise ValueError(f"bad factor {factor!r}")
-        name, idx, exp = match.group(1), int(match.group(2)), match.group(3)
-        if not 1 <= idx <= m:
-            raise ValueError(f"variable index {idx} out of range for m={m}")
-        e = int(exp) if exp else 1
-        pos = 2 * (idx - 1) + (1 if name == "x" else 0)
-        exps[pos] += e
-    return tuple(exps)

@@ -4,6 +4,10 @@ Elements here are polynomials in formal symbols x_i (degree 1), N_i
 (degree 2), and Tr(A) for subsets A with at least two members (degree
 |A|).  A monomial is a ``QMon`` triple: x exponents, N exponents, and a
 multiset of trace subsets stored as a descending-sorted tuple.  The
+representation and arithmetic live in ``poly.SparsePoly``, the sparse
+GF(2) core shared with ``Poly``: a ``QPoly`` is a frozenset of ``QMon``
+terms, and this module supplies only the monomial type (``qmon_key``,
+term text and parser), the constructors and ``__mul__``.  The
 ``evaluate`` map substitutes the concrete invariants for the symbols;
 its kernel is the ideal of relations among the generators.
 
@@ -16,19 +20,23 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from operator import add
 from typing import Iterable, NamedTuple
 
 from . import invariants
 from .poly import (
     DimensionMismatch,
     Poly,
+    SparsePoly,
     Subset,
     ZeroPolynomialError,
     bits_to_subset,
     cardinality,
     int_submasks,
+    parity_collect,
     subset_to_bits,
+    term_text,
+    variable_index,
 )
 
 __all__ = [
@@ -54,9 +62,13 @@ def make_qmon(xe: Iterable[int], ne: Iterable[int], traces: Iterable[Subset]) ->
     traces = tuple(sorted((tuple(a) for a in traces), reverse=True))
     if len(xe) != len(ne):
         raise DimensionMismatch("x and N exponent widths differ")
+    if any(e < 0 for e in xe + ne):
+        raise ValueError("negative exponent")
     for a in traces:
         if len(a) != len(xe):
             raise DimensionMismatch("trace subset width differs from exponent width")
+        if not set(a) <= {0, 1}:
+            raise ValueError(f"trace subset needs 0/1 entries, got {a}")
         if cardinality(a) < 2:
             raise ValueError(f"trace symbol needs >= 2 members, got {a}")
     return QMon(xe, ne, traces)
@@ -76,37 +88,58 @@ def qmon_key(q: QMon):
     return (qmon_degree(q), qmon_trace_degree(q), q.traces, q.ne, q.xe)
 
 
-def _collect(terms: Iterable[QMon]) -> frozenset:
-    acc: dict = {}
-    for t in terms:
-        acc[t] = acc.get(t, 0) ^ 1
-    return frozenset(k for k, v in acc.items() if v)
+def _check_qmon(m: int, t: QMon) -> QMon:
+    if len(t.xe) != m:
+        raise DimensionMismatch(f"expected width {m}, got {len(t.xe)}")
+    return make_qmon(t.xe, t.ne, t.traces)
 
 
-@dataclass(frozen=True)
-class QPoly:
+def _qterm_text(t: QMon) -> str:
+    return term_text(
+        [(f"x{i + 1}", e) for i, e in enumerate(t.xe)]
+        + [(f"N{i + 1}", e) for i, e in enumerate(t.ne)]
+        + [(f"Tr({subset_to_bits(a)})", len(list(run)))
+           for a, run in itertools.groupby(t.traces)])
+
+
+def _parse_qterm(m: int, factors: list[tuple]) -> QMon:
+    xe = [0] * m
+    ne = [0] * m
+    traces: list = []
+    for xi, ni, bits, exp in factors:
+        e = int(exp or 1)
+        if xi is not None:
+            xe[variable_index(m, xi)] += e
+        elif ni is not None:
+            ne[variable_index(m, ni)] += e
+        else:
+            traces.extend([bits_to_subset(bits)] * e)
+    return make_qmon(xe, ne, traces)
+
+
+class QPoly(SparsePoly):
     """A polynomial in the formal generator symbols, over GF(2)."""
 
-    m: int
-    terms: frozenset
+    _order = staticmethod(qmon_key)
+    _check_term = staticmethod(_check_qmon)
+    _term_text = staticmethod(_qterm_text)
+    _factor = re.compile(r"(?:x(\d+)|N(\d+)|Tr\(([01]+)\))(?:\^(\d+))?\Z")
+    _parse_term = staticmethod(_parse_qterm)
+
+    # Bound in this class body rather than only inherited, so that the
+    # per-class call wrappers of benchmarks/tracer.py find them here.
+    __add__ = SparsePoly.__add__
+
+    @staticmethod
+    def from_terms(m: int, terms: Iterable[QMon]) -> "QPoly":
+        """Build from monomials with mod-2 cancellation of repeats."""
+        return SparsePoly.from_terms.__func__(QPoly, m, terms)
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def zero(m: int) -> "QPoly":
-        return QPoly(m, frozenset())
-
-    @staticmethod
     def one(m: int) -> "QPoly":
         return QPoly(m, frozenset([QMon((0,) * m, (0,) * m, ())]))
-
-    @staticmethod
-    def from_terms(m: int, terms: Iterable[QMon]) -> "QPoly":
-        terms = list(terms)
-        for t in terms:
-            if len(t.xe) != m:
-                raise DimensionMismatch(f"expected width {m}, got {len(t.xe)}")
-        return QPoly(m, _collect(terms))
 
     @staticmethod
     def monomial(mon: QMon) -> "QPoly":
@@ -129,32 +162,12 @@ class QPoly:
 
     # -- ring operations ----------------------------------------------------
 
-    def _check_m(self, other: "QPoly") -> None:
-        if self.m != other.m:
-            raise DimensionMismatch(f"mixed widths: m={self.m} vs m={other.m}")
-
-    def __add__(self, other: "QPoly") -> "QPoly":
-        self._check_m(other)
-        return QPoly(self.m, self.terms ^ other.terms)
-
     def __mul__(self, other: "QPoly") -> "QPoly":
         self._check_m(other)
-        acc: dict = {}
-        for s in self.terms:
-            for t in other.terms:
-                key = QMon(
-                    tuple(u + v for u, v in zip(s.xe, t.xe)),
-                    tuple(u + v for u, v in zip(s.ne, t.ne)),
-                    tuple(sorted(s.traces + t.traces, reverse=True)),
-                )
-                acc[key] = acc.get(key, 0) ^ 1
-        return QPoly(self.m, frozenset(k for k, v in acc.items() if v))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __len__(self) -> int:
-        return len(self.terms)
+        return QPoly(self.m, parity_collect(
+            QMon(tuple(map(add, s.xe, t.xe)), tuple(map(add, s.ne, t.ne)),
+                 tuple(sorted(s.traces + t.traces, reverse=True)))
+            for s in self.terms for t in other.terms))
 
     # -- grading ------------------------------------------------------------
 
@@ -174,29 +187,6 @@ class QPoly:
     def is_trace_linear(self) -> bool:
         """True when no term carries more than one trace factor."""
         return all(len(t.traces) <= 1 for t in self.terms)
-
-    def sorted_terms(self) -> list[QMon]:
-        return sorted(self.terms, key=qmon_key, reverse=True)
-
-    # -- text format --------------------------------------------------------
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(_qterm_text(t) for t in self.sorted_terms())
-
-    @staticmethod
-    def parse(m: int, text: str) -> "QPoly":
-        body = text.strip()
-        if body == "0":
-            return QPoly.zero(m)
-        terms = []
-        for chunk in body.split("+"):
-            chunk = chunk.strip()
-            if not chunk:
-                raise ValueError(f"empty term in {text!r}")
-            terms.append(_parse_qterm(m, chunk))
-        return QPoly(m, _collect(terms))
 
 
 def formal_trace(a: Subset) -> QPoly:
@@ -247,67 +237,3 @@ def evaluate(q: QPoly) -> Poly:
             img = img * invariants.transfer(a)
         total = total + img
     return total
-
-
-# ---------------------------------------------------------------------------
-# text helpers
-# ---------------------------------------------------------------------------
-
-_QFACTOR = re.compile(
-    r"(?:x(\d+)|N(\d+)|Tr\(([01]+)\))(?:\^(\d+))?\Z"
-)
-
-
-def _qterm_text(t: QMon) -> str:
-    parts = []
-    for i, e in enumerate(t.xe):
-        if e == 1:
-            parts.append(f"x{i + 1}")
-        elif e > 1:
-            parts.append(f"x{i + 1}^{e}")
-    for i, e in enumerate(t.ne):
-        if e == 1:
-            parts.append(f"N{i + 1}")
-        elif e > 1:
-            parts.append(f"N{i + 1}^{e}")
-    idx = 0
-    while idx < len(t.traces):
-        a = t.traces[idx]
-        run = 1
-        while idx + run < len(t.traces) and t.traces[idx + run] == a:
-            run += 1
-        name = f"Tr({subset_to_bits(a)})"
-        parts.append(name if run == 1 else f"{name}^{run}")
-        idx += run
-    return "*".join(parts) if parts else "1"
-
-
-def _parse_qterm(m: int, chunk: str) -> QMon:
-    xe = [0] * m
-    ne = [0] * m
-    traces: list = []
-    for factor in chunk.split("*"):
-        factor = factor.strip()
-        if factor == "1":
-            continue
-        match = _QFACTOR.match(factor)
-        if not match:
-            raise ValueError(f"bad factor {factor!r}")
-        xi, ni, bits, exp = match.groups()
-        e = int(exp) if exp else 1
-        if xi is not None:
-            idx = int(xi)
-            if not 1 <= idx <= m:
-                raise ValueError(f"variable index {idx} out of range for m={m}")
-            xe[idx - 1] += e
-        elif ni is not None:
-            idx = int(ni)
-            if not 1 <= idx <= m:
-                raise ValueError(f"variable index {idx} out of range for m={m}")
-            ne[idx - 1] += e
-        else:
-            a = bits_to_subset(bits)
-            if len(a) != m:
-                raise ValueError(f"subset width {len(a)} differs from m={m}")
-            traces.extend([a] * e)
-    return make_qmon(xe, ne, traces)

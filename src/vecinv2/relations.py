@@ -188,8 +188,8 @@ def relation_basis(m: int, flavor: str = "III") -> list[Relation]:
     quadratic flavor."""
     if flavor not in ("II", "III"):
         raise ValueError(f"flavor must be 'II' or 'III', got {flavor!r}")
-    if m < 2:
-        return []
+    if m < 1:
+        raise ValueError("width must be at least 1")
     make = type_ii_relation if flavor == "II" else type_iii_relation
     rels = [type_i_relation(a) for a in all_subsets(m, min_size=3)]
     traces = all_subsets(m, min_size=2)

@@ -2,11 +2,14 @@
 exit statuses, JSON shape, and byte-for-byte determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import vecinv2
 from vecinv2 import cli, oracle
 from vecinv2.oracle import verify_relation_ideal
 from vecinv2.poly import Poly
@@ -214,6 +217,8 @@ def test_usage_errors_exit_two(capsys):
         ("verify", "-m", "-3"),
         ("verify", "-m", "2", "--dmax", "1"),
         ("verify", "-m", "2", "--budget", "0"),
+        ("basis", "-m", "0"),
+        ("basis", "-m", "-3"),
     ]
     for argv in cases:
         code = cli.main(list(argv))
@@ -257,8 +262,13 @@ def test_budget_exceeded_exits_three(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the same package as this process, wherever the
+    # test run found it
+    package_root = str(Path(vecinv2.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root,
+                                         os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "vecinv2", "count", "-m", "2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "generators: 5"

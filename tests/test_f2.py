@@ -1,5 +1,5 @@
-"""Bit-packed GF(2) linear algebra: row spans, left kernels, and row
-reduction, checked against brute-force enumeration on small matrices."""
+"""Bit-packed GF(2) linear algebra: row spans and left kernels, checked
+against brute-force enumeration on small matrices."""
 
 import itertools
 import random
@@ -7,7 +7,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vecinv2.f2 import F2Matrix, RowSpan, left_kernel
+from vecinv2.f2 import RowSpan, left_kernel
 
 
 small_matrices = st.lists(
@@ -108,44 +108,3 @@ def test_left_kernel_exhaustive_small():
             if acc == 0:
                 found.add(sum(b << i for i, b in enumerate(bits)))
         assert brute_span(kernel) == found
-
-
-# ---------------------------------------------------------------------------
-# F2Matrix
-# ---------------------------------------------------------------------------
-
-def test_matrix_rank_and_membership():
-    mat = F2Matrix(3, [0b001, 0b011, 0b010])
-    assert mat.rank() == 2
-    assert mat.in_rowspan(0b011)
-    assert not mat.in_rowspan(0b100)
-    assert F2Matrix(3).rank() == 0
-
-
-@given(small_matrices)
-@settings(max_examples=200, deadline=None)
-def test_rref_is_a_projection(rows):
-    mat = F2Matrix(8, rows)
-    reduced = mat.rref()
-    assert reduced.rref() == reduced
-    assert reduced.rank() == mat.rank()
-    assert len(reduced.rows) == mat.rank()
-    # same row space
-    assert brute_span(reduced.rows) == brute_span(rows)
-
-
-@given(small_matrices)
-@settings(max_examples=100, deadline=None)
-def test_rref_pivot_columns_are_cleared(rows):
-    reduced = F2Matrix(8, rows).rref()
-    for i, row in enumerate(reduced.rows):
-        pivot = row & -row
-        for j, other in enumerate(reduced.rows):
-            if i != j:
-                assert other & pivot == 0
-
-
-def test_rref_rows_sorted_by_pivot():
-    reduced = F2Matrix(4, [0b1000, 0b0001, 0b0110]).rref()
-    pivots = [(r & -r) for r in reduced.rows]
-    assert pivots == sorted(pivots)

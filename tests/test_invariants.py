@@ -8,7 +8,6 @@ import pytest
 
 from vecinv2.invariants import (
     GeneratorSet,
-    cofactor_power,
     count_minimal_generators,
     generator_set,
     involution,
@@ -130,17 +129,21 @@ def test_transfer_lead_term():
             assert transfer(a).lead_term() == expected
 
 
+# The cofactor power, the product over i of (y_i + x_i)^(a_i), is the
+# image of y^a under the involution.
+
 def test_cofactor_power_goldens():
-    assert cofactor_power((1,)) == Poly.parse(1, "y1 + x1")
-    assert cofactor_power((2,)) == Poly.parse(1, "y1^2 + x1^2")
-    assert cofactor_power((1, 1)) + Poly.parse(2, "y1*y2") == transfer((1, 1))
+    assert involution(Poly.y_power((1,))) == Poly.parse(1, "y1 + x1")
+    assert involution(Poly.y_power((2,))) == Poly.parse(1, "y1^2 + x1^2")
+    assert (involution(Poly.y_power((1, 1))) + Poly.parse(2, "y1*y2")
+            == transfer((1, 1)))
 
 
 def test_cofactor_power_vs_transfer():
     # for 0/1 exponents the product of shifted variables is y^A + tr(A)
     for m in range(1, 5):
         for a in all_subsets(m, min_size=1):
-            assert cofactor_power(a) == Poly.y_power(a) + transfer(a)
+            assert involution(Poly.y_power(a)) == Poly.y_power(a) + transfer(a)
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,9 @@ def test_max_relation_degree_goldens():
     assert max_relation_degree(1) == 0
     assert max_relation_degree(2) == 4
     assert max_relation_degree(3) == 6
+    for bad in ({"m": 0}, {"m": -2}, {"m": 2, "budget": 0}):
+        with pytest.raises(ValueError):
+            max_relation_degree(**bad)
 
 
 def test_budget_guard():

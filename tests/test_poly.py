@@ -14,7 +14,6 @@ from vecinv2.poly import (
     all_subsets,
     bits_to_subset,
     cardinality,
-    compare_monomials,
     drop_min,
     intersect,
     is_disjoint,
@@ -102,13 +101,13 @@ def test_bitstring_round_trip():
 def test_order_goldens():
     # exponent layout is (y1, x1, y2, x2, ...); y-variables dominate
     y1, x1 = (1, 0), (0, 1)
-    assert compare_monomials(y1, x1) == 1
+    assert monomial_key(y1) > monomial_key(x1)
     x1y2 = (0, 1, 1, 0)
     y1x2 = (1, 0, 0, 1)
-    assert compare_monomials(x1y2, y1x2) == 1
-    assert compare_monomials(x1y2, x1y2) == 0
+    assert monomial_key(x1y2) > monomial_key(y1x2)
+    assert monomial_key(x1y2) == monomial_key(x1y2)
     # degree dominates everything else
-    assert compare_monomials((0, 3, 0, 0), (1, 0, 1, 0)) == 1
+    assert monomial_key((0, 3, 0, 0)) > monomial_key((1, 0, 1, 0))
 
 
 def _reference_greater(a, b):
@@ -134,13 +133,13 @@ def test_order_matches_reference_exhaustively():
     assert len(monos) == 70
     for a in monos:
         for b in monos:
-            got = compare_monomials(a, b)
+            ka, kb = monomial_key(a), monomial_key(b)
             if _reference_greater(a, b):
-                assert got == 1
+                assert ka > kb
             elif _reference_greater(b, a):
-                assert got == -1
+                assert ka < kb
             else:
-                assert got == 0 and a == b
+                assert ka == kb and a == b
 
 
 def test_order_laws_exhaustively():
@@ -168,18 +167,12 @@ def test_order_respects_multiplication():
     factors = _monomials_up_to(2, 2)
     for a in monos:
         for b in monos:
-            s = compare_monomials(a, b)
-            if s == 0:
+            if monomial_key(a) <= monomial_key(b):
                 continue
             for c in factors:
                 ac = tuple(u + v for u, v in zip(a, c))
                 bc = tuple(u + v for u, v in zip(b, c))
-                assert compare_monomials(ac, bc) == s
-
-
-def test_compare_rejects_mixed_widths():
-    with pytest.raises(DimensionMismatch):
-        compare_monomials((1, 0), (1, 0, 0, 0))
+                assert monomial_key(ac) > monomial_key(bc)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +270,8 @@ def test_mixed_width_arithmetic_rejected():
         Poly.one(1) + Poly.one(2)
     with pytest.raises(DimensionMismatch):
         Poly.one(1) * Poly.one(2)
+    with pytest.raises(ValueError):
+        Poly.from_terms(1, [(-1, 0)])  # negative exponent
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,10 @@ def test_make_qmon_validation():
         make_qmon((0, 0), (0,), [])
     with pytest.raises(DimensionMismatch):
         make_qmon((0, 0), (0, 0), [(1, 1, 0)])
+    with pytest.raises(ValueError):
+        make_qmon((0, 0), (-1, 0), ())  # negative exponent
+    with pytest.raises(ValueError):
+        make_qmon((0, 0), (0, 0), [(2, 0)])  # not a 0/1 subset
 
 
 def test_grading_goldens():
