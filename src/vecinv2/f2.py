@@ -71,22 +71,18 @@ def left_kernel(rows: list[int], ncols: int) -> list[int]:
     """Masks over row indices whose XOR-combination of ``rows`` is zero.
 
     Works on rows augmented with a marker bit per row above the value
-    columns; when elimination empties the value part, the marker part
-    names one kernel combination.  The returned masks are linearly
-    independent and span the left kernel.
+    columns; when reduction empties the value part, the marker part
+    names one kernel combination.  Only rows with a value bit left
+    become pivots, so every pivot sits in the value columns.  The
+    returned masks are linearly independent and span the left kernel.
     """
     value_mask = (1 << ncols) - 1
-    pivots: dict[int, int] = {}
+    span = RowSpan(ncols)
     kernel: list[int] = []
     for index, row in enumerate(rows):
-        augmented = (row & value_mask) | (1 << (ncols + index))
-        while augmented & value_mask:
-            bit = _low_bit(augmented)
-            pivot = pivots.get(bit)
-            if pivot is None:
-                pivots[bit] = augmented
-                break
-            augmented ^= pivot
+        augmented = span.reduce((row & value_mask) | (1 << (ncols + index)))
+        if augmented & value_mask:
+            span.pivots[_low_bit(augmented)] = augmented
         else:
             kernel.append(augmented >> ncols)
     return kernel

@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
+from typing import Iterator
 
 from .poly import (
     Poly,
@@ -21,6 +22,7 @@ from .poly import (
     cardinality,
     int_submasks,
     parity_collect,
+    strict_submasks,
     subset_to_bits,
 )
 
@@ -35,25 +37,31 @@ __all__ = [
 ]
 
 
-def involution(f: Poly) -> Poly:
-    """Apply the nontrivial algebra map: x_i -> x_i, y_i -> y_i + x_i.
+def sheared(base: list[int], ys: tuple) -> Iterator[tuple]:
+    """The terms of the monomial ``base`` times prod_i (y_i + x_i)^ys[i].
 
-    (y + x)^a expands over GF(2) to the sum of y^j x^(a-j) over the
-    bitwise submasks j of a, by the parity of binomial coefficients.
+    (y + x)^k expands over GF(2) to the sum of y^j x^(k-j) over the
+    bitwise submasks j of k, by the parity of binomial coefficients, so
+    every term arises once.
     """
-    return Poly(f.m, parity_collect(
-        image for mono in f.terms for image in _sheared(mono)))
-
-
-def _sheared(mono: tuple):
-    """The terms of the image of one monomial under ``involution``."""
-    hot = [i for i in range(len(mono) // 2) if mono[2 * i]]
-    for combo in itertools.product(*(int_submasks(mono[2 * i]) for i in hot)):
-        new = list(mono)
-        for i, j in zip(hot, combo):
-            new[2 * i] = j
-            new[2 * i + 1] += mono[2 * i] - j
+    hot = [(2 * i, k) for i, k in enumerate(ys) if k]
+    for combo in itertools.product(*(int_submasks(k) for _, k in hot)):
+        new = list(base)
+        for (y, k), j in zip(hot, combo):
+            new[y] += j
+            new[y + 1] += k - j
         yield tuple(new)
+
+
+def involution(f: Poly) -> Poly:
+    """Apply the nontrivial algebra map: x_i -> x_i, y_i -> y_i + x_i,
+    which sends x^b y^a to x^b (y + x)^a."""
+    images = []
+    for mono in f.terms:
+        base = list(mono)
+        base[0::2] = [0] * f.m
+        images.extend(sheared(base, mono[0::2]))
+    return Poly(f.m, parity_collect(images))
 
 
 def is_invariant(f: Poly) -> bool:
@@ -69,23 +77,9 @@ def transfer(a: Subset) -> Poly:
     (the orbit sum of 1 vanishes in characteristic 2) and a singleton
     {i} gives x_i.
     """
-    m = len(a)
-    amask = sum(1 << i for i, bit in enumerate(a) if bit)
-    terms = []
-    s = amask
-    while True:
-        if s != amask:
-            mono = [0] * (2 * m)
-            for i in range(m):
-                if (s >> i) & 1:
-                    mono[2 * i] = 1
-                elif a[i]:
-                    mono[2 * i + 1] = 1
-            terms.append(tuple(mono))
-        if s == 0:
-            break
-        s = (s - 1) & amask
-    return Poly(m, frozenset(terms))
+    return Poly(len(a), frozenset(
+        tuple(e for low_i, a_i in zip(low, a) for e in (low_i, a_i - low_i))
+        for low in strict_submasks(a)))
 
 
 def norm(m: int, i: int) -> Poly:

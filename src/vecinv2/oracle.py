@@ -17,20 +17,27 @@ linear algebra over monomial bases:
   basis is built unless a degree fails and a counterexample is wanted;
 * ``max_relation_degree`` finds the largest degree where the kernel is
   not yet generated by lower-degree kernel elements — the degree at
-  which the last new relation appears — by the same rank comparison;
+  which the last new relation appears — by the same degree sweep as
+  ``verify_relation_ideal``, run over generators it discovers.  Ranks
+  decide each degree; a kernel basis is built only where the span of
+  the lower-degree generators falls short, and only the members that
+  span misses are kept, which gives a minimal generating set;
 * ``invariant_dimension`` counts fixed polynomials of a degree
   directly, and ``evaluation_rank`` counts what the generators span
   there; the two agree exactly when the generators generate.
 
 Matrix shapes grow quickly with the number of variable pairs, so every
 matrix build is gated by an entry budget (rows times columns); blowing
-it raises ``BudgetExceeded`` instead of grinding.
+it raises ``BudgetExceeded`` instead of grinding.  The shapes come from
+closed-form monomial counts, so the budget is charged before any
+monomial of the degree is enumerated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 from .f2 import RowSpan, left_kernel
 from .invariants import involution
@@ -79,6 +86,37 @@ def _compositions(total: int, parts: int):
     for head in range(total + 1):
         for tail in _compositions(total - head, parts - 1):
             yield (head,) + tail
+
+
+def _series(weights: list[int], d: int) -> list[int]:
+    """Coefficients of t^0..t^d in the product of 1/(1 - t^w) over the
+    generator degrees ``weights``: how many monomials of each degree."""
+    coeffs = [1] + [0] * d
+    for w in weights:
+        for i in range(w, d + 1):
+            coeffs[i] += coeffs[i - w]
+    return coeffs
+
+
+@lru_cache(maxsize=None)
+def _q_count(m: int, d: int) -> int:
+    """``len(q_monomials(m, d))``, without enumerating them: x's weigh
+    1, norms 2, and each trace symbol Tr(A) weighs |A|."""
+    traces = [k for k in range(2, m + 1) for _ in range(comb(m, k))]
+    return _series([1] * m + [2] * m + traces, d)[d]
+
+
+def _trace_linear_count(m: int, d: int) -> int:
+    """How many degree-d presentation monomials carry at most one trace:
+    the trace-free count at d plus, for each trace symbol, at d - |A|."""
+    free = _series([1] * m + [2] * m, d)
+    return free[d] + sum(comb(m, k) * free[d - k]
+                         for k in range(2, min(m, d) + 1))
+
+
+def _poly_count(m: int, d: int) -> int:
+    """``len(poly_monomials(m, d))``, without enumerating them."""
+    return comb(d + 2 * m - 1, 2 * m - 1)
 
 
 @lru_cache(maxsize=None)
@@ -156,18 +194,18 @@ def _kernel_from_rows(m: int, d: int, basis: tuple[QMon, ...],
 
 def kernel_basis(m: int, d: int, budget: int = DEFAULT_BUDGET) -> list[QPoly]:
     """A basis of the degree-d elements that evaluate to zero."""
-    basis = q_monomials(m, d)
-    _charge(len(basis), len(poly_monomials(m, d)), budget,
+    _charge(_q_count(m, d), _poly_count(m, d), budget,
             f"kernel at degree {d}")
-    return _kernel_from_rows(m, d, basis, list(_evaluation_rows(m, d)))
+    return _kernel_from_rows(m, d, q_monomials(m, d),
+                             list(_evaluation_rows(m, d)))
 
 
 def linear_kernel_basis(m: int, d: int,
                         budget: int = DEFAULT_BUDGET) -> list[QPoly]:
     """Same kernel, restricted to terms with at most one trace factor."""
-    basis = tuple(t for t in q_monomials(m, d) if len(t.traces) <= 1)
-    _charge(len(basis), len(poly_monomials(m, d)), budget,
+    _charge(_trace_linear_count(m, d), _poly_count(m, d), budget,
             f"trace-linear kernel at degree {d}")
+    basis = tuple(t for t in q_monomials(m, d) if len(t.traces) <= 1)
     index = _poly_index(m, d)
     rows = [_row(evaluate(QPoly.monomial(t)), index) for t in basis]
     return _kernel_from_rows(m, d, basis, rows)
@@ -175,10 +213,9 @@ def linear_kernel_basis(m: int, d: int,
 
 def evaluation_rank(m: int, d: int, budget: int = DEFAULT_BUDGET) -> int:
     """Dimension of the degree-d space the generators span."""
-    rows = q_monomials(m, d)
-    _charge(len(rows), len(poly_monomials(m, d)), budget,
+    _charge(_q_count(m, d), _poly_count(m, d), budget,
             f"evaluation rank at degree {d}")
-    span = RowSpan(len(poly_monomials(m, d)))
+    span = RowSpan(_poly_count(m, d))
     for row in _evaluation_rows(m, d):
         span.add(row)
     return span.rank
@@ -187,38 +224,48 @@ def evaluation_rank(m: int, d: int, budget: int = DEFAULT_BUDGET) -> int:
 def invariant_dimension(m: int, d: int, budget: int = DEFAULT_BUDGET) -> int:
     """Dimension of the space of degree-d polynomials fixed by the
     involution, counted directly from the action on monomials."""
+    n = _poly_count(m, d)
+    _charge(n, n, budget, f"invariant dimension at degree {d}")
     monos = poly_monomials(m, d)
-    _charge(len(monos), len(monos), budget, f"invariant dimension at degree {d}")
     index = _poly_index(m, d)
-    span = RowSpan(len(monos))
+    span = RowSpan(n)
     for mono in monos:
         single = Poly.monomial(m, mono)
         span.add(_row(involution(single) + single, index))
-    return len(monos) - span.rank
+    return n - span.rank
 
 
 # ---------------------------------------------------------------------------
 # the relation ideal
 
 
-def _lower_span(m: int, d: int, relations: list[Relation], budget: int,
-                index: dict) -> RowSpan:
+def _lower_span(m: int, d: int, generators: list[tuple[int, QPoly]],
+                budget: int) -> tuple[RowSpan, dict]:
     """Row space, in degree-d presentation coordinates, of every product
-    (monomial of degree d - deg r) * (relation element r) with deg r < d.
-    The budget is charged for the relations of degree d as well, one row
-    each, since every caller adds those rows next."""
-    ncols = len(index)
-    nrows = sum(len(q_monomials(m, d - r.degree))
-                for r in relations if r.degree <= d)
-    _charge(nrows, ncols, budget, f"relation span at degree {d}")
-    span = RowSpan(ncols)
-    for relation in relations:
-        if relation.degree >= d:
+    (monomial of degree d - e) * g over the ``(e, g)`` generator pairs
+    with e < d, and the index of those coordinates.  The budget is
+    charged, before degree d is enumerated, for the generators of
+    degree d as well, one row each, since callers may add those rows
+    next."""
+    nrows = sum(_q_count(m, d - e) for e, _ in generators if e <= d)
+    _charge(nrows, _q_count(m, d), budget, f"relation span at degree {d}")
+    index = {t: i for i, t in enumerate(q_monomials(m, d))}
+    span = RowSpan(len(index))
+    for e, element in generators:
+        if e >= d:
             continue
-        for mult in q_monomials(m, d - relation.degree):
-            product = QPoly.monomial(mult) * relation.element
+        for mult in q_monomials(m, d - e):
+            product = QPoly.monomial(mult) * element
             span.add(_row(product, index))
-    return span
+    return span, index
+
+
+def _missing(members: list[QPoly], span: RowSpan, index: dict):
+    """The members ``span`` misses, in order; each is added to the span
+    when found, so none lies in the span of the ones before it."""
+    for member in members:
+        if span.add(_row(member, index)):
+            yield member
 
 
 @dataclass(frozen=True)
@@ -343,36 +390,35 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
     max_degree = max((r.degree for r in relations), default=0)
     stray = next((r for r in sorted(relations, key=lambda r: r.degree)
                   if r.degree <= d_max and evaluate(r.element)), None)
+    generators = [(r.degree, r.element) for r in relations]
     reports = []
     dependent: set[int] = set()
     for d in range(2, d_max + 1):
-        basis = q_monomials(m, d)
-        index = {t: i for i, t in enumerate(basis)}
-        kernel_dimension = len(basis) - evaluation_rank(m, d, budget)
-        span = _lower_span(m, d, relations, budget, index)
+        kernel_dimension = _q_count(m, d) - evaluation_rank(m, d, budget)
+        span, index = _lower_span(m, d, generators, budget)
         same = [p for p, r in enumerate(relations) if r.degree == d]
         rows = [span.remainder(_row(relations[p].element, index))
                 for p in same]
         used = 0
-        for mask in left_kernel(rows, len(basis)):
+        for mask in left_kernel(rows, len(index)):
             used |= mask
         dependent.update(same[i] for i in _bits(used))
         for row in rows:
             span.add(row)
+        span_rank = span.rank
         counterexample = None
         if stray is not None and stray.degree <= d:
             lift = q_monomials(m, d - stray.degree)[0]
             counterexample = QPoly.monomial(lift) * stray.element
-        elif span.rank != kernel_dimension:
+        elif span_rank != kernel_dimension:
             counterexample = next(
-                member for member in kernel_basis(m, d, budget)
-                if not span.contains(_row(member, index)))
+                _missing(kernel_basis(m, d, budget), span, index))
         reports.append(DegreeReport(
             degree=d,
-            n_q_monomials=len(basis),
-            n_poly_monomials=len(poly_monomials(m, d)),
+            n_q_monomials=len(index),
+            n_poly_monomials=_poly_count(m, d),
             kernel_dimension=kernel_dimension,
-            span_rank=span.rank,
+            span_rank=span_rank,
             generated=counterexample is None,
             counterexample=counterexample,
         ))
@@ -397,9 +443,8 @@ def span_contains(relations: list[Relation], q: QPoly,
     d = q.degree()
     if d is None:
         raise ValueError("span membership wants a homogeneous element")
-    basis = q_monomials(q.m, d)
-    index = {t: i for i, t in enumerate(basis)}
-    span = _lower_span(q.m, d, relations, budget, index)
+    span, index = _lower_span(
+        q.m, d, [(r.degree, r.element) for r in relations], budget)
     for relation in relations:
         if relation.degree == d:
             span.add(_row(relation.element, index))
@@ -410,9 +455,14 @@ def max_relation_degree(m: int, budget: int = DEFAULT_BUDGET) -> int:
     """Largest degree whose kernel is not spanned by lower-degree kernel
     elements; the search stops one past twice the number of pairs.
 
-    Multiples of kernel elements lie in the kernel, so the lower-degree
-    span falls short exactly when its rank is below the kernel's
-    dimension."""
+    Multiples of kernel elements lie in the kernel, so the span of the
+    lower-degree generators falls short exactly when its rank is below
+    the kernel's dimension; ranks decide each degree.  Only where the
+    span falls short is a kernel basis built, and only the members the
+    span misses become generators, so the generators found form a
+    minimal generating set.  Every multiple of a lower-degree kernel
+    element is a combination of multiples of these generators, so the
+    next degree's span needs no other rows."""
     if m < 1:
         raise ValueError(
             f"max_relation_degree wants m >= 1 variable pairs, got {m}")
@@ -420,22 +470,12 @@ def max_relation_degree(m: int, budget: int = DEFAULT_BUDGET) -> int:
         raise ValueError(
             f"max_relation_degree wants a positive budget, got {budget}")
     top = 0
-    kernels: dict[int, list[QPoly]] = {}
+    generators: list[tuple[int, QPoly]] = []
     for d in range(2, 2 * m + 2):
-        kernels[d] = kernel_basis(m, d, budget)
-        if not kernels[d]:
-            continue
-        basis = q_monomials(m, d)
-        index = {t: i for i, t in enumerate(basis)}
-        ncols = len(basis)
-        nrows = sum(len(q_monomials(m, d - e)) * len(kernels[e])
-                    for e in range(2, d))
-        _charge(nrows, ncols, budget, f"lower-degree span at degree {d}")
-        span = RowSpan(ncols)
-        for e in range(2, d):
-            for member in kernels[e]:
-                for mult in q_monomials(m, d - e):
-                    span.add(_row(QPoly.monomial(mult) * member, index))
-        if span.rank < len(kernels[d]):
+        kernel_dimension = _q_count(m, d) - evaluation_rank(m, d, budget)
+        span, index = _lower_span(m, d, generators, budget)
+        if span.rank < kernel_dimension:
+            generators += [(d, member) for member in
+                           _missing(kernel_basis(m, d, budget), span, index)]
             top = d
     return top

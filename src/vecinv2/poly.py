@@ -48,7 +48,6 @@ __all__ = [
     "term_text",
     "variable_index",
     "monomial_key",
-    "monomial_degree",
     "monomial_text",
     "cardinality",
     "intersect",
@@ -59,7 +58,6 @@ __all__ = [
     "singleton",
     "min_index",
     "drop_min",
-    "submasks",
     "strict_submasks",
     "all_subsets",
     "subset_to_bits",
@@ -159,13 +157,6 @@ def int_submasks(mask: int) -> Iterator[int]:
         if s == 0:
             return
         s = (s - 1) & mask
-
-
-def submasks(a: Subset) -> Iterator[Subset]:
-    """All subsets L with L <= a, including a itself and the empty set."""
-    width = len(a)
-    for s in int_submasks(_mask(a)):
-        yield _unmask(s, width)
 
 
 def strict_submasks(a: Subset) -> Iterator[Subset]:
@@ -300,10 +291,6 @@ class SparsePoly:
 # monomials of F2[y1, x1, ..., ym, xm]
 # ---------------------------------------------------------------------------
 
-def monomial_degree(mono: Monomial) -> int:
-    return sum(mono)
-
-
 def monomial_key(mono: Monomial):
     """Sort key realizing the graded reverse lexicographic order.
 
@@ -393,18 +380,6 @@ class Poly(SparsePoly):
         self._check_m(other)
         return Poly(self.m, parity_collect(
             tuple(map(add, a, b)) for a in self.terms for b in other.terms))
-
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power")
-        out = Poly.one(self.m)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     # -- inspection ---------------------------------------------------------
 

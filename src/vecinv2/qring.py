@@ -32,7 +32,6 @@ from .poly import (
     ZeroPolynomialError,
     bits_to_subset,
     cardinality,
-    int_submasks,
     parity_collect,
     subset_to_bits,
     term_text,
@@ -206,26 +205,12 @@ def formal_trace(a: Subset) -> QPoly:
 # ---------------------------------------------------------------------------
 
 def _norm_monomial_poly(m: int, xe: tuple, ne: tuple) -> Poly:
-    """Expand x^xe * prod N_i^(ne_i) as a concrete polynomial.
-
-    N^k = y^k (y + x)^k, so each factor contributes y^(k+j) x^(k-j) over
-    the binary submasks j of k.
-    """
+    """Expand x^xe * prod N_i^(ne_i) as a concrete polynomial, using
+    N^k = y^k (y + x)^k."""
     base = [0] * (2 * m)
-    for i, e in enumerate(xe):
-        base[2 * i + 1] = e
-    hot = [i for i in range(m) if ne[i]]
-    if not hot:
-        return Poly.monomial(m, tuple(base))
-    choices = [list(int_submasks(ne[i])) for i in hot]
-    monos = []
-    for combo in itertools.product(*choices):
-        mono = list(base)
-        for i, j in zip(hot, combo):
-            mono[2 * i] = ne[i] + j
-            mono[2 * i + 1] += ne[i] - j
-        monos.append(tuple(mono))
-    return Poly(m, frozenset(monos))
+    base[0::2] = ne
+    base[1::2] = xe
+    return Poly(m, frozenset(invariants.sheared(base, ne)))
 
 
 def evaluate(q: QPoly) -> Poly:

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from vecinv2 import oracle
 from vecinv2.f2 import RowSpan
 from vecinv2.oracle import (
     BudgetExceeded,
@@ -38,6 +39,7 @@ def test_poly_monomials_counts():
         for d in range(0, 9 if m == 4 else 7):
             monos = poly_monomials(m, d)
             assert len(monos) == comb(d + 2 * m - 1, 2 * m - 1)
+            assert oracle._poly_count(m, d) == len(monos)
             assert len(set(monos)) == len(monos)
             assert all(sum(t) == d for t in monos)
     assert len(poly_monomials(3, 6)) == 462
@@ -69,6 +71,10 @@ def test_q_monomials_counts_against_series():
         for d in range(0, 7):
             monos = q_monomials(m, d)
             assert len(monos) == _series_count(m, d)
+            # the budget is charged from these counts, before enumerating
+            assert oracle._q_count(m, d) == len(monos)
+            assert oracle._trace_linear_count(m, d) == sum(
+                len(t.traces) <= 1 for t in monos)
             assert len(set(monos)) == len(monos)
             assert all(qmon_degree(t) == d for t in monos)
     assert len(q_monomials(3, 6)) == 329
@@ -292,9 +298,25 @@ def test_max_relation_degree_goldens():
     assert max_relation_degree(1) == 0
     assert max_relation_degree(2) == 4
     assert max_relation_degree(3) == 6
+    # the degree-9 span from the minimal generators needs 4.3e8 entries
+    assert max_relation_degree(4, budget=5 * 10 ** 8) == 8
     for bad in ({"m": 0}, {"m": -2}, {"m": 2, "budget": 0}):
         with pytest.raises(ValueError):
             max_relation_degree(**bad)
+
+
+def test_max_relation_degree_builds_kernels_only_where_short(monkeypatch):
+    # ranks decide degrees 2 and 7 at m = 3; kernel bases are built only
+    # where the lower-degree generators fall short
+    asked = []
+
+    def recording(m, d, budget=DEFAULT_BUDGET):
+        asked.append(d)
+        return kernel_basis(m, d, budget)
+
+    monkeypatch.setattr(oracle, "kernel_basis", recording)
+    assert max_relation_degree(3) == 6
+    assert asked == [3, 4, 5, 6]
 
 
 def test_budget_guard():
@@ -303,6 +325,12 @@ def test_budget_guard():
     assert "budget 10" in str(info.value)
     with pytest.raises(BudgetExceeded):
         verify_relation_ideal(3, budget=100)
+    # charged from the closed-form count, before anything is enumerated
+    cached = q_monomials.cache_info().currsize
+    with pytest.raises(BudgetExceeded) as info:
+        kernel_basis(5, 10, budget=10)
+    assert "287381 x 92378" in str(info.value)
+    assert q_monomials.cache_info().currsize == cached
     assert isinstance(BudgetExceeded("x"), RuntimeError)
     # the default budget admits every computation the suite needs
     assert DEFAULT_BUDGET >= 10 ** 8

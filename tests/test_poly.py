@@ -19,13 +19,11 @@ from vecinv2.poly import (
     is_disjoint,
     is_subset_of,
     min_index,
-    monomial_degree,
     monomial_key,
     monomial_text,
     setminus,
     singleton,
     strict_submasks,
-    submasks,
     subset_to_bits,
     union,
 )
@@ -66,11 +64,9 @@ def test_singleton_and_min_index():
 def test_submask_enumeration_counts():
     for m in range(1, 5):
         for a in all_subsets(m):
-            subs = list(submasks(a))
-            assert len(subs) == 2 ** cardinality(a)
-            assert len(set(subs)) == len(subs)
             strict = list(strict_submasks(a))
             assert len(strict) == 2 ** cardinality(a) - 1
+            assert len(set(strict)) == len(strict)
             assert a not in strict
             assert all(is_subset_of(s, a) for s in strict)
 
@@ -237,20 +233,10 @@ def test_frobenius_squares_termwise():
         m = rng.randrange(1, 4)
         f = random_poly(rng, m)
         sq = f * f
-        assert sq == f ** 2
         expected = Poly.from_terms(
             m, [tuple(2 * e for e in t) for t in f.terms])
         assert sq == expected
         assert all(e % 2 == 0 for t in sq.terms for e in t)
-
-
-def test_pow_edge_cases():
-    f = Poly.parse(1, "y1 + x1")
-    assert f ** 0 == Poly.one(1)
-    assert f ** 1 == f
-    assert f ** 3 == f * f * f
-    with pytest.raises(ValueError):
-        f ** -1
 
 
 def test_degree_and_zero_errors():
