@@ -41,8 +41,16 @@ from math import comb
 
 from .f2 import RowSpan, left_kernel
 from .invariants import involution
-from .poly import Monomial, Poly, all_subsets, cardinality, monomial_key
-from .qring import QMon, QPoly, evaluate, make_qmon, qmon_key
+from .poly import (
+    Monomial,
+    Poly,
+    all_subsets,
+    cardinality,
+    monomial_key,
+    pack,
+    packed_width,
+)
+from .qring import QMon, QPoly, evaluate, make_qmon, packed_image, qmon_key
 from .relations import Relation, relation_basis
 
 __all__ = [
@@ -154,11 +162,11 @@ def q_monomials(m: int, d: int) -> tuple[QMon, ...]:
     return tuple(found)
 
 
-def _row(element, index: dict) -> int:
-    """Bit mask of an element's terms, with ``index`` mapping each term
-    to its column; works for ``Poly`` and ``QPoly`` alike."""
+def _row(terms, index: dict) -> int:
+    """Bit mask of a set of terms, with ``index`` mapping each term to
+    its column; works for ``Poly``, ``QPoly`` and packed monomials."""
     bits = 0
-    for term in element.terms:
+    for term in terms:
         bits |= 1 << index[term]
     return bits
 
@@ -168,11 +176,28 @@ def _poly_index(m: int, d: int) -> dict:
     return {mono: i for i, mono in enumerate(poly_monomials(m, d))}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
+def _packed_index(m: int, d: int) -> dict:
+    """``_poly_index`` keyed by packed monomials (``packed_width(d)``);
+    read only while one degree's rows are built."""
+    width = packed_width(d)
+    return {pack(mono, width): i
+            for i, mono in enumerate(poly_monomials(m, d))}
+
+
+def _image_rows(m: int, d: int, basis) -> list[int]:
+    """Evaluation rows of the degree-d monomials ``basis``: the image of
+    each, with columns read straight off its packed monomials."""
+    index = _packed_index(m, d)
+    width = packed_width(d)
+    return [_row(packed_image((t,), width), index) for t in basis]
+
+
+# Callers read one degree at a time (``evaluation_rank``, then
+# ``kernel_basis`` at the same degree), so only that degree's rows stay.
+@lru_cache(maxsize=1)
 def _evaluation_rows(m: int, d: int) -> tuple[int, ...]:
-    index = _poly_index(m, d)
-    return tuple(_row(evaluate(QPoly.monomial(t)), index)
-                 for t in q_monomials(m, d))
+    return tuple(_image_rows(m, d, q_monomials(m, d)))
 
 
 def _bits(mask: int):
@@ -206,9 +231,7 @@ def linear_kernel_basis(m: int, d: int,
     _charge(_trace_linear_count(m, d), _poly_count(m, d), budget,
             f"trace-linear kernel at degree {d}")
     basis = tuple(t for t in q_monomials(m, d) if len(t.traces) <= 1)
-    index = _poly_index(m, d)
-    rows = [_row(evaluate(QPoly.monomial(t)), index) for t in basis]
-    return _kernel_from_rows(m, d, basis, rows)
+    return _kernel_from_rows(m, d, basis, _image_rows(m, d, basis))
 
 
 def evaluation_rank(m: int, d: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -231,7 +254,7 @@ def invariant_dimension(m: int, d: int, budget: int = DEFAULT_BUDGET) -> int:
     span = RowSpan(n)
     for mono in monos:
         single = Poly.monomial(m, mono)
-        span.add(_row(involution(single) + single, index))
+        span.add(_row((involution(single) + single).terms, index))
     return n - span.rank
 
 
@@ -256,7 +279,7 @@ def _lower_span(m: int, d: int, generators: list[tuple[int, QPoly]],
             continue
         for mult in q_monomials(m, d - e):
             product = QPoly.monomial(mult) * element
-            span.add(_row(product, index))
+            span.add(_row(product.terms, index))
     return span, index
 
 
@@ -264,7 +287,7 @@ def _missing(members: list[QPoly], span: RowSpan, index: dict):
     """The members ``span`` misses, in order; each is added to the span
     when found, so none lies in the span of the ones before it."""
     for member in members:
-        if span.add(_row(member, index)):
+        if span.add(_row(member.terms, index)):
             yield member
 
 
@@ -397,7 +420,7 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
         kernel_dimension = _q_count(m, d) - evaluation_rank(m, d, budget)
         span, index = _lower_span(m, d, generators, budget)
         same = [p for p, r in enumerate(relations) if r.degree == d]
-        rows = [span.remainder(_row(relations[p].element, index))
+        rows = [span.remainder(_row(relations[p].element.terms, index))
                 for p in same]
         used = 0
         for mask in left_kernel(rows, len(index)):
@@ -447,8 +470,8 @@ def span_contains(relations: list[Relation], q: QPoly,
         q.m, d, [(r.degree, r.element) for r in relations], budget)
     for relation in relations:
         if relation.degree == d:
-            span.add(_row(relation.element, index))
-    return span.contains(_row(q, index))
+            span.add(_row(relation.element.terms, index))
+    return span.contains(_row(q.terms, index))
 
 
 def max_relation_degree(m: int, budget: int = DEFAULT_BUDGET) -> int:

@@ -19,6 +19,11 @@ y1 > x1 > y2 > x2 > ... > ym > xm: higher total degree wins, and among
 equal degrees the monomial whose rightmost nonzero exponent difference
 is negative is the larger one.
 
+``pack`` turns a monomial into one int with a fixed-width field per
+exponent, so that a product of monomials is an int sum (``packed_width``
+picks a width that no such sum can overflow); the evaluation kernel in
+``qring`` and the involution in ``invariants`` work on packed ints.
+
 Zero/one tuples of length m double as subsets of the m copies and as
 exponent sequences, so ``x_power(a)`` for a subset ``a`` is the square
 free monomial x^a.  The helpers in the first half of this module give
@@ -45,6 +50,10 @@ __all__ = [
     "SparsePoly",
     "Poly",
     "parity_collect",
+    "parity_update",
+    "packed_width",
+    "pack",
+    "unpack",
     "term_text",
     "variable_index",
     "monomial_key",
@@ -191,15 +200,22 @@ def bits_to_subset(text: str) -> Subset:
 # the sparse GF(2) core shared by ``Poly`` and the presentation ring
 # ---------------------------------------------------------------------------
 
-def parity_collect(terms: Iterable) -> frozenset:
-    """The terms that occur an odd number of times.  Over GF(2) a term
-    listed twice cancels, so this turns a list of products into a sum."""
-    odd: set = set()
+def parity_update(odd: set, terms: Iterable) -> None:
+    """Toggle each of ``terms`` in the set ``odd``: add it when absent,
+    remove it when present.  Over GF(2) this adds the sum of ``terms``
+    to the sum that ``odd`` holds."""
     for term in terms:
         if term in odd:
             odd.remove(term)
         else:
             odd.add(term)
+
+
+def parity_collect(terms: Iterable) -> frozenset:
+    """The terms that occur an odd number of times.  Over GF(2) a term
+    listed twice cancels, so this turns a list of products into a sum."""
+    odd: set = set()
+    parity_update(odd, terms)
     return frozenset(odd)
 
 
@@ -306,6 +322,30 @@ def monomial_text(mono: Monomial) -> str:
     m = len(mono) // 2
     return term_text([(f"x{i + 1}", mono[2 * i + 1]) for i in range(m)]
                      + [(f"y{i + 1}", mono[2 * i]) for i in range(m)])
+
+
+def packed_width(degree: int) -> int:
+    """Bits per exponent field of a packed monomial whose total degree is
+    at most ``degree``.  No exponent exceeds the total degree, which is
+    below 2**width, so adding packed monomials whose sum still has total
+    degree at most ``degree`` never carries from one field into the
+    next: the int sum is the monomial product."""
+    return max(degree.bit_length(), 1)
+
+
+def pack(mono: Monomial, width: int) -> int:
+    """A monomial as one int, exponent k in bits k*width up to
+    (k+1)*width; see ``packed_width`` for the choice of width."""
+    packed = 0
+    for k, e in enumerate(mono):
+        packed |= e << (k * width)
+    return packed
+
+
+def unpack(packed: int, n: int, width: int) -> Monomial:
+    """Inverse of ``pack`` for a monomial with n exponents."""
+    field = (1 << width) - 1
+    return tuple((packed >> (k * width)) & field for k in range(n))
 
 
 def _check_monomial(m: int, exps: Iterable[int]) -> Monomial:

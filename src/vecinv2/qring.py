@@ -14,12 +14,29 @@ its kernel is the ideal of relations among the generators.
 Singleton and empty trace symbols are never stored: ``formal_trace``
 rewrites Tr({i}) to x_i and Tr(empty) to 0, so constructors built on it
 only ever carry subsets of size two or more.
+
+The evaluation map runs on packed exponents (``packed_image``).  A
+monomial of F2[y1, x1, ..., ym, xm] becomes one int with a field of
+``width`` bits per exponent (``poly.pack``), and multiplying two
+monomials is adding their ints.  The width is the bit length of the
+element's largest term degree D.  Each generator's image is
+homogeneous of its symbol's degree, so every monomial of a term's
+image, and of every partial product on the way to it, has total degree
+at most the term's degree, hence at most D.  An exponent never exceeds
+its monomial's total degree, so every field stays at most D < 2**width,
+and no field can carry into the next.  The transfers are packed once
+per width and cached, each term's norm part is sheared straight into
+packed ints, and all products are parity-collected into one set of
+ints.  ``evaluate`` unpacks that set once, at the end; the oracle
+indexes its matrix columns by the packed ints directly.  ``Poly``,
+``QMon`` and every public type stay tuple-based.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from functools import lru_cache
 from operator import add
 from typing import Iterable, NamedTuple
 
@@ -32,9 +49,13 @@ from .poly import (
     ZeroPolynomialError,
     bits_to_subset,
     cardinality,
+    pack,
+    packed_width,
     parity_collect,
+    parity_update,
     subset_to_bits,
     term_text,
+    unpack,
     variable_index,
 )
 
@@ -44,6 +65,7 @@ __all__ = [
     "make_qmon",
     "formal_trace",
     "evaluate",
+    "packed_image",
     "qmon_degree",
     "qmon_trace_degree",
     "qmon_key",
@@ -204,21 +226,39 @@ def formal_trace(a: Subset) -> QPoly:
 # evaluation onto the invariant ring
 # ---------------------------------------------------------------------------
 
-def _norm_monomial_poly(m: int, xe: tuple, ne: tuple) -> Poly:
-    """Expand x^xe * prod N_i^(ne_i) as a concrete polynomial, using
-    N^k = y^k (y + x)^k."""
-    base = [0] * (2 * m)
-    base[0::2] = ne
-    base[1::2] = xe
-    return Poly(m, frozenset(invariants.sheared(base, ne)))
+@lru_cache(maxsize=None)
+def _packed_transfer(a: Subset, width: int) -> tuple[int, ...]:
+    return tuple(pack(t, width) for t in invariants.transfer(a).terms)
+
+
+def packed_image(terms: Iterable[QMon], width: int) -> set[int]:
+    """The image of the sum of ``terms`` as a set of packed monomials,
+    ``width`` bits per exponent; the width must hold the largest term
+    degree (``packed_width``).
+
+    A term x^I N^J Tr(A1)...Tr(Ak) maps to y^J x^I prod (y + x)^J (the
+    shear of ``invariants.sheared``) times the k transfers.  Products
+    of packed monomials are int sums; each transfer but the last is
+    multiplied in and parity-collected, and the products with the last
+    one are toggled straight into the set holding the total."""
+    odd: set[int] = set()
+    for t in terms:
+        base = [0] * (2 * len(t.xe))
+        base[0::2] = t.ne
+        base[1::2] = t.xe
+        image = invariants.sheared(pack(base, width), t.ne, width)
+        for a in t.traces[:-1]:
+            factor = _packed_transfer(a, width)
+            image = parity_collect(p + f for p in image for f in factor)
+        if t.traces:
+            factor = _packed_transfer(t.traces[-1], width)
+            image = [p + f for p in image for f in factor]
+        parity_update(odd, image)
+    return odd
 
 
 def evaluate(q: QPoly) -> Poly:
     """Substitute the concrete invariants for the formal symbols."""
-    total = Poly.zero(q.m)
-    for t in q.terms:
-        img = _norm_monomial_poly(q.m, t.xe, t.ne)
-        for a in t.traces:
-            img = img * invariants.transfer(a)
-        total = total + img
-    return total
+    width = packed_width(max(map(qmon_degree, q.terms), default=0))
+    return Poly(q.m, frozenset(unpack(p, 2 * q.m, width)
+                               for p in packed_image(q.terms, width)))

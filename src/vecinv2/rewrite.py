@@ -34,6 +34,7 @@ multipliers form the certificate.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .poly import (
@@ -44,6 +45,7 @@ from .poly import (
     min_index,
     monomial_key,
     monomial_text,
+    parity_update,
     singleton,
     subset_to_bits,
     union,
@@ -127,10 +129,11 @@ class ReductionTrace:
 
     def replay(self) -> QPoly:
         """Re-run the logged steps from ``start``; equals ``result``."""
-        current = self.start
+        odd = set(self.start.terms)
         for step in self.steps:
-            current = current + QPoly.monomial(step.multiplier) * step.relation.element
-        return current
+            product = QPoly.monomial(step.multiplier) * step.relation.element
+            parity_update(odd, product.terms)
+        return QPoly(self.start.m, frozenset(odd))
 
     def verify(self) -> bool:
         return (
@@ -162,6 +165,20 @@ def _split_two_largest(term: QMon) -> tuple[Subset, Subset, tuple]:
     return first, second, tuple(rest)
 
 
+class _Largest:
+    """Heap entry for a term; the term largest under ``qmon_key`` pops
+    first from a ``heapq`` min-heap."""
+
+    __slots__ = ("key", "term")
+
+    def __init__(self, term: QMon):
+        self.key = qmon_key(term)
+        self.term = term
+
+    def __lt__(self, other: "_Largest") -> bool:
+        return self.key > other.key
+
+
 def normal_form(q: QPoly) -> ReductionTrace:
     """Rewrite until every term has at most one trace factor.
 
@@ -170,26 +187,44 @@ def normal_form(q: QPoly) -> ReductionTrace:
     strictly shrinks the pair (trace degree, m * trace degree - sum of
     squared factor sizes) for each replacement term, which is what makes
     any schedule terminate.
+
+    The element is kept as a mutable term set, and the terms with two or
+    more traces in a max-heap.  A term is pushed whenever it enters the
+    set; an entry whose term has since left the set is skipped when it
+    pops.  Every term in the set thus has an entry, so the first live
+    entry to pop is the largest offending term (``qmon_key`` is a total
+    order).
     """
-    start = q
+    terms = set(q.terms)
+    heap = [_Largest(t) for t in terms if len(t.traces) >= 2]
+    heapq.heapify(heap)
     steps: list[ReductionStep] = []
     last_measure: tuple[int, int] | None = None
-    while True:
-        heavy = [t for t in q.terms if len(t.traces) >= 2]
-        if not heavy:
-            break
-        term = max(heavy, key=qmon_key)
+    while heap:
+        term = heapq.heappop(heap).term
+        if term not in terms:
+            continue
         first, second, rest = _split_two_largest(term)
         relation = type_iii_relation(first, second)
         multiplier = make_qmon(term.xe, term.ne, rest)
-        q = q + QPoly.monomial(multiplier) * relation.element
+        for t in (QPoly.monomial(multiplier) * relation.element).terms:
+            if t in terms:
+                terms.remove(t)
+            else:
+                terms.add(t)
+                if len(t.traces) >= 2:
+                    heapq.heappush(heap, _Largest(t))
+        if term in terms:
+            raise RuntimeError(
+                f"normal_form step left its term {QPoly.monomial(term)}")
         measure = (qmon_degree(term), qmon_trace_degree(term))
         if last_measure is not None and measure > last_measure:
             raise RuntimeError(
                 f"normal_form measure rose from {last_measure} to {measure}")
         last_measure = measure
         steps.append(ReductionStep(term, relation, multiplier, measure))
-    return ReductionTrace(start=start, result=q, steps=tuple(steps))
+    return ReductionTrace(start=q, result=QPoly(q.m, frozenset(terms)),
+                          steps=tuple(steps))
 
 
 def reduce_product(a: Subset, b: Subset) -> ReductionTrace:
@@ -277,10 +312,11 @@ class LinearCertificate:
     steps: tuple[LinearStep, ...] = ()
 
     def combination(self) -> QPoly:
-        total = QPoly.zero(self.start.m)
+        odd: set = set()
         for subset, coefficient in self.coefficients.items():
-            total = total + coefficient * type_i_relation(subset).element
-        return total
+            product = coefficient * type_i_relation(subset).element
+            parity_update(odd, product.terms)
+        return QPoly(self.start.m, frozenset(odd))
 
     def verify(self) -> bool:
         return self.combination() == self.start

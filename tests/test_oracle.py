@@ -319,6 +319,28 @@ def test_max_relation_degree_builds_kernels_only_where_short(monkeypatch):
     assert asked == [3, 4, 5, 6]
 
 
+def test_packed_rows_match_tuple_rows():
+    # the rows read off packed monomials are the rows of the evaluated
+    # tuple polynomials, column for column
+    for m in range(1, 5):
+        for d in range(7):
+            index = oracle._poly_index(m, d)
+            want = [oracle._row(evaluate(QPoly.monomial(t)).terms, index)
+                    for t in q_monomials(m, d)]
+            assert list(oracle._evaluation_rows(m, d)) == want, (m, d)
+
+
+def test_evaluation_rows_cache_holds_one_degree():
+    # callers read one degree at a time, so only the last degree's rows
+    # stay cached: degree 2m + 1 = 7 at the end of the sweep
+    max_relation_degree(3)
+    info = oracle._evaluation_rows.cache_info()
+    assert info.maxsize == 1
+    assert info.currsize == 1
+    oracle._evaluation_rows(3, 7)
+    assert oracle._evaluation_rows.cache_info().hits == info.hits + 1
+
+
 def test_budget_guard():
     with pytest.raises(BudgetExceeded) as info:
         kernel_basis(3, 6, budget=10)

@@ -4,9 +4,16 @@ that substitutes the concrete invariant polynomials."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vecinv2.invariants import norm, transfer
-from vecinv2.poly import DimensionMismatch, Poly, ZeroPolynomialError
+from vecinv2.invariants import generator_set, norm, transfer
+from vecinv2.poly import (
+    DimensionMismatch,
+    Poly,
+    ZeroPolynomialError,
+    all_subsets,
+)
 from vecinv2.qring import (
     QPoly,
     evaluate,
@@ -118,6 +125,78 @@ def test_evaluate_norm_powers():
     assert evaluate(n) == expected
     n3 = QPoly.n_power((3,))
     assert evaluate(n3) == norm(1, 0) * norm(1, 0) * norm(1, 0)
+
+
+def _reference_image(q: QPoly) -> Poly:
+    """The image of q, term by term, as Poly products of the generator
+    polynomials; shares no code with the packed kernel."""
+    gens = generator_set(q.m)
+    total = Poly.zero(q.m)
+    for t in q.terms:
+        image = Poly.one(q.m)
+        for factors, exps in ((gens.xs, t.xe), (gens.norms, t.ne)):
+            for f, e in zip(factors, exps):
+                for _ in range(e):
+                    image = image * f
+        for a in t.traces:
+            image = image * gens.traces[a]
+        total = total + image
+    return total
+
+
+@st.composite
+def qterms_of_degree(draw, m: int, degree: int):
+    """A monomial of the given degree, grown from random x, N and trace
+    factors until the degree is used up."""
+    xe, ne, traces = [0] * m, [0] * m, []
+    pieces = [("x", i, 1) for i in range(m)] + [("N", i, 2) for i in range(m)]
+    pieces += [("Tr", a, sum(a)) for a in all_subsets(m, min_size=2)]
+    left = degree
+    while left:
+        kind, what, weight = draw(st.sampled_from(
+            [p for p in pieces if p[2] <= left]))
+        if kind == "x":
+            xe[what] += 1
+        elif kind == "N":
+            ne[what] += 1
+        else:
+            traces.append(what)
+        left -= weight
+    return make_qmon(xe, ne, traces)
+
+
+# degrees at the edges of a packed field width: 1, 2**k - 1 and 2**k
+EDGE_DEGREES = (0, 1, 2, 3, 4, 7, 8, 9, 15, 16)
+
+
+@st.composite
+def qpolys_for_evaluation(draw):
+    m = draw(st.integers(min_value=1, max_value=4))
+    degrees = draw(st.lists(st.sampled_from(EDGE_DEGREES), max_size=4))
+    return QPoly.from_terms(
+        m, [draw(qterms_of_degree(m, d)) for d in degrees])
+
+
+@given(qpolys_for_evaluation())
+@settings(max_examples=150, deadline=None)
+def test_evaluate_matches_generator_products(q):
+    assert evaluate(q) == _reference_image(q)
+
+
+def test_evaluate_at_field_width_edges():
+    # one field at the largest exponent its width holds, multi-trace
+    # terms, and a lower-degree term that makes the element mixed
+    for d in (1, 3, 4, 7, 8, 15, 16):
+        x = QPoly.x_power((d, 0, 0))
+        n = QPoly.x_power((0, d % 2, 0)) * QPoly.n_power((0, d // 2, 0))
+        tr = QPoly.x_power((0, 0, d % 2))
+        for _ in range(d // 2):
+            tr = tr * QPoly.trace_symbol((1, 1, 0))
+        q = x + n + tr + QPoly.one(3)
+        assert len(q) == 4 and q.degree() is None
+        assert {qmon_degree(t) for t in q.terms} == {0, d}
+        assert evaluate(q) == _reference_image(q)
+        assert evaluate(tr) == _reference_image(tr)
 
 
 def test_evaluate_is_a_homomorphism():

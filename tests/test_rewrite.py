@@ -2,10 +2,12 @@
 and certifying trace-linear kernel elements as combinations of the
 cubic-and-up relations."""
 
+import dataclasses
 import random
 
 import pytest
 
+from vecinv2 import rewrite
 from vecinv2.invariants import transfer
 from vecinv2.poly import (
     Poly,
@@ -13,12 +15,14 @@ from vecinv2.poly import (
     all_subsets,
     cardinality,
     monomial_key,
+    parity_update,
 )
 from vecinv2.qring import (
     QPoly,
     evaluate,
     formal_trace,
     make_qmon,
+    qmon_key,
     qmon_trace_degree,
 )
 from vecinv2.relations import VacuousRelationError, type_i_relation
@@ -136,6 +140,56 @@ def test_normal_form_random_and_measures():
     assert checked_steps > 100
 
 
+def _assert_largest_heavy_term_first(trace):
+    """Replay the trace step by step: each step must reduce the
+    qmon_key-largest term with two or more traces in the state it met."""
+    state = set(trace.start.terms)
+    for step in trace.steps:
+        heavy = [t for t in state if len(t.traces) >= 2]
+        assert step.term == max(heavy, key=qmon_key)
+        update = QPoly.monomial(step.multiplier) * step.relation.element
+        parity_update(state, update.terms)
+    assert not any(len(t.traces) >= 2 for t in state)
+    assert state == set(trace.result.terms) == set(trace.replay().terms)
+
+
+def test_normal_form_schedule_cubes():
+    for m, steps in ((4, 48), (5, 162), (6, 518)):
+        cube = formal_trace((1,) * m) * formal_trace((1,) * m)
+        cube = cube * formal_trace((1,) * m)
+        trace = normal_form(cube)
+        assert len(trace.steps) == steps
+        _assert_largest_heavy_term_first(trace)
+
+
+def test_normal_form_schedule_random_products():
+    rng = random.Random(8128)
+    checked = 0
+    for _ in range(100):
+        m = rng.randrange(2, 5)
+        q = random_qpoly(rng, m, max_terms=3, max_trace_degree=6)
+        r = random_qpoly(rng, m, max_terms=3, max_trace_degree=6)
+        trace = normal_form(q * r)
+        _assert_largest_heavy_term_first(trace)
+        checked += len(trace.steps)
+    assert checked > 200
+
+
+def test_normal_form_rejects_a_step_that_keeps_its_term(monkeypatch):
+    # a relation without its leading product would leave the reduced
+    # term in place; the rewrite must raise, not drop it from the heap
+    real = rewrite.type_iii_relation
+
+    def headless(a, b):
+        relation = real(a, b)
+        lead = QPoly.trace_symbol(a) * QPoly.trace_symbol(b)
+        return dataclasses.replace(relation, element=relation.element + lead)
+
+    monkeypatch.setattr(rewrite, "type_iii_relation", headless)
+    with pytest.raises(RuntimeError, match="left its term"):
+        reduce_product((1, 1, 0), (0, 1, 1))
+
+
 def test_reduction_trace_json():
     trace = reduce_product((1, 1), (1, 1))
     blob = trace.to_json()
@@ -225,6 +279,10 @@ def test_linear_reduce_random_combinations():
             h = h + QPoly.monomial(make_qmon(xe, ne, ())) * elements[a]
         cert = linear_reduce(h)
         assert cert.verify()
+        total = QPoly.zero(m)
+        for a, coefficient in cert.coefficients.items():
+            total = total + coefficient * elements[a]
+        assert cert.combination() == total == h
         for step in cert.steps:
             assert step.achievers >= 2
             assert step.achievers % 2 == 0
