@@ -20,7 +20,6 @@ from .poly import (
 )
 from .invariants import (
     GeneratorSet,
-    count_minimal_generators,
     generator_set,
     involution,
     is_invariant,
@@ -57,7 +56,6 @@ from .oracle import (
     kernel_basis,
     linear_kernel_basis,
     max_relation_degree,
-    span_contains,
     verify_relation_ideal,
 )
 
@@ -74,7 +72,6 @@ __all__ = [
     "bits_to_subset",
     "subset_to_bits",
     "GeneratorSet",
-    "count_minimal_generators",
     "generator_set",
     "involution",
     "is_invariant",
@@ -109,6 +106,5 @@ __all__ = [
     "kernel_basis",
     "linear_kernel_basis",
     "max_relation_degree",
-    "span_contains",
     "verify_relation_ideal",
 ]

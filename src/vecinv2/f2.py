@@ -1,12 +1,12 @@
 """Dense GF(2) linear algebra on int bitsets.
 
 A vector is a Python int whose bit i is the coefficient of basis
-element i; a matrix is a list of such ints plus a column count.  XOR is
-addition, so rank, span membership and kernels all come down to
-pivoting on bits.  Pivots sit at the lowest set bit of a row: every
-stored row has its pivot bit cleared in all later-examined positions
-below it, which makes greedy reduction (repeatedly cancel the lowest set
-bit) a complete membership test.
+element i; a matrix is a list of such ints, as wide as its widest
+row.  XOR is addition, so rank, span membership and kernels all come
+down to pivoting on bits.  Pivots sit at the lowest set bit of a row:
+every stored row has its pivot bit cleared in all later-examined
+positions below it, which makes greedy reduction (repeatedly cancel the
+lowest set bit) a complete membership test.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ def _low_bit(value: int) -> int:
 class RowSpan:
     """Incrementally built row space with O(rank) membership tests."""
 
-    def __init__(self, ncols: int):
-        self.ncols = ncols
+    def __init__(self):
         self.pivots: dict[int, int] = {}
 
     @property
@@ -67,20 +66,25 @@ class RowSpan:
         return out
 
 
-def left_kernel(rows: list[int], ncols: int) -> list[int]:
+def left_kernel(rows: list[int]) -> list[int]:
     """Masks over row indices whose XOR-combination of ``rows`` is zero.
 
     Works on rows augmented with a marker bit per row above the value
-    columns; when reduction empties the value part, the marker part
-    names one kernel combination.  Only rows with a value bit left
-    become pivots, so every pivot sits in the value columns.  The
-    returned masks are linearly independent and span the left kernel.
+    columns, which end at the widest row's top bit; when reduction
+    empties the value part, the marker part names one kernel
+    combination.  Only rows with a value bit left become pivots, so
+    every pivot sits in the value columns.  The returned masks are
+    linearly independent and span the left kernel.  Each mask names a
+    row that depends on the rows before it, plus the one combination of
+    the earlier independent rows that sums to it, so the masks do not
+    depend on the column order.
     """
+    ncols = max((row.bit_length() for row in rows), default=0)
     value_mask = (1 << ncols) - 1
-    span = RowSpan(ncols)
+    span = RowSpan()
     kernel: list[int] = []
     for index, row in enumerate(rows):
-        augmented = span.reduce((row & value_mask) | (1 << (ncols + index)))
+        augmented = span.reduce(row | (1 << (ncols + index)))
         if augmented & value_mask:
             span.pivots[_low_bit(augmented)] = augmented
         else:

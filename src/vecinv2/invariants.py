@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb
 from typing import Iterable
 
 from .poly import (
@@ -35,7 +34,6 @@ __all__ = [
     "norm",
     "GeneratorSet",
     "generator_set",
-    "count_minimal_generators",
 ]
 
 
@@ -142,17 +140,3 @@ def generator_set(m: int) -> GeneratorSet:
         raise RuntimeError(
             f"{gens.count} generators at m = {m}, want {2 ** m + m - 1}")
     return gens
-
-
-def count_minimal_generators(p: int, m: int) -> int:
-    """Size of the minimal generating set for a prime p and width m,
-    by the closed-form count."""
-    if p < 2 or m < 1:
-        raise ValueError("need a prime p >= 2 and width m >= 1")
-    return (
-        p ** m
-        - comb(m + 2 * p - 2, m)
-        + m * comb(m + p - 2, m)
-        + comb(m, 2)
-        + 2 * m
-    )

@@ -6,7 +6,7 @@ linear algebra over monomial bases:
 * ``kernel_basis(m, d)`` finds every degree-d element of the
   presentation ring that evaluates to zero, by computing the left
   kernel of the evaluation matrix (rows: presentation monomials of
-  degree d, columns: polynomial monomials of degree d);
+  degree d, columns: the polynomial monomials of their images);
 * ``verify_relation_ideal`` checks a relation family degree by degree
   up to a bound.  Its report passes when every declared relation
   evaluates to zero (so the relation span lies in the kernel), the
@@ -25,6 +25,13 @@ linear algebra over monomial bases:
 * ``invariant_dimension`` counts fixed polynomials of a degree
   directly, and ``evaluation_rank`` counts what the generators span
   there; the two agree exactly when the generators generate.
+
+Ranks, span membership and left-kernel vectors do not depend on the
+order of a matrix's columns: the left kernel is fixed by which rows
+are independent of the rows before them.  So no column order is set
+up in advance; a column is given to each monomial on first sight
+(``_row``), and neither the polynomial monomials of a degree nor its
+presentation monomials are enumerated to index the columns.
 
 Matrix shapes grow quickly with the number of variable pairs, so every
 matrix build is gated by an entry budget (rows times columns); blowing
@@ -47,10 +54,9 @@ from .poly import (
     all_subsets,
     cardinality,
     monomial_key,
-    pack,
     packed_width,
 )
-from .qring import QMon, QPoly, evaluate, make_qmon, packed_image, qmon_key
+from .qring import QMon, QPoly, evaluate, packed_image, qmon_key
 from .relations import Relation, relation_basis
 
 __all__ = [
@@ -62,7 +68,6 @@ __all__ = [
     "linear_kernel_basis",
     "evaluation_rank",
     "invariant_dimension",
-    "span_contains",
     "max_relation_degree",
     "DegreeReport",
     "VerificationReport",
@@ -83,19 +88,6 @@ def _charge(rows: int, cols: int, budget: int, what: str) -> None:
             f"({rows * cols} entries > budget {budget})")
 
 
-def _compositions(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
 def _series(weights: list[int], d: int) -> list[int]:
     """Coefficients of t^0..t^d in the product of 1/(1 - t^w) over the
     generator degrees ``weights``: how many monomials of each degree."""
@@ -104,6 +96,17 @@ def _series(weights: list[int], d: int) -> list[int]:
         for i in range(w, d + 1):
             coeffs[i] += coeffs[i - w]
     return coeffs
+
+
+def _enumerate(weights: list[int], d: int) -> list[list[tuple]]:
+    """The monomials ``_series`` counts: entry k lists every exponent
+    vector over the generator degrees ``weights`` of weighted degree k,
+    for k = 0..d."""
+    found = [[()]] + [[] for _ in range(d)]
+    for w in weights:
+        found = [[e + (k,) for k in range(i // w + 1)
+                  for e in found[i - k * w]] for i in range(d + 1)]
+    return found
 
 
 @lru_cache(maxsize=None)
@@ -127,12 +130,10 @@ def _poly_count(m: int, d: int) -> int:
     return comb(d + 2 * m - 1, 2 * m - 1)
 
 
-@lru_cache(maxsize=None)
-def poly_monomials(m: int, d: int) -> tuple[Monomial, ...]:
+def poly_monomials(m: int, d: int) -> list[Monomial]:
     """All polynomial monomials of total degree d, largest first."""
-    monos = list(_compositions(d, 2 * m))
-    monos.sort(key=monomial_key, reverse=True)
-    return tuple(monos)
+    return sorted(_enumerate([1] * (2 * m), d)[d], key=monomial_key,
+                  reverse=True)
 
 
 @lru_cache(maxsize=None)
@@ -141,63 +142,39 @@ def q_monomials(m: int, d: int) -> tuple[QMon, ...]:
 
     A monomial is a choice of exponents on the x's (degree 1 each), the
     norms (degree 2 each), and a multiset of trace symbols (degree =
-    subset size)."""
-    traces = all_subsets(m, min_size=2)
-    found: list[QMon] = []
-
-    def fill(index: int, remaining: int, chosen: tuple) -> None:
-        if index == len(traces):
-            for total_n in range(remaining // 2 + 1):
-                for ne in _compositions(total_n, m):
-                    for xe in _compositions(remaining - 2 * total_n, m):
-                        found.append(make_qmon(xe, ne, chosen))
-            return
-        weight = cardinality(traces[index])
-        for count in range(remaining // weight + 1):
-            fill(index + 1, remaining - count * weight,
-                 chosen + (traces[index],) * count)
-
-    fill(0, d, ())
+    subset size).  Each trace multiset of weight w is paired with each
+    x/N part of degree d - w; the trace symbols are listed in
+    descending order, so every multiset comes out in ``QMon``'s
+    canonical descending form."""
+    subsets = sorted(all_subsets(m, min_size=2), reverse=True)
+    traces = _enumerate([cardinality(a) for a in subsets], d)
+    free = _enumerate([1] * m + [2] * m, d)
+    found = []
+    for w in range(d + 1):
+        for counts in traces[w]:
+            chosen = tuple(a for a, k in zip(subsets, counts)
+                           for _ in range(k))
+            found += (QMon(e[:m], e[m:], chosen) for e in free[d - w])
     found.sort(key=qmon_key, reverse=True)
     return tuple(found)
 
 
 def _row(terms, index: dict) -> int:
     """Bit mask of a set of terms, with ``index`` mapping each term to
-    its column; works for ``Poly``, ``QPoly`` and packed monomials."""
+    its column; a term seen for the first time takes the next free
+    column.  Works for ``Poly``, ``QPoly`` and packed monomials."""
     bits = 0
     for term in terms:
-        bits |= 1 << index[term]
+        bits |= 1 << index.setdefault(term, len(index))
     return bits
 
 
-@lru_cache(maxsize=None)
-def _poly_index(m: int, d: int) -> dict:
-    return {mono: i for i, mono in enumerate(poly_monomials(m, d))}
-
-
-@lru_cache(maxsize=1)
-def _packed_index(m: int, d: int) -> dict:
-    """``_poly_index`` keyed by packed monomials (``packed_width(d)``);
-    read only while one degree's rows are built."""
-    width = packed_width(d)
-    return {pack(mono, width): i
-            for i, mono in enumerate(poly_monomials(m, d))}
-
-
-def _image_rows(m: int, d: int, basis) -> list[int]:
+def _image_rows(d: int, basis) -> list[int]:
     """Evaluation rows of the degree-d monomials ``basis``: the image of
     each, with columns read straight off its packed monomials."""
-    index = _packed_index(m, d)
     width = packed_width(d)
+    index: dict = {}
     return [_row(packed_image((t,), width), index) for t in basis]
-
-
-# Callers read one degree at a time (``evaluation_rank``, then
-# ``kernel_basis`` at the same degree), so only that degree's rows stay.
-@lru_cache(maxsize=1)
-def _evaluation_rows(m: int, d: int) -> tuple[int, ...]:
-    return tuple(_image_rows(m, d, q_monomials(m, d)))
 
 
 def _bits(mask: int):
@@ -208,21 +185,17 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _kernel_from_rows(m: int, d: int, basis: tuple[QMon, ...],
-                      rows: list[int]) -> list[QPoly]:
-    ncols = len(poly_monomials(m, d))
-    members = []
-    for mask in left_kernel(rows, ncols):
-        members.append(QPoly.from_terms(m, (basis[i] for i in _bits(mask))))
-    return members
+def _kernel(m: int, d: int, basis: tuple[QMon, ...]) -> list[QPoly]:
+    """Left kernel of the evaluation rows of ``basis``, as elements."""
+    return [QPoly.from_terms(m, (basis[i] for i in _bits(mask)))
+            for mask in left_kernel(_image_rows(d, basis))]
 
 
 def kernel_basis(m: int, d: int, budget: int = DEFAULT_BUDGET) -> list[QPoly]:
     """A basis of the degree-d elements that evaluate to zero."""
     _charge(_q_count(m, d), _poly_count(m, d), budget,
             f"kernel at degree {d}")
-    return _kernel_from_rows(m, d, q_monomials(m, d),
-                             list(_evaluation_rows(m, d)))
+    return _kernel(m, d, q_monomials(m, d))
 
 
 def linear_kernel_basis(m: int, d: int,
@@ -231,15 +204,15 @@ def linear_kernel_basis(m: int, d: int,
     _charge(_trace_linear_count(m, d), _poly_count(m, d), budget,
             f"trace-linear kernel at degree {d}")
     basis = tuple(t for t in q_monomials(m, d) if len(t.traces) <= 1)
-    return _kernel_from_rows(m, d, basis, _image_rows(m, d, basis))
+    return _kernel(m, d, basis)
 
 
 def evaluation_rank(m: int, d: int, budget: int = DEFAULT_BUDGET) -> int:
     """Dimension of the degree-d space the generators span."""
     _charge(_q_count(m, d), _poly_count(m, d), budget,
             f"evaluation rank at degree {d}")
-    span = RowSpan(_poly_count(m, d))
-    for row in _evaluation_rows(m, d):
+    span = RowSpan()
+    for row in _image_rows(d, q_monomials(m, d)):
         span.add(row)
     return span.rank
 
@@ -249,10 +222,9 @@ def invariant_dimension(m: int, d: int, budget: int = DEFAULT_BUDGET) -> int:
     involution, counted directly from the action on monomials."""
     n = _poly_count(m, d)
     _charge(n, n, budget, f"invariant dimension at degree {d}")
-    monos = poly_monomials(m, d)
-    index = _poly_index(m, d)
-    span = RowSpan(n)
-    for mono in monos:
+    index: dict = {}
+    span = RowSpan()
+    for mono in poly_monomials(m, d):
         single = Poly.monomial(m, mono)
         span.add(_row((involution(single) + single).terms, index))
     return n - span.rank
@@ -264,16 +236,17 @@ def invariant_dimension(m: int, d: int, budget: int = DEFAULT_BUDGET) -> int:
 
 def _lower_span(m: int, d: int, generators: list[tuple[int, QPoly]],
                 budget: int) -> tuple[RowSpan, dict]:
-    """Row space, in degree-d presentation coordinates, of every product
-    (monomial of degree d - e) * g over the ``(e, g)`` generator pairs
-    with e < d, and the index of those coordinates.  The budget is
-    charged, before degree d is enumerated, for the generators of
-    degree d as well, one row each, since callers may add those rows
-    next."""
+    """Row space of every product (monomial of degree d - e) * g over
+    the ``(e, g)`` generator pairs with e < d, and the column index of
+    its presentation monomials.  Columns are given on first sight, so
+    callers reduce further degree-d elements through the same index,
+    which grows as they do.  The budget is charged from closed-form
+    counts before any product is built, for the generators of degree d
+    as well, one row each, since callers may add those rows next."""
     nrows = sum(_q_count(m, d - e) for e, _ in generators if e <= d)
     _charge(nrows, _q_count(m, d), budget, f"relation span at degree {d}")
-    index = {t: i for i, t in enumerate(q_monomials(m, d))}
-    span = RowSpan(len(index))
+    index: dict = {}
+    span = RowSpan()
     for e, element in generators:
         if e >= d:
             continue
@@ -423,7 +396,7 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
         rows = [span.remainder(_row(relations[p].element.terms, index))
                 for p in same]
         used = 0
-        for mask in left_kernel(rows, len(index)):
+        for mask in left_kernel(rows):
             used |= mask
         dependent.update(same[i] for i in _bits(used))
         for row in rows:
@@ -438,7 +411,7 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
                 _missing(kernel_basis(m, d, budget), span, index))
         reports.append(DegreeReport(
             degree=d,
-            n_q_monomials=len(index),
+            n_q_monomials=_q_count(m, d),
             n_poly_monomials=_poly_count(m, d),
             kernel_dimension=kernel_dimension,
             span_rank=span_rank,
@@ -454,24 +427,6 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
         degrees=tuple(reports),
         dependent=tuple(relations[p].label() for p in sorted(dependent)),
     )
-
-
-def span_contains(relations: list[Relation], q: QPoly,
-                  budget: int = DEFAULT_BUDGET) -> bool:
-    """Degree-local ideal membership: does the homogeneous element q lie
-    in the span of (monomial multiples of) the given relation elements
-    at its own degree?"""
-    if not q.terms:
-        return True
-    d = q.degree()
-    if d is None:
-        raise ValueError("span membership wants a homogeneous element")
-    span, index = _lower_span(
-        q.m, d, [(r.degree, r.element) for r in relations], budget)
-    for relation in relations:
-        if relation.degree == d:
-            span.add(_row(relation.element.terms, index))
-    return span.contains(_row(q.terms, index))
 
 
 def max_relation_degree(m: int, budget: int = DEFAULT_BUDGET) -> int:

@@ -26,7 +26,7 @@ def brute_span(rows):
 # ---------------------------------------------------------------------------
 
 def test_rowspan_golden():
-    span = RowSpan(4)
+    span = RowSpan()
     assert span.add(0b0011)
     assert span.add(0b0101)
     assert not span.add(0b0110)  # dependent on the first two
@@ -37,7 +37,7 @@ def test_rowspan_golden():
 
 
 def test_rowspan_reduce_is_canonical():
-    span = RowSpan(4)
+    span = RowSpan()
     span.add(0b0011)
     span.add(0b0101)
     # reduce returns the same residue for anything in one coset
@@ -48,7 +48,7 @@ def test_rowspan_reduce_is_canonical():
 @given(small_matrices, st.integers(min_value=0, max_value=255))
 @settings(max_examples=200, deadline=None)
 def test_rowspan_matches_brute_force(rows, probe):
-    span = RowSpan(8)
+    span = RowSpan()
     for r in rows:
         span.add(r)
     reachable = brute_span(rows)
@@ -59,7 +59,7 @@ def test_rowspan_matches_brute_force(rows, probe):
 @given(small_matrices)
 @settings(max_examples=100, deadline=None)
 def test_rowspan_add_reports_growth(rows):
-    span = RowSpan(8)
+    span = RowSpan()
     rank = 0
     for r in rows:
         grew = span.add(r)
@@ -74,8 +74,7 @@ def test_rowspan_add_reports_growth(rows):
 @given(small_matrices)
 @settings(max_examples=200, deadline=None)
 def test_left_kernel_properties(rows):
-    ncols = 8
-    kernel = left_kernel(rows, ncols)
+    kernel = left_kernel(rows)
     # each mask combines the rows to zero
     for mask in kernel:
         acc = 0
@@ -84,11 +83,11 @@ def test_left_kernel_properties(rows):
                 acc ^= r
         assert acc == 0
     # the masks are independent and complete
-    mask_span = RowSpan(len(rows) or 1)
+    mask_span = RowSpan()
     for mask in kernel:
         assert mask != 0
         assert mask_span.add(mask)
-    row_span = RowSpan(ncols)
+    row_span = RowSpan()
     rank = sum(1 for r in rows if row_span.add(r))
     assert len(kernel) == len(rows) - rank
 
@@ -98,7 +97,7 @@ def test_left_kernel_exhaustive_small():
     for _ in range(50):
         nrows = rng.randrange(0, 5)
         rows = [rng.randrange(16) for _ in range(nrows)]
-        kernel = left_kernel(rows, 4)
+        kernel = left_kernel(rows)
         found = set()
         for bits in itertools.product((0, 1), repeat=nrows):
             acc = 0

@@ -2,13 +2,11 @@
 generating set built from x-variables, norms, and transfers."""
 
 import random
-from math import comb
 
 import pytest
 
 from vecinv2.invariants import (
     GeneratorSet,
-    count_minimal_generators,
     generator_set,
     involution,
     is_invariant,
@@ -169,7 +167,6 @@ def test_generator_set_counts_and_invariance():
     for m in range(1, 7):
         gens = generator_set(m)
         assert gens.count == 2 ** m + m - 1
-        assert gens.count == count_minimal_generators(2, m)
         for name, degree, f in gens.members():
             assert is_invariant(f), name
             assert f.homogeneous_degree() == degree
@@ -188,24 +185,3 @@ def test_generator_set_json():
     assert len(blob["generators"]) == 5
     assert blob["generators"][0] == {
         "name": "x1", "degree": 1, "poly": "x1"}
-
-
-def test_count_formula_p2():
-    for m in range(1, 17):
-        assert count_minimal_generators(2, m) == 2 ** m + m - 1
-    assert count_minimal_generators(2, 3) == 10
-    assert count_minimal_generators(2, 1) == 2
-
-
-def test_count_formula_general_p():
-    # p^m - C(m+2p-2, m) + m*C(m+p-2, m) + C(m, 2) + 2m
-    def direct(p, m):
-        return (p ** m - comb(m + 2 * p - 2, m)
-                + m * comb(m + p - 2, m) + comb(m, 2) + 2 * m)
-
-    for p in (2, 3, 5, 7):
-        for m in range(1, 8):
-            assert count_minimal_generators(p, m) == direct(p, m)
-    # at p = 2 the general formula collapses to the closed form
-    for m in range(1, 12):
-        assert direct(2, m) == 2 ** m + m - 1

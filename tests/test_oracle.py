@@ -1,12 +1,14 @@
 """Degree-by-degree linear-algebra checks: monomial enumeration, the
 kernel of evaluation, and generation/minimality of the relation basis."""
 
+import json
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from vecinv2 import oracle
-from vecinv2.f2 import RowSpan
+from vecinv2.f2 import RowSpan, left_kernel
 from vecinv2.oracle import (
     BudgetExceeded,
     DEFAULT_BUDGET,
@@ -17,17 +19,28 @@ from vecinv2.oracle import (
     max_relation_degree,
     poly_monomials,
     q_monomials,
-    span_contains,
     verify_relation_ideal,
 )
 from vecinv2.poly import Poly, monomial_key
-from vecinv2.qring import QPoly, evaluate, formal_trace, qmon_degree, qmon_key
+from vecinv2.qring import (
+    QPoly,
+    evaluate,
+    formal_trace,
+    make_qmon,
+    qmon_degree,
+    qmon_key,
+)
 from vecinv2.relations import (
     Relation,
     relation_basis,
     type_i_relation,
     type_iii_relation,
 )
+
+# Report texts and kernel bases that any order of the matrix columns
+# must reproduce character for character.
+GOLDENS = json.loads(
+    (Path(__file__).parent / "oracle_goldens.json").read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +80,7 @@ def _series_count(m, d):
 
 
 def test_q_monomials_counts_against_series():
-    for m in range(1, 5):
+    for m in range(1, 6):
         for d in range(0, 7):
             monos = q_monomials(m, d)
             assert len(monos) == _series_count(m, d)
@@ -77,6 +90,8 @@ def test_q_monomials_counts_against_series():
                 len(t.traces) <= 1 for t in monos)
             assert len(set(monos)) == len(monos)
             assert all(qmon_degree(t) == d for t in monos)
+            # built directly, so check the canonical form make_qmon gives
+            assert all(t == make_qmon(t.xe, t.ne, t.traces) for t in monos)
     assert len(q_monomials(3, 6)) == 329
     assert len(q_monomials(4, 6)) == 1474
     assert len(q_monomials(4, 7)) == 3524
@@ -258,17 +273,6 @@ def test_non_relation_fails_generation():
     assert report.to_text().splitlines()[-1] == "FAIL: generation"
 
 
-def test_span_contains_examples():
-    basis = relation_basis(3)
-    element = type_i_relation((1, 1, 1)).element
-    assert span_contains(basis, element)
-    assert span_contains(basis, QPoly.zero(3))
-    assert not span_contains(basis, QPoly.trace_symbol((1, 1, 1)))
-    mixed = QPoly.x_power((1, 0, 0)) + QPoly.n_power((1, 0, 0))
-    with pytest.raises(ValueError):
-        span_contains(basis, mixed)
-
-
 def test_relation_elements_lie_in_kernel_span():
     """Constructor/oracle agreement: every basis element is a genuine
     kernel combination at its own degree.  The m = 4 degrees run up
@@ -279,7 +283,7 @@ def test_relation_elements_lie_in_kernel_span():
         for d in needed:
             basis = q_monomials(m, d)
             index = {t: i for i, t in enumerate(basis)}
-            span = RowSpan(len(basis))
+            span = RowSpan()
             for member in kernel_basis(m, d):
                 bits = 0
                 for term in member.terms:
@@ -319,26 +323,44 @@ def test_max_relation_degree_builds_kernels_only_where_short(monkeypatch):
     assert asked == [3, 4, 5, 6]
 
 
-def test_packed_rows_match_tuple_rows():
-    # the rows read off packed monomials are the rows of the evaluated
-    # tuple polynomials, column for column
+def test_image_rows_column_order_is_free():
+    # rows with columns given on first sight have the ranks and left
+    # kernels of the evaluated rows with columns in poly_monomials order
     for m in range(1, 5):
         for d in range(7):
-            index = oracle._poly_index(m, d)
-            want = [oracle._row(evaluate(QPoly.monomial(t)).terms, index)
-                    for t in q_monomials(m, d)]
-            assert list(oracle._evaluation_rows(m, d)) == want, (m, d)
+            full = q_monomials(m, d)
+            linear = tuple(t for t in full if len(t.traces) <= 1)
+            for basis in (full, linear):
+                index = {mono: i
+                         for i, mono in enumerate(poly_monomials(m, d))}
+                want = [oracle._row(evaluate(QPoly.monomial(t)).terms, index)
+                        for t in basis]
+                assert len(index) == oracle._poly_count(m, d)
+                got = oracle._image_rows(d, basis)
+                assert left_kernel(got) == left_kernel(want), (m, d)
+                ranks = []
+                for rows in (got, want):
+                    span = RowSpan()
+                    for row in rows:
+                        span.add(row)
+                    ranks.append(span.rank)
+                assert ranks[0] == ranks[1], (m, d)
 
 
-def test_evaluation_rows_cache_holds_one_degree():
-    # callers read one degree at a time, so only the last degree's rows
-    # stay cached: degree 2m + 1 = 7 at the end of the sweep
-    max_relation_degree(3)
-    info = oracle._evaluation_rows.cache_info()
-    assert info.maxsize == 1
-    assert info.currsize == 1
-    oracle._evaluation_rows(3, 7)
-    assert oracle._evaluation_rows.cache_info().hits == info.hits + 1
+def test_dropped_relation_reports_golden():
+    for key, texts in GOLDENS["dropped"].items():
+        m, flavor = int(key.split()[0]), key.split()[1]
+        basis = relation_basis(m, flavor)
+        assert len(texts) == len(basis)
+        for position, want in enumerate(texts):
+            pruned = basis[:position] + basis[position + 1:]
+            report = verify_relation_ideal(m, flavor=flavor, relations=pruned)
+            assert report.to_text() == want, (key, position)
+
+
+def test_kernel_basis_golden():
+    for d, want in GOLDENS["kernel_basis_m3"].items():
+        assert [str(q) for q in kernel_basis(3, int(d))] == want, d
 
 
 def test_budget_guard():
