@@ -22,7 +22,6 @@ from .invariants import (
     GeneratorSet,
     generator_set,
     involution,
-    is_invariant,
     norm,
     transfer,
 )
@@ -44,7 +43,6 @@ from .rewrite import (
     ReductionStep,
     ReductionTrace,
     linear_reduce,
-    max_summand_lead,
     normal_form,
     reduce_product,
     summand_lead,
@@ -74,7 +72,6 @@ __all__ = [
     "GeneratorSet",
     "generator_set",
     "involution",
-    "is_invariant",
     "norm",
     "transfer",
     "QMon",
@@ -96,7 +93,6 @@ __all__ = [
     "ReductionStep",
     "ReductionTrace",
     "linear_reduce",
-    "max_summand_lead",
     "normal_form",
     "reduce_product",
     "summand_lead",

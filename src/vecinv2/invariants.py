@@ -29,7 +29,6 @@ from .poly import (
 
 __all__ = [
     "involution",
-    "is_invariant",
     "transfer",
     "norm",
     "GeneratorSet",
@@ -68,10 +67,6 @@ def involution(f: Poly) -> Poly:
         images.extend(sheared(pack(base, width), mono[0::2], width))
     return Poly(f.m, frozenset(unpack(t, n, width)
                                for t in parity_collect(images)))
-
-
-def is_invariant(f: Poly) -> bool:
-    return involution(f) == f
 
 
 @lru_cache(maxsize=None)

@@ -22,9 +22,13 @@ linear algebra over monomial bases:
   decide each degree; a kernel basis is built only where the span of
   the lower-degree generators falls short, and only the members that
   span misses are kept, which gives a minimal generating set;
-* ``invariant_dimension`` counts fixed polynomials of a degree
-  directly, and ``evaluation_rank`` counts what the generators span
-  there; the two agree exactly when the generators generate.
+* ``invariant_dimension`` counts the fixed polynomials of a degree in
+  closed form, ``(C(d+2m-1, 2m-1) + [d even] C(d/2+m-1, m-1)) / 2``:
+  the involution swaps y_i with z_i = y_i + x_i, so the fixed space is
+  spanned by orbit sums of monomials in y and z, free pairs plus one
+  fixed monomial per all-even multidegree.  ``evaluation_rank`` counts
+  what the generators span there; the two agree exactly when the
+  generators generate.
 
 Ranks, span membership and left-kernel vectors do not depend on the
 order of a matrix's columns: the left kernel is fixed by which rows
@@ -42,15 +46,14 @@ monomial of the degree is enumerated.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
 from .f2 import RowSpan, left_kernel
-from .invariants import involution
 from .poly import (
     Monomial,
-    Poly,
     all_subsets,
     cardinality,
     monomial_key,
@@ -217,17 +220,14 @@ def evaluation_rank(m: int, d: int, budget: int = DEFAULT_BUDGET) -> int:
     return span.rank
 
 
-def invariant_dimension(m: int, d: int, budget: int = DEFAULT_BUDGET) -> int:
+def invariant_dimension(m: int, d: int) -> int:
     """Dimension of the space of degree-d polynomials fixed by the
-    involution, counted directly from the action on monomials."""
-    n = _poly_count(m, d)
-    _charge(n, n, budget, f"invariant dimension at degree {d}")
-    index: dict = {}
-    span = RowSpan()
-    for mono in poly_monomials(m, d):
-        single = Poly.monomial(m, mono)
-        span.add(_row((involution(single) + single).terms, index))
-    return n - span.rank
+    involution.  It swaps y_i with z_i = y_i + x_i, so the fixed space
+    is spanned by the orbit sums of the monomials in y and z: free
+    orbits of two, plus the fixed monomials y^a z^a, one for each a
+    with |a| = d/2 (one per all-even multidegree)."""
+    fixed = comb(d // 2 + m - 1, m - 1) if d % 2 == 0 else 0
+    return (_poly_count(m, d) + fixed) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +370,10 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
     elimination per degree: the relations of degree d are reduced
     modulo the multiples of the lower ones, and a relation is dependent
     exactly when some left-kernel vector of the remainders uses it.
+    Relations are evaluated inside the sweep, at their own degree and
+    after that degree's budget charges (those declared below degree 2
+    at degree 2), until one does not vanish; relations above ``d_max``
+    are never evaluated.
     Passing ``relations`` overrides the declared basis, which is how
     deliberately broken families can be shown to fail.
     """
@@ -384,14 +388,19 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
     if relations is None:
         relations = relation_basis(m, flavor)
     max_degree = max((r.degree for r in relations), default=0)
-    stray = next((r for r in sorted(relations, key=lambda r: r.degree)
-                  if r.degree <= d_max and evaluate(r.element)), None)
+    # lowest degree first; the sort is stable, so list order among equals
+    unchecked = deque(sorted(relations, key=lambda r: r.degree))
+    stray = None
     generators = [(r.degree, r.element) for r in relations]
     reports = []
     dependent: set[int] = set()
     for d in range(2, d_max + 1):
         kernel_dimension = _q_count(m, d) - evaluation_rank(m, d, budget)
         span, index = _lower_span(m, d, generators, budget)
+        while stray is None and unchecked and unchecked[0].degree <= d:
+            relation = unchecked.popleft()
+            if evaluate(relation.element):
+                stray = relation
         same = [p for p, r in enumerate(relations) if r.degree == d]
         rows = [span.remainder(_row(relations[p].element.terms, index))
                 for p in same]

@@ -25,11 +25,12 @@ picks a width that no such sum can overflow); the evaluation kernel in
 ``qring`` and the involution in ``invariants`` work on packed ints.
 
 Zero/one tuples of length m double as subsets of the m copies and as
-exponent sequences, so ``x_power(a)`` for a subset ``a`` is the square
-free monomial x^a.  The helpers in the first half of this module give
-the small calculus of such subsets (intersection, difference, least
-member, submask enumeration) used throughout the package.  Indices are
-0-based internally; only the text formats use 1-based variable names.
+exponent sequences, so a subset ``a`` also names the square free
+monomial x^a.  The helpers in the first half of this module give the
+small calculus of such subsets (intersection, difference, least member,
+submask enumeration, the canonical order ``subset_key``) used
+throughout the package.  Indices are 0-based internally; only the text
+formats use 1-based variable names.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ __all__ = [
     "monomial_key",
     "monomial_text",
     "cardinality",
+    "subset_key",
     "intersect",
     "setminus",
     "union",
@@ -94,6 +96,11 @@ def _check_same_width(a: Subset, b: Subset) -> None:
 
 def cardinality(a: Subset) -> int:
     return sum(a)
+
+
+def subset_key(a: Subset) -> tuple:
+    """The canonical order on subsets: by cardinality, then by bits."""
+    return (cardinality(a), a)
 
 
 def intersect(a: Subset, b: Subset) -> Subset:
@@ -179,10 +186,10 @@ def strict_submasks(a: Subset) -> Iterator[Subset]:
 
 def all_subsets(m: int, min_size: int = 0) -> tuple[Subset, ...]:
     """Every subset of {0..m-1} with at least ``min_size`` members,
-    sorted by (cardinality, bits)."""
+    sorted by ``subset_key``."""
     out = [_unmask(s, m) for s in range(1 << m)]
     out = [a for a in out if cardinality(a) >= min_size]
-    out.sort(key=lambda a: (cardinality(a), a))
+    out.sort(key=subset_key)
     return tuple(out)
 
 
@@ -380,10 +387,6 @@ class Poly(SparsePoly):
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def one(m: int) -> "Poly":
-        return Poly(m, frozenset([(0,) * (2 * m)]))
-
-    @staticmethod
     def monomial(m: int, exps: Monomial) -> "Poly":
         return Poly.from_terms(m, [exps])
 
@@ -399,21 +402,6 @@ class Poly(SparsePoly):
         exps[2 * i + 1] = 1
         return Poly.monomial(m, tuple(exps))
 
-    @staticmethod
-    def x_power(a: Subset) -> "Poly":
-        """The monomial x^a for an exponent sequence a (one per copy)."""
-        exps = [0] * (2 * len(a))
-        for i, e in enumerate(a):
-            exps[2 * i + 1] = e
-        return Poly.monomial(len(a), tuple(exps))
-
-    @staticmethod
-    def y_power(a: Subset) -> "Poly":
-        exps = [0] * (2 * len(a))
-        for i, e in enumerate(a):
-            exps[2 * i] = e
-        return Poly.monomial(len(a), tuple(exps))
-
     # -- ring operations ----------------------------------------------------
 
     def __mul__(self, other: "Poly") -> "Poly":
@@ -428,15 +416,3 @@ class Poly(SparsePoly):
         if not self.terms:
             raise ZeroPolynomialError("zero polynomial has no lead term")
         return max(self.terms, key=monomial_key)
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            raise ZeroPolynomialError("zero polynomial has no degree")
-        return max(sum(t) for t in self.terms)
-
-    def homogeneous_degree(self) -> int | None:
-        """Common degree of all terms, or None if terms mix degrees."""
-        if not self.terms:
-            raise ZeroPolynomialError("zero polynomial has no degree")
-        degs = {sum(t) for t in self.terms}
-        return degs.pop() if len(degs) == 1 else None

@@ -159,10 +159,6 @@ class QPoly(SparsePoly):
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def one(m: int) -> "QPoly":
-        return QPoly(m, frozenset([QMon((0,) * m, (0,) * m, ())]))
-
-    @staticmethod
     def monomial(mon: QMon) -> "QPoly":
         return QPoly(len(mon.xe), frozenset([mon]))
 
@@ -198,12 +194,6 @@ class QPoly(SparsePoly):
             raise ZeroPolynomialError("zero element has no degree")
         degs = {qmon_degree(t) for t in self.terms}
         return degs.pop() if len(degs) == 1 else None
-
-    def trace_degree(self) -> int:
-        """Largest total trace weight of any term (x and N weigh zero)."""
-        if not self.terms:
-            raise ZeroPolynomialError("zero element has no trace degree")
-        return max(qmon_trace_degree(t) for t in self.terms)
 
     def is_trace_linear(self) -> bool:
         """True when no term carries more than one trace factor."""

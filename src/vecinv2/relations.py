@@ -36,6 +36,7 @@ from .poly import (
     setminus,
     singleton,
     strict_submasks,
+    subset_key,
     subset_to_bits,
     union,
 )
@@ -132,10 +133,6 @@ def type_ii_relation(a: Subset, b: Subset) -> Relation:
     return _finish("II", a, b, None, q)
 
 
-def _pair_key(a: Subset) -> tuple:
-    return (cardinality(a), a)
-
-
 def type_iii_relation(a: Subset, b: Subset) -> Relation:
     """Four-term rewrite of Tr(A)Tr(B), canonicalized by shape."""
     if cardinality(a) < 2 or cardinality(b) < 2:
@@ -143,7 +140,7 @@ def type_iii_relation(a: Subset, b: Subset) -> Relation:
             "type III needs two subsets with at least two members each")
     m = len(a)
     if is_disjoint(a, b):
-        if _pair_key(a) < _pair_key(b):
+        if subset_key(a) < subset_key(b):
             a, b = b, a
         j = min_index(b)
         b_rest = drop_min(b)
@@ -170,7 +167,7 @@ def type_iii_relation(a: Subset, b: Subset) -> Relation:
             + xi * QPoly.n_power(b_rest) * formal_trace(union(setminus(a, b), delta))
         )
         return _finish("IIIb", a, b, i, q)
-    if _pair_key(a) < _pair_key(b):
+    if subset_key(a) < subset_key(b):
         a, b = b, a
     i_set = intersect(a, b)
     q = (

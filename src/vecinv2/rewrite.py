@@ -47,6 +47,7 @@ from .poly import (
     monomial_text,
     parity_update,
     singleton,
+    subset_key,
     subset_to_bits,
     union,
 )
@@ -75,7 +76,6 @@ __all__ = [
     "normal_form",
     "reduce_product",
     "summand_lead",
-    "max_summand_lead",
     "LinearStep",
     "LinearCertificate",
     "linear_reduce",
@@ -152,12 +152,8 @@ class ReductionTrace:
         }
 
 
-def _trace_factor_sort_key(a: Subset):
-    return (cardinality(a), a)
-
-
 def _split_two_largest(term: QMon) -> tuple[Subset, Subset, tuple]:
-    factors = sorted(term.traces, key=_trace_factor_sort_key, reverse=True)
+    factors = sorted(term.traces, key=subset_key, reverse=True)
     first, second = factors[0], factors[1]
     rest = list(term.traces)
     rest.remove(first)
@@ -257,15 +253,6 @@ def summand_lead(term: QMon) -> Monomial:
     return tuple(exps)
 
 
-def max_summand_lead(h: QPoly) -> Monomial:
-    """Largest summand lead over the terms of a trace-linear element."""
-    if not h.terms:
-        raise ZeroPolynomialError("zero element has no summand lead")
-    if not h.is_trace_linear():
-        raise NotTraceLinearError("summand leads need at most one trace per term")
-    return max((summand_lead(t) for t in h.terms), key=monomial_key)
-
-
 def _lead_achievers(h: QPoly) -> tuple[Monomial, list[QMon]]:
     best: Monomial | None = None
     best_key = None
@@ -322,7 +309,7 @@ class LinearCertificate:
         return self.combination() == self.start
 
     def sorted_subsets(self) -> list[Subset]:
-        return sorted(self.coefficients, key=lambda a: (cardinality(a), a))
+        return sorted(self.coefficients, key=subset_key)
 
     def to_json(self) -> dict:
         return {

@@ -7,6 +7,16 @@ from vecinv2.poly import Poly, all_subsets
 from vecinv2.qring import QPoly, make_qmon
 
 
+def x_y_power(xs, ys) -> Poly:
+    """The monomial x^xs y^ys, one exponent of each per variable pair."""
+    return Poly.monomial(len(xs), tuple(e for y, x in zip(ys, xs)
+                                        for e in (y, x)))
+
+
+def y_power(a) -> Poly:
+    return x_y_power((0,) * len(a), a)
+
+
 def random_monomial(rng: random.Random, m: int, max_degree: int = 6):
     exps = [0] * (2 * m)
     degree = rng.randrange(max_degree + 1)

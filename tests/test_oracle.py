@@ -9,6 +9,7 @@ import pytest
 
 from vecinv2 import oracle
 from vecinv2.f2 import RowSpan, left_kernel
+from vecinv2.invariants import involution
 from vecinv2.oracle import (
     BudgetExceeded,
     DEFAULT_BUDGET,
@@ -159,11 +160,27 @@ def test_invariant_dimension_goldens():
     assert invariant_dimension(2, 2) == 6
 
 
+def _invariant_dimension_by_elimination(m, d):
+    """The fixed space's dimension as n minus the rank of the rows
+    sigma(t) + t over the n monomials t of degree d."""
+    index = {}
+    span = RowSpan()
+    for mono in poly_monomials(m, d):
+        single = Poly.monomial(m, mono)
+        span.add(oracle._row((involution(single) + single).terms, index))
+    return oracle._poly_count(m, d) - span.rank
+
+
 def test_rank_matches_invariant_dimension():
-    # the generators span the fixed space in every degree checked
-    for m in (1, 2, 3):
+    # the generators span the fixed space in every degree checked, and
+    # the closed form agrees with the elimination where that is cheap
+    for m in (1, 2, 3, 4):
         for d in range(0, 2 * m + 1):
-            assert evaluation_rank(m, d) == invariant_dimension(m, d)
+            dimension = invariant_dimension(m, d)
+            assert evaluation_rank(m, d) == dimension, (m, d)
+            if m <= 3 or d <= 6:
+                assert _invariant_dimension_by_elimination(m, d) == \
+                    dimension, (m, d)
 
 
 # ---------------------------------------------------------------------------
@@ -256,21 +273,46 @@ def test_duplicate_relation_flagged_dependent():
 
 def test_non_relation_fails_generation():
     # Tr(110) does not evaluate to zero, so the span leaves the kernel
-    # from degree 2 on, even though it still contains the whole kernel
-    bogus = formal_trace((1, 1, 0))
-    family = relation_basis(3) + [
-        Relation("bogus", (1, 1, 0), None, None, bogus, 2)]
-    report = verify_relation_ideal(3, relations=family)
-    assert not report.ok
-    assert report.minimal
-    assert not any(r.generated for r in report.degrees)
-    first = report.degrees[0]
-    assert (first.degree, first.kernel_dimension, first.span_rank) == (2, 0, 1)
-    assert first.counterexample == bogus
-    for r in report.degrees:
-        assert evaluate(r.counterexample) != Poly.zero(3)
-        assert r.counterexample.degree() == r.degree
-    assert report.to_text().splitlines()[-1] == "FAIL: generation"
+    # from degree 2 on, even though it still contains the whole kernel;
+    # x1, declared at degree 1, is checked at degree 2, the first one
+    # the sweep reaches
+    tr110 = formal_trace((1, 1, 0))
+    x1 = QPoly.x_power((1, 0, 0))
+    cases = [
+        (Relation("bogus", (1, 1, 0), None, None, tr110, 2), 1, tr110),
+        (Relation("bogus", (1, 0, 0), None, None, x1, 1), 3, x1 * x1),
+    ]
+    for bogus, rank, counterexample in cases:
+        family = relation_basis(3) + [bogus]
+        report = verify_relation_ideal(3, relations=family)
+        assert not report.ok
+        assert report.minimal
+        assert not any(r.generated for r in report.degrees)
+        first = report.degrees[0]
+        assert (first.degree, first.kernel_dimension, first.span_rank) == (
+            2, 0, rank)
+        assert first.counterexample == counterexample
+        for r in report.degrees:
+            assert evaluate(r.counterexample) != Poly.zero(3)
+            assert r.counterexample.degree() == r.degree
+        assert report.to_text().splitlines()[-1] == "FAIL: generation"
+
+
+def test_relations_are_evaluated_inside_the_sweep(monkeypatch):
+    # the budget stops m = 4 at degree 4, so only the four degree-3
+    # relations have been evaluated; the degree-4..8 ones never are
+    calls = []
+
+    def counting(q):
+        calls.append(q)
+        return evaluate(q)
+
+    monkeypatch.setattr(oracle, "evaluate", counting)
+    with pytest.raises(BudgetExceeded) as info:
+        verify_relation_ideal(4, budget=10000)
+    assert "at degree 4" in str(info.value)
+    assert len(calls) == 4
+    assert all(q.degree() == 3 for q in calls)
 
 
 def test_relation_elements_lie_in_kernel_span():

@@ -16,6 +16,7 @@ from vecinv2.poly import (
     monomial_key,
     setminus,
     singleton,
+    union,
 )
 from vecinv2.qring import (
     QPoly,
@@ -32,6 +33,8 @@ from vecinv2.relations import (
     type_ii_relation,
     type_iii_relation,
 )
+
+from conftest import x_y_power
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +165,8 @@ def test_type_i_lead_is_achieved_exactly_twice():
             i = min_index(a)
             j = min_index(drop_min(a))
             rest = drop_min(drop_min(a))
-            expected = (Poly.x_power(singleton(m, i))
-                        * Poly.x_power(singleton(m, j))
-                        * Poly.y_power(rest)).lead_term()
+            expected = x_y_power(union(singleton(m, i), singleton(m, j)),
+                                 rest).lead_term()
             element = type_i_relation(a).element
             leads = {}
             for t in element.terms:

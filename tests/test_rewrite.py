@@ -32,7 +32,6 @@ from vecinv2.rewrite import (
     NotTraceLinearError,
     ReductionTrace,
     linear_reduce,
-    max_summand_lead,
     normal_form,
     reduce_product,
     summand_lead,
@@ -213,10 +212,16 @@ def test_summand_lead_goldens():
 
 
 def test_max_summand_lead_golden():
+    # the largest summand lead, and the terms reaching it, which
+    # linear_reduce reads off at each step
     h = QPoly.parse(2, "Tr(11) + x1*x2")
-    assert max_summand_lead(h) == (0, 1, 1, 0)
+    assert rewrite._lead_achievers(h) == (
+        (0, 1, 1, 0), [make_qmon((0, 0), (0, 0), [(1, 1)])])
     element = type_i_relation((1, 1, 1)).element
-    assert max_summand_lead(element) == (0, 1, 0, 1, 1, 0)  # x1*x2*y3
+    lead, achievers = rewrite._lead_achievers(element)
+    assert lead == (0, 1, 0, 1, 1, 0)  # x1*x2*y3
+    assert sorted(map(str, map(QPoly.monomial, achievers))) == [
+        "x1*Tr(011)", "x2*Tr(101)"]
 
 
 def test_summand_lead_matches_expansion():
@@ -235,10 +240,10 @@ def test_summand_lead_matches_expansion():
 
 def test_max_summand_lead_errors():
     with pytest.raises(ZeroPolynomialError):
-        max_summand_lead(QPoly.zero(2))
+        rewrite._lead_achievers(QPoly.zero(2))
     square = QPoly.trace_symbol((1, 1)) * QPoly.trace_symbol((1, 1))
     with pytest.raises(NotTraceLinearError):
-        max_summand_lead(square)
+        linear_reduce(square)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +255,7 @@ def test_linear_reduce_recovers_bare_relation():
     cert = linear_reduce(element)
     assert cert.verify()
     assert len(cert.steps) == 1
-    assert cert.coefficients == {(1, 1, 1): QPoly.one(3)}
+    assert cert.coefficients == {(1, 1, 1): QPoly.parse(3, "1")}
     assert cert.steps[0].subset == (1, 1, 1)
     assert cert.steps[0].achievers == 2
 
