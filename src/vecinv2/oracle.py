@@ -59,7 +59,7 @@ from .poly import (
     monomial_key,
     packed_width,
 )
-from .qring import QMon, QPoly, evaluate, packed_image, qmon_key
+from .qring import QMon, QPoly, evaluate, packed_term_image, qmon_key
 from .relations import Relation, relation_basis
 
 __all__ = [
@@ -177,7 +177,7 @@ def _image_rows(d: int, basis) -> list[int]:
     each, with columns read straight off its packed monomials."""
     width = packed_width(d)
     index: dict = {}
-    return [_row(packed_image((t,), width), index) for t in basis]
+    return [_row(packed_term_image(t, width), index) for t in basis]
 
 
 def _bits(mask: int):

@@ -25,11 +25,20 @@ image, and of every partial product on the way to it, has total degree
 at most the term's degree, hence at most D.  An exponent never exceeds
 its monomial's total degree, so every field stays at most D < 2**width,
 and no field can carry into the next.  The transfers are packed once
-per width and cached, each term's norm part is sheared straight into
-packed ints, and all products are parity-collected into one set of
-ints.  ``evaluate`` unpacks that set once, at the end; the oracle
-indexes its matrix columns by the packed ints directly.  ``Poly``,
-``QMon`` and every public type stay tuple-based.
+per width and cached, and all products are parity-collected into sets
+of ints.  ``evaluate`` unpacks the result once, at the end.
+
+``packed_image`` applies the norms after collecting the sum.  It
+groups the terms x^I N^J Tr(A1)...Tr(Ak) by their norm exponent J,
+collects each group's sum of x^I Tr(A1)...Tr(Ak), and multiplies that
+sum once by the image of N^J, sheared straight into packed ints.  This
+is exact: evaluation is a ring map and N^J is a factor common to the
+group.  Terms that cancel inside a group never meet the norm image,
+which is what makes a large normal form cheap to evaluate.  The oracle
+evaluates one monomial per matrix row, where there is nothing to
+collect, so it calls ``packed_term_image`` instead and indexes its
+matrix columns by the packed ints directly.  ``Poly``, ``QMon`` and
+every public type stay tuple-based.
 """
 
 from __future__ import annotations
@@ -66,6 +75,7 @@ __all__ = [
     "formal_trace",
     "evaluate",
     "packed_image",
+    "packed_term_image",
     "qmon_degree",
     "qmon_trace_degree",
     "qmon_key",
@@ -221,30 +231,66 @@ def _packed_transfer(a: Subset, width: int) -> tuple[int, ...]:
     return tuple(pack(t, width) for t in invariants.transfer(a).terms)
 
 
+def _times_transfers(image, traces: tuple, width: int) -> list[int]:
+    """The packed terms ``image`` times the transfers of ``traces``.
+    Each transfer but the last is multiplied in and parity-collected;
+    the products with the last are listed as they come, so a term may
+    repeat and the caller toggles them into its sum."""
+    for a in traces[:-1]:
+        factor = _packed_transfer(a, width)
+        image = parity_collect(p + f for p in image for f in factor)
+    if traces:
+        factor = _packed_transfer(traces[-1], width)
+        image = [p + f for p in image for f in factor]
+    return image
+
+
+def _interleave(ys: tuple, xs: tuple, width: int) -> int:
+    """The packed monomial y^ys x^xs."""
+    base = [0] * (2 * len(xs))
+    base[0::2] = ys
+    base[1::2] = xs
+    return pack(base, width)
+
+
+def packed_term_image(t: QMon, width: int) -> set[int]:
+    """The image of the single term ``t`` as a set of packed monomials,
+    ``width`` bits per exponent; the width must hold the term's degree
+    (``packed_width``).
+
+    x^I N^J Tr(A1)...Tr(Ak) maps to y^J x^I prod (y + x)^J (the shear
+    of ``invariants.sheared``) times the k transfers, multiplied in
+    that order; products of packed monomials are int sums."""
+    odd: set[int] = set()
+    parity_update(odd, _times_transfers(
+        invariants.sheared(_interleave(t.ne, t.xe, width), t.ne, width),
+        t.traces, width))
+    return odd
+
+
 def packed_image(terms: Iterable[QMon], width: int) -> set[int]:
     """The image of the sum of ``terms`` as a set of packed monomials,
     ``width`` bits per exponent; the width must hold the largest term
     degree (``packed_width``).
 
-    A term x^I N^J Tr(A1)...Tr(Ak) maps to y^J x^I prod (y + x)^J (the
-    shear of ``invariants.sheared``) times the k transfers.  Products
-    of packed monomials are int sums; each transfer but the last is
-    multiplied in and parity-collected, and the products with the last
-    one are toggled straight into the set holding the total."""
-    odd: set[int] = set()
+    The terms are grouped by their norm exponent J.  Each group's sum
+    of the images of x^I Tr(A1)...Tr(Ak) is parity-collected first, and
+    only then multiplied, once, by the image y^J prod (y + x)^J of N^J.
+    That is exact because evaluation is a ring map and N^J is a factor
+    common to the group: the group's image is the image of N^J times
+    the image of the sum of the rest.  Every partial product has degree
+    at most its term's, so the width holds throughout."""
+    groups: dict[tuple, set[int]] = {}
     for t in terms:
-        base = [0] * (2 * len(t.xe))
-        base[0::2] = t.ne
-        base[1::2] = t.xe
-        image = invariants.sheared(pack(base, width), t.ne, width)
-        for a in t.traces[:-1]:
-            factor = _packed_transfer(a, width)
-            image = parity_collect(p + f for p in image for f in factor)
-        if t.traces:
-            factor = _packed_transfer(t.traces[-1], width)
-            image = [p + f for p in image for f in factor]
-        parity_update(odd, image)
-    return odd
+        x_part = _interleave((0,) * len(t.xe), t.xe, width)
+        parity_update(groups.setdefault(t.ne, set()),
+                      _times_transfers([x_part], t.traces, width))
+    total: set[int] = set()
+    for ne, odd in groups.items():
+        y_part = _interleave(ne, (0,) * len(ne), width)
+        norm = invariants.sheared(y_part, ne, width)
+        parity_update(total, [p + n for p in odd for n in norm])
+    return total
 
 
 def evaluate(q: QPoly) -> Poly:

@@ -17,11 +17,22 @@ Quadratic constructors canonicalize their arguments first (the larger
 subset by (cardinality, bits) comes first; nested pairs put the larger
 set in the A slot), and the chosen removal index for the IIIa and IIIb
 shapes is always the least member of the relevant subset.
+
+``type_i_relation`` and ``type_iii_relation`` are memoized by their
+arguments for the life of the process, because the rewrites of
+``rewrite`` ask for the same few relations thousands of times.
+Sharing one ``Relation`` between callers is safe: it is frozen, and its
+element holds a frozenset of terms.  A vacuous argument is not
+memoized, so ``VacuousRelationError`` is raised on every call.
+``relation_basis`` builds its family fresh, through the uncached
+builders, so a verify's relations are freed when it returns rather
+than staying in the memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from .poly import (
@@ -100,7 +111,7 @@ def _finish(family: str, a: Subset, b: Subset | None, index: int | None,
     return Relation(family, a, b, index, element, degree)
 
 
-def type_i_relation(a: Subset) -> Relation:
+def _type_i(a: Subset) -> Relation:
     """Sum of x^(A-L) Tr(L) over nonempty proper submasks L of A."""
     if cardinality(a) < 3:
         raise VacuousRelationError(
@@ -133,7 +144,7 @@ def type_ii_relation(a: Subset, b: Subset) -> Relation:
     return _finish("II", a, b, None, q)
 
 
-def type_iii_relation(a: Subset, b: Subset) -> Relation:
+def _type_iii(a: Subset, b: Subset) -> Relation:
     """Four-term rewrite of Tr(A)Tr(B), canonicalized by shape."""
     if cardinality(a) < 2 or cardinality(b) < 2:
         raise VacuousRelationError(
@@ -179,16 +190,30 @@ def type_iii_relation(a: Subset, b: Subset) -> Relation:
     return _finish("IIIc", a, b, None, q)
 
 
+@lru_cache(maxsize=None)
+def type_i_relation(a: Subset) -> Relation:
+    """The type I relation on ``a``, built once per process."""
+    return _type_i(a)
+
+
+@lru_cache(maxsize=None)
+def type_iii_relation(a: Subset, b: Subset) -> Relation:
+    """The type III relation on ``a`` and ``b``, built once per process
+    for each argument order."""
+    return _type_iii(a, b)
+
+
 def relation_basis(m: int, flavor: str = "III") -> list[Relation]:
     """Type I for every subset with >= 3 members plus one quadratic per
     unordered pair (with repetition) of trace subsets, under the chosen
-    quadratic flavor."""
+    quadratic flavor.  Built fresh, bypassing the memo, so the family
+    lives only as long as the caller keeps it."""
     if flavor not in ("II", "III"):
         raise ValueError(f"flavor must be 'II' or 'III', got {flavor!r}")
     if m < 1:
         raise ValueError("width must be at least 1")
-    make = type_ii_relation if flavor == "II" else type_iii_relation
-    rels = [type_i_relation(a) for a in all_subsets(m, min_size=3)]
+    make = type_ii_relation if flavor == "II" else _type_iii
+    rels = [_type_i(a) for a in all_subsets(m, min_size=3)]
     traces = all_subsets(m, min_size=2)
     for hi in range(len(traces)):
         for lo in range(hi + 1):

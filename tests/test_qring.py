@@ -19,10 +19,12 @@ from vecinv2.qring import (
     evaluate,
     formal_trace,
     make_qmon,
+    packed_image,
     qmon_degree,
     qmon_key,
     qmon_trace_degree,
 )
+from vecinv2.relations import type_i_relation
 
 from conftest import random_qpoly
 
@@ -179,6 +181,50 @@ def qpolys_for_evaluation(draw):
 @settings(max_examples=150, deadline=None)
 def test_evaluate_matches_generator_products(q):
     assert evaluate(q) == _reference_image(q)
+
+
+@st.composite
+def qpolys_sharing_norms(draw):
+    """Elements whose terms fall into one or two norm-exponent groups,
+    plus a multiple of some of a type I relation's terms: the images of
+    those terms overlap, so they cancel inside their group (all of them,
+    when every term of the relation is kept)."""
+    m = draw(st.integers(min_value=3, max_value=4))
+    exponents = st.tuples(*[st.integers(min_value=0, max_value=2)] * m)
+    norms = draw(st.lists(exponents, min_size=1, max_size=2))
+    q = QPoly.zero(m)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        t = draw(qterms_of_degree(m, draw(st.integers(min_value=0, max_value=4))))
+        ne = draw(st.sampled_from(norms))
+        q = q + QPoly.monomial(
+            make_qmon(t.xe, map(sum, zip(t.ne, ne)), t.traces))
+    relation = type_i_relation(draw(st.sampled_from(
+        all_subsets(m, min_size=3)))).element
+    kept = draw(st.lists(st.sampled_from(sorted(relation.terms, key=qmon_key)),
+                         unique=True))
+    scale = (QPoly.n_power(draw(st.sampled_from(norms)))
+             * QPoly.x_power(draw(st.tuples(*[st.integers(0, 1)] * m))))
+    return q + scale * QPoly.from_terms(m, kept)
+
+
+@given(qpolys_sharing_norms())
+@settings(max_examples=100, deadline=None)
+def test_grouped_evaluation_matches_termwise(q):
+    termwise = Poly.zero(q.m)
+    for t in q.terms:
+        termwise = termwise + evaluate(QPoly.monomial(t))
+    assert evaluate(q) == termwise == _reference_image(q)
+
+
+def test_grouped_evaluation_edge_cases():
+    # the empty element, and elements whose terms all have J = 0
+    for m in (1, 3):
+        assert evaluate(QPoly.zero(m)) == Poly.zero(m)
+    assert packed_image((), 1) == set()
+    relation = type_i_relation((1, 1, 1)).element
+    assert evaluate(relation) == Poly.zero(3)
+    partial = QPoly.parse(3, "x3*Tr(110) + x2*Tr(101) + x1*x2*x3")
+    assert evaluate(partial) == _reference_image(partial) != Poly.zero(3)
 
 
 def test_evaluate_at_field_width_edges():

@@ -2,7 +2,9 @@
 homogeneity, canonicalization, and the structure of the quadratic
 rewrites."""
 
+import gc
 import json
+import weakref
 from math import comb
 
 import pytest
@@ -18,6 +20,7 @@ from vecinv2.poly import (
     singleton,
     union,
 )
+from vecinv2.oracle import verify_relation_ideal
 from vecinv2.qring import (
     QPoly,
     evaluate,
@@ -122,6 +125,58 @@ def test_vacuous_inputs_rejected():
         type_ii_relation((1, 1), (0, 0))
     with pytest.raises(VacuousRelationError):
         type_iii_relation((1, 1), (0, 1))
+
+
+# ---------------------------------------------------------------------------
+# the memo behind type_i_relation and type_iii_relation
+# ---------------------------------------------------------------------------
+
+def test_repeated_call_returns_the_same_relation():
+    assert type_i_relation((1, 1, 1, 0)) is type_i_relation((1, 1, 1, 0))
+    assert (type_iii_relation((1, 1, 0), (0, 1, 1))
+            is type_iii_relation((1, 1, 0), (0, 1, 1)))
+
+
+def test_swapped_arguments_give_equal_relations():
+    for a, b, family in (((1, 1, 0, 0), (0, 0, 1, 1), "IIIa"),
+                         ((1, 1, 1, 0), (0, 1, 1, 0), "IIIb"),
+                         ((1, 1, 0, 0), (0, 1, 1, 0), "IIIc")):
+        forward = type_iii_relation(a, b)
+        assert forward.family == family
+        assert type_iii_relation(b, a) == forward
+
+
+def test_vacuous_call_raises_every_time():
+    for _ in range(2):
+        with pytest.raises(VacuousRelationError):
+            type_i_relation((1, 1, 0, 0))
+        with pytest.raises(VacuousRelationError):
+            type_iii_relation((1, 0, 0), (1, 1, 0))
+
+
+def test_relation_basis_leaves_the_memo_alone():
+    memos = (type_i_relation, type_iii_relation)
+    before = [memo.cache_info() for memo in memos]
+    basis = relation_basis(4)
+    assert [memo.cache_info() for memo in memos] == before
+    # nothing else holds the family either: it dies with the list
+    alive = [weakref.ref(r) for r in basis]
+    del basis
+    gc.collect()
+    assert not any(ref() for ref in alive)
+
+
+def test_verify_keeps_no_relation_alive():
+    memos = (type_i_relation, type_iii_relation)
+    before = [memo.cache_info() for memo in memos]
+    relations = relation_basis(3)
+    alive = [weakref.ref(r) for r in relations]
+    assert verify_relation_ideal(3, relations=relations).ok
+    assert verify_relation_ideal(3).ok
+    assert [memo.cache_info() for memo in memos] == before
+    del relations
+    gc.collect()
+    assert not any(ref() for ref in alive)
 
 
 # ---------------------------------------------------------------------------

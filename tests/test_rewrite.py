@@ -159,6 +159,7 @@ def test_normal_form_schedule_cubes():
         trace = normal_form(cube)
         assert len(trace.steps) == steps
         _assert_largest_heavy_term_first(trace)
+        assert trace.verify()
 
 
 def test_normal_form_schedule_random_products():
