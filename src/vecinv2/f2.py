@@ -7,11 +7,15 @@ down to pivoting on bits.  Pivots sit at the lowest set bit of a row:
 every stored row has its pivot bit cleared in all later-examined
 positions below it, which makes greedy reduction (repeatedly cancel the
 lowest set bit) a complete membership test.
+
+``row_of`` turns a set of terms into a row, giving each term a column
+on first sight; ``bit_indices`` reads the set bits of a row or of a
+left-kernel mask back as indices.
 """
 
 from __future__ import annotations
 
-__all__ = ["RowSpan", "left_kernel"]
+__all__ = ["RowSpan", "left_kernel", "row_of", "bit_indices"]
 
 
 def _low_bit(value: int) -> int:
@@ -90,3 +94,21 @@ def left_kernel(rows: list[int]) -> list[int]:
         else:
             kernel.append(augmented >> ncols)
     return kernel
+
+
+def row_of(terms, index: dict) -> int:
+    """Bit mask of a set of terms, with ``index`` mapping each term to
+    its column; a term seen for the first time takes the next free
+    column.  Works for ``Poly``, ``QPoly`` and packed monomials."""
+    bits = 0
+    for term in terms:
+        bits |= 1 << index.setdefault(term, len(index))
+    return bits
+
+
+def bit_indices(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low

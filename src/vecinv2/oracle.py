@@ -34,14 +34,63 @@ Ranks, span membership and left-kernel vectors do not depend on the
 order of a matrix's columns: the left kernel is fixed by which rows
 are independent of the rows before them.  So no column order is set
 up in advance; a column is given to each monomial on first sight
-(``_row``), and neither the polynomial monomials of a degree nor its
-presentation monomials are enumerated to index the columns.
+(``f2.row_of``), and neither the polynomial monomials of a degree nor
+its presentation monomials are enumerated to index the columns.
+
+Blocks.  Sending x_i to e_i, N_i to 2 e_i and Tr(A) to the indicator
+vector 1_A grades the presentation ring by multidegree alpha in N^m,
+and evaluation respects the grading when x_i and y_i both count e_i
+(module ``blocks``).  So the evaluation matrix of a degree is block
+diagonal, one block per alpha with |alpha| = d, whose rows are the
+presentation monomials of multidegree alpha (``block_monomials``) and
+whose columns are the polynomial monomials of multidegree alpha.
+Permuting the variable pairs commutes with evaluation, so the blocks
+of one S_m orbit have equal rank, and ``evaluation_rank`` builds one
+block per orbit, the non-increasing alpha, and counts it |S_m alpha|
+times.  Per block the fixed space has dimension
+``(prod(alpha_i + 1) + [every alpha_i even]) / 2``; the tests check
+every block rank against it rather than assume it.
+
+Every type I, II and III relation is multihomogeneous, and so are its
+monomial multiples, so ``verify_relation_ideal`` files each relation
+under its multidegree and builds the relation span block by block
+(``blocks.RelationSpans``): the
+span of block alpha holds the products of the relations of block beta
+< alpha with the monomials of block alpha - beta, plus the relations
+of block alpha.  Rows of different blocks share no column, so a
+degree's span rank is the sum of its block ranks, and a relation is
+dependent exactly when it is dependent inside its own block.  The
+declared family is not S_m-stable as a set (IIIa and IIIb remove the
+least index), so symmetry is checked, not assumed: every relation r
+of degree d and block beta must have s_i(r) in the span of block
+s_i(beta), for each adjacent transposition s_i.  When that holds at
+every degree up to d, each s_i maps the ideal generated by the
+relations of degree at most d into itself (s_i(f r) = s_i(f) s_i(r)),
+the s_i generate S_m, so the blocks of one orbit have equal span rank
+and the orbit-weighted sum over representatives is exact.  Once the
+check fails it stays failed, since higher relations add nothing at
+lower degrees, and every block of each later degree is built.  Each
+degree builds the blocks holding its relations, their s_i images, and
+the representatives or all blocks; its report's ``route`` says which.
+
+Fallbacks.  A relation without one multidegree, or whose multidegree
+does not sum to its declared degree, or declared below degree 2,
+switches the sweep to one block per total degree, from the degree at
+which that relation is built on: the plain whole-degree span.  A
+failing degree builds its counterexample from whole-degree matrices
+(``_lower_span``, ``kernel_basis``, ``_missing``), so it is the same
+kernel-basis member whichever route counted the ranks.
 
 Matrix shapes grow quickly with the number of variable pairs, so every
-matrix build is gated by an entry budget (rows times columns); blowing
-it raises ``BudgetExceeded`` instead of grinding.  The shapes come from
+degree is gated by an entry budget (rows times columns); blowing it
+raises ``BudgetExceeded`` instead of grinding.  The shapes come from
 closed-form monomial counts, so the budget is charged before any
-monomial of the degree is enumerated.
+monomial of the degree is enumerated.  The charges stay whole-degree,
+the evaluation matrix and the relation span of the degree, even where
+only blocks are built: the budget then stops a sweep at the same
+degree, with the same message, whatever route the ranks take.
+Charging each block for its own size would admit larger sweeps but
+move those exits.
 """
 
 from __future__ import annotations
@@ -51,7 +100,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .f2 import RowSpan, left_kernel
+from .blocks import RelationSpans, block_monomials, orbit_reps, orbit_size
+from .f2 import RowSpan, bit_indices, left_kernel, row_of
 from .poly import (
     Monomial,
     all_subsets,
@@ -60,7 +110,7 @@ from .poly import (
     packed_width,
 )
 from .qring import QMon, QPoly, evaluate, packed_term_image, qmon_key
-from .relations import Relation, relation_basis
+from .relations import Relation, relation_plan
 
 __all__ = [
     "BudgetExceeded",
@@ -162,35 +212,17 @@ def q_monomials(m: int, d: int) -> tuple[QMon, ...]:
     return tuple(found)
 
 
-def _row(terms, index: dict) -> int:
-    """Bit mask of a set of terms, with ``index`` mapping each term to
-    its column; a term seen for the first time takes the next free
-    column.  Works for ``Poly``, ``QPoly`` and packed monomials."""
-    bits = 0
-    for term in terms:
-        bits |= 1 << index.setdefault(term, len(index))
-    return bits
-
-
 def _image_rows(d: int, basis) -> list[int]:
     """Evaluation rows of the degree-d monomials ``basis``: the image of
     each, with columns read straight off its packed monomials."""
     width = packed_width(d)
     index: dict = {}
-    return [_row(packed_term_image(t, width), index) for t in basis]
-
-
-def _bits(mask: int):
-    """Indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    return [row_of(packed_term_image(t, width), index) for t in basis]
 
 
 def _kernel(m: int, d: int, basis: tuple[QMon, ...]) -> list[QPoly]:
     """Left kernel of the evaluation rows of ``basis``, as elements."""
-    return [QPoly.from_terms(m, (basis[i] for i in _bits(mask)))
+    return [QPoly.from_terms(m, (basis[i] for i in bit_indices(mask)))
             for mask in left_kernel(_image_rows(d, basis))]
 
 
@@ -210,14 +242,22 @@ def linear_kernel_basis(m: int, d: int,
     return _kernel(m, d, basis)
 
 
-def evaluation_rank(m: int, d: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Dimension of the degree-d space the generators span."""
-    _charge(_q_count(m, d), _poly_count(m, d), budget,
-            f"evaluation rank at degree {d}")
+def _block_rank(m: int, alpha: tuple[int, ...]) -> int:
+    """Rank of the evaluation rows of the block of multidegree alpha."""
     span = RowSpan()
-    for row in _image_rows(d, q_monomials(m, d)):
+    for row in _image_rows(sum(alpha), block_monomials(m, alpha)):
         span.add(row)
     return span.rank
+
+
+def evaluation_rank(m: int, d: int, budget: int = DEFAULT_BUDGET) -> int:
+    """Dimension of the degree-d space the generators span: the block
+    ranks of the orbit representatives, each counted once per member
+    of its S_m orbit."""
+    _charge(_q_count(m, d), _poly_count(m, d), budget,
+            f"evaluation rank at degree {d}")
+    return sum(orbit_size(alpha) * _block_rank(m, alpha)
+               for alpha in orbit_reps(d, m))
 
 
 def invariant_dimension(m: int, d: int) -> int:
@@ -234,6 +274,14 @@ def invariant_dimension(m: int, d: int) -> int:
 # the relation ideal
 
 
+def _charge_span(m: int, d: int, degrees, budget: int) -> None:
+    """Charge the degree-d relation span of generators of the given
+    degrees: one row per monomial multiple of degree d, one row each
+    for the generators of degree d."""
+    nrows = sum(_q_count(m, d - e) for e in degrees if e <= d)
+    _charge(nrows, _q_count(m, d), budget, f"relation span at degree {d}")
+
+
 def _lower_span(m: int, d: int, generators: list[tuple[int, QPoly]],
                 budget: int) -> tuple[RowSpan, dict]:
     """Row space of every product (monomial of degree d - e) * g over
@@ -243,8 +291,7 @@ def _lower_span(m: int, d: int, generators: list[tuple[int, QPoly]],
     which grows as they do.  The budget is charged from closed-form
     counts before any product is built, for the generators of degree d
     as well, one row each, since callers may add those rows next."""
-    nrows = sum(_q_count(m, d - e) for e, _ in generators if e <= d)
-    _charge(nrows, _q_count(m, d), budget, f"relation span at degree {d}")
+    _charge_span(m, d, [e for e, _ in generators], budget)
     index: dict = {}
     span = RowSpan()
     for e, element in generators:
@@ -252,7 +299,7 @@ def _lower_span(m: int, d: int, generators: list[tuple[int, QPoly]],
             continue
         for mult in q_monomials(m, d - e):
             product = QPoly.monomial(mult) * element
-            span.add(_row(product.terms, index))
+            span.add(row_of(product.terms, index))
     return span, index
 
 
@@ -260,7 +307,7 @@ def _missing(members: list[QPoly], span: RowSpan, index: dict):
     """The members ``span`` misses, in order; each is added to the span
     when found, so none lies in the span of the ones before it."""
     for member in members:
-        if span.add(_row(member.terms, index)):
+        if span.add(row_of(member.terms, index)):
             yield member
 
 
@@ -273,6 +320,9 @@ class DegreeReport:
     span_rank: int
     generated: bool
     counterexample: QPoly | None
+    # how span_rank was counted: "orbits", "blocks" or "degree"
+    # (``blocks.RelationSpans.rank``); not part of the text or JSON report
+    route: str
 
     def to_json(self) -> dict:
         return {
@@ -367,13 +417,17 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
     does not evaluate to zero.
     Minimality: no relation of degree 2 to ``d_max`` may lie in the span
     of the others at its own degree.  Both are decided by one
-    elimination per degree: the relations of degree d are reduced
-    modulo the multiples of the lower ones, and a relation is dependent
-    exactly when some left-kernel vector of the remainders uses it.
-    Relations are evaluated inside the sweep, at their own degree and
-    after that degree's budget charges (those declared below degree 2
-    at degree 2), until one does not vanish; relations above ``d_max``
-    are never evaluated.
+    elimination per block: the relations of degree d in the block are
+    reduced modulo the multiples of the lower ones, and a relation is
+    dependent exactly when some left-kernel vector of the remainders
+    uses it.
+    Relations are built and evaluated inside the sweep, at their own
+    degree and after that degree's budget charges (those declared below
+    degree 2 at degree 2), and evaluated until one does not vanish;
+    relations above ``d_max`` are never built.  The declared family
+    comes from ``relation_plan``, which gives every degree in closed
+    form, so a budget exit never waits for the whole family.  The
+    ranks are counted block by block (see the module docstring).
     Passing ``relations`` overrides the declared basis, which is how
     deliberately broken families can be shown to fail.
     """
@@ -386,36 +440,38 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
     if budget < 1:
         raise ValueError(f"verify wants a positive budget, got {budget}")
     if relations is None:
-        relations = relation_basis(m, flavor)
-    max_degree = max((r.degree for r in relations), default=0)
+        plan = relation_plan(m, flavor)
+    else:
+        plan = [(r.degree, lambda r=r: r) for r in relations]
+    degrees = [e for e, _ in plan]
     # lowest degree first; the sort is stable, so list order among equals
-    unchecked = deque(sorted(relations, key=lambda r: r.degree))
+    unbuilt = deque(sorted(range(len(plan)), key=lambda p: degrees[p]))
+    built: dict[int, Relation] = {}
     stray = None
-    generators = [(r.degree, r.element) for r in relations]
+    spans = RelationSpans(m)
     reports = []
     dependent: set[int] = set()
     for d in range(2, d_max + 1):
         kernel_dimension = _q_count(m, d) - evaluation_rank(m, d, budget)
-        span, index = _lower_span(m, d, generators, budget)
-        while stray is None and unchecked and unchecked[0].degree <= d:
-            relation = unchecked.popleft()
-            if evaluate(relation.element):
+        _charge_span(m, d, degrees, budget)
+        while unbuilt and degrees[unbuilt[0]] <= d:
+            position = unbuilt.popleft()
+            relation = plan[position][1]()
+            if stray is None and evaluate(relation.element):
                 stray = relation
-        same = [p for p, r in enumerate(relations) if r.degree == d]
-        rows = [span.remainder(_row(relations[p].element.terms, index))
-                for p in same]
-        used = 0
-        for mask in left_kernel(rows):
-            used |= mask
-        dependent.update(same[i] for i in _bits(used))
-        for row in rows:
-            span.add(row)
-        span_rank = span.rank
+            built[position] = relation
+            spans.add(position, relation)
+        span_rank, route = spans.rank(d, dependent)
         counterexample = None
-        if stray is not None and stray.degree <= d:
+        if stray is not None:
             lift = q_monomials(m, d - stray.degree)[0]
             counterexample = QPoly.monomial(lift) * stray.element
         elif span_rank != kernel_dimension:
+            span, index = _lower_span(
+                m, d, [(r.degree, r.element) for r in built.values()], budget)
+            for relation in built.values():
+                if relation.degree == d:
+                    span.add(row_of(relation.element.terms, index))
             counterexample = next(
                 _missing(kernel_basis(m, d, budget), span, index))
         reports.append(DegreeReport(
@@ -426,15 +482,16 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
             span_rank=span_rank,
             generated=counterexample is None,
             counterexample=counterexample,
+            route=route,
         ))
     return VerificationReport(
         m=m,
         flavor=flavor,
         d_max=d_max,
-        n_relations=len(relations),
-        max_degree=max_degree,
+        n_relations=len(plan),
+        max_degree=max(degrees, default=0),
         degrees=tuple(reports),
-        dependent=tuple(relations[p].label() for p in sorted(dependent)),
+        dependent=tuple(built[p].label() for p in sorted(dependent)),
     )
 
 

@@ -26,13 +26,15 @@ element holds a frozenset of terms.  A vacuous argument is not
 memoized, so ``VacuousRelationError`` is raised on every call.
 ``relation_basis`` builds its family fresh, through the uncached
 builders, so a verify's relations are freed when it returns rather
-than staying in the memo.
+than staying in the memo.  ``relation_plan`` lists the same family as
+closed-form degrees with a deferred build each, so the oracle builds a
+relation only when its sweep reaches the relation's degree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 
 from .poly import (
@@ -59,6 +61,7 @@ __all__ = [
     "type_i_relation",
     "type_ii_relation",
     "type_iii_relation",
+    "relation_plan",
     "relation_basis",
     "count_relations",
 ]
@@ -203,22 +206,33 @@ def type_iii_relation(a: Subset, b: Subset) -> Relation:
     return _type_iii(a, b)
 
 
-def relation_basis(m: int, flavor: str = "III") -> list[Relation]:
-    """Type I for every subset with >= 3 members plus one quadratic per
-    unordered pair (with repetition) of trace subsets, under the chosen
-    quadratic flavor.  Built fresh, bypassing the memo, so the family
-    lives only as long as the caller keeps it."""
+def relation_plan(m: int, flavor: str = "III") -> list[tuple[int, partial]]:
+    """``(degree, build)`` for each member of ``relation_basis(m,
+    flavor)``, in its order: the degree in closed form (|A| for type I,
+    |A| + |B| for a quadratic) and a call that builds the relation
+    fresh.  Nothing is built here, so a caller can build each relation
+    only when it reaches the relation's degree."""
     if flavor not in ("II", "III"):
         raise ValueError(f"flavor must be 'II' or 'III', got {flavor!r}")
     if m < 1:
         raise ValueError("width must be at least 1")
     make = type_ii_relation if flavor == "II" else _type_iii
-    rels = [_type_i(a) for a in all_subsets(m, min_size=3)]
+    plan = [(cardinality(a), partial(_type_i, a))
+            for a in all_subsets(m, min_size=3)]
     traces = all_subsets(m, min_size=2)
     for hi in range(len(traces)):
         for lo in range(hi + 1):
-            rels.append(make(traces[hi], traces[lo]))
-    return rels
+            plan.append((cardinality(traces[hi]) + cardinality(traces[lo]),
+                         partial(make, traces[hi], traces[lo])))
+    return plan
+
+
+def relation_basis(m: int, flavor: str = "III") -> list[Relation]:
+    """Type I for every subset with >= 3 members plus one quadratic per
+    unordered pair (with repetition) of trace subsets, under the chosen
+    quadratic flavor.  Built fresh, bypassing the memo, so the family
+    lives only as long as the caller keeps it."""
+    return [build() for _, build in relation_plan(m, flavor)]
 
 
 def count_relations(m: int) -> int:

@@ -244,7 +244,8 @@ def test_verification_failure_exits_one(capsys, monkeypatch):
     monkeypatch.undo()
     family = relation_basis(3) + [
         Relation("bogus", (1, 1, 0), None, None, formal_trace((1, 1, 0)), 2)]
-    monkeypatch.setattr(oracle, "relation_basis", lambda m, flavor: family)
+    monkeypatch.setattr(oracle, "relation_plan", lambda m, flavor: [
+        (r.degree, lambda r=r: r) for r in family])
     code, out, err = run_cli(capsys, "verify", "-m", "3")
     assert code == 1 and err == ""
     lines = out.splitlines()

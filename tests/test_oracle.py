@@ -2,13 +2,14 @@
 kernel of evaluation, and generation/minimality of the relation basis."""
 
 import json
-from math import comb
+from collections import deque
+from math import comb, prod
 from pathlib import Path
 
 import pytest
 
-from vecinv2 import oracle
-from vecinv2.f2 import RowSpan, left_kernel
+from vecinv2 import blocks, oracle, relations
+from vecinv2.f2 import RowSpan, left_kernel, row_of
 from vecinv2.invariants import involution
 from vecinv2.oracle import (
     BudgetExceeded,
@@ -167,7 +168,7 @@ def _invariant_dimension_by_elimination(m, d):
     span = RowSpan()
     for mono in poly_monomials(m, d):
         single = Poly.monomial(m, mono)
-        span.add(oracle._row((involution(single) + single).terms, index))
+        span.add(row_of((involution(single) + single).terms, index))
     return oracle._poly_count(m, d) - span.rank
 
 
@@ -181,6 +182,46 @@ def test_rank_matches_invariant_dimension():
             if m <= 3 or d <= 6:
                 assert _invariant_dimension_by_elimination(m, d) == \
                     dimension, (m, d)
+
+
+def _block_dimension(alpha):
+    """The closed form of ``invariant_dimension`` for one multidegree:
+    the orbit sums of the y/z monomials of multidegree alpha."""
+    return (prod(a + 1 for a in alpha) + all(a % 2 == 0 for a in alpha)) // 2
+
+
+def test_evaluation_rank_sums_blocks():
+    # the orbit-weighted rank is the plain sum over every multidegree,
+    # and the generators span the fixed space of each block (Richman's
+    # first main theorem, checked rather than assumed)
+    cases = [(m, d) for m in (1, 2, 3, 4) for d in range(9)]
+    cases += [(5, d) for d in range(8)]
+    for m, d in cases:
+        alphas = list(blocks.compositions(d, m))
+        assert len(alphas) == comb(d + m - 1, m - 1)
+        assert sum(len(blocks.block_monomials(m, alpha))
+                   for alpha in alphas) == oracle._q_count(m, d)
+        ranks = [oracle._block_rank(m, alpha) for alpha in alphas]
+        assert ranks == [_block_dimension(alpha) for alpha in alphas]
+        assert evaluation_rank(m, d, budget=10 ** 9) == sum(ranks) == \
+            invariant_dimension(m, d), (m, d)
+
+
+def test_block_monomials_partition_the_degree():
+    for m in (1, 2, 3, 4):
+        for d in range(7):
+            found = []
+            for alpha in blocks.compositions(d, m):
+                block = blocks.block_monomials(m, alpha)
+                assert all(blocks.multidegree(t) == alpha for t in block)
+                assert all(t == make_qmon(t.xe, t.ne, t.traces)
+                           for t in block)
+                found += block
+            assert sorted(found, key=qmon_key) == \
+                sorted(q_monomials(m, d), key=qmon_key)
+            reps = list(blocks.orbit_reps(d, m))
+            assert all(list(a) == sorted(a, reverse=True) for a in reps)
+            assert sum(map(blocks.orbit_size, reps)) == comb(d + m - 1, m - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +416,7 @@ def test_image_rows_column_order_is_free():
             for basis in (full, linear):
                 index = {mono: i
                          for i, mono in enumerate(poly_monomials(m, d))}
-                want = [oracle._row(evaluate(QPoly.monomial(t)).terms, index)
+                want = [row_of(evaluate(QPoly.monomial(t)).terms, index)
                         for t in basis]
                 assert len(index) == oracle._poly_count(m, d)
                 got = oracle._image_rows(d, basis)
@@ -420,3 +461,131 @@ def test_budget_guard():
     assert isinstance(BudgetExceeded("x"), RuntimeError)
     # the default budget admits every computation the suite needs
     assert DEFAULT_BUDGET >= 10 ** 8
+
+
+# ---------------------------------------------------------------------------
+# the blocked sweep against whole-degree matrices
+
+
+def _rank(rows):
+    span = RowSpan()
+    for row in rows:
+        span.add(row)
+    return span.rank
+
+
+def _whole_degree_sweep(m, d_max, relations):
+    """Verify's checks on whole-degree matrices, one per degree: per
+    degree (kernel dimension, span rank, generated, counterexample
+    text), and the sorted positions of the dependent relations."""
+    out = []
+    dependent = set()
+    stray = None
+    unchecked = deque(sorted(relations, key=lambda r: r.degree))
+    for d in range(2, d_max + 1):
+        full = q_monomials(m, d)
+        kernel_dimension = len(full) - _rank(oracle._image_rows(d, full))
+        index = {}
+        span = RowSpan()
+        for r in relations:
+            if r.degree < d:
+                for mult in q_monomials(m, d - r.degree):
+                    product = QPoly.monomial(mult) * r.element
+                    span.add(row_of(product.terms, index))
+        while stray is None and unchecked and unchecked[0].degree <= d:
+            relation = unchecked.popleft()
+            if evaluate(relation.element) != Poly.zero(m):
+                stray = relation
+        same = [p for p, r in enumerate(relations) if r.degree == d]
+        rows = [span.remainder(row_of(relations[p].element.terms, index))
+                for p in same]
+        for mask in left_kernel(rows):
+            dependent.update(same[i] for i, _ in enumerate(rows)
+                             if mask >> i & 1)
+        for row in rows:
+            span.add(row)
+        span_rank = span.rank
+        counterexample = None
+        if stray is not None:
+            lift = q_monomials(m, d - stray.degree)[0]
+            counterexample = QPoly.monomial(lift) * stray.element
+        elif span_rank != kernel_dimension:
+            counterexample = next(
+                k for k in kernel_basis(m, d)
+                if span.add(row_of(k.terms, index)))
+        out.append((kernel_dimension, span_rank, counterexample is None,
+                    str(counterexample) if counterexample else None))
+    return out, sorted(dependent)
+
+
+def test_blocked_sweep_matches_whole_degree_matrices():
+    basis3 = relation_basis(3)
+    first, second = [r for r in basis3 if r.degree == 4][:2]
+    assert blocks.relation_block(first) != blocks.relation_block(second)
+    mixed = Relation("sum", first.a, second.a, None,
+                     first.element + second.element, 4)
+    tr110 = Relation("bogus", (1, 1, 0), None, None,
+                     formal_trace((1, 1, 0)), 2)
+    dropped = basis3[1]
+    assert dropped.label() == "IIIb A=011 B=011 index=2 degree=4"
+    cases = [(m, flavor, relation_basis(m, flavor), ["orbits"] * (2 * m - 1),
+              True) for m in (1, 2, 3, 4) for flavor in ("II", "III")]
+    cases += [
+        (3, "III", basis3 + [tr110], ["blocks"] * 5, False),
+        (3, "III", basis3 + [basis3[4]], ["orbits"] * 5, False),
+        # s_1 of the dropped relation's orbit-mate is missing at degree 4
+        (3, "III", basis3[:1] + basis3[2:], ["orbits"] * 2 + ["blocks"] * 3,
+         False),
+        # no multidegree for the sum, so one block per degree from 4 on
+        (3, "III", basis3 + [mixed], ["orbits"] * 2 + ["degree"] * 3, False),
+    ]
+    for m, flavor, family, routes, declared in cases:
+        report = verify_relation_ideal(m, flavor=flavor, relations=family)
+        want, dependent = _whole_degree_sweep(m, 2 * m, family)
+        got = [(r.kernel_dimension, r.span_rank, r.generated,
+                str(r.counterexample) if r.counterexample else None)
+               for r in report.degrees]
+        assert got == want, (m, flavor, len(family))
+        assert list(report.dependent) == [family[p].label()
+                                          for p in dependent]
+        assert [r.route for r in report.degrees] == routes
+
+
+def test_blocked_sweep_rows_stay_block_sized(monkeypatch):
+    # the widest row is the largest block's monomial count, 226, not
+    # the 8156 presentation monomials of degree 8
+    widest = [0]
+    add = RowSpan.add
+
+    def recording(self, row):
+        widest[0] = max(widest[0], row.bit_length())
+        return add(self, row)
+
+    monkeypatch.setattr(RowSpan, "add", recording)
+    assert verify_relation_ideal(4, 8).ok
+    assert 0 < widest[0] <= 226
+    assert max(len(blocks.block_monomials(4, alpha))
+               for alpha in blocks.compositions(8, 4)) == 226
+
+
+def test_declared_relations_are_built_at_their_degree(monkeypatch):
+    # m = 8 stops at degree 5; only the 56 + 70 + 406 relations of
+    # degree 3 and 4 are built, not all 30847
+    built = []
+
+    def counting(build):
+        def wrapper(*args):
+            relation = build(*args)
+            built.append(relation.degree)
+            return relation
+        return wrapper
+
+    for name in ("_type_i", "_type_iii"):
+        monkeypatch.setattr(relations, name,
+                            counting(getattr(relations, name)))
+    with pytest.raises(BudgetExceeded) as info:
+        verify_relation_ideal(8)
+    assert str(info.value) == (
+        "evaluation rank at degree 5 needs a 15088 x 15504 matrix "
+        "(233924352 entries > budget 100000000)")
+    assert sorted(built) == [3] * 56 + [4] * 476
