@@ -26,7 +26,7 @@ from operator import ge, le, sub
 
 from .f2 import RowSpan, bit_indices, left_kernel, row_of
 from .poly import all_subsets
-from .qring import QMon, QPoly
+from .qring import QMon, QPoly, times_monomial
 from .relations import Relation
 
 __all__ = [
@@ -161,8 +161,8 @@ class RelationSpans:
                 continue
             for mult in self._multipliers(tuple(map(sub, alpha, beta))):
                 for _, relation in filed:
-                    product = QPoly.monomial(mult) * relation.element
-                    span.add(row_of(product.terms, index))
+                    span.add(row_of(
+                        times_monomial(mult, relation.element), index))
         same = blocks.get(alpha, [])
         rows = [span.remainder(row_of(r.element.terms, index))
                 for _, r in same]

@@ -109,7 +109,14 @@ from .poly import (
     monomial_key,
     packed_width,
 )
-from .qring import QMon, QPoly, evaluate, packed_term_image, qmon_key
+from .qring import (
+    QMon,
+    QPoly,
+    evaluate,
+    packed_term_image,
+    qmon_key,
+    times_monomial,
+)
 from .relations import Relation, relation_plan
 
 __all__ = [
@@ -298,8 +305,7 @@ def _lower_span(m: int, d: int, generators: list[tuple[int, QPoly]],
         if e >= d:
             continue
         for mult in q_monomials(m, d - e):
-            product = QPoly.monomial(mult) * element
-            span.add(row_of(product.terms, index))
+            span.add(row_of(times_monomial(mult, element), index))
     return span, index
 
 

@@ -39,6 +39,20 @@ evaluates one monomial per matrix row, where there is nothing to
 collect, so it calls ``packed_term_image`` instead and indexes its
 matrix columns by the packed ints directly.  ``Poly``, ``QMon`` and
 every public type stay tuple-based.
+
+``vanishes`` answers whether an element evaluates to zero from the
+packed image alone, with ``evaluate``'s width rule and without
+unpacking.  Because evaluation is GF(2)-linear, the certificate checks
+in ``rewrite`` test an identity ``evaluate(a) == evaluate(b)`` as
+``vanishes(a + b)``: terms common to a and b cancel before anything is
+evaluated, and no ``Poly`` is built.
+
+``times_monomial`` lists the terms of a product by one monomial.
+Such a product is injective on monomials, so its terms are distinct
+and need no parity collection; the rewrite procedures and the
+relation spans use it to toggle multiples into term sets and matrix
+rows without building a ``QPoly``.  ``QPoly.__mul__`` is its sum over
+the terms of the left factor.
 """
 
 from __future__ import annotations
@@ -74,6 +88,8 @@ __all__ = [
     "make_qmon",
     "formal_trace",
     "evaluate",
+    "vanishes",
+    "times_monomial",
     "packed_image",
     "packed_term_image",
     "qmon_degree",
@@ -192,9 +208,7 @@ class QPoly(SparsePoly):
     def __mul__(self, other: "QPoly") -> "QPoly":
         self._check_m(other)
         return QPoly(self.m, parity_collect(
-            QMon(tuple(map(add, s.xe, t.xe)), tuple(map(add, s.ne, t.ne)),
-                 tuple(sorted(s.traces + t.traces, reverse=True)))
-            for s in self.terms for t in other.terms))
+            t for s in self.terms for t in times_monomial(s, other)))
 
     # -- grading ------------------------------------------------------------
 
@@ -208,6 +222,23 @@ class QPoly(SparsePoly):
     def is_trace_linear(self) -> bool:
         """True when no term carries more than one trace factor."""
         return all(len(t.traces) <= 1 for t in self.terms)
+
+
+def times_monomial(mon: QMon, q: QPoly) -> list[QMon]:
+    """The terms of ``mon * q``, as a list.
+
+    Multiplying by one monomial is injective on monomials: the
+    exponents shift by fixed amounts and the trace multiset gains fixed
+    members, both of which can be undone.  Distinct terms of ``q`` thus
+    give distinct products, nothing cancels, and the list needs none of
+    ``__mul__``'s parity collection.  Callers toggle it into a term set
+    or turn it into a matrix row."""
+    if len(mon.xe) != q.m:
+        raise DimensionMismatch(f"mixed widths: m={len(mon.xe)} vs m={q.m}")
+    xe, ne, traces = mon
+    return [QMon(tuple(map(add, xe, t.xe)), tuple(map(add, ne, t.ne)),
+                 tuple(sorted(traces + t.traces, reverse=True)))
+            for t in q.terms]
 
 
 def formal_trace(a: Subset) -> QPoly:
@@ -293,8 +324,22 @@ def packed_image(terms: Iterable[QMon], width: int) -> set[int]:
     return total
 
 
+def _image_width(q: QPoly) -> int:
+    """The packed width that holds every term of ``q``: the bit length
+    of its largest term degree."""
+    return packed_width(max(map(qmon_degree, q.terms), default=0))
+
+
 def evaluate(q: QPoly) -> Poly:
     """Substitute the concrete invariants for the formal symbols."""
-    width = packed_width(max(map(qmon_degree, q.terms), default=0))
+    width = _image_width(q)
     return Poly(q.m, frozenset(unpack(p, 2 * q.m, width)
                                for p in packed_image(q.terms, width)))
+
+
+def vanishes(q: QPoly) -> bool:
+    """True when ``q`` evaluates to zero, decided on the packed image
+    without unpacking it.  Evaluation is GF(2)-linear, so callers test
+    an equality ``evaluate(a) == evaluate(b)`` as ``vanishes(a + b)``:
+    one image instead of two, and no ``Poly`` built."""
+    return not packed_image(q.terms, _image_width(q))

@@ -30,12 +30,24 @@ trace-carrying terms (two or more).  Any two of them pin down a subset
 C and a monomial multiplier so that multiplier * type_i_relation(C)
 cancels both; repeating drives the element to zero and the collected
 multipliers form the certificate.
+
+Both logs check themselves.  ``ReductionTrace.verify`` replays the
+steps, checks that the result is trace-linear and that every logged
+measure is its term's and never rises, and checks that start and result
+have the same image.  That last identity is tested as
+``qring.vanishes(start + result)``, one packed image of the sum, which
+is exact because evaluation is GF(2)-linear.  ``linear_reduce`` gates
+its input on ``vanishes`` the same way and evaluates only to name the
+lead of a nonzero image.  Each step's product by a monomial comes from
+``qring.times_monomial``, whose terms are distinct, so it is toggled
+into the running term set without a ``QPoly`` in between.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 from .poly import (
     Monomial,
@@ -60,6 +72,8 @@ from .qring import (
     qmon_degree,
     qmon_key,
     qmon_trace_degree,
+    times_monomial,
+    vanishes,
 )
 from .relations import (
     Relation,
@@ -131,15 +145,28 @@ class ReductionTrace:
         """Re-run the logged steps from ``start``; equals ``result``."""
         odd = set(self.start.terms)
         for step in self.steps:
-            product = QPoly.monomial(step.multiplier) * step.relation.element
-            parity_update(odd, product.terms)
+            parity_update(odd, times_monomial(step.multiplier,
+                                              step.relation.element))
         return QPoly(self.start.m, frozenset(odd))
 
+    def _measures_hold(self) -> bool:
+        """Each logged measure is its term's (degree, trace degree), and
+        the sequence never increases."""
+        measures = [step.measure for step in self.steps]
+        return (all(step.measure == (qmon_degree(step.term),
+                                     qmon_trace_degree(step.term))
+                    for step in self.steps)
+                and all(a >= b for a, b in pairwise(measures)))
+
     def verify(self) -> bool:
+        """The replay reaches ``result``, which is trace-linear, the
+        measure log holds, and ``start`` and ``result`` have the same
+        image.  The last is tested as the vanishing of their sum."""
         return (
             self.replay() == self.result
             and self.result.is_trace_linear()
-            and evaluate(self.start) == evaluate(self.result)
+            and self._measures_hold()
+            and vanishes(self.start + self.result)
         )
 
     def to_json(self) -> dict:
@@ -202,8 +229,10 @@ def normal_form(q: QPoly) -> ReductionTrace:
             continue
         first, second, rest = _split_two_largest(term)
         relation = type_iii_relation(first, second)
-        multiplier = make_qmon(term.xe, term.ne, rest)
-        for t in (QPoly.monomial(multiplier) * relation.element).terms:
+        # rest keeps the canonical trace order of term, so make_qmon's
+        # checks would add nothing
+        multiplier = QMon(term.xe, term.ne, rest)
+        for t in times_monomial(multiplier, relation.element):
             if t in terms:
                 terms.remove(t)
             else:
@@ -301,8 +330,9 @@ class LinearCertificate:
     def combination(self) -> QPoly:
         odd: set = set()
         for subset, coefficient in self.coefficients.items():
-            product = coefficient * type_i_relation(subset).element
-            parity_update(odd, product.terms)
+            element = type_i_relation(subset).element
+            for mon in coefficient.terms:
+                parity_update(odd, times_monomial(mon, element))
         return QPoly(self.start.m, frozenset(odd))
 
     def verify(self) -> bool:
@@ -333,11 +363,10 @@ def linear_reduce(h: QPoly) -> LinearCertificate:
     """
     if not h.is_trace_linear():
         raise NotTraceLinearError("linear_reduce needs at most one trace per term")
-    image = evaluate(h)
-    if image.terms:
+    if not vanishes(h):
         raise NotARelationError(
             "element does not evaluate to zero; image contains "
-            + monomial_text(image.lead_term()))
+            + monomial_text(evaluate(h).lead_term()))
     m = h.m
     coefficients: dict[Subset, QPoly] = {}
     steps: list[LinearStep] = []
@@ -365,9 +394,10 @@ def linear_reduce(h: QPoly) -> LinearCertificate:
         xe[other] -= 1
         multiplier = make_qmon(tuple(xe), first.ne, ())
         relation = type_i_relation(subset)
-        scaled = QPoly.monomial(multiplier)
-        current = current + scaled * relation.element
-        coefficients[subset] = coefficients.get(subset, QPoly.zero(m)) + scaled
+        current = QPoly(m, current.terms.symmetric_difference(
+            times_monomial(multiplier, relation.element)))
+        coefficients[subset] = (coefficients.get(subset, QPoly.zero(m))
+                                + QPoly.monomial(multiplier))
         rank = (monomial_key(lead), len(achievers))
         if last_rank is not None and rank >= last_rank:
             raise RuntimeError(

@@ -23,10 +23,13 @@ from vecinv2.qring import (
     qmon_degree,
     qmon_key,
     qmon_trace_degree,
+    times_monomial,
+    vanishes,
 )
+from vecinv2.oracle import kernel_basis
 from vecinv2.relations import type_i_relation
 
-from conftest import random_qpoly
+from conftest import random_qmon, random_qpoly
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +266,77 @@ def test_evaluate_respects_grading():
         img = evaluate(q)
         if img:
             assert {sum(t) for t in img.terms} == {q.degree()}
+
+
+def test_vanishes_matches_evaluate_on_random_elements():
+    # random_qpoly mixes term degrees, so the packed width is set by
+    # the largest term, as in evaluate
+    rng = random.Random(4242)
+    mixed = 0
+    for _ in range(400):
+        m = rng.randrange(1, 5)
+        q = random_qpoly(rng, m, max_terms=5, max_trace_degree=8)
+        mixed += bool(q) and q.degree() is None
+        assert vanishes(q) == (not evaluate(q))
+    assert mixed > 100
+    for m in (1, 3):
+        assert vanishes(QPoly.zero(m))
+
+
+def test_vanishes_on_kernel_members_and_near_misses():
+    rng = random.Random(977)
+    checked = 0
+    for d in range(2, 7):
+        for k in kernel_basis(3, d):
+            assert vanishes(k) and not evaluate(k)
+            off = k + QPoly.monomial(random_qmon(rng, 3, max_trace_degree=d))
+            # every monomial has a nonzero image, so the sum never vanishes
+            assert not vanishes(off) and evaluate(off)
+            checked += 1
+    assert checked == 0 + 1 + 9 + 30 + 93
+
+
+def _product_by_make_qmon(mon, q):
+    """mon * q term by term through make_qmon, which sorts and checks
+    each product itself; a reference that shares no code with
+    times_monomial, on which QPoly.__mul__ is built."""
+    return QPoly.from_terms(q.m, (
+        make_qmon([a + b for a, b in zip(mon.xe, t.xe)],
+                  [a + b for a, b in zip(mon.ne, t.ne)],
+                  mon.traces + t.traces)
+        for t in q.terms))
+
+
+def test_times_monomial_matches_the_product():
+    rng = random.Random(8191)
+    with_traces = without = 0
+    for _ in range(400):
+        m = rng.randrange(1, 5)
+        mon = random_qmon(rng, m, max_trace_degree=6)
+        q = random_qpoly(rng, m, max_terms=5, max_trace_degree=6)
+        terms = times_monomial(mon, q)
+        assert len(set(terms)) == len(terms) == len(q)
+        product = QPoly(m, frozenset(terms))
+        assert product == QPoly.monomial(mon) * q
+        assert product == _product_by_make_qmon(mon, q)
+        assert evaluate(product) == evaluate(QPoly.monomial(mon)) * evaluate(q)
+        with_traces += bool(mon.traces)
+        without += not mon.traces
+    assert with_traces > 50 and without > 50
+
+
+def test_times_monomial_keeps_trace_order_and_width():
+    mon = make_qmon((1, 0, 0), (0, 0, 1), [(1, 1, 0)])
+    q = QPoly.parse(3, "Tr(111)*Tr(011) + x2 + Tr(101)")
+    terms = times_monomial(mon, q)
+    assert all(t.traces == tuple(sorted(t.traces, reverse=True))
+               for t in terms)
+    assert str(QPoly(3, frozenset(terms))) == (
+        "x1*N3*Tr(111)*Tr(110)*Tr(011) + x1*N3*Tr(110)*Tr(101)"
+        " + x1*x2*N3*Tr(110)")
+    assert times_monomial(mon, QPoly.zero(3)) == []
+    with pytest.raises(DimensionMismatch):
+        times_monomial(mon, QPoly.parse(2, "x1"))
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,62 @@ def test_normal_form_rejects_a_step_that_keeps_its_term(monkeypatch):
         reduce_product((1, 1, 0), (0, 1, 1))
 
 
+def test_trace_verify_rejects_a_tampered_result():
+    trace = reduce_product((1, 1, 0), (0, 1, 1))
+    assert trace.verify()
+    for extra in ("x1*Tr(011)", "x1*x2*x3"):
+        forged = dataclasses.replace(
+            trace, result=trace.result + QPoly.parse(3, extra))
+        assert not forged.verify()
+
+
+def test_trace_verify_rejects_a_two_trace_result():
+    # no steps, so the replay is the start and the images agree; only
+    # the trace-linearity of the result is left to fail
+    square = QPoly.trace_symbol((1, 1)) * QPoly.trace_symbol((1, 1))
+    forged = ReductionTrace(start=square, result=square, steps=())
+    assert forged.replay() == forged.result
+    assert not forged.verify()
+
+
+def test_trace_verify_rejects_a_relation_that_does_not_vanish():
+    # the step's element gains a trace-linear term that does not
+    # evaluate to zero, and the result is the forged replay: replay,
+    # trace-linearity and measures all hold, and only the evaluation
+    # identity tells start and result apart
+    trace = reduce_product((1, 1, 0), (0, 1, 1))
+    step = trace.steps[0]
+    bogus = dataclasses.replace(
+        step.relation,
+        element=step.relation.element + QPoly.parse(3, "x1*Tr(111)"))
+    steps = (dataclasses.replace(step, relation=bogus),) + trace.steps[1:]
+    forged = ReductionTrace(start=trace.start, result=trace.result,
+                            steps=steps)
+    forged = dataclasses.replace(forged, result=forged.replay())
+    assert forged.result.is_trace_linear()
+    assert forged.replay() == forged.result
+    assert evaluate(forged.start) != evaluate(forged.result)
+    assert not forged.verify()
+
+
+def test_trace_verify_checks_the_measure_log():
+    cube = formal_trace((1,) * 4) * formal_trace((1,) * 4)
+    trace = normal_form(cube * formal_trace((1,) * 4))
+    assert trace.verify()
+    steps = list(trace.steps)
+    degree, trace_degree = steps[5].measure
+    steps[5] = dataclasses.replace(steps[5],
+                                   measure=(degree, trace_degree + 1))
+    assert not dataclasses.replace(trace, steps=tuple(steps)).verify()
+    # true measures in a rising order: the replay does not depend on
+    # the order of the steps, so only the monotonicity check fails
+    rising = tuple(sorted(trace.steps, key=lambda s: s.measure))
+    assert rising[0].measure < rising[-1].measure
+    forged = dataclasses.replace(trace, steps=rising)
+    assert forged.replay() == forged.result
+    assert not forged.verify()
+
+
 def test_reduction_trace_json():
     trace = reduce_product((1, 1), (1, 1))
     blob = trace.to_json()
@@ -313,9 +369,29 @@ def test_linear_reduce_step_cancels_lead_twice():
 
 
 def test_linear_reduce_rejects_non_kernel_input():
-    with pytest.raises(NotARelationError) as info:
-        linear_reduce(QPoly.trace_symbol((1, 1)))
-    assert "x1*y2" in str(info.value)
+    # the message names the lead monomial of the image
+    cases = [
+        (QPoly.trace_symbol((1, 1)),
+         "element does not evaluate to zero; image contains x1*y2"),
+        (QPoly.parse(3, "x1*Tr(011) + N2*Tr(111) + x3^2"),
+         "element does not evaluate to zero; image contains x1*y2^3*y3"),
+    ]
+    for h, message in cases:
+        with pytest.raises(NotARelationError) as info:
+            linear_reduce(h)
+        assert str(info.value) == message
+
+
+def test_linear_certificate_rejects_a_dropped_term():
+    elem = type_i_relation((1, 1, 1, 0)).element
+    cert = linear_reduce(QPoly.parse(4, "x4 + N1") * elem)
+    assert cert.verify()
+    coefficient = cert.coefficients[(1, 1, 1, 0)]
+    for term in coefficient.terms:
+        kept = QPoly(4, coefficient.terms - {term})
+        forged = dataclasses.replace(
+            cert, coefficients={(1, 1, 1, 0): kept})
+        assert not forged.verify()
 
 
 def test_linear_reduce_rejects_heavy_terms():
