@@ -13,7 +13,11 @@ linear algebra over monomial bases:
   span has the kernel's dimension in every checked degree (so the two
   are equal: generation), no declared relation lies in the span of
   the others at its own degree (minimality), and at least one degree
-  was checked.  The kernel dimension is a rank count, so no kernel
+  was checked.  Relations above the bound are never built, so those
+  conditions hold only for the ones at or below it; when any lie
+  above, the PASS line says "PASS through degree d" and counts them,
+  and the JSON adds ``checked_through`` and ``unchecked_relations``.
+  The kernel dimension is a rank count, so no kernel
   basis is built unless a degree fails and a counterexample is wanted;
 * ``max_relation_degree`` finds the largest degree where the kernel is
   not yet generated by lower-degree kernel elements — the degree at
@@ -229,7 +233,7 @@ def _image_rows(d: int, basis) -> list[int]:
 
 def _kernel(m: int, d: int, basis: tuple[QMon, ...]) -> list[QPoly]:
     """Left kernel of the evaluation rows of ``basis``, as elements."""
-    return [QPoly.from_terms(m, (basis[i] for i in bit_indices(mask)))
+    return [QPoly(m, frozenset(basis[i] for i in bit_indices(mask)))
             for mask in left_kernel(_image_rows(d, basis))]
 
 
@@ -352,6 +356,9 @@ class VerificationReport:
     max_degree: int
     degrees: tuple[DegreeReport, ...]
     dependent: tuple[str, ...]
+    # relations above d_max: never built, so neither evaluated nor
+    # tested for minimality
+    n_unchecked: int
 
     @property
     def generated(self) -> bool:
@@ -376,7 +383,13 @@ class VerificationReport:
                 lines.append(f"  counterexample: {report.counterexample}")
         for label in self.dependent:
             lines.append(f"dependent relation: {label}")
-        if self.ok:
+        if self.ok and self.n_unchecked:
+            plural = "" if self.n_unchecked == 1 else "s"
+            lines.append(
+                f"PASS through degree {self.d_max}: generation + minimality;"
+                f" {self.n_unchecked} relation{plural} above degree"
+                f" {self.d_max} not checked")
+        elif self.ok:
             lines.append(
                 f"PASS: generation + minimality, {self.n_relations} relations,"
                 f" max degree {self.max_degree}")
@@ -390,7 +403,7 @@ class VerificationReport:
         return "\n".join(lines)
 
     def to_json(self) -> dict:
-        return {
+        blob = {
             "schema": 1,
             "m": self.m,
             "flavor": self.flavor,
@@ -403,6 +416,10 @@ class VerificationReport:
             "minimal": self.minimal,
             "ok": self.ok,
         }
+        if self.n_unchecked:
+            blob["checked_through"] = self.d_max
+            blob["unchecked_relations"] = self.n_unchecked
+        return blob
 
 
 def verify_relation_ideal(m: int, d_max: int | None = None,
@@ -430,7 +447,9 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
     Relations are built and evaluated inside the sweep, at their own
     degree and after that degree's budget charges (those declared below
     degree 2 at degree 2), and evaluated until one does not vanish;
-    relations above ``d_max`` are never built.  The declared family
+    relations above ``d_max`` are never built, and the report counts
+    them as unchecked: its PASS line then names the checked range
+    instead of the whole family.  The declared family
     comes from ``relation_plan``, which gives every degree in closed
     form, so a budget exit never waits for the whole family.  The
     ranks are counted block by block (see the module docstring).
@@ -498,6 +517,7 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
         max_degree=max(degrees, default=0),
         degrees=tuple(reports),
         dependent=tuple(built[p].label() for p in sorted(dependent)),
+        n_unchecked=sum(e > d_max for e in degrees),
     )
 
 

@@ -12,8 +12,9 @@ term text and parser), the constructors and ``__mul__``.  The
 its kernel is the ideal of relations among the generators.
 
 Singleton and empty trace symbols are never stored: ``formal_trace``
-rewrites Tr({i}) to x_i and Tr(empty) to 0, so constructors built on it
-only ever carry subsets of size two or more.
+rewrites Tr({i}) to x_i and Tr(empty) to 0, and the relation
+constructors, which write their terms directly, rewrite them the same
+way, so terms only ever carry subsets of size two or more.
 
 The evaluation map runs on packed exponents (``packed_image``).  A
 monomial of F2[y1, x1, ..., ym, xm] becomes one int with a field of
@@ -192,11 +193,6 @@ class QPoly(SparsePoly):
     def x_power(exps: Subset) -> "QPoly":
         m = len(exps)
         return QPoly.monomial(make_qmon(exps, (0,) * m, ()))
-
-    @staticmethod
-    def n_power(exps: Subset) -> "QPoly":
-        m = len(exps)
-        return QPoly.monomial(make_qmon((0,) * m, exps, ()))
 
     @staticmethod
     def trace_symbol(a: Subset) -> "QPoly":

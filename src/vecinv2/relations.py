@@ -1,13 +1,35 @@
 """The generating relations among the invariant-ring generators.
 
-Three families of elements of the presentation ring evaluate to zero:
+Three families of elements of the presentation ring evaluate to zero.
+Each is given in closed form; below, I = A & B, J = A - B, K = B - A,
+and Tr of the empty set is 0 and Tr({i}) is x_i:
 
-* type I, one per subset A with at least three members: the sum over
-  nonempty proper submasks L of A of x^(A-L) Tr(L);
-* type II, one per pair of trace subsets: a rewrite of Tr(A)Tr(B) with
-  coefficients running over submasks of the overlap and of A minus B;
-* type III, shorter four-term rewrites of Tr(A)Tr(B) split into three
-  shapes by how A and B meet (disjoint, nested, or incomparable).
+* type I, one per subset A with at least three members:
+  sum over nonempty proper L < A of x^(A-L) Tr(L);
+* type II, one per pair of trace subsets: Tr(A)Tr(B)
+  + sum over L < I, L != I, of x^(I-L) N^L Tr((I-L) | J | K)
+  + N^I * sum over L < J, L != J, of x^(J-L) Tr(L | K);
+* type III, four-term rewrites of Tr(A)Tr(B), one per shape:
+  - IIIa, A and B disjoint, j = min B, B' = B - {j}:
+    Tr(A)Tr(B) + Tr(A | {j})Tr(B') + x_j Tr(A | B') + x_j Tr(A)Tr(B');
+  - IIIb, B inside A, i = min B, A' = A - {i}, B' = B - {i}:
+    Tr(A)Tr(B) + x_i Tr(A)Tr(B') + N_i Tr(A')Tr(B')
+    + x_i N^B' Tr((A - B) | {i});
+  - IIIc, A and B meet and neither contains the other:
+    Tr(A)Tr(B) + Tr(A | B)Tr(I) + N^I Tr(J)Tr(K).
+
+The constructors write each term straight down as a ``QMon`` through
+``_term``, which does to a term what ``qring.formal_trace`` does to a
+factor: a trace on the empty set makes the term vanish, one on a
+singleton {i} becomes a factor x_i, and the traces that remain are
+sorted descending.  The few terms are then parity-collected, since
+some coincide (the |A| singleton submasks of type I all give x^A, so
+it survives exactly when |A| is odd).  The terms need none of
+``make_qmon``'s checks: the arguments are checked once, at entry, for
+0/1 entries and one width, every set formed from them by the subset
+calculus is then a 0/1 tuple of that width, the exponents are sums of
+such tuples, and ``_term`` keeps only traces with two or more members,
+in canonical order.
 
 Type I together with either quadratic family generates the whole
 relation ideal; the ``oracle`` module checks that claim degree by
@@ -22,8 +44,8 @@ shapes is always the least member of the relevant subset.
 arguments for the life of the process, because the rewrites of
 ``rewrite`` ask for the same few relations thousands of times.
 Sharing one ``Relation`` between callers is safe: it is frozen, and its
-element holds a frozenset of terms.  A vacuous argument is not
-memoized, so ``VacuousRelationError`` is raised on every call.
+element holds a frozenset of terms.  A vacuous or malformed argument
+is not memoized, so its error is raised on every call.
 ``relation_basis`` builds its family fresh, through the uncached
 builders, so a verify's relations are freed when it returns rather
 than staying in the memo.  ``relation_plan`` lists the same family as
@@ -38,6 +60,7 @@ from functools import lru_cache, partial
 from math import comb
 
 from .poly import (
+    DimensionMismatch,
     Subset,
     all_subsets,
     cardinality,
@@ -46,6 +69,7 @@ from .poly import (
     is_disjoint,
     is_subset_of,
     min_index,
+    parity_collect,
     setminus,
     singleton,
     strict_submasks,
@@ -53,7 +77,7 @@ from .poly import (
     subset_to_bits,
     union,
 )
-from .qring import QPoly, formal_trace
+from .qring import QMon, QPoly
 
 __all__ = [
     "VacuousRelationError",
@@ -114,83 +138,108 @@ def _finish(family: str, a: Subset, b: Subset | None, index: int | None,
     return Relation(family, a, b, index, element, degree)
 
 
+def _check_subsets(*subsets: Subset) -> None:
+    """A constructor's arguments, checked once at entry: 0/1 entries and
+    one width.  The terms built from them are then canonical as built."""
+    for a in subsets:
+        if not set(a) <= {0, 1}:
+            raise ValueError(f"trace subset needs 0/1 entries, got {a}")
+    if len({len(a) for a in subsets}) > 1:
+        raise DimensionMismatch(
+            "subset widths differ: " + " vs ".join(str(len(a)) for a in subsets))
+
+
+def _term(x: Subset, n: Subset, *traces: Subset) -> QMon | None:
+    """The monomial x^x N^n Tr(t1)...Tr(tk) with ``formal_trace``'s
+    rewrites of a degenerate factor: a trace on the empty subset makes
+    the term vanish (None), and one on a singleton {i} becomes a factor
+    x_i.  The kept traces are sorted descending."""
+    kept = []
+    for t in traces:
+        k = cardinality(t)
+        if k > 1:
+            kept.append(t)
+        elif k:
+            x = tuple(u + v for u, v in zip(x, t))
+        else:
+            return None
+    kept.sort(reverse=True)
+    return QMon(x, n, tuple(kept))
+
+
+def _element(m: int, terms) -> QPoly:
+    """The sum of ``terms`` with the vanished ones (None) left out."""
+    return QPoly(m, parity_collect(t for t in terms if t is not None))
+
+
 def _type_i(a: Subset) -> Relation:
     """Sum of x^(A-L) Tr(L) over nonempty proper submasks L of A."""
+    _check_subsets(a)
     if cardinality(a) < 3:
         raise VacuousRelationError(
             f"type I needs at least three members, got {subset_to_bits(a)}")
-    q = QPoly.zero(len(a))
-    for low in strict_submasks(a):
-        if cardinality(low) == 0:
-            continue
-        q = q + QPoly.x_power(setminus(a, low)) * formal_trace(low)
-    return _finish("I", a, None, None, q)
+    zero = (0,) * len(a)
+    return _finish("I", a, None, None, _element(len(a), (
+        _term(setminus(a, low), zero, low) for low in strict_submasks(a))))
 
 
 def type_ii_relation(a: Subset, b: Subset) -> Relation:
     """The long rewrite of Tr(A)Tr(B) over submasks of the overlap."""
+    _check_subsets(a, b)
     if cardinality(a) < 2 or cardinality(b) < 2:
         raise VacuousRelationError(
             "type II needs two subsets with at least two members each")
+    m = len(a)
+    zero = (0,) * m
     i_set = intersect(a, b)
     j_set = setminus(a, b)
     k_set = setminus(b, a)
-    q = formal_trace(a) * formal_trace(b)
+    terms = [_term(zero, zero, a, b)]
     for low in strict_submasks(i_set):
-        rest = union(union(setminus(i_set, low), j_set), k_set)
-        q = q + QPoly.x_power(setminus(i_set, low)) * QPoly.n_power(low) \
-            * formal_trace(rest)
-    n_i = QPoly.n_power(i_set)
+        top = setminus(i_set, low)
+        terms.append(_term(top, low, union(union(top, j_set), k_set)))
     for low in strict_submasks(j_set):
-        q = q + n_i * QPoly.x_power(setminus(j_set, low)) \
-            * formal_trace(union(low, k_set))
-    return _finish("II", a, b, None, q)
+        terms.append(_term(setminus(j_set, low), i_set, union(low, k_set)))
+    return _finish("II", a, b, None, _element(m, terms))
 
 
 def _type_iii(a: Subset, b: Subset) -> Relation:
     """Four-term rewrite of Tr(A)Tr(B), canonicalized by shape."""
+    _check_subsets(a, b)
     if cardinality(a) < 2 or cardinality(b) < 2:
         raise VacuousRelationError(
             "type III needs two subsets with at least two members each")
     m = len(a)
+    zero = (0,) * m
     if is_disjoint(a, b):
         if subset_key(a) < subset_key(b):
             a, b = b, a
         j = min_index(b)
+        xj = singleton(m, j)
         b_rest = drop_min(b)
-        xj = QPoly.x_power(singleton(m, j))
-        q = (
-            formal_trace(a) * formal_trace(b)
-            + formal_trace(union(a, singleton(m, j))) * formal_trace(b_rest)
-            + xj * formal_trace(union(a, b_rest))
-            + xj * formal_trace(a) * formal_trace(b_rest)
-        )
-        return _finish("IIIa", a, b, j, q)
+        return _finish("IIIa", a, b, j, _element(m, (
+            _term(zero, zero, a, b),
+            _term(zero, zero, union(a, xj), b_rest),
+            _term(xj, zero, union(a, b_rest)),
+            _term(xj, zero, a, b_rest))))
     if is_subset_of(a, b) and not is_subset_of(b, a):
         a, b = b, a
     if is_subset_of(b, a):
         i = min_index(b)
         delta = singleton(m, i)
-        a_rest = setminus(a, delta)
         b_rest = setminus(b, delta)
-        xi = QPoly.x_power(delta)
-        q = (
-            formal_trace(a) * formal_trace(b)
-            + xi * formal_trace(a) * formal_trace(b_rest)
-            + QPoly.n_power(delta) * formal_trace(a_rest) * formal_trace(b_rest)
-            + xi * QPoly.n_power(b_rest) * formal_trace(union(setminus(a, b), delta))
-        )
-        return _finish("IIIb", a, b, i, q)
+        return _finish("IIIb", a, b, i, _element(m, (
+            _term(zero, zero, a, b),
+            _term(delta, zero, a, b_rest),
+            _term(zero, delta, setminus(a, delta), b_rest),
+            _term(delta, b_rest, union(setminus(a, b), delta)))))
     if subset_key(a) < subset_key(b):
         a, b = b, a
     i_set = intersect(a, b)
-    q = (
-        formal_trace(a) * formal_trace(b)
-        + formal_trace(union(a, b)) * formal_trace(i_set)
-        + QPoly.n_power(i_set) * formal_trace(setminus(a, b))
-        * formal_trace(setminus(b, a))
-    )
-    return _finish("IIIc", a, b, None, q)
+    return _finish("IIIc", a, b, None, _element(m, (
+        _term(zero, zero, a, b),
+        _term(zero, zero, union(a, b), i_set),
+        _term(zero, i_set, setminus(a, b), setminus(b, a)))))
 
 
 @lru_cache(maxsize=None)

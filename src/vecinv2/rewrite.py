@@ -68,7 +68,6 @@ from .qring import (
     QPoly,
     evaluate,
     formal_trace,
-    make_qmon,
     qmon_degree,
     qmon_key,
     qmon_trace_degree,
@@ -392,7 +391,8 @@ def linear_reduce(h: QPoly) -> LinearCertificate:
                 "descent would give a negative exponent at "
                 + monomial_text(lead))
         xe[other] -= 1
-        multiplier = make_qmon(tuple(xe), first.ne, ())
+        # the guard above is the one check make_qmon would add here
+        multiplier = QMon(tuple(xe), first.ne, ())
         relation = type_i_relation(subset)
         current = QPoly(m, current.terms.symmetric_difference(
             times_monomial(multiplier, relation.element)))

@@ -32,6 +32,11 @@ def random_poly(rng: random.Random, m: int, max_terms: int = 4,
     return Poly.from_terms(m, monos)
 
 
+def n_power(exps) -> QPoly:
+    """The presentation-ring monomial N^exps."""
+    return QPoly.monomial(make_qmon((0,) * len(exps), exps, ()))
+
+
 def random_qmon(rng: random.Random, m: int, max_trace_degree: int = 8,
                 max_exp: int = 2):
     traces = []

@@ -271,6 +271,43 @@ def test_verify_report_json():
     assert blob["degrees"][0]["degree"] == 2
 
 
+def test_partial_run_names_the_checked_range():
+    # a bare monomial declared at degree 6 is never built through degree
+    # 4, so the PASS covers degrees 2..4 only; the four declared
+    # relations of degrees 5 and 6 are not checked either
+    square = QPoly.monomial(make_qmon((0, 0, 0), (0, 0, 0),
+                                      [(1, 1, 1), (1, 1, 1)]))
+    family = relation_basis(3) + [
+        Relation("bogus", (1, 1, 1), (1, 1, 1), None, square, 6)]
+    report = verify_relation_ideal(3, 4, relations=family)
+    assert report.ok
+    assert report.to_text().splitlines() == [
+        "degree 2: kernel 0, span 0, generated",
+        "degree 3: kernel 1, span 1, generated",
+        "degree 4: kernel 9, span 9, generated",
+        "PASS through degree 4: generation + minimality;"
+        " 5 relations above degree 4 not checked",
+    ]
+    blob = report.to_json()
+    full = verify_relation_ideal(3, relations=family).to_json()
+    assert full["ok"] is False
+    assert "checked_through" not in full
+    assert "unchecked_relations" not in full
+    assert blob.keys() - full.keys() == {"checked_through",
+                                         "unchecked_relations"}
+    assert (blob["schema"], blob["d_max"], blob["max_degree"]) == (1, 4, 6)
+    assert (blob["checked_through"], blob["unchecked_relations"]) == (4, 5)
+    assert blob["relations"] == 12 and blob["ok"] is True
+
+    report = verify_relation_ideal(3, 5)
+    assert report.to_text().splitlines()[-1] == (
+        "PASS through degree 5: generation + minimality;"
+        " 1 relation above degree 5 not checked")
+    assert report.to_json()["unchecked_relations"] == 1
+    # a bound at or past the top degree is a full run
+    assert "checked_through" not in verify_relation_ideal(2, 5).to_json()
+
+
 def test_dropping_any_relation_breaks_generation():
     for m in (2, 3):
         for flavor in ("II", "III"):

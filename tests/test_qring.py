@@ -29,7 +29,7 @@ from vecinv2.qring import (
 from vecinv2.oracle import kernel_basis
 from vecinv2.relations import type_i_relation
 
-from conftest import random_qmon, random_qpoly
+from conftest import n_power, random_qmon, random_qpoly
 
 
 # ---------------------------------------------------------------------------
@@ -69,17 +69,17 @@ def test_grading_goldens():
     assert product.degree() == 5
     assert [qmon_trace_degree(t) for t in product.terms] == [5]
 
-    q = QPoly.x_power((1, 0)) * QPoly.n_power((0, 1))
+    q = QPoly.x_power((1, 0)) * n_power((0, 1))
     assert q.degree() == 3
     assert [qmon_trace_degree(t) for t in q.terms] == [0]
 
-    cubed = QPoly.x_power((3, 0)) * QPoly.n_power((0, 1))
+    cubed = QPoly.x_power((3, 0)) * n_power((0, 1))
     assert cubed.degree() == 5
     assert [qmon_trace_degree(t) for t in cubed.terms] == [0]
 
 
 def test_degree_of_mixed_and_zero():
-    mixed = QPoly.x_power((1, 0)) + QPoly.n_power((1, 0))
+    mixed = QPoly.x_power((1, 0)) + n_power((1, 0))
     assert mixed.degree() is None
     with pytest.raises(ZeroPolynomialError):
         QPoly.zero(2).degree()
@@ -115,7 +115,7 @@ def test_qmon_key_is_graded():
 
 def test_evaluate_goldens():
     assert evaluate(QPoly.trace_symbol((1, 1))) == transfer((1, 1))
-    assert evaluate(QPoly.n_power((1, 0))) == norm(2, 0)
+    assert evaluate(n_power((1, 0))) == norm(2, 0)
     assert evaluate(QPoly.zero(3)) == Poly.zero(3)
     assert evaluate(QPoly.parse(3, "1")) == Poly.parse(3, "1")
     assert evaluate(QPoly.x_power((2, 1))) == Poly.parse(2, "x1^2*x2")
@@ -123,10 +123,10 @@ def test_evaluate_goldens():
 
 def test_evaluate_norm_powers():
     # N^2 must expand through the concrete polynomial, not termwise
-    n = QPoly.n_power((2,))
+    n = n_power((2,))
     expected = norm(1, 0) * norm(1, 0)
     assert evaluate(n) == expected
-    n3 = QPoly.n_power((3,))
+    n3 = n_power((3,))
     assert evaluate(n3) == norm(1, 0) * norm(1, 0) * norm(1, 0)
 
 
@@ -205,7 +205,7 @@ def qpolys_sharing_norms(draw):
         all_subsets(m, min_size=3)))).element
     kept = draw(st.lists(st.sampled_from(sorted(relation.terms, key=qmon_key)),
                          unique=True))
-    scale = (QPoly.n_power(draw(st.sampled_from(norms)))
+    scale = (n_power(draw(st.sampled_from(norms)))
              * QPoly.x_power(draw(st.tuples(*[st.integers(0, 1)] * m))))
     return q + scale * QPoly.from_terms(m, kept)
 
@@ -235,7 +235,7 @@ def test_evaluate_at_field_width_edges():
     # terms, and a lower-degree term that makes the element mixed
     for d in (1, 3, 4, 7, 8, 15, 16):
         x = QPoly.x_power((d, 0, 0))
-        n = QPoly.x_power((0, d % 2, 0)) * QPoly.n_power((0, d // 2, 0))
+        n = QPoly.x_power((0, d % 2, 0)) * n_power((0, d // 2, 0))
         tr = QPoly.x_power((0, 0, d % 2))
         for _ in range(d // 2):
             tr = tr * QPoly.trace_symbol((1, 1, 0))

@@ -10,26 +10,35 @@ from math import comb
 import pytest
 
 from vecinv2.poly import (
+    DimensionMismatch,
     Poly,
     all_subsets,
     cardinality,
     drop_min,
+    intersect,
+    is_disjoint,
+    is_subset_of,
     min_index,
     monomial_key,
     setminus,
     singleton,
+    strict_submasks,
+    subset_key,
     union,
 )
 from vecinv2.oracle import verify_relation_ideal
 from vecinv2.qring import (
     QPoly,
     evaluate,
+    formal_trace,
     make_qmon,
     qmon_trace_degree,
 )
 from vecinv2.relations import (
     Relation,
     VacuousRelationError,
+    _type_i,
+    _type_iii,
     count_relations,
     relation_basis,
     type_i_relation,
@@ -37,7 +46,7 @@ from vecinv2.relations import (
     type_iii_relation,
 )
 
-from conftest import x_y_power
+from conftest import n_power, x_y_power
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +134,117 @@ def test_vacuous_inputs_rejected():
         type_ii_relation((1, 1), (0, 0))
     with pytest.raises(VacuousRelationError):
         type_iii_relation((1, 1), (0, 1))
+
+
+def test_malformed_subsets_rejected_at_entry():
+    # a 0/1 check, not a vacuous or inhomogeneous relation
+    for build, args in ((type_i_relation, ((1, 2, 1),)),
+                        (type_i_relation, ((1, 1, -1, 1),)),
+                        (type_ii_relation, ((1, 2, 0), (0, 1, 1))),
+                        (type_ii_relation, ((1, 1, 0), (0, -1, 1))),
+                        (type_iii_relation, ((1, 2, 0), (0, 1, 1))),
+                        (type_iii_relation, ((1, 1, 0), (0, 1, -1)))):
+        bad = next(a for a in args if not set(a) <= {0, 1})
+        with pytest.raises(ValueError) as err:
+            build(*args)
+        assert type(err.value) is ValueError
+        assert str(err.value) == f"trace subset needs 0/1 entries, got {bad}"
+    for build in (type_ii_relation, type_iii_relation):
+        for a, b in (((1, 1, 0), (1, 1)), ((1, 1), (0, 1, 1))):
+            with pytest.raises(DimensionMismatch, match="3 vs 2|2 vs 3"):
+                build(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the closed forms against products of formal symbols
+# ---------------------------------------------------------------------------
+# Reference builders: each element written as the product of its
+# formal_trace / x_power / N-power symbols, multiplied through QPoly.
+
+def _reference_i(a):
+    q = QPoly.zero(len(a))
+    for low in strict_submasks(a):
+        if cardinality(low) == 0:
+            continue
+        q = q + QPoly.x_power(setminus(a, low)) * formal_trace(low)
+    return "I", a, None, None, q
+
+
+def _reference_ii(a, b):
+    i_set = intersect(a, b)
+    j_set = setminus(a, b)
+    k_set = setminus(b, a)
+    q = formal_trace(a) * formal_trace(b)
+    for low in strict_submasks(i_set):
+        rest = union(union(setminus(i_set, low), j_set), k_set)
+        q = q + QPoly.x_power(setminus(i_set, low)) * n_power(low) \
+            * formal_trace(rest)
+    n_i = n_power(i_set)
+    for low in strict_submasks(j_set):
+        q = q + n_i * QPoly.x_power(setminus(j_set, low)) \
+            * formal_trace(union(low, k_set))
+    return "II", a, b, None, q
+
+
+def _reference_iii(a, b):
+    m = len(a)
+    if is_disjoint(a, b):
+        if subset_key(a) < subset_key(b):
+            a, b = b, a
+        j = min_index(b)
+        b_rest = drop_min(b)
+        xj = QPoly.x_power(singleton(m, j))
+        q = (
+            formal_trace(a) * formal_trace(b)
+            + formal_trace(union(a, singleton(m, j))) * formal_trace(b_rest)
+            + xj * formal_trace(union(a, b_rest))
+            + xj * formal_trace(a) * formal_trace(b_rest)
+        )
+        return "IIIa", a, b, j, q
+    if is_subset_of(a, b) and not is_subset_of(b, a):
+        a, b = b, a
+    if is_subset_of(b, a):
+        i = min_index(b)
+        delta = singleton(m, i)
+        a_rest = setminus(a, delta)
+        b_rest = setminus(b, delta)
+        xi = QPoly.x_power(delta)
+        q = (
+            formal_trace(a) * formal_trace(b)
+            + xi * formal_trace(a) * formal_trace(b_rest)
+            + n_power(delta) * formal_trace(a_rest)
+            * formal_trace(b_rest)
+            + xi * n_power(b_rest)
+            * formal_trace(union(setminus(a, b), delta))
+        )
+        return "IIIb", a, b, i, q
+    if subset_key(a) < subset_key(b):
+        a, b = b, a
+    i_set = intersect(a, b)
+    q = (
+        formal_trace(a) * formal_trace(b)
+        + formal_trace(union(a, b)) * formal_trace(i_set)
+        + n_power(i_set) * formal_trace(setminus(a, b))
+        * formal_trace(setminus(b, a))
+    )
+    return "IIIc", a, b, None, q
+
+
+def test_closed_forms_match_formal_symbol_products():
+    families = set()
+    for m in range(2, 7):
+        cases = [(_type_i, _reference_i, (a,))
+                 for a in all_subsets(m, min_size=3)]
+        pairs = all_subsets(m, min_size=2)
+        cases += [(build, reference, (a, b)) for a in pairs for b in pairs
+                  for build, reference in ((type_ii_relation, _reference_ii),
+                                           (_type_iii, _reference_iii))]
+        for build, reference, args in cases:
+            rel = build(*args)
+            assert (rel.family, rel.a, rel.b, rel.index,
+                    rel.element) == reference(*args), args
+            families.add(rel.family)
+    assert families == {"I", "II", "IIIa", "IIIb", "IIIc"}
 
 
 # ---------------------------------------------------------------------------
