@@ -249,8 +249,21 @@ def linear_kernel_basis(m: int, d: int,
     """Same kernel, restricted to terms with at most one trace factor."""
     _charge(_trace_linear_count(m, d), _poly_count(m, d), budget,
             f"trace-linear kernel at degree {d}")
-    basis = tuple(t for t in q_monomials(m, d) if len(t.traces) <= 1)
-    return _kernel(m, d, basis)
+    return _kernel(m, d, _trace_linear_monomials(m, d))
+
+
+def _trace_linear_monomials(m: int, d: int) -> tuple[QMon, ...]:
+    """The members of ``q_monomials(m, d)`` with at most one trace, in
+    its order, listed directly: the x/N monomials of degree d, and for
+    each trace subset A those of degree d - |A| times Tr(A)."""
+    free = _enumerate([1] * m + [2] * m, d)
+    found = [QMon(e[:m], e[m:], ()) for e in free[d]]
+    for a in all_subsets(m, min_size=2):
+        k = cardinality(a)
+        if k <= d:
+            found += (QMon(e[:m], e[m:], (a,)) for e in free[d - k])
+    found.sort(key=qmon_key, reverse=True)
+    return tuple(found)
 
 
 def _block_rank(m: int, alpha: tuple[int, ...]) -> int:

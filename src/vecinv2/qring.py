@@ -43,10 +43,10 @@ every public type stay tuple-based.
 
 ``vanishes`` answers whether an element evaluates to zero from the
 packed image alone, with ``evaluate``'s width rule and without
-unpacking.  Because evaluation is GF(2)-linear, the certificate checks
-in ``rewrite`` test an identity ``evaluate(a) == evaluate(b)`` as
-``vanishes(a + b)``: terms common to a and b cancel before anything is
-evaluated, and no ``Poly`` is built.
+unpacking.  The certificate checks in ``rewrite`` call it once per
+distinct relation a certificate applies, not on the certified
+element: the certificate writes that element as a combination of the
+relations, so relations that vanish prove its image.
 
 ``times_monomial`` lists the terms of a product by one monomial.
 Such a product is injective on monomials, so its terms are distinct
@@ -335,7 +335,5 @@ def evaluate(q: QPoly) -> Poly:
 
 def vanishes(q: QPoly) -> bool:
     """True when ``q`` evaluates to zero, decided on the packed image
-    without unpacking it.  Evaluation is GF(2)-linear, so callers test
-    an equality ``evaluate(a) == evaluate(b)`` as ``vanishes(a + b)``:
-    one image instead of two, and no ``Poly`` built."""
+    without unpacking it, and with no ``Poly`` built."""
     return not packed_image(q.terms, _image_width(q))

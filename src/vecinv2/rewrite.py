@@ -31,25 +31,33 @@ C and a monomial multiplier so that multiplier * type_i_relation(C)
 cancels both; repeating drives the element to zero and the collected
 multipliers form the certificate.
 
-Both logs check themselves.  ``ReductionTrace.verify`` replays the
-steps, checks that the result is trace-linear and that every logged
-measure is its term's and never rises, and checks that start and result
-have the same image.  That last identity is tested as
-``qring.vanishes(start + result)``, one packed image of the sum, which
-is exact because evaluation is GF(2)-linear.  ``linear_reduce`` gates
-its input on ``vanishes`` the same way and evaluates only to name the
-lead of a nonzero image.  Each step's product by a monomial comes from
-``qring.times_monomial``, whose terms are distinct, so it is toggled
-into the running term set without a ``QPoly`` in between.
+Both logs are checked by their parts.  Each writes its end as start
+plus a sum of multiplier * relation, and evaluation is a ring map, so
+relations that evaluate to zero prove that the two ends have the same
+image.  ``ReductionTrace.verify`` replays the steps, checks that the
+result is trace-linear and that every logged measure is its term's and
+never rises, and checks that each distinct relation applied vanishes;
+unlike a comparison of the two images, that also refuses a step that
+does not vanish applied twice.  ``linear_reduce`` checks the type I
+relations its descent applied, and evaluates its input only when the
+descent fails or one of them does not vanish, to name the lead of a
+nonzero image.  ``_relation_vanishes`` decides each distinct relation
+element once per process; keyed by the element, not by its subsets, it
+never takes a patched relation for the real one.  Each step's product
+by a monomial comes from ``qring.times_monomial``, whose terms are
+distinct, so it is toggled into the running term set without a
+``QPoly`` in between.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import pairwise
 
 from .poly import (
+    DimensionMismatch,
     Monomial,
     Subset,
     ZeroPolynomialError,
@@ -67,7 +75,6 @@ from .qring import (
     QMon,
     QPoly,
     evaluate,
-    formal_trace,
     qmon_degree,
     qmon_key,
     qmon_trace_degree,
@@ -102,6 +109,13 @@ class NotTraceLinearError(ValueError):
 class NotARelationError(ValueError):
     """Raised when an argument does not evaluate to zero (or the descent
     would need it to)."""
+
+
+@lru_cache(maxsize=None)
+def _relation_vanishes(element: QPoly) -> bool:
+    """``vanishes(element)`` for a relation a certificate applies, decided
+    once per process for each distinct element."""
+    return vanishes(element)
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +173,14 @@ class ReductionTrace:
 
     def verify(self) -> bool:
         """The replay reaches ``result``, which is trace-linear, the
-        measure log holds, and ``start`` and ``result`` have the same
-        image.  The last is tested as the vanishing of their sum."""
+        measure log holds, and every relation the steps apply vanishes,
+        which gives ``start`` and ``result`` the same image."""
         return (
             self.replay() == self.result
             and self.result.is_trace_linear()
             and self._measures_hold()
-            and vanishes(self.start + self.result)
+            and all(_relation_vanishes(step.relation.element)
+                    for step in self.steps)
         )
 
     def to_json(self) -> dict:
@@ -252,11 +267,21 @@ def normal_form(q: QPoly) -> ReductionTrace:
 
 
 def reduce_product(a: Subset, b: Subset) -> ReductionTrace:
-    """Normal form of the product of two formal traces."""
+    """Normal form of the product of two formal traces, built as its one
+    monomial after the checks ``formal_trace`` and ``QPoly.__mul__``
+    would make, in their order."""
     if cardinality(a) < 2 or cardinality(b) < 2:
         raise VacuousRelationError(
             "reduce_product wants two subsets with at least two members each")
-    return normal_form(formal_trace(a) * formal_trace(b))
+    a, b = tuple(a), tuple(b)
+    for s in (a, b):
+        if not set(s) <= {0, 1}:
+            raise ValueError(f"trace subset needs 0/1 entries, got {s}")
+    if len(a) != len(b):
+        raise DimensionMismatch(f"mixed widths: m={len(a)} vs m={len(b)}")
+    zero = (0,) * len(a)
+    product = QMon(zero, zero, tuple(sorted((a, b), reverse=True)))
+    return normal_form(QPoly.monomial(product))
 
 
 # ---------------------------------------------------------------------------
@@ -353,22 +378,46 @@ class LinearCertificate:
         }
 
 
+def _refuse_nonzero_image(h: QPoly) -> None:
+    """Raise ``NotARelationError`` naming the lead of the image of ``h``,
+    unless that image is zero."""
+    image = evaluate(h)
+    if image.terms:
+        raise NotARelationError(
+            "element does not evaluate to zero; image contains "
+            + monomial_text(image.lead_term()))
+
+
 def linear_reduce(h: QPoly) -> LinearCertificate:
     """Write a trace-linear element that evaluates to zero as an explicit
     combination of the relations on three-or-more-member subsets.
 
     Raises ``NotTraceLinearError`` if some term has two trace factors and
-    ``NotARelationError`` if the element does not evaluate to zero.
+    ``NotARelationError`` if the element does not evaluate to zero.  The
+    input is evaluated only when the descent fails or a relation it
+    applied does not vanish; otherwise the certificate proves it.
     """
     if not h.is_trace_linear():
         raise NotTraceLinearError("linear_reduce needs at most one trace per term")
-    if not vanishes(h):
-        raise NotARelationError(
-            "element does not evaluate to zero; image contains "
-            + monomial_text(evaluate(h).lead_term()))
+    try:
+        certificate, applied = _descend(h)
+    except (ValueError, RuntimeError):
+        _refuse_nonzero_image(h)
+        raise
+    if not all(map(_relation_vanishes, applied)):
+        _refuse_nonzero_image(h)
+        raise RuntimeError(
+            "the descent applied a type I relation that does not vanish")
+    return certificate
+
+
+def _descend(h: QPoly) -> tuple[LinearCertificate, set[QPoly]]:
+    """The descent of ``linear_reduce``: its certificate, and the
+    relation elements it applied."""
     m = h.m
     coefficients: dict[Subset, QPoly] = {}
     steps: list[LinearStep] = []
+    applied: set[QPoly] = set()
     current = h
     last_rank = None
     while current.terms:
@@ -393,9 +442,10 @@ def linear_reduce(h: QPoly) -> LinearCertificate:
         xe[other] -= 1
         # the guard above is the one check make_qmon would add here
         multiplier = QMon(tuple(xe), first.ne, ())
-        relation = type_i_relation(subset)
+        element = type_i_relation(subset).element
+        applied.add(element)
         current = QPoly(m, current.terms.symmetric_difference(
-            times_monomial(multiplier, relation.element)))
+            times_monomial(multiplier, element)))
         coefficients[subset] = (coefficients.get(subset, QPoly.zero(m))
                                 + QPoly.monomial(multiplier))
         rank = (monomial_key(lead), len(achievers))
@@ -405,5 +455,5 @@ def linear_reduce(h: QPoly) -> LinearCertificate:
         last_rank = rank
         steps.append(LinearStep(subset, multiplier, lead, len(achievers)))
     coefficients = {a: c for a, c in coefficients.items() if c.terms}
-    return LinearCertificate(start=h, coefficients=coefficients,
-                             steps=tuple(steps))
+    return (LinearCertificate(start=h, coefficients=coefficients,
+                              steps=tuple(steps)), applied)

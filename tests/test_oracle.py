@@ -150,6 +150,25 @@ def test_linear_kernel_basis_members_certify():
                 assert linear_reduce(member).verify()
 
 
+def test_linear_kernel_basis_matches_the_filtered_monomials():
+    # the trace-linear monomials are listed directly; the parent route
+    # filtered every monomial of the degree, and both must give the same
+    # basis order and so the same kernel elements, in order
+    checked = 0
+    for m in range(2, 6):
+        for d in range(1, 9):
+            try:
+                kernel = linear_kernel_basis(m, d)
+            except BudgetExceeded:
+                continue
+            filtered = tuple(t for t in q_monomials(m, d)
+                             if len(t.traces) <= 1)
+            assert oracle._trace_linear_monomials(m, d) == filtered
+            assert kernel == oracle._kernel(m, d, filtered)
+            checked += 1
+    assert checked == 31  # all but (5, 8)
+
+
 # ---------------------------------------------------------------------------
 # dimensions of the invariant space
 # ---------------------------------------------------------------------------

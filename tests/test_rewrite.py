@@ -10,11 +10,13 @@ import pytest
 from vecinv2 import rewrite
 from vecinv2.invariants import transfer
 from vecinv2.poly import (
+    DimensionMismatch,
     Poly,
     ZeroPolynomialError,
     all_subsets,
     cardinality,
     monomial_key,
+    monomial_text,
     parity_update,
 )
 from vecinv2.qring import (
@@ -68,6 +70,37 @@ def test_reduce_product_rejects_singletons():
         reduce_product((1, 0), (1, 1))
     with pytest.raises(VacuousRelationError):
         reduce_product((1, 1), (0, 0))
+
+
+def test_reduce_product_checks_its_subsets():
+    # the start is built as one monomial, after the checks that
+    # formal_trace and the product of the two symbols make, in order
+    widths = "mixed widths: m=2 vs m=3"
+    cases = [
+        ((1, 2), (1, 1), ValueError,
+         "trace subset needs 0/1 entries, got (1, 2)"),
+        ((1, 1, 0), [1, -1, 1, 1], ValueError,
+         "trace subset needs 0/1 entries, got (1, -1, 1, 1)"),
+        ((1, 1), (0, 2, 1), ValueError,
+         "trace subset needs 0/1 entries, got (0, 2, 1)"),
+        ((1, 1), (0, 1, 1), DimensionMismatch, widths),
+        ((1, 1), (0, 1, 0), VacuousRelationError,
+         "reduce_product wants two subsets with at least two members each"),
+    ]
+    for a, b, kind, message in cases:
+        with pytest.raises(ValueError) as info:
+            reduce_product(a, b)
+        assert type(info.value) is kind
+        assert str(info.value) == message
+
+
+def test_reduce_product_starts_at_the_symbol_product():
+    for m in (2, 3, 4, 5):
+        pairs = all_subsets(m, min_size=2)
+        for a in pairs:
+            for b in pairs:
+                assert (reduce_product(a, b).start
+                        == formal_trace(a) * formal_trace(b))
 
 
 def test_normal_form_fixes_linear_input():
@@ -211,8 +244,9 @@ def test_trace_verify_rejects_a_two_trace_result():
 def test_trace_verify_rejects_a_relation_that_does_not_vanish():
     # the step's element gains a trace-linear term that does not
     # evaluate to zero, and the result is the forged replay: replay,
-    # trace-linearity and measures all hold, and only the evaluation
-    # identity tells start and result apart
+    # trace-linearity and measures all hold, and only the check that
+    # each applied relation vanishes catches it (start and result also
+    # have different images here)
     trace = reduce_product((1, 1, 0), (0, 1, 1))
     step = trace.steps[0]
     bogus = dataclasses.replace(
@@ -225,6 +259,25 @@ def test_trace_verify_rejects_a_relation_that_does_not_vanish():
     assert forged.result.is_trace_linear()
     assert forged.replay() == forged.result
     assert evaluate(forged.start) != evaluate(forged.result)
+    assert not forged.verify()
+
+
+def test_trace_verify_rejects_a_bogus_step_applied_twice():
+    # two copies of a step whose relation does not vanish cancel in the
+    # replay and in the image, so replay, trace-linearity, measure log
+    # and the identity of the images all hold; the relation does not
+    trace = reduce_product((1, 1, 0), (0, 1, 1))
+    step = trace.steps[0]
+    bogus = dataclasses.replace(step, relation=dataclasses.replace(
+        step.relation,
+        element=step.relation.element + QPoly.parse(3, "x1*Tr(111)")))
+    forged = dataclasses.replace(
+        trace, steps=(step, bogus, bogus) + trace.steps[1:])
+    assert forged.replay() == forged.result == trace.result
+    assert forged.result.is_trace_linear()
+    assert forged._measures_hold()
+    assert evaluate(forged.start) == evaluate(forged.result)
+    assert evaluate(bogus.relation.element) != Poly.zero(3)
     assert not forged.verify()
 
 
@@ -380,6 +433,76 @@ def test_linear_reduce_rejects_non_kernel_input():
         with pytest.raises(NotARelationError) as info:
             linear_reduce(h)
         assert str(info.value) == message
+
+
+def _image_message(h):
+    return ("element does not evaluate to zero; image contains "
+            + monomial_text(evaluate(h).lead_term()))
+
+
+def _random_trace_linear(rng, m):
+    terms = []
+    for _ in range(rng.randrange(1, 6)):
+        xe = tuple(rng.randrange(3) for _ in range(m))
+        ne = tuple(rng.randrange(2) for _ in range(m))
+        traces = [rng.choice(all_subsets(m, min_size=2))]
+        terms.append(make_qmon(xe, ne, traces if rng.random() < 0.7 else []))
+    return QPoly.from_terms(m, terms)
+
+
+def test_linear_reduce_rejects_random_non_relations():
+    # no gate runs before the descent; every way it can fail on a
+    # non-relation must end in the image message, not in the descent's
+    # own errors. Half the inputs are a relation multiple plus a random
+    # term, so that the descent runs some steps before it fails.
+    rng = random.Random(27182)
+    checked = 0
+    while checked < 200:
+        m = 3 + checked % 2
+        h = _random_trace_linear(rng, m)
+        if checked % 4 >= 2:
+            cubic = rng.choice(all_subsets(m, min_size=3))
+            h = (QPoly.monomial(make_qmon(
+                tuple(rng.randrange(2) for _ in range(m)), (0,) * m, ()))
+                * type_i_relation(cubic).element
+                + QPoly.monomial(rng.choice(sorted(h.terms, key=qmon_key))))
+        if evaluate(h) == Poly.zero(m):
+            continue
+        with pytest.raises(NotARelationError) as info:
+            linear_reduce(h)
+        assert str(info.value) == _image_message(h)
+        checked += 1
+
+
+def test_linear_reduce_checks_each_applied_relation(monkeypatch):
+    # a patched type I relation that does not vanish: the descent
+    # certifies its element as a multiple of itself, and only the check
+    # of the applied relation, keyed by its element, can refuse it
+    real = type_i_relation((1, 1, 1))
+    assert linear_reduce(real.element).verify()  # memoizes the real one
+    patched = dataclasses.replace(
+        real, element=real.element + QPoly.parse(3, "x3^3"))
+    monkeypatch.setattr(rewrite, "type_i_relation", lambda a: patched)
+    with monkeypatch.context() as unchecked:
+        unchecked.setattr(rewrite, "_relation_vanishes", lambda e: True)
+        assert linear_reduce(patched.element).coefficients == {
+            (1, 1, 1): QPoly.parse(3, "1")}
+    with pytest.raises(NotARelationError) as info:
+        linear_reduce(patched.element)
+    assert str(info.value) == _image_message(patched.element)
+    # relations that do not vanish, applied to an input that does, are
+    # a fault of the relations, not of the input
+    extra = QPoly.parse(4, "x1")
+
+    def shifted(a):
+        relation = type_i_relation(a)
+        return dataclasses.replace(relation, element=relation.element + extra)
+
+    monkeypatch.setattr(rewrite, "type_i_relation", shifted)
+    h = (type_i_relation((1, 1, 1, 0)).element
+         + type_i_relation((1, 0, 1, 1)).element)
+    with pytest.raises(RuntimeError, match="does not vanish"):
+        linear_reduce(h)
 
 
 def test_linear_certificate_rejects_a_dropped_term():
