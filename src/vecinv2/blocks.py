@@ -27,7 +27,6 @@ from operator import ge, le, sub
 from .f2 import RowSpan, bit_indices, left_kernel, row_of
 from .poly import all_subsets
 from .qring import QMon, QPoly, times_monomial
-from .relations import Relation
 
 __all__ = [
     "multidegree",
@@ -48,14 +47,14 @@ def multidegree(t: QMon) -> tuple[int, ...]:
     return tuple(map(sum, zip(t.xe, t.ne, t.ne, *t.traces)))
 
 
-def relation_block(relation: Relation) -> tuple[int, ...] | None:
+def relation_block(degree: int, element: QPoly) -> tuple[int, ...] | None:
     """The multidegree of a relation's element, when all its terms share
-    one whose total is the declared degree, at least 2; else None."""
-    found = {multidegree(t) for t in relation.element.terms}
-    if len(found) != 1 or relation.degree < 2:
+    one whose total is the declared ``degree``, at least 2; else None."""
+    found = {multidegree(t) for t in element.terms}
+    if len(found) != 1 or degree < 2:
         return None
     (beta,) = found
-    return beta if sum(beta) == relation.degree else None
+    return beta if sum(beta) == degree else None
 
 
 def block_monomials(m: int, alpha: tuple[int, ...]) -> list[QMon]:
@@ -120,25 +119,31 @@ def swap(q: QPoly, i: int) -> QPoly:
 class RelationSpans:
     """The relation span of each degree, block by block.
 
-    A relation is filed under its block: its multidegree while every
-    relation added so far has one (``relation_block``), and under the
-    one-block-per-degree grading, block (degree,), from the first that
-    does not.  The span of block alpha is the row space of the products
-    of the relations filed strictly below alpha with the monomials of
-    the remaining block, plus the relations filed at alpha.  Block
-    monomials are kept for the life of the object, one sweep."""
+    ``add`` files a relation, by position, degree and element, under its
+    block: its multidegree while every relation filed so far has one
+    (``relation_block``), and block (degree,) from the first that does
+    not.  The span of block alpha is the row space of the products of
+    the relations filed strictly below alpha with the monomials of the
+    remaining block, plus the relations filed at alpha.  The spans of
+    the degree last passed to ``rank`` are kept, and block monomials
+    for the life of the object, one sweep."""
 
     def __init__(self, m: int):
         self.m = m
         self.graded = True
         self.stable = True
-        self.filed: list[tuple[int, Relation, tuple | None]] = []
+        self.filed: dict[tuple, list[tuple[int, QPoly]]] = {}
+        self.unchecked: list[tuple[tuple, QPoly]] = []
+        self.spans: dict[tuple, tuple[RowSpan, dict]] = {}
+        self.dependent: set[int] = set()
         self.monomials: dict[tuple, list[QMon]] = {}
 
-    def add(self, position: int, relation: Relation) -> None:
-        beta = relation_block(relation)
+    def add(self, position: int, degree: int, element: QPoly) -> None:
+        beta = relation_block(degree, element)
         self.graded = self.graded and beta is not None
-        self.filed.append((position, relation, beta))
+        block = beta if self.graded else (degree,)
+        self.filed.setdefault(block, []).append((position, element))
+        self.unchecked.append((block, element))
 
     def _multipliers(self, gamma: tuple) -> list[QMon]:
         if gamma not in self.monomials:
@@ -148,69 +153,76 @@ class RelationSpans:
                  for t in block_monomials(self.m, alpha)])
         return self.monomials[gamma]
 
-    def _span(self, alpha: tuple, blocks: dict,
-              dependent: set) -> tuple[RowSpan, dict]:
-        """The span of block alpha and its column index.  The relations
-        filed at alpha are reduced modulo the products first, and those
-        some left-kernel vector of the remainders uses go to
-        ``dependent``."""
+    def _span(self, alpha: tuple) -> tuple[RowSpan, dict]:
+        """The span of block alpha and its column index, built on first
+        request.  The relations filed at alpha are reduced modulo the
+        products first, and those some left-kernel vector of the
+        remainders uses go to ``dependent``."""
+        if alpha in self.spans:
+            return self.spans[alpha]
         index: dict = {}
         span = RowSpan()
-        for beta, filed in blocks.items():
-            if beta == alpha or not all(map(le, beta, alpha)):
-                continue
-            for mult in self._multipliers(tuple(map(sub, alpha, beta))):
-                for _, relation in filed:
-                    span.add(row_of(
-                        times_monomial(mult, relation.element), index))
-        same = blocks.get(alpha, [])
-        rows = [span.remainder(row_of(r.element.terms, index))
-                for _, r in same]
+        same = []
+        for key, filed in self.filed.items():
+            # a key sums to the declared degree of the relations under it
+            block = key if self.graded else (sum(key),)
+            if block == alpha:
+                same += filed
+            elif all(map(le, block, alpha)):
+                for mult in self._multipliers(tuple(map(sub, alpha, block))):
+                    for _, element in filed:
+                        span.add(row_of(times_monomial(mult, element), index))
+        rows = [span.remainder(row_of(element.terms, index))
+                for _, element in same]
         used = 0
         for mask in left_kernel(rows):
             used |= mask
-        dependent.update(same[i][0] for i in bit_indices(used))
+        self.dependent.update(same[i][0] for i in bit_indices(used))
         for row in rows:
             span.add(row)
+        self.spans[alpha] = span, index
         return span, index
 
-    def rank(self, d: int, dependent: set) -> tuple[int, str]:
+    def _swap_stays(self, beta: tuple, element: QPoly, i: int) -> bool:
+        image, index = self._span(swapped(beta, i))
+        return image.contains(row_of(swap(element, i).terms, index))
+
+    def rank(self, d: int) -> tuple[int, str]:
         """The rank of the degree-d span and the route that counted it.
-        Every block holding a degree-d relation is built, which decides
-        their minimality.  Under the multigrading each such relation r
-        must also have s_i(r) in the span of block s_i(beta) for every
-        adjacent transposition s_i; while that has held at every degree
-        the truncated ideal is S_m-stable, its blocks in one orbit have
-        equal ranks, and only one block per orbit is built ("orbits").
-        Once it fails, every block of the degree is built ("blocks").
-        Under the one-block-per-degree grading the one block is the
-        whole degree ("degree")."""
-        blocks: dict[tuple, list[tuple[int, Relation]]] = {}
-        for position, relation, beta in self.filed:
-            block = beta if self.graded else (relation.degree,)
-            blocks.setdefault(block, []).append((position, relation))
-        spans: dict[tuple, tuple[RowSpan, dict]] = {}
-
-        def span(alpha):
-            if alpha not in spans:
-                spans[alpha] = self._span(alpha, blocks, dependent)
-            return spans[alpha]
-
-        same = [beta for beta in blocks if sum(beta) == d]
-        for beta in same:
-            span(beta)
+        Under the multigrading the blocks of the relations filed since
+        the last call are built, deciding their minimality, and each
+        such r of block beta must have s_i(r) in the span of block
+        s_i(beta) for every adjacent transposition s_i.  While that has
+        held for every relation filed, the truncated ideal is S_m-stable
+        and one block per orbit is built ("orbits"); once it fails,
+        every block of the degree ("blocks").  Under the one-block-per-
+        degree grading the one block is the whole degree ("degree").
+        Only the degree-d spans are kept."""
+        if self.graded:
+            for beta, _ in self.unchecked:
+                self._span(beta)
+            self.stable = self.stable and all(
+                self._swap_stays(beta, element, i)
+                for beta, element in self.unchecked
+                for i in range(self.m - 1))
+        self.unchecked = []
+        self.spans = {alpha: built for alpha, built in self.spans.items()
+                      if sum(alpha) == d}
         if not self.graded:
-            return span((d,))[0].rank, "degree"
-
-        def swaps_stay(beta, i):
-            image, index = span(swapped(beta, i))
-            return all(image.contains(row_of(swap(r.element, i).terms, index))
-                       for _, r in blocks[beta])
-
-        self.stable = self.stable and all(
-            swaps_stay(beta, i) for beta in same for i in range(self.m - 1))
+            return self._span((d,))[0].rank, "degree"
         if self.stable:
-            return sum(orbit_size(alpha) * span(alpha)[0].rank
+            return sum(orbit_size(alpha) * self._span(alpha)[0].rank
                        for alpha in orbit_reps(d, self.m)), "orbits"
-        return sum(span(alpha)[0].rank
+        return sum(self._span(alpha)[0].rank
                    for alpha in compositions(d, self.m)), "blocks"
+
+    def missing(self, d: int, members):
+        """The degree-d ``members`` the span misses, in order.  Each lies
+        in one block and is reduced against that block's span (block
+        (d,) off the multigrading); it is added to the span when found,
+        so none lies in the span of the ones before it."""
+        for member in members:
+            block = relation_block(d, member) if self.graded else (d,)
+            span, index = self._span(block)
+            if span.add(row_of(member.terms, index)):
+                yield member

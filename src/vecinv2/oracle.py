@@ -22,10 +22,11 @@ linear algebra over monomial bases:
 * ``max_relation_degree`` finds the largest degree where the kernel is
   not yet generated by lower-degree kernel elements — the degree at
   which the last new relation appears — by the same degree sweep as
-  ``verify_relation_ideal``, run over generators it discovers.  Ranks
-  decide each degree; a kernel basis is built only where the span of
-  the lower-degree generators falls short, and only the members that
-  span misses are kept, which gives a minimal generating set;
+  ``verify_relation_ideal``, run over generators it discovers and
+  files in the same block spans.  Ranks decide each degree; a kernel
+  basis is built only where the span of the lower-degree generators
+  falls short, and only the members their block's span misses are
+  kept, which gives a minimal generating set;
 * ``invariant_dimension`` counts the fixed polynomials of a degree in
   closed form, ``(C(d+2m-1, 2m-1) + [d even] C(d/2+m-1, m-1)) / 2``:
   the involution swaps y_i with z_i = y_i + x_i, so the fixed space is
@@ -81,9 +82,11 @@ Fallbacks.  A relation without one multidegree, or whose multidegree
 does not sum to its declared degree, or declared below degree 2,
 switches the sweep to one block per total degree, from the degree at
 which that relation is built on: the plain whole-degree span.  A
-failing degree builds its counterexample from whole-degree matrices
-(``_lower_span``, ``kernel_basis``, ``_missing``), so it is the same
-kernel-basis member whichever route counted the ranks.
+failing degree's counterexample is the first ``kernel_basis`` member
+outside the span of its own block (``RelationSpans.missing``).  Each
+member lies in one block, as ``kernel_basis`` runs one left kernel per
+block, so that is the first member outside the whole-degree span,
+whichever route counted the ranks.
 
 Matrix shapes grow quickly with the number of variable pairs, so every
 degree is gated by an entry budget (rows times columns); blowing it
@@ -104,7 +107,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .blocks import RelationSpans, block_monomials, orbit_reps, orbit_size
+from .blocks import (
+    RelationSpans,
+    block_monomials,
+    multidegree,
+    orbit_reps,
+    orbit_size,
+)
 from .f2 import RowSpan, bit_indices, left_kernel, row_of
 from .poly import (
     Monomial,
@@ -119,7 +128,6 @@ from .qring import (
     evaluate,
     packed_term_image,
     qmon_key,
-    times_monomial,
 )
 from .relations import Relation, relation_plan
 
@@ -232,9 +240,21 @@ def _image_rows(d: int, basis) -> list[int]:
 
 
 def _kernel(m: int, d: int, basis: tuple[QMon, ...]) -> list[QPoly]:
-    """Left kernel of the evaluation rows of ``basis``, as elements."""
-    return [QPoly(m, frozenset(basis[i] for i in bit_indices(mask)))
-            for mask in left_kernel(_image_rows(d, basis))]
+    """Left kernel of the evaluation rows of ``basis``, as elements,
+    found block by block.  Rows of different multidegrees share no
+    column, so each mask of the whole matrix, a dependent row plus the
+    one combination of earlier independent rows that sums to it, is a
+    mask of that row's block; listed by dependent row, the block masks
+    are the whole matrix's, in its order."""
+    blocks: dict[tuple, list[int]] = {}
+    for position, t in enumerate(basis):
+        blocks.setdefault(multidegree(t), []).append(position)
+    found = {}
+    for rows in blocks.values():
+        for mask in left_kernel(_image_rows(d, [basis[p] for p in rows])):
+            used = [rows[i] for i in bit_indices(mask)]
+            found[used[-1]] = QPoly(m, frozenset(basis[p] for p in used))
+    return [found[p] for p in sorted(found)]
 
 
 def kernel_basis(m: int, d: int, budget: int = DEFAULT_BUDGET) -> list[QPoly]:
@@ -304,34 +324,6 @@ def _charge_span(m: int, d: int, degrees, budget: int) -> None:
     for the generators of degree d."""
     nrows = sum(_q_count(m, d - e) for e in degrees if e <= d)
     _charge(nrows, _q_count(m, d), budget, f"relation span at degree {d}")
-
-
-def _lower_span(m: int, d: int, generators: list[tuple[int, QPoly]],
-                budget: int) -> tuple[RowSpan, dict]:
-    """Row space of every product (monomial of degree d - e) * g over
-    the ``(e, g)`` generator pairs with e < d, and the column index of
-    its presentation monomials.  Columns are given on first sight, so
-    callers reduce further degree-d elements through the same index,
-    which grows as they do.  The budget is charged from closed-form
-    counts before any product is built, for the generators of degree d
-    as well, one row each, since callers may add those rows next."""
-    _charge_span(m, d, [e for e, _ in generators], budget)
-    index: dict = {}
-    span = RowSpan()
-    for e, element in generators:
-        if e >= d:
-            continue
-        for mult in q_monomials(m, d - e):
-            span.add(row_of(times_monomial(mult, element), index))
-    return span, index
-
-
-def _missing(members: list[QPoly], span: RowSpan, index: dict):
-    """The members ``span`` misses, in order; each is added to the span
-    when found, so none lies in the span of the ones before it."""
-    for member in members:
-        if span.add(row_of(member.terms, index)):
-            yield member
 
 
 @dataclass(frozen=True)
@@ -488,7 +480,6 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
     stray = None
     spans = RelationSpans(m)
     reports = []
-    dependent: set[int] = set()
     for d in range(2, d_max + 1):
         kernel_dimension = _q_count(m, d) - evaluation_rank(m, d, budget)
         _charge_span(m, d, degrees, budget)
@@ -498,20 +489,14 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
             if stray is None and evaluate(relation.element):
                 stray = relation
             built[position] = relation
-            spans.add(position, relation)
-        span_rank, route = spans.rank(d, dependent)
+            spans.add(position, relation.degree, relation.element)
+        span_rank, route = spans.rank(d)
         counterexample = None
         if stray is not None:
             lift = q_monomials(m, d - stray.degree)[0]
             counterexample = QPoly.monomial(lift) * stray.element
         elif span_rank != kernel_dimension:
-            span, index = _lower_span(
-                m, d, [(r.degree, r.element) for r in built.values()], budget)
-            for relation in built.values():
-                if relation.degree == d:
-                    span.add(row_of(relation.element.terms, index))
-            counterexample = next(
-                _missing(kernel_basis(m, d, budget), span, index))
+            counterexample = next(spans.missing(d, kernel_basis(m, d, budget)))
         reports.append(DegreeReport(
             degree=d,
             n_q_monomials=_q_count(m, d),
@@ -529,7 +514,7 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
         n_relations=len(plan),
         max_degree=max(degrees, default=0),
         degrees=tuple(reports),
-        dependent=tuple(built[p].label() for p in sorted(dependent)),
+        dependent=tuple(built[p].label() for p in sorted(spans.dependent)),
         n_unchecked=sum(e > d_max for e in degrees),
     )
 
@@ -553,12 +538,14 @@ def max_relation_degree(m: int, budget: int = DEFAULT_BUDGET) -> int:
         raise ValueError(
             f"max_relation_degree wants a positive budget, got {budget}")
     top = 0
-    generators: list[tuple[int, QPoly]] = []
+    degrees: list[int] = []
+    spans = RelationSpans(m)
     for d in range(2, 2 * m + 2):
         kernel_dimension = _q_count(m, d) - evaluation_rank(m, d, budget)
-        span, index = _lower_span(m, d, generators, budget)
-        if span.rank < kernel_dimension:
-            generators += [(d, member) for member in
-                           _missing(kernel_basis(m, d, budget), span, index)]
+        _charge_span(m, d, degrees, budget)
+        if spans.rank(d)[0] < kernel_dimension:
+            for member in spans.missing(d, kernel_basis(m, d, budget)):
+                spans.add(len(degrees), d, member)
+                degrees.append(d)
             top = d
     return top

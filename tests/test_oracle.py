@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from vecinv2 import blocks, oracle, relations
-from vecinv2.f2 import RowSpan, left_kernel, row_of
+from vecinv2.f2 import RowSpan, bit_indices, left_kernel, row_of
 from vecinv2.invariants import involution
 from vecinv2.oracle import (
     BudgetExceeded,
@@ -150,10 +150,18 @@ def test_linear_kernel_basis_members_certify():
                 assert linear_reduce(member).verify()
 
 
+def _whole_kernel(m, d, basis):
+    """The left kernel of the whole-degree evaluation matrix of
+    ``basis``, one elimination over every row, as elements."""
+    return [QPoly(m, frozenset(basis[i] for i in bit_indices(mask)))
+            for mask in left_kernel(oracle._image_rows(d, basis))]
+
+
 def test_linear_kernel_basis_matches_the_filtered_monomials():
-    # the trace-linear monomials are listed directly; the parent route
-    # filtered every monomial of the degree, and both must give the same
-    # basis order and so the same kernel elements, in order
+    # the trace-linear monomials are listed directly, and must be the
+    # filtered monomials of the degree in their order; both kernels are
+    # found block by block, and must be the whole-degree left kernels
+    # member for member, in order
     checked = 0
     for m in range(2, 6):
         for d in range(1, 9):
@@ -164,9 +172,13 @@ def test_linear_kernel_basis_matches_the_filtered_monomials():
             filtered = tuple(t for t in q_monomials(m, d)
                              if len(t.traces) <= 1)
             assert oracle._trace_linear_monomials(m, d) == filtered
-            assert kernel == oracle._kernel(m, d, filtered)
+            assert kernel == _whole_kernel(m, d, filtered), (m, d)
             checked += 1
     assert checked == 31  # all but (5, 8)
+    for m in range(1, 5):
+        for d in range(1, 2 * m + 1):
+            assert kernel_basis(m, d) == _whole_kernel(
+                m, d, q_monomials(m, d)), (m, d)
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +455,13 @@ def test_max_relation_degree_goldens():
     assert max_relation_degree(3) == 6
     # the degree-9 span from the minimal generators needs 4.3e8 entries
     assert max_relation_degree(4, budget=5 * 10 ** 8) == 8
+    # built block by block, but charged for the whole degree before any
+    # block is: one row per monomial multiple of the generators found
+    with pytest.raises(BudgetExceeded) as info:
+        max_relation_degree(4, budget=4 * 10 ** 8)
+    assert str(info.value) == (
+        "relation span at degree 9 needs a 24292 x 17756 matrix "
+        "(431328752 entries > budget 400000000)")
     for bad in ({"m": 0}, {"m": -2}, {"m": 2, "budget": 0}):
         with pytest.raises(ValueError):
             max_relation_degree(**bad)
@@ -567,7 +586,7 @@ def _whole_degree_sweep(m, d_max, relations):
             counterexample = QPoly.monomial(lift) * stray.element
         elif span_rank != kernel_dimension:
             counterexample = next(
-                k for k in kernel_basis(m, d)
+                k for k in _whole_kernel(m, d, full)
                 if span.add(row_of(k.terms, index)))
         out.append((kernel_dimension, span_rank, counterexample is None,
                     str(counterexample) if counterexample else None))
@@ -577,7 +596,8 @@ def _whole_degree_sweep(m, d_max, relations):
 def test_blocked_sweep_matches_whole_degree_matrices():
     basis3 = relation_basis(3)
     first, second = [r for r in basis3 if r.degree == 4][:2]
-    assert blocks.relation_block(first) != blocks.relation_block(second)
+    assert (blocks.relation_block(first.degree, first.element)
+            != blocks.relation_block(second.degree, second.element))
     mixed = Relation("sum", first.a, second.a, None,
                      first.element + second.element, 4)
     tr110 = Relation("bogus", (1, 1, 0), None, None,
@@ -607,21 +627,67 @@ def test_blocked_sweep_matches_whole_degree_matrices():
         assert [r.route for r in report.degrees] == routes
 
 
+def _largest_block(m, d):
+    """The widest block of degree d: the most presentation monomials,
+    or polynomial monomials, that one multidegree has."""
+    return max(max(len(blocks.block_monomials(m, alpha)),
+                   prod(a + 1 for a in alpha))
+               for alpha in blocks.compositions(d, m))
+
+
 def test_blocked_sweep_rows_stay_block_sized(monkeypatch):
-    # the widest row is the largest block's monomial count, 226, not
-    # the 8156 presentation monomials of degree 8
-    widest = [0]
+    # no row given to RowSpan.add or left_kernel is wider than the
+    # largest block of its degree: 226 columns at m = 4, d = 8, not the
+    # 8156 presentation monomials of the degree
+    degree = [0]
+    widest = {}
+
+    def record(rows):
+        widest[degree[0]] = max([widest.get(degree[0], 0)]
+                                + [row.bit_length() for row in rows])
+
     add = RowSpan.add
 
-    def recording(self, row):
-        widest[0] = max(widest[0], row.bit_length())
+    def adding(self, row):
+        record([row])
         return add(self, row)
 
-    monkeypatch.setattr(RowSpan, "add", recording)
+    def kernel(rows):
+        record(rows)
+        return left_kernel(rows)
+
+    rank = oracle.evaluation_rank
+
+    def ranking(m, d, budget=DEFAULT_BUDGET):
+        degree[0] = d
+        return rank(m, d, budget)
+
+    monkeypatch.setattr(RowSpan, "add", adding)
+    monkeypatch.setattr(oracle, "left_kernel", kernel)
+    monkeypatch.setattr(blocks, "left_kernel", kernel)
+    monkeypatch.setattr(oracle, "evaluation_rank", ranking)
+
+    def block_sized(m, degrees):
+        assert sorted(widest) == degrees
+        assert all(widest[d] <= _largest_block(m, d) for d in degrees), widest
+        widest.clear()
+
     assert verify_relation_ideal(4, 8).ok
-    assert 0 < widest[0] <= 226
-    assert max(len(blocks.block_monomials(4, alpha))
-               for alpha in blocks.compositions(8, 4)) == 226
+    block_sized(4, list(range(2, 9)))
+    degree[0] = 8
+    assert len(kernel_basis(4, 8)) == 8156 - evaluation_rank(4, 8)
+    block_sized(4, [8])
+    # without the degree-8 relation, degree 8 fails and takes its
+    # counterexample from kernel_basis and the span of its block
+    basis = relation_basis(4)
+    assert basis[-1].degree == 8
+    report = verify_relation_ideal(4, 8, relations=basis[:-1])
+    assert [r.generated for r in report.degrees] == [True] * 6 + [False]
+    assert report.degrees[-1].counterexample is not None
+    block_sized(4, list(range(2, 9)))
+    assert max_relation_degree(3) == 6
+    block_sized(3, list(range(2, 8)))
+    assert _largest_block(4, 8) == 226
 
 
 def test_declared_relations_are_built_at_their_degree(monkeypatch):
