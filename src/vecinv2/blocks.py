@@ -12,9 +12,10 @@ too.  So the oracle's matrices split into blocks, one per multidegree
 
 Permuting the variable pairs permutes the blocks and commutes with
 evaluation.  ``orbit_reps`` picks one multidegree per S_m orbit, the
-non-increasing one, and ``orbit_size`` counts its orbit.  ``swap``
-applies the adjacent transposition s_i, which exchanges pairs i and
-i + 1; the s_i generate S_m.
+non-increasing one, and ``orbit_size`` counts its orbit.
+``RelationSpans`` builds the relation span of a degree on those
+representatives while the ideal of the lower relations is S_m-stable,
+and on every block once it may not be.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ __all__ = [
     "compositions",
     "orbit_reps",
     "orbit_size",
-    "swapped",
-    "swap",
     "RelationSpans",
 ]
 
@@ -102,18 +101,20 @@ def orbit_size(alpha: tuple[int, ...]) -> int:
     return size
 
 
-def swapped(v: tuple, i: int) -> tuple:
-    """``v`` with entries i and i + 1 exchanged: the transposition s_i."""
-    return v[:i] + (v[i + 1], v[i]) + v[i + 2:]
+def _sorting(alpha: tuple[int, ...]) -> tuple[int, ...]:
+    """The pairs of ``alpha`` in the order that sorts it non-increasingly
+    (ties keep their order): renumbering the pairs by it maps block
+    alpha onto its orbit representative."""
+    return tuple(sorted(range(len(alpha)), key=lambda i: -alpha[i]))
 
 
-def swap(q: QPoly, i: int) -> QPoly:
-    """The image of ``q`` under s_i, which exchanges variable pairs i and
-    i + 1 in every x, norm and trace symbol."""
-    return QPoly(q.m, frozenset(
-        QMon(swapped(t.xe, i), swapped(t.ne, i),
-             tuple(sorted((swapped(a, i) for a in t.traces), reverse=True)))
-        for t in q.terms))
+def _renumbered(terms, order: tuple[int, ...]) -> list[QMon]:
+    """``terms`` with the variable pairs renumbered, new pair k being old
+    pair order[k], in every x, norm and trace symbol."""
+    return [QMon(tuple(t.xe[i] for i in order), tuple(t.ne[i] for i in order),
+                 tuple(sorted((tuple(a[i] for i in order) for a in t.traces),
+                              reverse=True)))
+            for t in terms]
 
 
 class RelationSpans:
@@ -122,18 +123,22 @@ class RelationSpans:
     ``add`` files a relation, by position, degree and element, under its
     block: its multidegree while every relation filed so far has one
     (``relation_block``), and block (degree,) from the first that does
-    not.  The span of block alpha is the row space of the products of
-    the relations filed strictly below alpha with the monomials of the
-    remaining block, plus the relations filed at alpha.  The spans of
-    the degree last passed to ``rank`` are kept, and block monomials
-    for the life of the object, one sweep."""
+    not.  The span of block alpha is J_alpha plus the relations filed
+    at alpha, J_alpha being the row space of the products of the
+    relations filed strictly below alpha with the monomials of the
+    remaining block.  A degree is counted by ``rank``, and its outcome
+    reported by ``settle`` before the next is.  The spans of the degree
+    last passed to ``rank`` are kept, and block monomials for the life
+    of the object, one sweep."""
 
     def __init__(self, m: int):
         self.m = m
         self.graded = True
-        self.stable = True
+        # every degree settled so far ended with the span equal to the
+        # kernel: the ideal of the relations filed is S_m-stable so far
+        self.generated = True
+        self.ranked: int | None = None
         self.filed: dict[tuple, list[tuple[int, QPoly]]] = {}
-        self.unchecked: list[tuple[tuple, QPoly]] = []
         self.spans: dict[tuple, tuple[RowSpan, dict]] = {}
         self.dependent: set[int] = set()
         self.monomials: dict[tuple, list[QMon]] = {}
@@ -143,7 +148,6 @@ class RelationSpans:
         self.graded = self.graded and beta is not None
         block = beta if self.graded else (degree,)
         self.filed.setdefault(block, []).append((position, element))
-        self.unchecked.append((block, element))
 
     def _multipliers(self, gamma: tuple) -> list[QMon]:
         if gamma not in self.monomials:
@@ -153,13 +157,9 @@ class RelationSpans:
                  for t in block_monomials(self.m, alpha)])
         return self.monomials[gamma]
 
-    def _span(self, alpha: tuple) -> tuple[RowSpan, dict]:
-        """The span of block alpha and its column index, built on first
-        request.  The relations filed at alpha are reduced modulo the
-        products first, and those some left-kernel vector of the
-        remainders uses go to ``dependent``."""
-        if alpha in self.spans:
-            return self.spans[alpha]
+    def _products(self, alpha: tuple) -> tuple[RowSpan, dict, list]:
+        """J_alpha with its column index, and the relations filed at
+        alpha."""
         index: dict = {}
         span = RowSpan()
         same = []
@@ -172,49 +172,95 @@ class RelationSpans:
                 for mult in self._multipliers(tuple(map(sub, alpha, block))):
                     for _, element in filed:
                         span.add(row_of(times_monomial(mult, element), index))
-        rows = [span.remainder(row_of(element.terms, index))
-                for _, element in same]
+        return span, index, same
+
+    def _remainders(self, span: RowSpan, index: dict,
+                    same) -> tuple[list[int], int]:
+        """The remainders of the relations ``same``, (position, terms)
+        pairs, modulo ``span``, and their rank.  The relations some
+        left-kernel vector of the remainders uses go to ``dependent``."""
+        rows = [span.remainder(row_of(terms, index)) for _, terms in same]
+        kernel = left_kernel(rows)
         used = 0
-        for mask in left_kernel(rows):
+        for mask in kernel:
             used |= mask
         self.dependent.update(same[i][0] for i in bit_indices(used))
+        return rows, len(rows) - len(kernel)
+
+    def _close(self, alpha: tuple, span: RowSpan, index: dict, same) -> int:
+        """Add the relations ``same`` filed at alpha to J_alpha, deciding
+        their minimality, and keep the span of alpha; returns the rank
+        they add."""
+        rows, rank = self._remainders(
+            span, index, [(p, element.terms) for p, element in same])
         for row in rows:
             span.add(row)
         self.spans[alpha] = span, index
-        return span, index
+        return rank
 
-    def _swap_stays(self, beta: tuple, element: QPoly, i: int) -> bool:
-        image, index = self._span(swapped(beta, i))
-        return image.contains(row_of(swap(element, i).terms, index))
+    def _span(self, alpha: tuple) -> tuple[RowSpan, dict]:
+        """The span of block alpha and its column index, built on first
+        request."""
+        if alpha not in self.spans:
+            self._close(alpha, *self._products(alpha))
+        return self.spans[alpha]
+
+    def _orbit_rank(self, d: int) -> int:
+        """The rank of the degree-d span from the orbit representatives,
+        exact while the ideal J of the relations below d is S_m-stable.
+        Renumbering the pairs by the sorting order of a block beta
+        (``_sorting``) maps beta onto its representative rho, and then
+        J_beta onto J_rho and the relations filed at beta onto relations
+        of block rho.  So a block's rank is rank J_rho plus the rank of
+        its renumbered relations modulo J_rho, and those relations are
+        dependent exactly when their images are: only J_rho is built,
+        and the span of rho."""
+        moved: dict[tuple, list[list]] = {}
+        for beta, filed in self.filed.items():
+            if sum(beta) == d:
+                order = _sorting(beta)
+                rho = tuple(beta[i] for i in order)
+                if rho != beta:
+                    moved.setdefault(rho, []).append(
+                        [(p, _renumbered(element.terms, order))
+                         for p, element in filed])
+        total = 0
+        for rho in orbit_reps(d, self.m):
+            span, index, same = self._products(rho)
+            total += orbit_size(rho) * span.rank
+            for renumbered in moved.get(rho, ()):
+                total += self._remainders(span, index, renumbered)[1]
+            total += self._close(rho, span, index, same)
+        return total
 
     def rank(self, d: int) -> tuple[int, str]:
         """The rank of the degree-d span and the route that counted it.
-        Under the multigrading the blocks of the relations filed since
-        the last call are built, deciding their minimality, and each
-        such r of block beta must have s_i(r) in the span of block
-        s_i(beta) for every adjacent transposition s_i.  While that has
-        held for every relation filed, the truncated ideal is S_m-stable
-        and one block per orbit is built ("orbits"); once it fails,
-        every block of the degree ("blocks").  Under the one-block-per-
-        degree grading the one block is the whole degree ("degree").
-        Only the degree-d spans are kept."""
-        if self.graded:
-            for beta, _ in self.unchecked:
-                self._span(beta)
-            self.stable = self.stable and all(
-                self._swap_stays(beta, element, i)
-                for beta, element in self.unchecked
-                for i in range(self.m - 1))
-        self.unchecked = []
-        self.spans = {alpha: built for alpha, built in self.spans.items()
-                      if sum(alpha) == d}
+        The blocks holding degree-d relations decide their minimality
+        here.  Under the multigrading, while every lower degree has
+        settled generated, the span of degree e < d is the kernel there,
+        so the ideal J the relations below d generate is S_m-stable and
+        one block per orbit is built ("orbits", ``_orbit_rank``); once
+        one has not, every block of the degree ("blocks").  Under the
+        one-block-per-degree grading the one block is the whole degree
+        ("degree").  Only the degree-d spans are kept."""
+        if self.ranked is not None:
+            raise RuntimeError(
+                f"degree {self.ranked} was ranked but never settled")
+        self.ranked = d
+        self.spans = {}
         if not self.graded:
             return self._span((d,))[0].rank, "degree"
-        if self.stable:
-            return sum(orbit_size(alpha) * self._span(alpha)[0].rank
-                       for alpha in orbit_reps(d, self.m)), "orbits"
+        if self.generated:
+            return self._orbit_rank(d), "orbits"
         return sum(self._span(alpha)[0].rank
                    for alpha in compositions(d, self.m)), "blocks"
+
+    def settle(self, generated: bool) -> None:
+        """Report the outcome of the degree last ranked: ``generated``
+        when every relation filed so far vanishes and the span is the
+        whole kernel there.  Once a degree has not, it stays so."""
+        self.generated = self.generated and generated
+        self.ranked = None
 
     def missing(self, d: int, members):
         """The degree-d ``members`` the span misses, in order.  Each lies

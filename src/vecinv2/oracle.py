@@ -59,24 +59,26 @@ every block rank against it rather than assume it.
 Every type I, II and III relation is multihomogeneous, and so are its
 monomial multiples, so ``verify_relation_ideal`` files each relation
 under its multidegree and builds the relation span block by block
-(``blocks.RelationSpans``): the
-span of block alpha holds the products of the relations of block beta
-< alpha with the monomials of block alpha - beta, plus the relations
-of block alpha.  Rows of different blocks share no column, so a
-degree's span rank is the sum of its block ranks, and a relation is
-dependent exactly when it is dependent inside its own block.  The
-declared family is not S_m-stable as a set (IIIa and IIIb remove the
-least index), so symmetry is checked, not assumed: every relation r
-of degree d and block beta must have s_i(r) in the span of block
-s_i(beta), for each adjacent transposition s_i.  When that holds at
-every degree up to d, each s_i maps the ideal generated by the
-relations of degree at most d into itself (s_i(f r) = s_i(f) s_i(r)),
-the s_i generate S_m, so the blocks of one orbit have equal span rank
-and the orbit-weighted sum over representatives is exact.  Once the
-check fails it stays failed, since higher relations add nothing at
-lower degrees, and every block of each later degree is built.  Each
-degree builds the blocks holding its relations, their s_i images, and
-the representatives or all blocks; its report's ``route`` says which.
+(``blocks.RelationSpans``): the span of block alpha holds J_alpha,
+the products of the relations of block beta < alpha with the monomials
+of block alpha - beta, plus the relations of block alpha.  Rows of
+different blocks share no column, so a degree's span rank is the sum
+of its block ranks, and a relation is dependent exactly when it is
+dependent inside its own block.  The declared family is not S_m-stable
+as a set (IIIa and IIIb remove the least index), so symmetry is not
+assumed of it; it follows from the lower degrees passing.  When every
+degree below d passed, every relation built vanishes and each degree's
+span rank is its kernel dimension, so the span is the kernel there:
+the relations below d generate the ideal the kernel generates, which
+is S_m-stable because evaluation commutes with permuting the pairs.
+Then J_beta is a renumbering of J_rho, for rho the representative of
+beta's orbit, so ``RelationSpans.rank`` builds J_rho only, renumbers
+into it the degree-d relations of each block of the orbit and reduces
+them there: those remainders give each block's added rank and its
+dependent relations, and J_rho counts |S_m rho| times.  Once a degree
+fails, a stray relation or a rank shortfall, the sweep cannot know
+the ideal is stable and builds every block of each later degree; its
+report's ``route`` says which was used.
 
 Fallbacks.  A relation without one multidegree, or whose multidegree
 does not sum to its declared degree, or declared below degree 2,
@@ -335,8 +337,10 @@ class DegreeReport:
     span_rank: int
     generated: bool
     counterexample: QPoly | None
-    # how span_rank was counted: "orbits", "blocks" or "degree"
-    # (``blocks.RelationSpans.rank``); not part of the text or JSON report
+    # how span_rank was counted (``blocks.RelationSpans.rank``): "orbits"
+    # while every lower degree passed, "blocks" after one failed, and
+    # "degree" once a relation has no multidegree; not part of the text
+    # or JSON report
     route: str
 
     def to_json(self) -> dict:
@@ -497,6 +501,7 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
             counterexample = QPoly.monomial(lift) * stray.element
         elif span_rank != kernel_dimension:
             counterexample = next(spans.missing(d, kernel_basis(m, d, budget)))
+        spans.settle(counterexample is None)
         reports.append(DegreeReport(
             degree=d,
             n_q_monomials=_q_count(m, d),
@@ -548,4 +553,7 @@ def max_relation_degree(m: int, budget: int = DEFAULT_BUDGET) -> int:
                 spans.add(len(degrees), d, member)
                 degrees.append(d)
             top = d
+        # the members missing() files complete the span to the kernel, so
+        # every degree ends generated and the sweep stays on orbits
+        spans.settle(True)
     return top

@@ -2,8 +2,9 @@
 kernel of evaluation, and generation/minimality of the relation basis."""
 
 import json
-from collections import deque
+from collections import Counter, deque
 from math import comb, prod
+from operator import sub
 from pathlib import Path
 
 import pytest
@@ -593,8 +594,22 @@ def _whole_degree_sweep(m, d_max, relations):
     return out, sorted(dependent)
 
 
+def _shifted(m, family, position, lower):
+    """``family`` with relation ``position`` replaced by itself plus a
+    monomial multiple of relation ``lower`` that lies in its block: the
+    same ideal and still minimal, but no longer the declared set."""
+    r, s = family[position], family[lower]
+    beta = blocks.relation_block(r.degree, r.element)
+    gamma = blocks.relation_block(s.degree, s.element)
+    mult = blocks.block_monomials(m, tuple(map(sub, beta, gamma)))[0]
+    element = r.element + QPoly.monomial(mult) * s.element
+    shifted = Relation("shifted", r.a, r.b, r.index, element, r.degree)
+    return family[:position] + [shifted] + family[position + 1:]
+
+
 def test_blocked_sweep_matches_whole_degree_matrices():
     basis3 = relation_basis(3)
+    basis4 = relation_basis(4)
     first, second = [r for r in basis3 if r.degree == 4][:2]
     assert (blocks.relation_block(first.degree, first.element)
             != blocks.relation_block(second.degree, second.element))
@@ -602,21 +617,44 @@ def test_blocked_sweep_matches_whole_degree_matrices():
                      first.element + second.element, 4)
     tr110 = Relation("bogus", (1, 1, 0), None, None,
                      formal_trace((1, 1, 0)), 2)
+    multiple = Relation("multiple", (1, 1, 1), None, None,
+                        QPoly.x_power((0, 0, 1)) * basis3[0].element, 4)
     dropped = basis3[1]
     assert dropped.label() == "IIIb A=011 B=011 index=2 degree=4"
+    # shifted relations and duplicates in blocks off the representatives
+    # (1, 1, 2), (0, 1, 1, 2), (1, 2, 2) and (1, 1, 2, 2), so their
+    # relations are renumbered into the representative's span
+    assert [blocks.relation_block(r.degree, r.element)
+            for r in (basis3[2], basis4[6], basis3[7], basis4[39])] == [
+        (1, 1, 2), (0, 1, 1, 2), (1, 2, 2), (1, 1, 2, 2)]
+    assert [r.degree for r in (basis3[1], basis4[5])] == [4, 4]
     cases = [(m, flavor, relation_basis(m, flavor), ["orbits"] * (2 * m - 1),
               True) for m in (1, 2, 3, 4) for flavor in ("II", "III")]
     cases += [
-        (3, "III", basis3 + [tr110], ["blocks"] * 5, False),
+        # degree 2 fails, so the later degrees are counted on every block
+        (3, "III", basis3 + [tr110], ["orbits"] + ["blocks"] * 4, False),
         (3, "III", basis3 + [basis3[4]], ["orbits"] * 5, False),
-        # s_1 of the dropped relation's orbit-mate is missing at degree 4
-        (3, "III", basis3[:1] + basis3[2:], ["orbits"] * 2 + ["blocks"] * 3,
+        # a multiple of the degree-3 relation in block (1, 1, 2): it lies
+        # in J_beta, so its renumbered image lies in J_rho
+        (3, "III", basis3 + [multiple], ["orbits"] * 5, False),
+        # degree 4 lacks the dropped relation
+        (3, "III", basis3[:1] + basis3[2:], ["orbits"] * 3 + ["blocks"] * 2,
          False),
         # no multidegree for the sum, so one block per degree from 4 on
         (3, "III", basis3 + [mixed], ["orbits"] * 2 + ["degree"] * 3, False),
+        # generated degree by degree, so orbits throughout
+        (3, "III", _shifted(3, basis3, 2, 0), ["orbits"] * 5, False),
+        (4, "III", _shifted(4, basis4, 6, 0), ["orbits"] * 7, False),
+        # degree 4 fails; the duplicate above it is found on every block
+        (3, "III", basis3[:1] + basis3[2:] + [basis3[7]],
+         ["orbits"] * 3 + ["blocks"] * 2, False),
+        (4, "III", basis4[:5] + basis4[6:] + [basis4[39]],
+         ["orbits"] * 3 + ["blocks"] * 4, False),
     ]
+    reports = []
     for m, flavor, family, routes, declared in cases:
         report = verify_relation_ideal(m, flavor=flavor, relations=family)
+        reports.append(report)
         want, dependent = _whole_degree_sweep(m, 2 * m, family)
         got = [(r.kernel_dimension, r.span_rank, r.generated,
                 str(r.counterexample) if r.counterexample else None)
@@ -625,6 +663,51 @@ def test_blocked_sweep_matches_whole_degree_matrices():
         assert list(report.dependent) == [family[p].label()
                                           for p in dependent]
         assert [r.route for r in report.degrees] == routes
+    shifted3, shifted4, duplicated3, duplicated4 = reports[-4:]
+    assert shifted3.ok and shifted4.ok
+    assert duplicated3.dependent.count(basis3[7].label()) == 2
+    assert duplicated4.dependent.count(basis4[39].label()) == 2
+
+
+def test_passing_sweep_builds_one_span_per_orbit(monkeypatch):
+    # a passing sweep builds only J_rho for each orbit representative
+    # rho, the products of the lower relations; the relations of every
+    # other block of the orbit are renumbered into it
+    built = Counter()
+    degree = [None]
+
+    class Counting(RowSpan):
+        def __init__(self):
+            super().__init__()
+            built[degree[0]] += 1
+
+    rank = blocks.RelationSpans.rank
+
+    def ranking(self, d):
+        degree[0] = d
+        return rank(self, d)
+
+    monkeypatch.setattr(blocks, "RowSpan", Counting)
+    monkeypatch.setattr(blocks.RelationSpans, "rank", ranking)
+    report = verify_relation_ideal(4, 8)
+    assert report.ok
+    assert [r.route for r in report.degrees] == ["orbits"] * 7
+    assert sorted(built) == list(range(2, 9))
+    for d, count in built.items():
+        assert count <= len(blocks.orbit_reps(d, 4)), (d, count)
+    # of the comb(11, 3) = 165 blocks of degree 8
+    assert built[8] == 15
+
+
+def test_relation_spans_want_each_outcome():
+    # orbit counts are exact only while every lower degree passed, so a
+    # degree ranked with no outcome settled stops the next one
+    spans = blocks.RelationSpans(3)
+    assert spans.rank(2) == (0, "orbits")
+    with pytest.raises(RuntimeError):
+        spans.rank(3)
+    spans.settle(False)
+    assert spans.rank(3) == (0, "blocks")
 
 
 def _largest_block(m, d):
