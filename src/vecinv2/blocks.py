@@ -16,6 +16,18 @@ non-increasing one, and ``orbit_size`` counts its orbit.
 ``RelationSpans`` builds the relation span of a degree on those
 representatives while the ideal of the lower relations is S_m-stable,
 and on every block once it may not be.
+
+The relation spans key their columns by packed monomials, as
+``poly.pack`` does for polynomial monomials: a presentation monomial
+is one int with a field of ``width`` bits for each x_i, each N_i and,
+per trace subset, the count of that trace symbol.  Multiplying by a
+monomial is then adding its int, with no tuple built and no trace
+multiset sorted.  No field exceeds its monomial's degree, so a width
+that holds the largest degree a product reaches keeps every field from
+carrying into the next: one degree's width is chosen from what its
+products actually reach, the multiplier degree plus the heaviest term
+of the element, never from the declared degree, which a relation off
+the multigrading may understate.
 """
 
 from __future__ import annotations
@@ -23,11 +35,11 @@ from __future__ import annotations
 from collections import Counter
 from itertools import product
 from math import factorial
-from operator import ge, le, sub
+from operator import ge, itemgetter, le, sub
 
 from .f2 import RowSpan, bit_indices, left_kernel, row_of
-from .poly import all_subsets
-from .qring import QMon, QPoly, times_monomial
+from .poly import all_subsets, pack, packed_width
+from .qring import QMon, QPoly, qmon_degree
 
 __all__ = [
     "multidegree",
@@ -108,12 +120,14 @@ def _sorting(alpha: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(range(len(alpha)), key=lambda i: -alpha[i]))
 
 
-def _renumbered(terms, order: tuple[int, ...]) -> list[QMon]:
+def _renumbered(terms, order: tuple[int, ...]):
     """``terms`` with the variable pairs renumbered, new pair k being old
     pair order[k], in every x, norm and trace symbol."""
-    return [QMon(tuple(t.xe[i] for i in order), tuple(t.ne[i] for i in order),
-                 tuple(sorted((tuple(a[i] for i in order) for a in t.traces),
-                              reverse=True)))
+    if order == tuple(range(len(order))):
+        return terms
+    get = itemgetter(*order)
+    return [QMon(get(t.xe), get(t.ne),
+                 tuple(sorted(map(get, t.traces), reverse=True)))
             for t in terms]
 
 
@@ -128,8 +142,14 @@ class RelationSpans:
     relations filed strictly below alpha with the monomials of the
     remaining block.  A degree is counted by ``rank``, and its outcome
     reported by ``settle`` before the next is.  The spans of the degree
-    last passed to ``rank`` are kept, and block monomials for the life
-    of the object, one sweep."""
+    last passed to ``rank`` are kept for ``missing``.
+
+    Columns are packed monomial keys (see the module docstring), all of
+    one degree at one width.  ``excess`` is how far the heaviest term of
+    any relation filed lies above its declared degree, so no product of
+    degree d's spans passes degree d + excess, and the width holds that.
+    The packed multiplier blocks and relation terms are cached at the
+    current width, for one sweep."""
 
     def __init__(self, m: int):
         self.m = m
@@ -138,28 +158,63 @@ class RelationSpans:
         # kernel: the ideal of the relations filed is S_m-stable so far
         self.generated = True
         self.ranked: int | None = None
+        self.orbits = False
         self.filed: dict[tuple, list[tuple[int, QPoly]]] = {}
+        self.excess = 0
+        self.width = 0
+        self.trace_keys: dict[tuple, int] = {}
+        self.multipliers: dict[tuple, list[int]] = {}
+        self.keys: dict[tuple, list[list[int]]] = {}
+        self.products: dict[tuple, tuple[RowSpan, dict]] = {}
         self.spans: dict[tuple, tuple[RowSpan, dict]] = {}
         self.dependent: set[int] = set()
-        self.monomials: dict[tuple, list[QMon]] = {}
 
     def add(self, position: int, degree: int, element: QPoly) -> None:
         beta = relation_block(degree, element)
+        if beta is None:
+            heaviest = max(map(qmon_degree, element.terms), default=0)
+            self.excess = max(self.excess, heaviest - degree)
         self.graded = self.graded and beta is not None
         block = beta if self.graded else (degree,)
         self.filed.setdefault(block, []).append((position, element))
+        self.keys.pop(block, None)
 
-    def _multipliers(self, gamma: tuple) -> list[QMon]:
-        if gamma not in self.monomials:
-            self.monomials[gamma] = (
+    def _set_width(self, width: int) -> None:
+        """Pack at ``width`` bits a field from now on, dropping what was
+        packed at another."""
+        if width != self.width:
+            self.width = width
+            self.multipliers = {}
+            self.keys = {}
+            self.trace_keys = {
+                a: 1 << (k * width)
+                for k, a in enumerate(all_subsets(self.m, min_size=2),
+                                      start=2 * self.m)}
+
+    def _pack(self, terms) -> list[int]:
+        """The packed keys of presentation monomials."""
+        width, trace = self.width, self.trace_keys.__getitem__
+        return [pack(t.xe + t.ne, width) + sum(map(trace, t.traces))
+                for t in terms]
+
+    def _multipliers(self, gamma: tuple) -> list[int]:
+        if gamma not in self.multipliers:
+            self.multipliers[gamma] = self._pack(
                 block_monomials(self.m, gamma) if self.graded else
                 [t for alpha in compositions(gamma[0], self.m)
                  for t in block_monomials(self.m, alpha)])
-        return self.monomials[gamma]
+        return self.multipliers[gamma]
+
+    def _keys(self, key: tuple) -> list[list[int]]:
+        """The packed terms of the relations filed under ``key``."""
+        if key not in self.keys:
+            self.keys[key] = [self._pack(element.terms)
+                              for _, element in self.filed[key]]
+        return self.keys[key]
 
     def _products(self, alpha: tuple) -> tuple[RowSpan, dict, list]:
         """J_alpha with its column index, and the relations filed at
-        alpha."""
+        alpha as (position, packed terms) pairs."""
         index: dict = {}
         span = RowSpan()
         same = []
@@ -167,19 +222,21 @@ class RelationSpans:
             # a key sums to the declared degree of the relations under it
             block = key if self.graded else (sum(key),)
             if block == alpha:
-                same += filed
+                same += zip((p for p, _ in filed), self._keys(key))
             elif all(map(le, block, alpha)):
+                elements = self._keys(key)
                 for mult in self._multipliers(tuple(map(sub, alpha, block))):
-                    for _, element in filed:
-                        span.add(row_of(times_monomial(mult, element), index))
+                    for keys in elements:
+                        span.add(row_of(map(mult.__add__, keys), index))
         return span, index, same
 
     def _remainders(self, span: RowSpan, index: dict,
                     same) -> tuple[list[int], int]:
-        """The remainders of the relations ``same``, (position, terms)
-        pairs, modulo ``span``, and their rank.  The relations some
-        left-kernel vector of the remainders uses go to ``dependent``."""
-        rows = [span.remainder(row_of(terms, index)) for _, terms in same]
+        """The remainders of the relations ``same``, (position, packed
+        terms) pairs, modulo ``span``, and their rank.  The relations
+        some left-kernel vector of the remainders uses go to
+        ``dependent``."""
+        rows = [span.remainder(row_of(keys, index)) for _, keys in same]
         kernel = left_kernel(rows)
         used = 0
         for mask in kernel:
@@ -187,22 +244,33 @@ class RelationSpans:
         self.dependent.update(same[i][0] for i in bit_indices(used))
         return rows, len(rows) - len(kernel)
 
-    def _close(self, alpha: tuple, span: RowSpan, index: dict, same) -> int:
-        """Add the relations ``same`` filed at alpha to J_alpha, deciding
-        their minimality, and keep the span of alpha; returns the rank
-        they add."""
-        rows, rank = self._remainders(
-            span, index, [(p, element.terms) for p, element in same])
-        for row in rows:
-            span.add(row)
-        self.spans[alpha] = span, index
-        return rank
+    def _moved(self, beta: tuple) -> tuple[tuple, list]:
+        """The representative rho of beta's orbit, and the relations
+        filed at beta renumbered into block rho by beta's sorting order,
+        as (position, packed terms) pairs."""
+        order = _sorting(beta)
+        return tuple(beta[i] for i in order), [
+            (p, self._pack(_renumbered(element.terms, order)))
+            for p, element in self.filed.get(beta, ())]
 
     def _span(self, alpha: tuple) -> tuple[RowSpan, dict]:
         """The span of block alpha and its column index, built on first
-        request."""
+        request.  On the orbit route it is a copy of J_rho closed by the
+        relations of alpha, renumbered, so it is alpha's span in the
+        numbering of rho; the copies share J_rho's column index, which
+        only ever gains columns."""
         if alpha not in self.spans:
-            self._close(alpha, *self._products(alpha))
+            if self.orbits:
+                rho, renumbered = self._moved(alpha)
+                span, index = self.products[rho]
+                span = span.copy()
+                rows = [row_of(keys, index) for _, keys in renumbered]
+            else:
+                span, index, same = self._products(alpha)
+                rows = self._remainders(span, index, same)[0]
+            for row in rows:
+                span.add(row)
+            self.spans[alpha] = span, index
         return self.spans[alpha]
 
     def _orbit_rank(self, d: int) -> int:
@@ -214,23 +282,19 @@ class RelationSpans:
         of block rho.  So a block's rank is rank J_rho plus the rank of
         its renumbered relations modulo J_rho, and those relations are
         dependent exactly when their images are: only J_rho is built,
-        and the span of rho."""
+        and kept for ``missing``."""
         moved: dict[tuple, list[list]] = {}
-        for beta, filed in self.filed.items():
+        for beta in self.filed:
             if sum(beta) == d:
-                order = _sorting(beta)
-                rho = tuple(beta[i] for i in order)
-                if rho != beta:
-                    moved.setdefault(rho, []).append(
-                        [(p, _renumbered(element.terms, order))
-                         for p, element in filed])
+                rho, renumbered = self._moved(beta)
+                moved.setdefault(rho, []).append(renumbered)
         total = 0
         for rho in orbit_reps(d, self.m):
-            span, index, same = self._products(rho)
+            span, index, _ = self._products(rho)
+            self.products[rho] = span, index
             total += orbit_size(rho) * span.rank
             for renumbered in moved.get(rho, ()):
                 total += self._remainders(span, index, renumbered)[1]
-            total += self._close(rho, span, index, same)
         return total
 
     def rank(self, d: int) -> tuple[int, str]:
@@ -247,10 +311,13 @@ class RelationSpans:
             raise RuntimeError(
                 f"degree {self.ranked} was ranked but never settled")
         self.ranked = d
+        self.orbits = self.graded and self.generated
+        self.products = {}
         self.spans = {}
+        self._set_width(packed_width(d + self.excess))
         if not self.graded:
             return self._span((d,))[0].rank, "degree"
-        if self.generated:
+        if self.orbits:
             return self._orbit_rank(d), "orbits"
         return sum(self._span(alpha)[0].rank
                    for alpha in compositions(d, self.m)), "blocks"
@@ -266,9 +333,14 @@ class RelationSpans:
         """The degree-d ``members`` the span misses, in order.  Each lies
         in one block and is reduced against that block's span (block
         (d,) off the multigrading); it is added to the span when found,
-        so none lies in the span of the ones before it."""
+        so none lies in the span of the ones before it.  On the orbit
+        route a member is renumbered into its representative, like its
+        block's relations (``_span``)."""
         for member in members:
             block = relation_block(d, member) if self.graded else (d,)
             span, index = self._span(block)
-            if span.add(row_of(member.terms, index)):
+            terms = member.terms
+            if self.orbits:
+                terms = _renumbered(terms, _sorting(block))
+            if span.add(row_of(self._pack(terms), index)):
                 yield member

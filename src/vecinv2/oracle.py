@@ -40,7 +40,11 @@ order of a matrix's columns: the left kernel is fixed by which rows
 are independent of the rows before them.  So no column order is set
 up in advance; a column is given to each monomial on first sight
 (``f2.row_of``), and neither the polynomial monomials of a degree nor
-its presentation monomials are enumerated to index the columns.
+its presentation monomials are enumerated to index the columns.  The
+monomials are keyed as packed ints: evaluation rows by the packed
+polynomial monomials of their images (``qring.packed_term_image``),
+and relation-span rows by packed presentation monomials, so that a
+product by a multiplier is one int addition per term (``blocks``).
 
 Blocks.  Sending x_i to e_i, N_i to 2 e_i and Tr(A) to the indicator
 vector 1_A grades the presentation ring by multidegree alpha in N^m,
@@ -446,7 +450,9 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
     the span's rank is the kernel's dimension.  Failing degrees carry a
     counterexample: a kernel element outside the span, or a monomial
     multiple of the lowest-degree relation (first among equals) that
-    does not evaluate to zero.
+    does not evaluate to zero.  A span rank above the kernel dimension,
+    which only a relation declared off its real degree can cause, fails
+    with no counterexample: no kernel element lies outside the span.
     Minimality: no relation of degree 2 to ``d_max`` may lie in the span
     of the others at its own degree.  Both are decided by one
     elimination per block: the relations of degree d in the block are
@@ -500,15 +506,17 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
             lift = q_monomials(m, d - stray.degree)[0]
             counterexample = QPoly.monomial(lift) * stray.element
         elif span_rank != kernel_dimension:
-            counterexample = next(spans.missing(d, kernel_basis(m, d, budget)))
-        spans.settle(counterexample is None)
+            counterexample = next(
+                spans.missing(d, kernel_basis(m, d, budget)), None)
+        generated = stray is None and span_rank == kernel_dimension
+        spans.settle(generated)
         reports.append(DegreeReport(
             degree=d,
             n_q_monomials=_q_count(m, d),
             n_poly_monomials=_poly_count(m, d),
             kernel_dimension=kernel_dimension,
             span_rank=span_rank,
-            generated=counterexample is None,
+            generated=generated,
             counterexample=counterexample,
             route=route,
         ))

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import add
 from typing import Iterable, Iterator, Tuple
 
@@ -184,9 +185,11 @@ def strict_submasks(a: Subset) -> Iterator[Subset]:
             yield _unmask(s, width)
 
 
+@lru_cache(maxsize=None)
 def all_subsets(m: int, min_size: int = 0) -> tuple[Subset, ...]:
     """Every subset of {0..m-1} with at least ``min_size`` members,
-    sorted by ``subset_key``."""
+    sorted by ``subset_key``; listed once per process for each
+    argument pair."""
     out = [_unmask(s, m) for s in range(1 << m)]
     out = [a for a in out if cardinality(a) >= min_size]
     out.sort(key=subset_key)

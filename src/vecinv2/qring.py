@@ -50,10 +50,10 @@ relations, so relations that vanish prove its image.
 
 ``times_monomial`` lists the terms of a product by one monomial.
 Such a product is injective on monomials, so its terms are distinct
-and need no parity collection; the rewrite procedures and the
-relation spans use it to toggle multiples into term sets and matrix
-rows without building a ``QPoly``.  ``QPoly.__mul__`` is its sum over
-the terms of the left factor.
+and need no parity collection; the rewrite procedures use it to
+toggle multiples into term sets without building a ``QPoly``.  (The
+relation spans multiply packed monomial keys instead, in ``blocks``.)
+``QPoly.__mul__`` is its sum over the terms of the left factor.
 """
 
 from __future__ import annotations
@@ -227,8 +227,8 @@ def times_monomial(mon: QMon, q: QPoly) -> list[QMon]:
     exponents shift by fixed amounts and the trace multiset gains fixed
     members, both of which can be undone.  Distinct terms of ``q`` thus
     give distinct products, nothing cancels, and the list needs none of
-    ``__mul__``'s parity collection.  Callers toggle it into a term set
-    or turn it into a matrix row."""
+    ``__mul__``'s parity collection.  Callers toggle it into a term
+    set."""
     if len(mon.xe) != q.m:
         raise DimensionMismatch(f"mixed widths: m={len(mon.xe)} vs m={q.m}")
     xe, ne, traces = mon

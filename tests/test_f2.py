@@ -36,13 +36,30 @@ def test_rowspan_golden():
     assert not span.contains(0b1000)
 
 
-def test_rowspan_reduce_is_canonical():
+def test_rowspan_remainder_is_canonical():
     span = RowSpan()
     span.add(0b0011)
     span.add(0b0101)
-    # reduce returns the same residue for anything in one coset
-    assert span.reduce(0b0110) == 0
-    assert span.reduce(0b1110) == span.reduce(0b1000)
+    # remainder returns the one residue of each coset with no pivot bit,
+    # whichever bit the pivots sit at
+    assert span.remainder(0b0110) == 0
+    assert span.remainder(0b1110) == span.remainder(0b1000) == 0b1000
+
+
+@given(small_matrices, st.integers(min_value=0, max_value=255),
+       st.integers(min_value=0, max_value=255))
+@settings(max_examples=200, deadline=None)
+def test_rowspan_remainder_matches_brute_force(rows, probe, other):
+    span = RowSpan()
+    for r in rows:
+        span.add(r)
+    reachable = brute_span(rows)
+    residue = span.remainder(probe)
+    # one residue per coset, additive, and zero exactly on the span
+    assert {span.remainder(probe ^ s) for s in reachable} == {residue}
+    assert span.remainder(probe ^ other) == residue ^ span.remainder(other)
+    assert (residue == 0) == (probe in reachable)
+    assert (span.reduce(probe) == 0) == (probe in reachable)
 
 
 @given(small_matrices, st.integers(min_value=0, max_value=255))

@@ -425,6 +425,21 @@ def test_relations_are_evaluated_inside_the_sweep(monkeypatch):
     assert all(q.degree() == 3 for q in calls)
 
 
+@pytest.mark.slow
+def test_verify_m6_through_degree_ten():
+    # brute force certifies generation and minimality at m = 6 through
+    # degree 10, where the kernel has dimension 1461588; the kernel
+    # dimensions also confirm that the generators span each degree's
+    # invariants.  About 6 s on a 2-vCPU host; run with -m slow
+    report = verify_relation_ideal(6, 10, budget=10 ** 13)
+    assert report.ok
+    assert [r.degree for r in report.degrees] == list(range(2, 11))
+    for r in report.degrees:
+        assert r.kernel_dimension == (
+            r.n_q_monomials - invariant_dimension(6, r.degree)), r.degree
+    assert report.degrees[-1].kernel_dimension == 1461588
+
+
 def test_relation_elements_lie_in_kernel_span():
     """Constructor/oracle agreement: every basis element is a genuine
     kernel combination at its own degree.  The m = 4 degrees run up
@@ -587,9 +602,10 @@ def _whole_degree_sweep(m, d_max, relations):
             counterexample = QPoly.monomial(lift) * stray.element
         elif span_rank != kernel_dimension:
             counterexample = next(
-                k for k in _whole_kernel(m, d, full)
-                if span.add(row_of(k.terms, index)))
-        out.append((kernel_dimension, span_rank, counterexample is None,
+                (k for k in _whole_kernel(m, d, full)
+                 if span.add(row_of(k.terms, index))), None)
+        generated = stray is None and span_rank == kernel_dimension
+        out.append((kernel_dimension, span_rank, generated,
                     str(counterexample) if counterexample else None))
     return out, sorted(dependent)
 
@@ -621,6 +637,14 @@ def test_blocked_sweep_matches_whole_degree_matrices():
                         QPoly.x_power((0, 0, 1)) * basis3[0].element, 4)
     dropped = basis3[1]
     assert dropped.label() == "IIIb A=011 B=011 index=2 degree=4"
+    # a genuine relation of degree 9 declared at degree 2: its degree-d
+    # products reach degree d + 7.  Packed keys as wide as degree d,
+    # 3 bits from d = 4 to 7, would carry, and a carry at width 3 lowers
+    # a key's field sum by 7, onto the keys of degree-d monomials
+    heavy = Relation("heavy", (0, 1, 1), (0, 1, 1), 2, QPoly.x_power(
+        (5, 0, 0)) * dropped.element, 2)
+    assert {qmon_degree(t) for t in heavy.element.terms} == {9}
+    assert evaluate(heavy.element) == Poly.zero(3)
     # shifted relations and duplicates in blocks off the representatives
     # (1, 1, 2), (0, 1, 1, 2), (1, 2, 2) and (1, 1, 2, 2), so their
     # relations are renumbered into the representative's span
@@ -642,6 +666,10 @@ def test_blocked_sweep_matches_whole_degree_matrices():
          False),
         # no multidegree for the sum, so one block per degree from 4 on
         (3, "III", basis3 + [mixed], ["orbits"] * 2 + ["degree"] * 3, False),
+        # declared below its degree, so one block per degree throughout;
+        # its rows lie outside the degree, so every span rank tops the
+        # kernel dimension and no counterexample exists
+        (3, "III", basis3 + [heavy], ["degree"] * 5, False),
         # generated degree by degree, so orbits throughout
         (3, "III", _shifted(3, basis3, 2, 0), ["orbits"] * 5, False),
         (4, "III", _shifted(4, basis4, 6, 0), ["orbits"] * 7, False),
@@ -669,10 +697,9 @@ def test_blocked_sweep_matches_whole_degree_matrices():
     assert duplicated4.dependent.count(basis4[39].label()) == 2
 
 
-def test_passing_sweep_builds_one_span_per_orbit(monkeypatch):
-    # a passing sweep builds only J_rho for each orbit representative
-    # rho, the products of the lower relations; the relations of every
-    # other block of the orbit are renumbered into it
+def _count_span_builds(monkeypatch):
+    """A counter of the RowSpans ``blocks`` builds, by the degree last
+    ranked."""
     built = Counter()
     degree = [None]
 
@@ -689,6 +716,14 @@ def test_passing_sweep_builds_one_span_per_orbit(monkeypatch):
 
     monkeypatch.setattr(blocks, "RowSpan", Counting)
     monkeypatch.setattr(blocks.RelationSpans, "rank", ranking)
+    return built
+
+
+def test_passing_sweep_builds_one_span_per_orbit(monkeypatch):
+    # a passing sweep builds only J_rho for each orbit representative
+    # rho, the products of the lower relations; the relations of every
+    # other block of the orbit are renumbered into it
+    built = _count_span_builds(monkeypatch)
     report = verify_relation_ideal(4, 8)
     assert report.ok
     assert [r.route for r in report.degrees] == ["orbits"] * 7
@@ -697,6 +732,17 @@ def test_passing_sweep_builds_one_span_per_orbit(monkeypatch):
         assert count <= len(blocks.orbit_reps(d, 4)), (d, count)
     # of the comb(11, 3) = 165 blocks of degree 8
     assert built[8] == 15
+
+
+def test_generator_search_builds_one_span_per_orbit(monkeypatch):
+    # max_relation_degree looks for the members its spans miss on the
+    # orbit route: a block off the representatives extends a copy of
+    # J_rho by its renumbered generators, and builds no span of its own
+    built = _count_span_builds(monkeypatch)
+    assert max_relation_degree(4, budget=5 * 10 ** 8) == 8
+    assert sorted(built) == list(range(2, 10))
+    for d, count in built.items():
+        assert count <= len(blocks.orbit_reps(d, 4)), (d, count)
 
 
 def test_relation_spans_want_each_outcome():
