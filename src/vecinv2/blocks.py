@@ -13,9 +13,10 @@ too.  So the oracle's matrices split into blocks, one per multidegree
 Permuting the variable pairs permutes the blocks and commutes with
 evaluation.  ``orbit_reps`` picks one multidegree per S_m orbit, the
 non-increasing one, and ``orbit_size`` counts its orbit.
-``RelationSpans`` builds the relation span of a degree on those
-representatives while the ideal of the lower relations is S_m-stable,
-and on every block once it may not be.
+``RelationSpans`` ranks a degree in one loop over its blocks, each
+counted against the span of the block that stands for it: its orbit's
+representative while the caller states that the ideal of the lower
+relations is S_m-stable, the block itself otherwise.
 
 The relation spans key their columns by packed monomials, as
 ``poly.pack`` does for polynomial monomials: a presentation monomial
@@ -135,14 +136,19 @@ class RelationSpans:
     """The relation span of each degree, block by block.
 
     ``add`` files a relation, by position, degree and element, under its
-    block: its multidegree while every relation filed so far has one
-    (``relation_block``), and block (degree,) from the first that does
-    not.  The span of block alpha is J_alpha plus the relations filed
-    at alpha, J_alpha being the row space of the products of the
-    relations filed strictly below alpha with the monomials of the
-    remaining block.  A degree is counted by ``rank``, and its outcome
-    reported by ``settle`` before the next is.  The spans of the degree
-    last passed to ``rank`` are kept for ``missing``.
+    block: its multidegree while every relation filed has one
+    (``relation_block``).  The first that does not refiles them all under
+    (declared degree,), one block per degree from then on.  The span of
+    block alpha is J_alpha plus the relations filed at alpha, J_alpha
+    being the row space of the products of the relations filed strictly
+    below alpha with the monomials of the remaining block.
+
+    ``rank`` counts a degree in one loop over its blocks.  Each block
+    alpha is stood for by a block rho and a renumbering of the pairs
+    that maps alpha onto rho (``_representative``).  J_rho is built once
+    a degree, and alpha adds rank J_rho plus the rank of its renumbered
+    relations modulo J_rho.  The spans of the degree last ranked are
+    kept for ``missing``.
 
     Columns are packed monomial keys (see the module docstring), all of
     one degree at one width.  ``excess`` is how far the heaviest term of
@@ -154,10 +160,6 @@ class RelationSpans:
     def __init__(self, m: int):
         self.m = m
         self.graded = True
-        # every degree settled so far ended with the span equal to the
-        # kernel: the ideal of the relations filed is S_m-stable so far
-        self.generated = True
-        self.ranked: int | None = None
         self.orbits = False
         self.filed: dict[tuple, list[tuple[int, QPoly]]] = {}
         self.excess = 0
@@ -174,7 +176,13 @@ class RelationSpans:
         if beta is None:
             heaviest = max(map(qmon_degree, element.terms), default=0)
             self.excess = max(self.excess, heaviest - degree)
-        self.graded = self.graded and beta is not None
+            if self.graded:
+                # a key sums to the declared degree of the relations under it
+                self.graded = False
+                refiled: dict[tuple, list[tuple[int, QPoly]]] = {}
+                for key, filed in self.filed.items():
+                    refiled.setdefault((sum(key),), []).extend(filed)
+                self.filed, self.keys = refiled, {}
         block = beta if self.graded else (degree,)
         self.filed.setdefault(block, []).append((position, element))
         self.keys.pop(block, None)
@@ -212,135 +220,100 @@ class RelationSpans:
                               for _, element in self.filed[key]]
         return self.keys[key]
 
-    def _products(self, alpha: tuple) -> tuple[RowSpan, dict, list]:
-        """J_alpha with its column index, and the relations filed at
-        alpha as (position, packed terms) pairs."""
-        index: dict = {}
-        span = RowSpan()
-        same = []
-        for key, filed in self.filed.items():
-            # a key sums to the declared degree of the relations under it
-            block = key if self.graded else (sum(key),)
-            if block == alpha:
-                same += zip((p for p, _ in filed), self._keys(key))
-            elif all(map(le, block, alpha)):
-                elements = self._keys(key)
-                for mult in self._multipliers(tuple(map(sub, alpha, block))):
-                    for keys in elements:
-                        span.add(row_of(map(mult.__add__, keys), index))
-        return span, index, same
+    def _products(self, rho: tuple) -> tuple[RowSpan, dict]:
+        """J_rho with its column index, built on first request."""
+        if rho not in self.products:
+            index: dict = {}
+            span = RowSpan()
+            for key in self.filed:
+                if key != rho and all(map(le, key, rho)):
+                    elements = self._keys(key)
+                    for mult in self._multipliers(tuple(map(sub, rho, key))):
+                        for keys in elements:
+                            span.add(row_of(map(mult.__add__, keys), index))
+            self.products[rho] = span, index
+        return self.products[rho]
 
-    def _remainders(self, span: RowSpan, index: dict,
-                    same) -> tuple[list[int], int]:
-        """The remainders of the relations ``same``, (position, packed
-        terms) pairs, modulo ``span``, and their rank.  The relations
-        some left-kernel vector of the remainders uses go to
-        ``dependent``."""
+    def _representative(self, alpha: tuple) -> tuple[tuple, tuple]:
+        """The block rho whose J stands for block alpha, and the order
+        of the pairs that renumbers alpha onto rho: alpha's sorting
+        order on the orbit route, the identity otherwise."""
+        order = _sorting(alpha) if self.orbits else tuple(range(len(alpha)))
+        return tuple(alpha[i] for i in order), order
+
+    def _moved(self, alpha: tuple, order: tuple) -> list:
+        """The relations filed at alpha renumbered by ``order``, as
+        (position, packed terms) pairs."""
+        return [(p, self._pack(_renumbered(element.terms, order)))
+                for p, element in self.filed.get(alpha, ())]
+
+    def _remainders(self, span: RowSpan, index: dict, same) -> int:
+        """The rank of the relations ``same``, (position, packed terms)
+        pairs, modulo ``span``.  The relations some left-kernel vector
+        of their remainders uses go to ``dependent``."""
         rows = [span.remainder(row_of(keys, index)) for _, keys in same]
         kernel = left_kernel(rows)
         used = 0
         for mask in kernel:
             used |= mask
         self.dependent.update(same[i][0] for i in bit_indices(used))
-        return rows, len(rows) - len(kernel)
+        return len(rows) - len(kernel)
 
-    def _moved(self, beta: tuple) -> tuple[tuple, list]:
-        """The representative rho of beta's orbit, and the relations
-        filed at beta renumbered into block rho by beta's sorting order,
-        as (position, packed terms) pairs."""
-        order = _sorting(beta)
-        return tuple(beta[i] for i in order), [
-            (p, self._pack(_renumbered(element.terms, order)))
-            for p, element in self.filed.get(beta, ())]
-
-    def _span(self, alpha: tuple) -> tuple[RowSpan, dict]:
-        """The span of block alpha and its column index, built on first
-        request.  On the orbit route it is a copy of J_rho closed by the
-        relations of alpha, renumbered, so it is alpha's span in the
-        numbering of rho; the copies share J_rho's column index, which
-        only ever gains columns."""
-        if alpha not in self.spans:
-            if self.orbits:
-                rho, renumbered = self._moved(alpha)
-                span, index = self.products[rho]
-                span = span.copy()
-                rows = [row_of(keys, index) for _, keys in renumbered]
-            else:
-                span, index, same = self._products(alpha)
-                rows = self._remainders(span, index, same)[0]
-            for row in rows:
-                span.add(row)
-            self.spans[alpha] = span, index
-        return self.spans[alpha]
-
-    def _orbit_rank(self, d: int) -> int:
-        """The rank of the degree-d span from the orbit representatives,
-        exact while the ideal J of the relations below d is S_m-stable.
-        Renumbering the pairs by the sorting order of a block beta
-        (``_sorting``) maps beta onto its representative rho, and then
-        J_beta onto J_rho and the relations filed at beta onto relations
-        of block rho.  So a block's rank is rank J_rho plus the rank of
-        its renumbered relations modulo J_rho, and those relations are
-        dependent exactly when their images are: only J_rho is built,
-        and kept for ``missing``."""
-        moved: dict[tuple, list[list]] = {}
-        for beta in self.filed:
-            if sum(beta) == d:
-                rho, renumbered = self._moved(beta)
-                moved.setdefault(rho, []).append(renumbered)
-        total = 0
-        for rho in orbit_reps(d, self.m):
-            span, index, _ = self._products(rho)
-            self.products[rho] = span, index
-            total += orbit_size(rho) * span.rank
-            for renumbered in moved.get(rho, ()):
-                total += self._remainders(span, index, renumbered)[1]
-        return total
-
-    def rank(self, d: int) -> tuple[int, str]:
+    def rank(self, d: int, stable: bool) -> tuple[int, str]:
         """The rank of the degree-d span and the route that counted it.
         The blocks holding degree-d relations decide their minimality
-        here.  Under the multigrading, while every lower degree has
-        settled generated, the span of degree e < d is the kernel there,
-        so the ideal J the relations below d generate is S_m-stable and
-        one block per orbit is built ("orbits", ``_orbit_rank``); once
-        one has not, every block of the degree ("blocks").  Under the
-        one-block-per-degree grading the one block is the whole degree
-        ("degree").  Only the degree-d spans are kept."""
-        if self.ranked is not None:
-            raise RuntimeError(
-                f"degree {self.ranked} was ranked but never settled")
-        self.ranked = d
-        self.orbits = self.graded and self.generated
+        here.
+
+        ``stable`` is the caller's statement that every lower degree
+        ended generated: every relation filed vanishes, and the span is
+        the kernel there.  Then the ideal J the relations below d
+        generate is the one the kernel generates, which is S_m-stable.
+        So renumbering the pairs by a block's sorting order
+        (``_sorting``) maps J_alpha onto J_rho, for rho the
+        representative of alpha's orbit, and the relations filed at
+        alpha onto relations of block rho; those are dependent exactly
+        when their images are.  Only the representatives' J are built
+        ("orbits").  Otherwise each block stands for itself ("blocks"),
+        and off the multigrading the one block is the whole degree
+        ("degree")."""
+        self.orbits = self.graded and stable
         self.products = {}
         self.spans = {}
         self._set_width(packed_width(d + self.excess))
-        if not self.graded:
-            return self._span((d,))[0].rank, "degree"
-        if self.orbits:
-            return self._orbit_rank(d), "orbits"
-        return sum(self._span(alpha)[0].rank
-                   for alpha in compositions(d, self.m)), "blocks"
+        total = 0
+        for alpha in compositions(d, self.m) if self.graded else [(d,)]:
+            rho, order = self._representative(alpha)
+            span, index = self._products(rho)
+            total += span.rank + self._remainders(
+                span, index, self._moved(alpha, order))
+        route = ("orbits" if self.orbits else
+                 "blocks" if self.graded else "degree")
+        return total, route
 
-    def settle(self, generated: bool) -> None:
-        """Report the outcome of the degree last ranked: ``generated``
-        when every relation filed so far vanishes and the span is the
-        whole kernel there.  Once a degree has not, it stays so."""
-        self.generated = self.generated and generated
-        self.ranked = None
+    def _span(self, alpha: tuple) -> tuple[RowSpan, dict]:
+        """The span of block alpha and its column index, built on first
+        request: a copy of J_rho, for rho the block standing for alpha,
+        closed by the relations of alpha renumbered into rho.  So it is
+        alpha's span in the numbering of rho.  The copies share J_rho's
+        column index, which only ever gains columns."""
+        if alpha not in self.spans:
+            rho, order = self._representative(alpha)
+            span, index = self._products(rho)
+            span = span.copy()
+            for _, keys in self._moved(alpha, order):
+                span.add(row_of(keys, index))
+            self.spans[alpha] = span, index
+        return self.spans[alpha]
 
     def missing(self, d: int, members):
         """The degree-d ``members`` the span misses, in order.  Each lies
-        in one block and is reduced against that block's span (block
-        (d,) off the multigrading); it is added to the span when found,
-        so none lies in the span of the ones before it.  On the orbit
-        route a member is renumbered into its representative, like its
-        block's relations (``_span``)."""
+        in one block (block (d,) off the multigrading), is renumbered
+        like that block's relations and is reduced against its span
+        (``_span``).  It is added to the span when found, so none lies
+        in the span of the ones before it."""
         for member in members:
             block = relation_block(d, member) if self.graded else (d,)
             span, index = self._span(block)
-            terms = member.terms
-            if self.orbits:
-                terms = _renumbered(terms, _sorting(block))
+            terms = _renumbered(member.terms, self._representative(block)[1])
             if span.add(row_of(self._pack(terms), index)):
                 yield member

@@ -62,26 +62,29 @@ every block rank against it rather than assume it.
 
 Every type I, II and III relation is multihomogeneous, and so are its
 monomial multiples, so ``verify_relation_ideal`` files each relation
-under its multidegree and builds the relation span block by block
+under its multidegree and counts the relation span block by block
 (``blocks.RelationSpans``): the span of block alpha holds J_alpha,
 the products of the relations of block beta < alpha with the monomials
 of block alpha - beta, plus the relations of block alpha.  Rows of
 different blocks share no column, so a degree's span rank is the sum
 of its block ranks, and a relation is dependent exactly when it is
-dependent inside its own block.  The declared family is not S_m-stable
-as a set (IIIa and IIIb remove the least index), so symmetry is not
-assumed of it; it follows from the lower degrees passing.  When every
-degree below d passed, every relation built vanishes and each degree's
-span rank is its kernel dimension, so the span is the kernel there:
-the relations below d generate the ideal the kernel generates, which
-is S_m-stable because evaluation commutes with permuting the pairs.
-Then J_beta is a renumbering of J_rho, for rho the representative of
-beta's orbit, so ``RelationSpans.rank`` builds J_rho only, renumbers
-into it the degree-d relations of each block of the orbit and reduces
-them there: those remainders give each block's added rank and its
-dependent relations, and J_rho counts |S_m rho| times.  Once a degree
-fails, a stray relation or a rank shortfall, the sweep cannot know
-the ideal is stable and builds every block of each later degree; its
+dependent inside its own block.  ``RelationSpans.rank`` runs one loop
+over the blocks of a degree.  Each block alpha is stood for by a block
+rho and a renumbering of the pairs that maps alpha onto rho; J_rho is
+built once, and alpha adds rank J_rho plus the rank of its renumbered
+relations modulo J_rho, their remainders also naming its dependent
+relations.  The declared family is not S_m-stable as a set (IIIa and
+IIIb remove the least index), so symmetry is not assumed of it; it
+follows from the lower degrees passing.  When every degree below d
+passed, every relation built vanishes and each degree's span rank is
+its kernel dimension, so the span is the kernel there: the relations
+below d generate the ideal the kernel generates, which is S_m-stable
+because evaluation commutes with permuting the pairs.  Then J_alpha is
+a renumbering of J_rho, for rho the representative of alpha's orbit,
+and only the representatives' J are built.  ``verify_relation_ideal``
+tells ``rank`` whether every lower degree passed; once one fails, a
+stray relation or a rank shortfall, the sweep cannot know the ideal
+is stable, and each block of a later degree stands for itself.  The
 report's ``route`` says which was used.
 
 Fallbacks.  A relation without one multidegree, or whose multidegree
@@ -108,7 +111,7 @@ move those exits.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -131,9 +134,9 @@ from .poly import (
 from .qring import (
     QMon,
     QPoly,
-    evaluate,
     packed_term_image,
     qmon_key,
+    vanishes,
 )
 from .relations import Relation, relation_plan
 
@@ -324,11 +327,12 @@ def invariant_dimension(m: int, d: int) -> int:
 # the relation ideal
 
 
-def _charge_span(m: int, d: int, degrees, budget: int) -> None:
-    """Charge the degree-d relation span of generators of the given
-    degrees: one row per monomial multiple of degree d, one row each
-    for the generators of degree d."""
-    nrows = sum(_q_count(m, d - e) for e in degrees if e <= d)
+def _charge_span(m: int, d: int, degrees: Counter, budget: int) -> None:
+    """Charge the degree-d relation span of generators whose degrees
+    ``degrees`` counts: one row per monomial multiple of degree d, one
+    row each for the generators of degree d."""
+    nrows = sum(count * _q_count(m, d - e)
+                for e, count in degrees.items() if e <= d)
     _charge(nrows, _q_count(m, d), budget, f"relation span at degree {d}")
 
 
@@ -341,10 +345,11 @@ class DegreeReport:
     span_rank: int
     generated: bool
     counterexample: QPoly | None
-    # how span_rank was counted (``blocks.RelationSpans.rank``): "orbits"
-    # while every lower degree passed, "blocks" after one failed, and
-    # "degree" once a relation has no multidegree; not part of the text
-    # or JSON report
+    # which blocks stood for the others when span_rank was counted
+    # (``blocks.RelationSpans.rank``): "orbits", the orbit
+    # representatives, while every lower degree passed; "blocks", each
+    # block itself, after one failed; "degree", the whole degree, once a
+    # relation has no multidegree.  Not part of the text or JSON report
     route: str
 
     def to_json(self) -> dict:
@@ -467,7 +472,9 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
     instead of the whole family.  The declared family
     comes from ``relation_plan``, which gives every degree in closed
     form, so a budget exit never waits for the whole family.  The
-    ranks are counted block by block (see the module docstring).
+    ranks are counted by one loop over the blocks of each degree, on
+    orbit representatives while every lower degree passed (see the
+    module docstring).
     Passing ``relations`` overrides the declared basis, which is how
     deliberately broken families can be shown to fail.
     """
@@ -484,6 +491,7 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
     else:
         plan = [(r.degree, lambda r=r: r) for r in relations]
     degrees = [e for e, _ in plan]
+    counts = Counter(degrees)
     # lowest degree first; the sort is stable, so list order among equals
     unbuilt = deque(sorted(range(len(plan)), key=lambda p: degrees[p]))
     built: dict[int, Relation] = {}
@@ -492,15 +500,16 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
     reports = []
     for d in range(2, d_max + 1):
         kernel_dimension = _q_count(m, d) - evaluation_rank(m, d, budget)
-        _charge_span(m, d, degrees, budget)
+        _charge_span(m, d, counts, budget)
         while unbuilt and degrees[unbuilt[0]] <= d:
             position = unbuilt.popleft()
             relation = plan[position][1]()
-            if stray is None and evaluate(relation.element):
+            if stray is None and not vanishes(relation.element):
                 stray = relation
             built[position] = relation
             spans.add(position, relation.degree, relation.element)
-        span_rank, route = spans.rank(d)
+        span_rank, route = spans.rank(
+            d, all(r.generated for r in reports))
         counterexample = None
         if stray is not None:
             lift = q_monomials(m, d - stray.degree)[0]
@@ -509,7 +518,6 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
             counterexample = next(
                 spans.missing(d, kernel_basis(m, d, budget)), None)
         generated = stray is None and span_rank == kernel_dimension
-        spans.settle(generated)
         reports.append(DegreeReport(
             degree=d,
             n_q_monomials=_q_count(m, d),
@@ -551,17 +559,16 @@ def max_relation_degree(m: int, budget: int = DEFAULT_BUDGET) -> int:
         raise ValueError(
             f"max_relation_degree wants a positive budget, got {budget}")
     top = 0
-    degrees: list[int] = []
+    degrees: Counter = Counter()
     spans = RelationSpans(m)
     for d in range(2, 2 * m + 2):
         kernel_dimension = _q_count(m, d) - evaluation_rank(m, d, budget)
         _charge_span(m, d, degrees, budget)
-        if spans.rank(d)[0] < kernel_dimension:
+        # the members missing() files complete each degree's span to the
+        # kernel, so every lower degree ended generated
+        if spans.rank(d, True)[0] < kernel_dimension:
             for member in spans.missing(d, kernel_basis(m, d, budget)):
-                spans.add(len(degrees), d, member)
-                degrees.append(d)
+                spans.add(degrees.total(), d, member)
+                degrees[d] += 1
             top = d
-        # the members missing() files complete the span to the kernel, so
-        # every degree ends generated and the sweep stays on orbits
-        spans.settle(True)
     return top

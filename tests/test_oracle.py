@@ -32,6 +32,7 @@ from vecinv2.qring import (
     make_qmon,
     qmon_degree,
     qmon_key,
+    vanishes,
 )
 from vecinv2.relations import (
     Relation,
@@ -415,9 +416,9 @@ def test_relations_are_evaluated_inside_the_sweep(monkeypatch):
 
     def counting(q):
         calls.append(q)
-        return evaluate(q)
+        return vanishes(q)
 
-    monkeypatch.setattr(oracle, "evaluate", counting)
+    monkeypatch.setattr(oracle, "vanishes", counting)
     with pytest.raises(BudgetExceeded) as info:
         verify_relation_ideal(4, budget=10000)
     assert "at degree 4" in str(info.value)
@@ -710,9 +711,9 @@ def _count_span_builds(monkeypatch):
 
     rank = blocks.RelationSpans.rank
 
-    def ranking(self, d):
+    def ranking(self, d, stable):
         degree[0] = d
-        return rank(self, d)
+        return rank(self, d, stable)
 
     monkeypatch.setattr(blocks, "RowSpan", Counting)
     monkeypatch.setattr(blocks.RelationSpans, "rank", ranking)
@@ -745,15 +746,50 @@ def test_generator_search_builds_one_span_per_orbit(monkeypatch):
         assert count <= len(blocks.orbit_reps(d, 4)), (d, count)
 
 
-def test_relation_spans_want_each_outcome():
-    # orbit counts are exact only while every lower degree passed, so a
-    # degree ranked with no outcome settled stops the next one
-    spans = blocks.RelationSpans(3)
-    assert spans.rank(2) == (0, "orbits")
-    with pytest.raises(RuntimeError):
-        spans.rank(3)
-    spans.settle(False)
-    assert spans.rank(3) == (0, "blocks")
+def _ranked(m, family, d_max, stable, kernels):
+    """``family`` fed to one RelationSpans degree by degree, each degree
+    ranked with ``stable``: per degree the route, the span rank and the
+    kernel members the span misses, then the dependent positions."""
+    spans = blocks.RelationSpans(m)
+    out = []
+    for d in range(2, d_max + 1):
+        for p, r in enumerate(family):
+            if r.degree == d:
+                spans.add(p, r.degree, r.element)
+        rank, route = spans.rank(d, stable)
+        if (m, d) not in kernels:
+            kernels[m, d] = kernel_basis(m, d)
+        out.append((route, rank, list(spans.missing(d, kernels[m, d]))))
+    return out, spans.dependent
+
+
+def test_orbit_route_matches_every_block_route():
+    # the orbit route counts each block on its representative's span,
+    # the blocks route on the block's own; fed the same relations, the
+    # two agree on every span rank, dependent relation and kernel member
+    # the span misses.  Each case ends at its family's top degree or at
+    # its first failing degree: (span rank, kernel dimension) there
+    basis3 = relation_basis(3)
+    cases = [(m, relation_basis(m, flavor), 2 * m, set(), None)
+             for m in (2, 3, 4) for flavor in ("II", "III")]
+    cases += [
+        (3, basis3 + [basis3[4]], 6, {4, 11}, None),
+        (3, basis3[:1] + basis3[2:], 4, set(), (8, 9)),
+        (4, relation_basis(4)[:-1], 8, set(), (4920, 4921)),
+    ]
+    kernels = {}
+    for m, family, d_max, dependent, short in cases:
+        orbits = _ranked(m, family, d_max, True, kernels)
+        every = _ranked(m, family, d_max, False, kernels)
+        assert {route for route, _, _ in orbits[0]} == {"orbits"}
+        assert {route for route, _, _ in every[0]} == {"blocks"}
+        assert ([(rank, missed) for _, rank, missed in orbits[0]]
+                == [(rank, missed) for _, rank, missed in every[0]]), m
+        assert orbits[1] == every[1] == dependent, m
+        kernel = len(kernels[m, d_max])
+        _, rank, missed = orbits[0][-1]
+        assert (rank, kernel) == (short or (kernel, kernel)), m
+        assert len(missed) == kernel - rank
 
 
 def _largest_block(m, d):
