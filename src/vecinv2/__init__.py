@@ -25,7 +25,14 @@ from .invariants import (
     norm,
     transfer,
 )
-from .qring import QMon, QPoly, evaluate, formal_trace, make_qmon
+from .qring import (
+    QMon,
+    QPoly,
+    evaluate,
+    formal_trace,
+    make_qmon,
+    summand_lead,
+)
 from .relations import (
     Relation,
     VacuousRelationError,
@@ -45,7 +52,6 @@ from .rewrite import (
     linear_reduce,
     normal_form,
     reduce_product,
-    summand_lead,
 )
 from .oracle import (
     BudgetExceeded,
@@ -79,6 +85,7 @@ __all__ = [
     "evaluate",
     "formal_trace",
     "make_qmon",
+    "summand_lead",
     "Relation",
     "VacuousRelationError",
     "count_relations",
@@ -95,7 +102,6 @@ __all__ = [
     "linear_reduce",
     "normal_form",
     "reduce_product",
-    "summand_lead",
     "BudgetExceeded",
     "DEFAULT_BUDGET",
     "invariant_dimension",

@@ -46,6 +46,7 @@ __all__ = [
     "multidegree",
     "relation_block",
     "block_monomials",
+    "trace_linear_monomials",
     "compositions",
     "orbit_reps",
     "orbit_size",
@@ -69,6 +70,13 @@ def relation_block(degree: int, element: QPoly) -> tuple[int, ...] | None:
     return beta if sum(beta) == degree else None
 
 
+def _splits(rest: tuple[int, ...], traces: tuple) -> list[QMon]:
+    """The monomials ``traces`` times x^I N^J over every split of the
+    multidegree ``rest`` into x's and norms, I + 2J = rest."""
+    return [QMon(tuple(r - 2 * n for r, n in zip(rest, ne)), ne, traces)
+            for ne in product(*(range(r // 2 + 1) for r in rest))]
+
+
 def block_monomials(m: int, alpha: tuple[int, ...]) -> list[QMon]:
     """Every presentation monomial of multidegree ``alpha``: a multiset
     of trace symbols that fits under alpha, listed in descending order,
@@ -79,13 +87,22 @@ def block_monomials(m: int, alpha: tuple[int, ...]) -> list[QMon]:
     stack = [(0, (), alpha)]
     while stack:
         start, traces, rest = stack.pop()
-        for ne in product(*(range(r // 2 + 1) for r in rest)):
-            found.append(QMon(tuple(r - 2 * n for r, n in zip(rest, ne)),
-                              ne, traces))
+        found += _splits(rest, traces)
         for k in range(start, len(subsets)):
             if all(map(le, subsets[k], rest)):
                 stack.append((k, traces + (subsets[k],),
                               tuple(map(sub, rest, subsets[k]))))
+    return found
+
+
+def trace_linear_monomials(m: int, alpha: tuple[int, ...]) -> list[QMon]:
+    """The members of block ``alpha`` with at most one trace symbol: the
+    x/N splits of alpha, then for each trace subset A under alpha those
+    of alpha - 1_A times Tr(A)."""
+    found = _splits(alpha, ())
+    for a in all_subsets(m, min_size=2):
+        if all(map(le, a, alpha)):
+            found += _splits(tuple(map(sub, alpha, a)), (a,))
     return found
 
 
@@ -132,6 +149,22 @@ def _renumbered(terms, order: tuple[int, ...]):
             for t in terms]
 
 
+def _repack(keys: list[int], old: int, new: int) -> list[int]:
+    """The packed ``keys`` with each field moved from ``old`` to ``new``
+    bits, visiting only the nonzero fields, lowest first."""
+    mask = (1 << old) - 1
+    found = []
+    for key in keys:
+        out = 0
+        while key:
+            field = ((key & -key).bit_length() - 1) // old
+            value = (key >> field * old) & mask
+            out |= value << field * new
+            key ^= value << field * old
+        found.append(out)
+    return found
+
+
 class RelationSpans:
     """The relation span of each degree, block by block.
 
@@ -154,8 +187,9 @@ class RelationSpans:
     one degree at one width.  ``excess`` is how far the heaviest term of
     any relation filed lies above its declared degree, so no product of
     degree d's spans passes degree d + excess, and the width holds that.
-    The packed multiplier blocks and relation terms are cached at the
-    current width, for one sweep."""
+    The packed multiplier blocks and relation terms are cached for one
+    sweep, and repacked when the width grows, so no block is enumerated
+    twice."""
 
     def __init__(self, m: int):
         self.m = m
@@ -188,12 +222,22 @@ class RelationSpans:
         self.keys.pop(block, None)
 
     def _set_width(self, width: int) -> None:
-        """Pack at ``width`` bits a field from now on, dropping what was
-        packed at another."""
+        """Pack at ``width`` bits a field from now on.  What was packed
+        at a narrower width is repacked (``_repack``), as every field of
+        it fits the wider one; what was packed at a wider width, which a
+        sweep never asks for, is dropped."""
         if width != self.width:
+            old = self.width
+            if width > old:
+                self.multipliers = {
+                    gamma: _repack(keys, old, width)
+                    for gamma, keys in self.multipliers.items()}
+                self.keys = {
+                    block: [_repack(keys, old, width) for keys in relations]
+                    for block, relations in self.keys.items()}
+            else:
+                self.multipliers, self.keys = {}, {}
             self.width = width
-            self.multipliers = {}
-            self.keys = {}
             self.trace_keys = {
                 a: 1 << (k * width)
                 for k, a in enumerate(all_subsets(self.m, min_size=2),

@@ -33,7 +33,8 @@ linear algebra over monomial bases:
   spanned by orbit sums of monomials in y and z, free pairs plus one
   fixed monomial per all-even multidegree.  ``evaluation_rank`` counts
   what the generators span there; the two agree exactly when the
-  generators generate.
+  generators generate, and ``evaluation_rank`` proves that agreement
+  block by block from the generators' leads where it can (below).
 
 Ranks, span membership and left-kernel vectors do not depend on the
 order of a matrix's columns: the left kernel is fixed by which rows
@@ -54,11 +55,18 @@ diagonal, one block per alpha with |alpha| = d, whose rows are the
 presentation monomials of multidegree alpha (``block_monomials``) and
 whose columns are the polynomial monomials of multidegree alpha.
 Permuting the variable pairs commutes with evaluation, so the blocks
-of one S_m orbit have equal rank, and ``evaluation_rank`` builds one
+of one S_m orbit have equal rank, and ``evaluation_rank`` ranks one
 block per orbit, the non-increasing alpha, and counts it |S_m alpha|
 times.  Per block the fixed space has dimension
-``(prod(alpha_i + 1) + [every alpha_i even]) / 2``; the tests check
-every block rank against it rather than assume it.
+``(prod(alpha_i + 1) + [every alpha_i even]) / 2``, and the rank is
+that dimension when the block's trace-linear monomials have that many
+distinct leads: images with distinct leads are independent, and every
+image is invariant, so the rank lies between the lead count and the
+dimension.  The leads are ``qring.summand_lead``, checked once per m
+against the generators' actual images; a block whose count falls short,
+or any block when that check fails, is eliminated.  The tests compare
+the lead count with the eliminated rank on every block for m <= 4 and
+every orbit representative for m = 5 through degree 11.
 
 Every type I, II and III relation is multihomogeneous, and so are its
 monomial multiples, so ``verify_relation_ideal`` files each relation
@@ -114,7 +122,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 from .blocks import (
     RelationSpans,
@@ -122,20 +130,27 @@ from .blocks import (
     multidegree,
     orbit_reps,
     orbit_size,
+    trace_linear_monomials,
 )
 from .f2 import RowSpan, bit_indices, left_kernel, row_of
+from .invariants import involution
 from .poly import (
     Monomial,
+    Poly,
     all_subsets,
     cardinality,
     monomial_key,
     packed_width,
+    singleton,
+    unpack,
 )
 from .qring import (
     QMon,
     QPoly,
     packed_term_image,
+    qmon_degree,
     qmon_key,
+    summand_lead,
     vanishes,
 )
 from .relations import Relation, relation_plan
@@ -295,18 +310,77 @@ def _trace_linear_monomials(m: int, d: int) -> tuple[QMon, ...]:
     return tuple(found)
 
 
-def _block_rank(m: int, alpha: tuple[int, ...]) -> int:
-    """Rank of the evaluation rows of the block of multidegree alpha."""
+@lru_cache(maxsize=None)
+def _generator_leads_hold(m: int) -> bool:
+    """Whether each of the 2^m + m - 1 generators x_i, N_i and Tr(A)
+    has an image, as the evaluation rows compute it, that leads with
+    its ``summand_lead`` and is fixed by the involution.  Checked once
+    per m."""
+    zero = (0,) * m
+    units = [singleton(m, i) for i in range(m)]
+    generators = ([QMon(u, zero, ()) for u in units]
+                  + [QMon(zero, u, ()) for u in units]
+                  + [QMon(zero, zero, (a,))
+                     for a in all_subsets(m, min_size=2)])
+    for g in generators:
+        width = packed_width(qmon_degree(g))
+        image = Poly(m, frozenset(unpack(p, 2 * m, width)
+                                  for p in packed_term_image(g, width)))
+        if (not image or image.lead_term() != summand_lead(g)
+                or involution(image) != image):
+            return False
+    return True
+
+
+def _lead_count(m: int, alpha: tuple[int, ...]) -> int:
+    """How many distinct ``summand_lead``s the trace-linear monomials of
+    block alpha have."""
+    return len({summand_lead(t) for t in trace_linear_monomials(m, alpha)})
+
+
+def _block_dimension(alpha: tuple[int, ...]) -> int:
+    """Dimension of the fixed space in multidegree alpha: the orbit sums
+    of the y/z monomials y^a z^(alpha-a), free pairs plus the fixed
+    y^(alpha/2) z^(alpha/2) when every alpha_i is even."""
+    return (prod(a + 1 for a in alpha) + all(a % 2 == 0 for a in alpha)) // 2
+
+
+def _eliminated_rank(m: int, alpha: tuple[int, ...]) -> int:
+    """Rank of the evaluation rows of the block of multidegree alpha, by
+    elimination."""
     span = RowSpan()
     for row in _image_rows(sum(alpha), block_monomials(m, alpha)):
         span.add(row)
     return span.rank
 
 
+def _block_rank(m: int, alpha: tuple[int, ...]) -> int:
+    """Rank of the evaluation rows of the block of multidegree alpha:
+    its fixed-space dimension when the lead count reaches it, else by
+    elimination (see ``evaluation_rank``)."""
+    dimension = _block_dimension(alpha)
+    if _generator_leads_hold(m) and _lead_count(m, alpha) == dimension:
+        return dimension
+    return _eliminated_rank(m, alpha)
+
+
 def evaluation_rank(m: int, d: int, budget: int = DEFAULT_BUDGET) -> int:
     """Dimension of the degree-d space the generators span: the block
     ranks of the orbit representatives, each counted once per member
-    of its S_m orbit."""
+    of its S_m orbit.
+
+    A block's rank is pinned between two bounds.  Images whose leads
+    differ are linearly independent, so the rank is at least the
+    number of distinct leads among the block's trace-linear monomials.
+    Every image lies in the block's fixed space, since the generators
+    are invariant, so the rank is at most that space's dimension,
+    ``(prod(alpha_i + 1) + [every alpha_i even]) / 2``.  The leads come
+    from ``summand_lead``, which is exact on every trace-linear monomial
+    once each generator's image leads as it says (the lead of a product is the
+    product of the leads); ``_generator_leads_hold`` checks that, and
+    that each image is invariant, once per m.  Where the check passed
+    and the count meets the dimension, the two bounds meet and that is
+    the rank; any other block is eliminated."""
     _charge(_q_count(m, d), _poly_count(m, d), budget,
             f"evaluation rank at degree {d}")
     return sum(orbit_size(alpha) * _block_rank(m, alpha)

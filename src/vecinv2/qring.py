@@ -67,12 +67,14 @@ from typing import Iterable, NamedTuple
 from . import invariants
 from .poly import (
     DimensionMismatch,
+    Monomial,
     Poly,
     SparsePoly,
     Subset,
     ZeroPolynomialError,
     bits_to_subset,
     cardinality,
+    min_index,
     pack,
     packed_width,
     parity_collect,
@@ -93,6 +95,7 @@ __all__ = [
     "times_monomial",
     "packed_image",
     "packed_term_image",
+    "summand_lead",
     "qmon_degree",
     "qmon_trace_degree",
     "qmon_key",
@@ -293,6 +296,29 @@ def packed_term_image(t: QMon, width: int) -> set[int]:
         invariants.sheared(_interleave(t.ne, t.xe, width), t.ne, width),
         t.traces, width))
     return odd
+
+
+def summand_lead(term: QMon) -> Monomial:
+    """Leading monomial of the image of a presentation-ring term with at
+    most one trace, read off the generators' leads rather than by
+    expanding the image: x^I N^J Tr(A) leads with x^I y^(2J) x_a
+    y^(A-a), a = min A, because x_i leads with itself, N_i with y_i^2
+    and Tr(A) with x_a y^(A-a), and the lead of a product is the
+    product of the leads (grevlex is a monomial order and the
+    polynomial ring a domain)."""
+    m = len(term.xe)
+    exps = [0] * (2 * m)
+    for i in range(m):
+        exps[2 * i + 1] = term.xe[i]
+        exps[2 * i] = 2 * term.ne[i]
+    if term.traces:
+        a = term.traces[0]
+        low = min_index(a)
+        exps[2 * low + 1] += 1
+        for i in range(m):
+            if a[i] and i != low:
+                exps[2 * i] += 1
+    return tuple(exps)
 
 
 def packed_image(terms: Iterable[QMon], width: int) -> set[int]:

@@ -15,9 +15,9 @@ The result has at most one trace factor per term.
 ``linear_reduce`` goes the other way: given a trace-linear element of
 the presentation ring that evaluates to zero, it writes the element as
 an explicit combination of the cubic-and-up relations.  The engine of
-the descent is the *summand lead*: the leading monomial of the image of
-a single term x^I N^J Tr(A), which can be read off without expanding
-anything,
+the descent is the *summand lead* (``qring.summand_lead``): the leading
+monomial of the image of a single term x^I N^J Tr(A), which can be read
+off without expanding anything,
 
     lead pi(x^I N^J Tr(A)) = x^I y^(2J) x_a y^(A-a),   a = min A,
 
@@ -78,6 +78,7 @@ from .qring import (
     qmon_degree,
     qmon_key,
     qmon_trace_degree,
+    summand_lead,
     times_monomial,
     vanishes,
 )
@@ -286,24 +287,6 @@ def reduce_product(a: Subset, b: Subset) -> ReductionTrace:
 
 # ---------------------------------------------------------------------------
 # certifying trace-linear relations
-
-
-def summand_lead(term: QMon) -> Monomial:
-    """Leading monomial of the image of a single presentation-ring term,
-    computed from the formula rather than by expanding the image."""
-    m = len(term.xe)
-    exps = [0] * (2 * m)
-    for i in range(m):
-        exps[2 * i + 1] = term.xe[i]
-        exps[2 * i] = 2 * term.ne[i]
-    if term.traces:
-        a = term.traces[0]
-        low = min_index(a)
-        exps[2 * low + 1] += 1
-        for i in range(m):
-            if a[i] and i != low:
-                exps[2 * i] += 1
-    return tuple(exps)
 
 
 def _lead_achievers(h: QPoly) -> tuple[Monomial, list[QMon]]:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from vecinv2 import blocks, oracle, relations
+from vecinv2 import blocks, oracle, qring, relations
 from vecinv2.f2 import RowSpan, bit_indices, left_kernel, row_of
 from vecinv2.invariants import involution
 from vecinv2.oracle import (
@@ -238,6 +238,118 @@ def test_evaluation_rank_sums_blocks():
         assert ranks == [_block_dimension(alpha) for alpha in alphas]
         assert evaluation_rank(m, d, budget=10 ** 9) == sum(ranks) == \
             invariant_dimension(m, d), (m, d)
+
+
+def test_lead_count_meets_the_elimination_rank():
+    # the brute force behind evaluation_rank's lead count: on every
+    # block for m <= 4 and every orbit representative for m = 5 through
+    # degree 11, the distinct leads of the trace-linear monomials, the
+    # rank by elimination and the fixed-space dimension agree
+    cases = [(m, alpha) for m in (1, 2, 3, 4)
+             for d in range(2 * m + 2)
+             for alpha in blocks.compositions(d, m)]
+    cases += [(5, alpha) for d in range(12)
+              for alpha in blocks.orbit_reps(d, 5)]
+    for m in range(1, 9):
+        assert oracle._generator_leads_hold(m), m
+    for m, alpha in cases:
+        assert (oracle._lead_count(m, alpha)
+                == oracle._eliminated_rank(m, alpha)
+                == _block_dimension(alpha)), (m, alpha)
+
+
+def _max_member_lead(term):
+    """A wrong ``summand_lead``: a trace leads with x_b y^(A-b) for the
+    largest member b of A, not the least."""
+    lead = list(qring.summand_lead(term))
+    if term.traces:
+        a = term.traces[0]
+        low, high = a.index(1), len(a) - 1 - a[::-1].index(1)
+        lead[2 * low] += 1
+        lead[2 * low + 1] -= 1
+        lead[2 * high] -= 1
+        lead[2 * high + 1] += 1
+    return tuple(lead)
+
+
+@pytest.fixture
+def eliminated(monkeypatch):
+    """The blocks ``oracle._eliminated_rank`` is called on, in order;
+    the generator check is recomputed before and after the test."""
+    calls = []
+    rank = oracle._eliminated_rank
+
+    def recording(m, alpha):
+        calls.append((m, alpha))
+        return rank(m, alpha)
+
+    monkeypatch.setattr(oracle, "_eliminated_rank", recording)
+    oracle._generator_leads_hold.cache_clear()
+    yield calls
+    oracle._generator_leads_hold.cache_clear()
+
+
+def test_wrong_generator_lead_falls_back(monkeypatch, eliminated):
+    # with the least member swapped for the largest, every block still
+    # counts as many distinct leads as its dimension, so only the
+    # generator check can refuse the formula; it does, and every block
+    # is eliminated to the same ranks
+    monkeypatch.setattr(oracle, "summand_lead", _max_member_lead)
+    for m in (2, 3, 4):
+        assert not oracle._generator_leads_hold(m)
+        for d in range(2 * m + 1):
+            reps = blocks.orbit_reps(d, m)
+            assert all(oracle._lead_count(m, alpha) == _block_dimension(alpha)
+                       for alpha in reps)
+            eliminated.clear()
+            assert evaluation_rank(m, d) == invariant_dimension(m, d)
+            assert eliminated == [(m, alpha) for alpha in reps]
+
+
+def test_short_count_falls_back(monkeypatch, eliminated):
+    # a count one short of a block's dimension sends that block to
+    # elimination, and the report stays byte-identical
+    expected = verify_relation_ideal(4, 8)
+    assert eliminated == []
+    count = oracle._lead_count
+    monkeypatch.setattr(oracle, "_lead_count",
+                        lambda m, alpha: count(m, alpha) - 1)
+    report = verify_relation_ideal(4, 8)
+    assert eliminated == [(4, alpha) for d in range(2, 9)
+                          for alpha in blocks.orbit_reps(d, 4)]
+    assert report.to_text() == expected.to_text()
+    assert json.dumps(report.to_json()) == json.dumps(expected.to_json())
+    assert report.degrees == expected.degrees
+
+
+def test_sweep_enumerates_each_block_once(monkeypatch):
+    # the packed multiplier blocks are repacked, not enumerated again,
+    # when the width grows (at degrees 4 and 8)
+    seen = Counter()
+    enumerate_block = blocks.block_monomials
+
+    def counting(m, alpha):
+        seen[m, alpha] += 1
+        return enumerate_block(m, alpha)
+
+    monkeypatch.setattr(blocks, "block_monomials", counting)
+    monkeypatch.setattr(oracle, "block_monomials", counting)
+    assert verify_relation_ideal(4, 8).ok
+    assert seen and max(seen.values()) == 1
+    seen.clear()
+    assert max_relation_degree(3) == 6
+    assert seen and max(seen.values()) == 1
+
+
+def test_repacked_keys_match_fresh_packing():
+    for m in (2, 3, 4):
+        narrow, wide = blocks.RelationSpans(m), blocks.RelationSpans(m)
+        narrow._set_width(2)
+        wide._set_width(4)
+        for alpha in blocks.compositions(3, m):
+            terms = blocks.block_monomials(m, alpha)
+            assert blocks._repack(narrow._pack(terms), 2, 4) == \
+                wide._pack(terms), (m, alpha)
 
 
 def test_block_monomials_partition_the_degree():
