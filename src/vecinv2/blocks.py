@@ -16,7 +16,12 @@ non-increasing one, and ``orbit_size`` counts its orbit.
 ``RelationSpans`` ranks a degree in one loop over its blocks, each
 counted against the span of the block that stands for it: its orbit's
 representative while the caller states that the ideal of the lower
-relations is S_m-stable, the block itself otherwise.
+relations is S_m-stable, the block itself otherwise.  On the orbit
+route ``RelationSpans.lead_count`` can count a degree with no row
+built, from the distinct leads of the span's elements: the
+trace-linear ones on the representatives' trace-linear monomials
+(``linear_blocks``, which the evaluation lead count reads too), the
+rest from closed-form counts.
 
 The relation spans key their columns by packed monomials, as
 ``poly.pack`` does for polynomial monomials: a presentation monomial
@@ -34,19 +39,22 @@ the multigrading may understate.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product
-from math import factorial
-from operator import ge, itemgetter, le, sub
+from functools import lru_cache
+from itertools import groupby, product
+from math import factorial, inf
+from operator import attrgetter, ge, itemgetter, le, sub
 
 from .f2 import RowSpan, bit_indices, left_kernel, row_of
-from .poly import all_subsets, pack, packed_width
-from .qring import QMon, QPoly, qmon_degree
+from .poly import all_subsets, monomial_key, pack, packed_width
+from .qring import QMon, QPoly, qmon_degree, summand_lead
+from .relations import pair_count
 
 __all__ = [
     "multidegree",
     "relation_block",
     "block_monomials",
     "trace_linear_monomials",
+    "linear_blocks",
     "compositions",
     "orbit_reps",
     "orbit_size",
@@ -117,10 +125,11 @@ def compositions(d: int, m: int):
             yield (first,) + rest
 
 
-def orbit_reps(d: int, m: int) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def orbit_reps(d: int, m: int) -> tuple[tuple[int, ...], ...]:
     """One multidegree of degree d from each S_m orbit: the
     non-increasing ones."""
-    return [a for a in compositions(d, m) if all(map(ge, a, a[1:]))]
+    return tuple(a for a in compositions(d, m) if all(map(ge, a, a[1:])))
 
 
 def orbit_size(alpha: tuple[int, ...]) -> int:
@@ -129,6 +138,71 @@ def orbit_size(alpha: tuple[int, ...]) -> int:
     for repeats in Counter(alpha).values():
         size //= factorial(repeats)
     return size
+
+
+@lru_cache(maxsize=1)
+def linear_blocks(m: int, d: int) -> dict[tuple, list[QMon]]:
+    """``trace_linear_monomials`` of each orbit representative of degree
+    d, for both lead counts of a degree; the last degree is kept."""
+    return {rho: trace_linear_monomials(m, rho) for rho in orbit_reps(d, m)}
+
+
+def _measure(t: QMon) -> tuple[int, int, int]:
+    """nu'(t) = (number of trace factors, sum of |A|, -sum of |A|^2) over
+    the traces Tr(A) of t: the first part of the lead order.  Each part
+    adds under multiplication, and renumbering the pairs keeps it."""
+    sizes = [sum(a) for a in t.traces]
+    return len(sizes), sum(sizes), -sum(k * k for k in sizes)
+
+
+def _top(terms) -> list[QMon]:
+    """The terms of greatest ``_measure``."""
+    measures = list(map(_measure, terms))
+    top = max(measures)
+    return [t for t, mu in zip(terms, measures) if mu == top]
+
+
+def _factors(t: QMon) -> int:
+    """How many generators t is a product of."""
+    return sum(t.xe) + sum(t.ne) + len(t.traces)
+
+
+def _divisors(t: QMon, fewest: int) -> set[QMon]:
+    """The monomials that divide t, t itself excepted, down to products
+    of ``fewest`` generators: what dividing by one generator at a time
+    reaches."""
+    found: set[QMon] = set()
+    stack = [t] if _factors(t) > fewest else []
+    while stack:
+        xe, ne, traces = stack.pop()
+        below = [QMon(xe[:i] + (e - 1,) + xe[i + 1:], ne, traces)
+                 for i, e in enumerate(xe) if e]
+        below += [QMon(xe, ne[:i] + (e - 1,) + ne[i + 1:], traces)
+                  for i, e in enumerate(ne) if e]
+        below += [QMon(xe, ne, traces[:j] + traces[j + 1:])
+                  for j in range(len(traces))]
+        for divisor in below:
+            if divisor not in found:
+                found.add(divisor)
+                if _factors(divisor) > fewest:
+                    stack.append(divisor)
+    return found
+
+
+def _covered(monomials, linear: dict) -> int:
+    """How many of the trace-linear ``monomials`` some lead in ``linear``
+    divides.  ``linear`` groups trace-linear leads by their traces; a
+    lead divides a monomial when it has the monomial's trace or none,
+    and no larger x or N exponent."""
+    free = linear.get((), [])
+    count = 0
+    for traces, group in groupby(monomials, attrgetter("traces")):
+        leads = linear.get(traces, []) + (free if traces else [])
+        if leads:
+            count += sum(any(all(map(le, lead.xe, t.xe))
+                             and all(map(le, lead.ne, t.ne))
+                             for lead in leads) for t in group)
+    return count
 
 
 def _sorting(alpha: tuple[int, ...]) -> tuple[int, ...]:
@@ -181,7 +255,9 @@ class RelationSpans:
     that maps alpha onto rho (``_representative``).  J_rho is built once
     a degree, and alpha adds rank J_rho plus the rank of its renumbered
     relations modulo J_rho.  The spans of the degree last ranked are
-    kept for ``missing``.
+    kept for ``missing``.  ``lead_count`` bounds the same rank from
+    below with no row built; it keeps the leads of the relations filed
+    and the set of their terms.
 
     Columns are packed monomial keys (see the module docstring), all of
     one degree at one width.  ``excess`` is how far the heaviest term of
@@ -203,6 +279,9 @@ class RelationSpans:
         self.keys: dict[tuple, list[list[int]]] = {}
         self.products: dict[tuple, tuple[RowSpan, dict]] = {}
         self.spans: dict[tuple, tuple[RowSpan, dict]] = {}
+        self.leads: dict[tuple, list[QMon]] = {}
+        self.terms: set[QMon] = set()
+        self.fewest = inf
         self.dependent: set[int] = set()
 
     def add(self, position: int, degree: int, element: QPoly) -> None:
@@ -217,9 +296,14 @@ class RelationSpans:
                 for key, filed in self.filed.items():
                     refiled.setdefault((sum(key),), []).extend(filed)
                 self.filed, self.keys = refiled, {}
+                self.leads, self.terms, self.fewest = {}, set(), inf
         block = beta if self.graded else (degree,)
         self.filed.setdefault(block, []).append((position, element))
         self.keys.pop(block, None)
+        if self.graded:
+            self.leads.pop(block, None)
+            self.terms.update(element.terms)
+            self.fewest = min(self.fewest, min(map(_factors, element.terms)))
 
     def _set_width(self, width: int) -> None:
         """Pack at ``width`` bits a field from now on.  What was packed
@@ -333,6 +417,82 @@ class RelationSpans:
         route = ("orbits" if self.orbits else
                  "blocks" if self.graded else "degree")
         return total, route
+
+    def _lead(self, top: list[QMon], order: tuple) -> QMon:
+        """The lead of a relation whose terms of greatest ``_measure`` are
+        ``top``, renumbered by ``order``: ties go by grevlex on their
+        ``summand_lead``, then by packed key.  Each part of this order
+        respects multiplication, and packed keys compare alike at every
+        width."""
+        tied = _renumbered(top, order)
+        if len(tied) == 1:
+            return tied[0]
+        keys = dict(zip(self._pack(tied), tied))
+        return keys[max(keys, key=lambda key: (
+            monomial_key(summand_lead(keys[key])), key))]
+
+    def _leads(self, block: tuple) -> list[QMon]:
+        """The leads of the relations filed at ``block``."""
+        if block not in self.leads:
+            same = tuple(range(self.m))
+            self.leads[block] = [self._lead(_top(list(element.terms)), same)
+                                 for _, element in self.filed[block]]
+        return self.leads[block]
+
+    def _fresh(self, lead: QMon) -> bool:
+        """Whether no proper divisor of ``lead`` is a term of a relation
+        filed, so no element of any J has ``lead`` as a term."""
+        return self.terms.isdisjoint(_divisors(lead, self.fewest))
+
+    def lead_count(self, d: int, several: int) -> int | None:
+        """A count of distinct leads among the degree-d span's elements,
+        with no row built, or None where the leads cannot settle the
+        degree; ``several`` is how many degree-d monomials carry two or
+        more traces.
+
+        The caller states what ``rank``'s orbit route needs and that
+        every relation filed vanishes.  Then each block's count is at
+        most its span rank, that at most its kernel dimension, and a
+        total equal to the degree's kernel dimension proves every block
+        generated.  In the lead order (``_lead``) the lead of a monomial
+        times a relation is the monomial times its lead.  Once every
+        pair Tr(A)Tr(B) with |A| + |B| < d leads a relation, every
+        monomial with two or more traces leads such a product, but the
+        bare pairs of degree d; a trace-linear monomial of a
+        representative rho does when a lower trace-linear lead divides
+        it (``_covered``), counted once per block of rho's orbit.  Each
+        block holding degree-d relations adds their leads, renumbered
+        into rho as ``rank`` renumbers them, when they are distinct and
+        fresh (``_fresh``): no element of J_rho has a fresh term, so
+        those relations are independent modulo J_rho, and none is
+        dependent.  A missing pair, a repeated lead, one that is not
+        fresh, or a sweep off the multigrading gives None."""
+        if not self.graded:
+            return None
+        self._set_width(packed_width(d + self.excess))
+        linear: dict[tuple, list[QMon]] = {}
+        pairs = set()
+        for block in self.filed:
+            if sum(block) < d:
+                for lead in self._leads(block):
+                    if len(lead.traces) < 2:
+                        linear.setdefault(lead.traces, []).append(lead)
+                    elif len(lead.traces) == 2 and not any(lead.xe + lead.ne):
+                        pairs.add(lead)
+        if len(pairs) < sum(pair_count(self.m, e) for e in range(d)):
+            return None
+        total = several - pair_count(self.m, d)
+        for rho, monomials in linear_blocks(self.m, d).items():
+            total += orbit_size(rho) * _covered(monomials, linear)
+        for alpha, filed in self.filed.items():
+            if sum(alpha) == d:
+                order = _sorting(alpha)
+                leads = {self._lead(_top(list(element.terms)), order)
+                         for _, element in filed}
+                if len(leads) < len(filed) or not all(map(self._fresh, leads)):
+                    return None
+                total += len(filed)
+        return total
 
     def _span(self, alpha: tuple) -> tuple[RowSpan, dict]:
         """The span of block alpha and its column index, built on first

@@ -95,6 +95,14 @@ stray relation or a rank shortfall, the sweep cannot know the ideal
 is stable, and each block of a later degree stands for itself.  The
 report's ``route`` says which was used.
 
+Leads.  On the orbit route, with every relation built vanishing, a
+degree is first counted with no row built (``lead_count``): span
+elements with distinct leads are independent, so a count of distinct
+leads that reaches the kernel dimension proves the degree generated,
+and relations whose leads no lower relation's term divides are
+independent.  Anything short of that is eliminated as above, to the
+same report; ``route`` reads "leads" where the count decided.
+
 Fallbacks.  A relation without one multidegree, or whose multidegree
 does not sum to its declared degree, or declared below degree 2,
 switches the sweep to one block per total degree, from the degree at
@@ -119,14 +127,15 @@ move those exits.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, prod
 
 from .blocks import (
     RelationSpans,
     block_monomials,
+    linear_blocks,
     multidegree,
     orbit_reps,
     orbit_size,
@@ -153,7 +162,7 @@ from .qring import (
     summand_lead,
     vanishes,
 )
-from .relations import Relation, relation_plan
+from .relations import Relation, relation_degrees, relations_of_degree
 
 __all__ = [
     "BudgetExceeded",
@@ -334,8 +343,12 @@ def _generator_leads_hold(m: int) -> bool:
 
 def _lead_count(m: int, alpha: tuple[int, ...]) -> int:
     """How many distinct ``summand_lead``s the trace-linear monomials of
-    block alpha have."""
-    return len({summand_lead(t) for t in trace_linear_monomials(m, alpha)})
+    block alpha have, read from ``linear_blocks`` when alpha stands for
+    its orbit."""
+    reps = linear_blocks(m, sum(alpha))
+    monomials = (reps[alpha] if alpha in reps
+                 else trace_linear_monomials(m, alpha))
+    return len({summand_lead(t) for t in monomials})
 
 
 def _block_dimension(alpha: tuple[int, ...]) -> int:
@@ -419,11 +432,12 @@ class DegreeReport:
     span_rank: int
     generated: bool
     counterexample: QPoly | None
-    # which blocks stood for the others when span_rank was counted
-    # (``blocks.RelationSpans.rank``): "orbits", the orbit
-    # representatives, while every lower degree passed; "blocks", each
-    # block itself, after one failed; "degree", the whole degree, once a
-    # relation has no multidegree.  Not part of the text or JSON report
+    # how span_rank was counted: "leads", by the lead count
+    # (``blocks.RelationSpans.lead_count``); else by elimination
+    # (``RelationSpans.rank``) on "orbits", the orbit representatives,
+    # while every lower degree passed, "blocks", each block itself,
+    # after one failed, or "degree", the whole degree, once a relation
+    # has no multidegree.  Not part of the text or JSON report
     route: str
 
     def to_json(self) -> dict:
@@ -533,22 +547,20 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
     which only a relation declared off its real degree can cause, fails
     with no counterexample: no kernel element lies outside the span.
     Minimality: no relation of degree 2 to ``d_max`` may lie in the span
-    of the others at its own degree.  Both are decided by one
-    elimination per block: the relations of degree d in the block are
-    reduced modulo the multiples of the lower ones, and a relation is
-    dependent exactly when some left-kernel vector of the remainders
-    uses it.
+    of the others at its own degree.  Both are decided by a lead count
+    where it can, else by one elimination per block: the relations of
+    degree d in the block are reduced modulo the multiples of the lower
+    ones, and a relation is dependent exactly when some left-kernel
+    vector of the remainders uses it (see the module docstring).
     Relations are built and evaluated inside the sweep, at their own
     degree and after that degree's budget charges (those declared below
     degree 2 at degree 2), and evaluated until one does not vanish;
     relations above ``d_max`` are never built, and the report counts
     them as unchecked: its PASS line then names the checked range
-    instead of the whole family.  The declared family
-    comes from ``relation_plan``, which gives every degree in closed
-    form, so a budget exit never waits for the whole family.  The
-    ranks are counted by one loop over the blocks of each degree, on
-    orbit representatives while every lower degree passed (see the
-    module docstring).
+    instead of the whole family.  The declared family is listed degree
+    by degree (``relations_of_degree``) and counted in closed form
+    (``relation_degrees``), so a budget exit never waits for the whole
+    family.
     Passing ``relations`` overrides the declared basis, which is how
     deliberately broken families can be shown to fail.
     """
@@ -561,13 +573,18 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
     if budget < 1:
         raise ValueError(f"verify wants a positive budget, got {budget}")
     if relations is None:
-        plan = relation_plan(m, flavor)
+        counts = relation_degrees(m, flavor)
+        due = partial(relations_of_degree, m, flavor=flavor)
     else:
-        plan = [(r.degree, lambda r=r: r) for r in relations]
-    degrees = [e for e, _ in plan]
-    counts = Counter(degrees)
-    # lowest degree first; the sort is stable, so list order among equals
-    unbuilt = deque(sorted(range(len(plan)), key=lambda p: degrees[p]))
+        counts = Counter(r.degree for r in relations)
+        # lowest degree first; the sort is stable, so list order among
+        # equals; those declared below degree 2 are due at degree 2
+        listed: dict[int, list] = {}
+        for position in sorted(range(len(relations)),
+                               key=lambda p: relations[p].degree):
+            listed.setdefault(max(relations[position].degree, 2), []).append(
+                (position, lambda r=relations[position]: r))
+        due = lambda d: listed.get(d, ())
     built: dict[int, Relation] = {}
     stray = None
     spans = RelationSpans(m)
@@ -575,15 +592,19 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
     for d in range(2, d_max + 1):
         kernel_dimension = _q_count(m, d) - evaluation_rank(m, d, budget)
         _charge_span(m, d, counts, budget)
-        while unbuilt and degrees[unbuilt[0]] <= d:
-            position = unbuilt.popleft()
-            relation = plan[position][1]()
+        for position, build in due(d):
+            relation = build()
             if stray is None and not vanishes(relation.element):
                 stray = relation
             built[position] = relation
             spans.add(position, relation.degree, relation.element)
-        span_rank, route = spans.rank(
-            d, all(r.generated for r in reports))
+        stable = all(r.generated for r in reports)
+        span_rank, route = None, "leads"
+        if stray is None and stable:
+            span_rank = spans.lead_count(
+                d, _q_count(m, d) - _trace_linear_count(m, d))
+        if span_rank != kernel_dimension:
+            span_rank, route = spans.rank(d, stable)
         counterexample = None
         if stray is not None:
             lift = q_monomials(m, d - stray.degree)[0]
@@ -606,11 +627,11 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
         m=m,
         flavor=flavor,
         d_max=d_max,
-        n_relations=len(plan),
-        max_degree=max(degrees, default=0),
+        n_relations=counts.total(),
+        max_degree=max(counts, default=0),
         degrees=tuple(reports),
         dependent=tuple(built[p].label() for p in sorted(spans.dependent)),
-        n_unchecked=sum(e > d_max for e in degrees),
+        n_unchecked=sum(n for e, n in counts.items() if e > d_max),
     )
 
 

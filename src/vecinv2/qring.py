@@ -299,20 +299,19 @@ def packed_term_image(t: QMon, width: int) -> set[int]:
 
 
 def summand_lead(term: QMon) -> Monomial:
-    """Leading monomial of the image of a presentation-ring term with at
-    most one trace, read off the generators' leads rather than by
-    expanding the image: x^I N^J Tr(A) leads with x^I y^(2J) x_a
-    y^(A-a), a = min A, because x_i leads with itself, N_i with y_i^2
-    and Tr(A) with x_a y^(A-a), and the lead of a product is the
-    product of the leads (grevlex is a monomial order and the
+    """Leading monomial of the image of a presentation-ring term, read
+    off the generators' leads rather than by expanding the image:
+    x^I N^J Tr(A1)...Tr(Ak) leads with x^I y^(2J) times x_a y^(A-a),
+    a = min A, for each trace A, because x_i leads with itself, N_i
+    with y_i^2 and Tr(A) with x_a y^(A-a), and the lead of a product is
+    the product of the leads (grevlex is a monomial order and the
     polynomial ring a domain)."""
     m = len(term.xe)
     exps = [0] * (2 * m)
     for i in range(m):
         exps[2 * i + 1] = term.xe[i]
         exps[2 * i] = 2 * term.ne[i]
-    if term.traces:
-        a = term.traces[0]
+    for a in term.traces:
         low = min_index(a)
         exps[2 * low + 1] += 1
         for i in range(m):

@@ -48,13 +48,15 @@ element holds a frozenset of terms.  A vacuous or malformed argument
 is not memoized, so its error is raised on every call.
 ``relation_basis`` builds its family fresh, through the uncached
 builders, so a verify's relations are freed when it returns rather
-than staying in the memo.  ``relation_plan`` lists the same family as
-closed-form degrees with a deferred build each, so the oracle builds a
-relation only when its sweep reaches the relation's degree.
+than staying in the memo.  ``relations_of_degree`` lists the members
+of one degree, each with a deferred build, and ``relation_degrees``
+counts every degree in closed form, so the oracle neither lists nor
+builds a relation before its sweep reaches the relation's degree.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import comb
@@ -86,6 +88,9 @@ __all__ = [
     "type_ii_relation",
     "type_iii_relation",
     "relation_plan",
+    "relation_degrees",
+    "relations_of_degree",
+    "pair_count",
     "relation_basis",
     "count_relations",
 ]
@@ -255,25 +260,66 @@ def type_iii_relation(a: Subset, b: Subset) -> Relation:
     return _type_iii(a, b)
 
 
-def relation_plan(m: int, flavor: str = "III") -> list[tuple[int, partial]]:
-    """``(degree, build)`` for each member of ``relation_basis(m,
-    flavor)``, in its order: the degree in closed form (|A| for type I,
-    |A| + |B| for a quadratic) and a call that builds the relation
-    fresh.  Nothing is built here, so a caller can build each relation
-    only when it reaches the relation's degree."""
+def _check_family(m: int, flavor: str) -> None:
     if flavor not in ("II", "III"):
         raise ValueError(f"flavor must be 'II' or 'III', got {flavor!r}")
     if m < 1:
         raise ValueError("width must be at least 1")
+
+
+def pair_count(m: int, d: int) -> int:
+    """How many unordered pairs of trace subsets, repeats allowed, have
+    sizes summing to d: the quadratic relations of degree d."""
+    count = 0
+    for k in range(2, d // 2 + 1):
+        if d - k <= m:
+            count += (comb(comb(m, k) + 1, 2) if 2 * k == d
+                      else comb(m, k) * comb(m, d - k))
+    return count
+
+
+def relation_degrees(m: int, flavor: str = "III") -> Counter:
+    """How many members of ``relation_basis(m, flavor)`` each degree
+    has, in closed form: C(m, k) type I at degree k >= 3 and
+    ``pair_count(m, d)`` quadratics at degree d."""
+    _check_family(m, flavor)
+    counts = Counter({k: comb(m, k) for k in range(3, m + 1)})
+    counts.update({d: pair_count(m, d) for d in range(4, 2 * m + 1)})
+    return +counts
+
+
+def relations_of_degree(m: int, d: int, flavor: str = "III"):
+    """``(position, build)`` for each member of degree d of
+    ``relation_basis(m, flavor)``, in its order: the position in the
+    basis and a call that builds the relation fresh.  Only the degree-d
+    members are visited, so a caller walking the degrees up never lists
+    the family above the degree it has reached."""
+    _check_family(m, flavor)
     make = type_ii_relation if flavor == "II" else _type_iii
-    plan = [(cardinality(a), partial(_type_i, a))
-            for a in all_subsets(m, min_size=3)]
+    cubic = all_subsets(m, min_size=3)
+    for position, a in enumerate(cubic):
+        if cardinality(a) == d:
+            yield position, partial(_type_i, a)
     traces = all_subsets(m, min_size=2)
-    for hi in range(len(traces)):
-        for lo in range(hi + 1):
-            plan.append((cardinality(traces[hi]) + cardinality(traces[lo]),
-                         partial(make, traces[hi], traces[lo])))
-    return plan
+    # traces[first[k]:first[k + 1]] are the subsets of size k
+    first = [0, 0, 0]
+    for k in range(2, m + 1):
+        first.append(first[-1] + comb(m, k))
+    for hi, a in enumerate(traces):
+        k = d - cardinality(a)
+        if 2 <= k <= m:
+            for lo in range(first[k], min(first[k + 1], hi + 1)):
+                yield (len(cubic) + hi * (hi + 1) // 2 + lo,
+                       partial(make, a, traces[lo]))
+
+
+def relation_plan(m: int, flavor: str = "III") -> list[tuple[int, partial]]:
+    """``(degree, build)`` for each member of ``relation_basis(m,
+    flavor)``, in its order, gathered degree by degree from
+    ``relations_of_degree``.  Nothing is built here."""
+    found = sorted((position, d, build) for d in relation_degrees(m, flavor)
+                   for position, build in relations_of_degree(m, d, flavor))
+    return [(d, build) for _, d, build in found]
 
 
 def relation_basis(m: int, flavor: str = "III") -> list[Relation]:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import vecinv2
-from vecinv2 import cli, oracle
+from vecinv2 import cli
 from vecinv2.oracle import verify_relation_ideal
 from vecinv2.poly import Poly
 from vecinv2.qring import QPoly, formal_trace
@@ -244,8 +244,8 @@ def test_verification_failure_exits_one(capsys, monkeypatch):
     monkeypatch.undo()
     family = relation_basis(3) + [
         Relation("bogus", (1, 1, 0), None, None, formal_trace((1, 1, 0)), 2)]
-    monkeypatch.setattr(oracle, "relation_plan", lambda m, flavor: [
-        (r.degree, lambda r=r: r) for r in family])
+    monkeypatch.setattr(cli, "verify_relation_ideal", lambda *a, **k:
+                        verify_relation_ideal(*a, **k, relations=family))
     code, out, err = run_cli(capsys, "verify", "-m", "3")
     assert code == 1 and err == ""
     lines = out.splitlines()

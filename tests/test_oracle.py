@@ -322,9 +322,16 @@ def test_short_count_falls_back(monkeypatch, eliminated):
     assert report.degrees == expected.degrees
 
 
+def _no_lead_route(monkeypatch):
+    """Send every degree of a sweep to elimination."""
+    monkeypatch.setattr(blocks.RelationSpans, "lead_count",
+                        lambda self, d, several: None)
+
+
 def test_sweep_enumerates_each_block_once(monkeypatch):
-    # the packed multiplier blocks are repacked, not enumerated again,
-    # when the width grows (at degrees 4 and 8)
+    # the lead route enumerates no block; on elimination the packed
+    # multiplier blocks are repacked, not enumerated again, when the
+    # width grows (at degrees 4 and 8)
     seen = Counter()
     enumerate_block = blocks.block_monomials
 
@@ -335,9 +342,12 @@ def test_sweep_enumerates_each_block_once(monkeypatch):
     monkeypatch.setattr(blocks, "block_monomials", counting)
     monkeypatch.setattr(oracle, "block_monomials", counting)
     assert verify_relation_ideal(4, 8).ok
+    assert not seen
+    assert max_relation_degree(3) == 6
     assert seen and max(seen.values()) == 1
     seen.clear()
-    assert max_relation_degree(3) == 6
+    _no_lead_route(monkeypatch)
+    assert verify_relation_ideal(4, 8).ok
     assert seen and max(seen.values()) == 1
 
 
@@ -538,12 +548,10 @@ def test_relations_are_evaluated_inside_the_sweep(monkeypatch):
     assert all(q.degree() == 3 for q in calls)
 
 
-@pytest.mark.slow
 def test_verify_m6_through_degree_ten():
-    # brute force certifies generation and minimality at m = 6 through
-    # degree 10, where the kernel has dimension 1461588; the kernel
-    # dimensions also confirm that the generators span each degree's
-    # invariants.  About 6 s on a 2-vCPU host; run with -m slow
+    # generation and minimality at m = 6 through degree 10, where the
+    # kernel has dimension 1461588; the kernel dimensions also confirm
+    # that the generators span each degree's invariants
     report = verify_relation_ideal(6, 10, budget=10 ** 13)
     assert report.ok
     assert [r.degree for r in report.degrees] == list(range(2, 11))
@@ -551,6 +559,18 @@ def test_verify_m6_through_degree_ten():
         assert r.kernel_dimension == (
             r.n_q_monomials - invariant_dimension(6, r.degree)), r.degree
     assert report.degrees[-1].kernel_dimension == 1461588
+
+
+def test_verify_m6_full_certificate():
+    # the whole declared family at m = 6, through its top degree 12,
+    # where the kernel has dimension 13041836; every degree is decided
+    # by the lead count
+    report = verify_relation_ideal(6, budget=10 ** 15)
+    assert report.ok
+    assert report.to_text().splitlines()[-1] == (
+        "PASS: generation + minimality, 1695 relations, max degree 12")
+    assert [r.route for r in report.degrees] == ["leads"] * 11
+    assert report.degrees[-1].kernel_dimension == 13041836
 
 
 def test_relation_elements_lie_in_kernel_span():
@@ -736,7 +756,9 @@ def _shifted(m, family, position, lower):
     return family[:position] + [shifted] + family[position + 1:]
 
 
-def test_blocked_sweep_matches_whole_degree_matrices():
+def _route_table():
+    """Families with the route verify takes at each degree: the declared
+    ones for m <= 4, and mutants of them."""
     basis3 = relation_basis(3)
     basis4 = relation_basis(4)
     first, second = [r for r in basis3 if r.degree == 4][:2]
@@ -765,35 +787,51 @@ def test_blocked_sweep_matches_whole_degree_matrices():
             for r in (basis3[2], basis4[6], basis3[7], basis4[39])] == [
         (1, 1, 2), (0, 1, 1, 2), (1, 2, 2), (1, 1, 2, 2)]
     assert [r.degree for r in (basis3[1], basis4[5])] == [4, 4]
-    cases = [(m, flavor, relation_basis(m, flavor), ["orbits"] * (2 * m - 1),
-              True) for m in (1, 2, 3, 4) for flavor in ("II", "III")]
+    # the lead count decides every degree of a declared family
+    cases = [(m, flavor, relation_basis(m, flavor), ["leads"] * (2 * m - 1))
+             for m in (1, 2, 3, 4) for flavor in ("II", "III")]
     cases += [
         # degree 2 fails, so the later degrees are counted on every block
-        (3, "III", basis3 + [tr110], ["orbits"] + ["blocks"] * 4, False),
-        (3, "III", basis3 + [basis3[4]], ["orbits"] * 5, False),
+        (3, "III", basis3 + [tr110], ["orbits"] + ["blocks"] * 4),
+        # a repeated lead at degree 4
+        (3, "III", basis3 + [basis3[4]], ["leads"] * 2 + ["orbits"]
+         + ["leads"] * 2),
         # a multiple of the degree-3 relation in block (1, 1, 2): it lies
-        # in J_beta, so its renumbered image lies in J_rho
-        (3, "III", basis3 + [multiple], ["orbits"] * 5, False),
-        # degree 4 lacks the dropped relation
-        (3, "III", basis3[:1] + basis3[2:], ["orbits"] * 3 + ["blocks"] * 2,
-         False),
+        # in J_beta, so its renumbered image lies in J_rho; its lead is
+        # not fresh
+        (3, "III", basis3 + [multiple], ["leads"] * 2 + ["orbits"]
+         + ["leads"] * 2),
+        # the same multiple in place of the relation of block (1, 1, 2):
+        # as many leads as the kernel needs, but one is not fresh
+        (3, "III", basis3[:2] + basis3[3:] + [multiple],
+         ["leads"] * 2 + ["orbits"] + ["blocks"] * 2),
+        # degree 4 lacks the dropped relation: the count falls short
+        (3, "III", basis3[:1] + basis3[2:], ["leads"] * 2 + ["orbits"]
+         + ["blocks"] * 2),
         # no multidegree for the sum, so one block per degree from 4 on
-        (3, "III", basis3 + [mixed], ["orbits"] * 2 + ["degree"] * 3, False),
+        (3, "III", basis3 + [mixed], ["leads"] * 2 + ["degree"] * 3),
         # declared below its degree, so one block per degree throughout;
         # its rows lie outside the degree, so every span rank tops the
         # kernel dimension and no counterexample exists
-        (3, "III", basis3 + [heavy], ["degree"] * 5, False),
-        # generated degree by degree, so orbits throughout
-        (3, "III", _shifted(3, basis3, 2, 0), ["orbits"] * 5, False),
-        (4, "III", _shifted(4, basis4, 6, 0), ["orbits"] * 7, False),
+        (3, "III", basis3 + [heavy], ["degree"] * 5),
+        # generated degree by degree; the shifted relations keep their
+        # leads, so the lead count decides throughout
+        (3, "III", _shifted(3, basis3, 2, 0), ["leads"] * 5),
+        (4, "III", _shifted(4, basis4, 6, 0), ["leads"] * 7),
         # degree 4 fails; the duplicate above it is found on every block
         (3, "III", basis3[:1] + basis3[2:] + [basis3[7]],
-         ["orbits"] * 3 + ["blocks"] * 2, False),
+         ["leads"] * 2 + ["orbits"] + ["blocks"] * 2),
         (4, "III", basis4[:5] + basis4[6:] + [basis4[39]],
-         ["orbits"] * 3 + ["blocks"] * 4, False),
+         ["leads"] * 2 + ["orbits"] + ["blocks"] * 4),
     ]
+    return cases
+
+
+def test_blocked_sweep_matches_whole_degree_matrices():
+    basis3 = relation_basis(3)
+    basis4 = relation_basis(4)
     reports = []
-    for m, flavor, family, routes, declared in cases:
+    for m, flavor, family, routes in _route_table():
         report = verify_relation_ideal(m, flavor=flavor, relations=family)
         reports.append(report)
         want, dependent = _whole_degree_sweep(m, 2 * m, family)
@@ -832,11 +870,22 @@ def _count_span_builds(monkeypatch):
     return built
 
 
-def test_passing_sweep_builds_one_span_per_orbit(monkeypatch):
-    # a passing sweep builds only J_rho for each orbit representative
-    # rho, the products of the lower relations; the relations of every
-    # other block of the orbit are renumbered into it
+def test_passing_sweep_builds_no_relation_span(monkeypatch):
+    # the lead count decides every degree of a passing sweep, so no
+    # relation span is built, not even J_rho for the representatives
     built = _count_span_builds(monkeypatch)
+    report = verify_relation_ideal(4, 8)
+    assert report.ok
+    assert [r.route for r in report.degrees] == ["leads"] * 7
+    assert not built
+
+
+def test_passing_sweep_builds_one_span_per_orbit(monkeypatch):
+    # on elimination a passing sweep builds only J_rho for each orbit
+    # representative rho, the products of the lower relations; the
+    # relations of every other block of the orbit are renumbered into it
+    built = _count_span_builds(monkeypatch)
+    _no_lead_route(monkeypatch)
     report = verify_relation_ideal(4, 8)
     assert report.ok
     assert [r.route for r in report.degrees] == ["orbits"] * 7
@@ -949,8 +998,9 @@ def test_blocked_sweep_rows_stay_block_sized(monkeypatch):
         assert all(widest[d] <= _largest_block(m, d) for d in degrees), widest
         widest.clear()
 
+    # the lead count builds no row at all
     assert verify_relation_ideal(4, 8).ok
-    block_sized(4, list(range(2, 9)))
+    block_sized(4, [])
     degree[0] = 8
     assert len(kernel_basis(4, 8)) == 8156 - evaluation_rank(4, 8)
     block_sized(4, [8])
@@ -961,10 +1011,108 @@ def test_blocked_sweep_rows_stay_block_sized(monkeypatch):
     report = verify_relation_ideal(4, 8, relations=basis[:-1])
     assert [r.generated for r in report.degrees] == [True] * 6 + [False]
     assert report.degrees[-1].counterexample is not None
-    block_sized(4, list(range(2, 9)))
+    block_sized(4, [8])
     assert max_relation_degree(3) == 6
     block_sized(3, list(range(2, 8)))
+    # elimination at every degree
+    _no_lead_route(monkeypatch)
+    assert verify_relation_ideal(4, 8).ok
+    block_sized(4, list(range(2, 9)))
     assert _largest_block(4, 8) == 226
+
+
+# ---------------------------------------------------------------------------
+# the lead count of the relation spans
+
+
+def _old_measure(t):
+    """The order the lead count was first planned on, nu = (trace
+    degree, sum of |A|^2), in place of ``blocks._measure``."""
+    sizes = [sum(a) for a in t.traces]
+    return sum(sizes), sum(k * k for k in sizes)
+
+
+def test_quadratic_relations_lead_with_their_bare_pair():
+    # under nu' the bare Tr(A)Tr(B) of each quadratic relation is its
+    # strict maximum, so the pairs lead distinct relations
+    cases = [(m, "III") for m in range(2, 8)]
+    cases += [(m, "II") for m in range(2, 6)]
+    for m, flavor in cases:
+        zero = (0,) * m
+        for r in relation_basis(m, flavor):
+            if r.family == "I":
+                continue
+            pair = make_qmon(zero, zero, [r.a, r.b])
+            assert pair in r.element.terms, r.label()
+            top = blocks._measure(pair)
+            assert all(blocks._measure(t) < top
+                       for t in r.element.terms if t != pair), r.label()
+    # under the old nu, Tr(A | B)Tr(A & B) tops a IIIc relation whose
+    # sets share two members or more, so IIIc A=1110 B=1101 has the lead
+    # of IIIb A=1111 B=1100
+    iiic = type_iii_relation((1, 1, 1, 0), (1, 1, 0, 1))
+    iiib = type_iii_relation((1, 1, 1, 1), (1, 1, 0, 0))
+    assert (iiic.family, iiib.family) == ("IIIc", "IIIb")
+    shared = make_qmon((0,) * 4, (0,) * 4, [(1, 1, 1, 1), (1, 1, 0, 0)])
+    for r in (iiic, iiib):
+        top = max(map(_old_measure, r.element.terms))
+        assert [t for t in r.element.terms
+                if _old_measure(t) == top] == [shared]
+
+
+def test_old_order_falls_back(monkeypatch):
+    # under the old nu the leads of degree 6 repeat and the pairs of
+    # degree 6 no longer all lead, so degrees 6 to 8 are eliminated, to
+    # the same report
+    expected = verify_relation_ideal(4, 8)
+    monkeypatch.setattr(blocks, "_measure", _old_measure)
+    report = verify_relation_ideal(4, 8)
+    assert [r.route for r in report.degrees] == ["leads"] * 4 + ["orbits"] * 3
+    assert report.to_text() == expected.to_text()
+    assert json.dumps(report.to_json()) == json.dumps(expected.to_json())
+
+
+def _leads_against_elimination(m, family, d_max):
+    """``family`` swept as verify sweeps it, with the lead count and
+    ``RelationSpans.rank`` both run on each degree they may see.  A lead
+    count never tops the eliminated rank, and where it meets the kernel
+    dimension elimination finds that rank and no dependent relation.
+    Returns the degrees the lead count decides."""
+    spans = blocks.RelationSpans(m)
+    decided = []
+    stable = vanishing = True
+    for d in range(2, d_max + 1):
+        kernel = oracle._q_count(m, d) - evaluation_rank(m, d, 10 ** 12)
+        for p, r in enumerate(family):
+            if max(r.degree, 2) == d:
+                spans.add(p, r.degree, r.element)
+                vanishing = vanishing and vanishes(r.element)
+        count = None
+        if stable and vanishing:
+            count = spans.lead_count(
+                d, oracle._q_count(m, d) - oracle._trace_linear_count(m, d))
+        dependent = set(spans.dependent)
+        rank, _ = spans.rank(d, stable)
+        if count is not None:
+            assert count <= rank, (m, d)
+        if count == kernel:
+            assert (rank, spans.dependent) == (count, dependent), (m, d)
+            decided.append(d)
+        stable = stable and vanishing and rank == kernel
+    return decided
+
+
+def test_lead_count_agrees_with_elimination():
+    cases = [(m, flavor, relation_basis(m, flavor)) for m in (1, 2, 3, 4, 5)
+             for flavor in ("II", "III")]
+    cases += [(m, flavor, family) for m, flavor, family, _ in _route_table()]
+    for m, flavor, family in cases:
+        decided = _leads_against_elimination(m, family, 2 * m)
+        report = verify_relation_ideal(m, flavor=flavor, relations=family,
+                                       budget=10 ** 12)
+        assert decided == [r.degree for r in report.degrees
+                           if r.route == "leads"], (m, flavor, len(family))
+    assert decided  # the last case, a mutant, is decided at degrees 2, 3
 
 
 def test_declared_relations_are_built_at_their_degree(monkeypatch):
@@ -988,3 +1136,27 @@ def test_declared_relations_are_built_at_their_degree(monkeypatch):
         "evaluation rank at degree 5 needs a 15088 x 15504 matrix "
         "(233924352 entries > budget 100000000)")
     assert sorted(built) == [3] * 56 + [4] * 476
+
+
+def test_declared_family_is_listed_degree_by_degree(monkeypatch):
+    # the sweep lists only the degrees it reaches, and counts the rest
+    # in closed form: m = 6 lists degrees 2 to 5 of its 1695 relations
+    listed = []
+    walk = oracle.relations_of_degree
+
+    def recording(m, d, flavor):
+        listed.append(d)
+        return walk(m, d, flavor)
+
+    def whole(*args):
+        raise AssertionError("the whole plan was listed")
+
+    monkeypatch.setattr(oracle, "relations_of_degree", recording)
+    monkeypatch.setattr(relations, "relation_plan", whole)
+    with pytest.raises(BudgetExceeded):
+        verify_relation_ideal(6)
+    assert listed == [2, 3, 4, 5]
+    report = verify_relation_ideal(4, 5)
+    assert listed[4:] == [2, 3, 4, 5]
+    assert (report.n_relations, report.max_degree, report.n_unchecked) == (
+        71, 8, 21)

@@ -40,7 +40,10 @@ from vecinv2.relations import (
     _type_i,
     _type_iii,
     count_relations,
+    pair_count,
     relation_basis,
+    relation_degrees,
+    relations_of_degree,
     type_i_relation,
     type_ii_relation,
     type_iii_relation,
@@ -423,6 +426,37 @@ def test_relation_basis_sizes_and_composition():
                 assert {r.family for r in quads} <= {"IIIa", "IIIb", "IIIc"}
             labels = [r.label() for r in basis]
             assert len(set(labels)) == len(labels)
+
+
+def test_relations_of_degree_walk_the_basis():
+    # the basis is type I over all_subsets(m, 3), then one quadratic per
+    # pair traces[lo] <= traces[hi] in that order; relations_of_degree
+    # gives each degree's members with their positions in it, and
+    # relation_degrees counts them in closed form
+    for m in range(1, 7):
+        traces = all_subsets(m, min_size=2)
+        order = [(a,) for a in all_subsets(m, min_size=3)]
+        order += [(traces[hi], traces[lo]) for hi in range(len(traces))
+                  for lo in range(hi + 1)]
+        for flavor in ("II", "III"):
+            counts = relation_degrees(m, flavor)
+            assert sum(counts.values()) == count_relations(m)
+            assert max(counts, default=0) == (2 * m if m > 1 else 0)
+            walked = []
+            for d in range(2 * m + 2):
+                found = list(relations_of_degree(m, d, flavor))
+                assert len(found) == counts[d], (m, flavor, d)
+                assert all(sum(map(cardinality, order[p])) == d
+                           for p, _ in found)
+                walked += [(p, build.args) for p, build in found]
+            assert sorted(walked) == list(enumerate(order)), (m, flavor)
+        assert [pair_count(m, d) for d in range(2 * m + 1)] == [
+            sum(len(pair) == 2 and sum(map(cardinality, pair)) == d
+                for pair in order) for d in range(2 * m + 1)]
+    assert [r.label() for r in relation_basis(3)][:2] == [
+        "I A=111 degree=3", "IIIb A=011 B=011 index=2 degree=4"]
+    with pytest.raises(ValueError):
+        relation_degrees(3, "IV")
 
 
 def test_relation_basis_small_widths():
