@@ -14,14 +14,12 @@ Permuting the variable pairs permutes the blocks and commutes with
 evaluation.  ``orbit_reps`` picks one multidegree per S_m orbit, the
 non-increasing one, and ``orbit_size`` counts its orbit.
 ``RelationSpans`` ranks a degree in one loop over its blocks, each
-counted against the span of the block that stands for it: its orbit's
-representative while the caller states that the ideal of the lower
-relations is S_m-stable, the block itself otherwise.  On the orbit
-route ``RelationSpans.lead_count`` can count a degree with no row
-built, from the distinct leads of the span's elements: the
-trace-linear ones on the representatives' trace-linear monomials
-(``linear_blocks``, which the evaluation lead count reads too), the
-rest from closed-form counts.
+against its own span.  While the caller states that the ideal of the
+lower relations is S_m-stable, ``RelationSpans.lead_count`` can count a
+degree with no row built, from the distinct leads of the span's
+elements: the trace-linear ones on the representatives' trace-linear
+monomials (``linear_blocks``, which the evaluation lead count reads
+too), the rest from closed-form counts.
 
 The relation spans key their columns by packed monomials, as
 ``poly.pack`` does for polynomial monomials: a presentation monomial
@@ -42,7 +40,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import groupby, product
 from math import factorial, inf
-from operator import attrgetter, ge, itemgetter, le, sub
+from operator import attrgetter, ge, le, sub
 
 from .f2 import RowSpan, bit_indices, left_kernel, row_of
 from .poly import all_subsets, monomial_key, pack, packed_width
@@ -150,7 +148,7 @@ def linear_blocks(m: int, d: int) -> dict[tuple, list[QMon]]:
 def _measure(t: QMon) -> tuple[int, int, int]:
     """nu'(t) = (number of trace factors, sum of |A|, -sum of |A|^2) over
     the traces Tr(A) of t: the first part of the lead order.  Each part
-    adds under multiplication, and renumbering the pairs keeps it."""
+    adds under multiplication."""
     sizes = [sum(a) for a in t.traces]
     return len(sizes), sum(sizes), -sum(k * k for k in sizes)
 
@@ -205,24 +203,6 @@ def _covered(monomials, linear: dict) -> int:
     return count
 
 
-def _sorting(alpha: tuple[int, ...]) -> tuple[int, ...]:
-    """The pairs of ``alpha`` in the order that sorts it non-increasingly
-    (ties keep their order): renumbering the pairs by it maps block
-    alpha onto its orbit representative."""
-    return tuple(sorted(range(len(alpha)), key=lambda i: -alpha[i]))
-
-
-def _renumbered(terms, order: tuple[int, ...]):
-    """``terms`` with the variable pairs renumbered, new pair k being old
-    pair order[k], in every x, norm and trace symbol."""
-    if order == tuple(range(len(order))):
-        return terms
-    get = itemgetter(*order)
-    return [QMon(get(t.xe), get(t.ne),
-                 tuple(sorted(map(get, t.traces), reverse=True)))
-            for t in terms]
-
-
 def _repack(keys: list[int], old: int, new: int) -> list[int]:
     """The packed ``keys`` with each field moved from ``old`` to ``new``
     bits, visiting only the nonzero fields, lowest first."""
@@ -250,14 +230,11 @@ class RelationSpans:
     being the row space of the products of the relations filed strictly
     below alpha with the monomials of the remaining block.
 
-    ``rank`` counts a degree in one loop over its blocks.  Each block
-    alpha is stood for by a block rho and a renumbering of the pairs
-    that maps alpha onto rho (``_representative``).  J_rho is built once
-    a degree, and alpha adds rank J_rho plus the rank of its renumbered
-    relations modulo J_rho.  The spans of the degree last ranked are
-    kept for ``missing``.  ``lead_count`` bounds the same rank from
-    below with no row built; it keeps the leads of the relations filed
-    and the set of their terms.
+    ``rank`` counts a degree in one loop over its blocks: each block
+    alpha adds rank J_alpha plus the rank of its relations modulo
+    J_alpha.  The J of the degree last ranked are kept for ``missing``.
+    ``lead_count`` bounds the same rank from below with no row built; it
+    keeps the leads of the relations filed and the set of their terms.
 
     Columns are packed monomial keys (see the module docstring), all of
     one degree at one width.  ``excess`` is how far the heaviest term of
@@ -270,7 +247,6 @@ class RelationSpans:
     def __init__(self, m: int):
         self.m = m
         self.graded = True
-        self.orbits = False
         self.filed: dict[tuple, list[tuple[int, QPoly]]] = {}
         self.excess = 0
         self.width = 0
@@ -343,88 +319,57 @@ class RelationSpans:
 
     def _keys(self, key: tuple) -> list[list[int]]:
         """The packed terms of the relations filed under ``key``."""
-        if key not in self.keys:
+        if key not in self.keys and key in self.filed:
             self.keys[key] = [self._pack(element.terms)
                               for _, element in self.filed[key]]
-        return self.keys[key]
+        return self.keys.get(key, [])
 
-    def _products(self, rho: tuple) -> tuple[RowSpan, dict]:
-        """J_rho with its column index, built on first request."""
-        if rho not in self.products:
-            index: dict = {}
-            span = RowSpan()
-            for key in self.filed:
-                if key != rho and all(map(le, key, rho)):
-                    elements = self._keys(key)
-                    for mult in self._multipliers(tuple(map(sub, rho, key))):
-                        for keys in elements:
-                            span.add(row_of(map(mult.__add__, keys), index))
-            self.products[rho] = span, index
-        return self.products[rho]
+    def _products(self, alpha: tuple) -> tuple[RowSpan, dict]:
+        """J_alpha with its column index."""
+        index: dict = {}
+        span = RowSpan()
+        for key in self.filed:
+            if key != alpha and all(map(le, key, alpha)):
+                elements = self._keys(key)
+                for mult in self._multipliers(tuple(map(sub, alpha, key))):
+                    for keys in elements:
+                        span.add(row_of(map(mult.__add__, keys), index))
+        return span, index
 
-    def _representative(self, alpha: tuple) -> tuple[tuple, tuple]:
-        """The block rho whose J stands for block alpha, and the order
-        of the pairs that renumbers alpha onto rho: alpha's sorting
-        order on the orbit route, the identity otherwise."""
-        order = _sorting(alpha) if self.orbits else tuple(range(len(alpha)))
-        return tuple(alpha[i] for i in order), order
-
-    def _moved(self, alpha: tuple, order: tuple) -> list:
-        """The relations filed at alpha renumbered by ``order``, as
-        (position, packed terms) pairs."""
-        return [(p, self._pack(_renumbered(element.terms, order)))
-                for p, element in self.filed.get(alpha, ())]
-
-    def _remainders(self, span: RowSpan, index: dict, same) -> int:
-        """The rank of the relations ``same``, (position, packed terms)
-        pairs, modulo ``span``.  The relations some left-kernel vector
-        of their remainders uses go to ``dependent``."""
-        rows = [span.remainder(row_of(keys, index)) for _, keys in same]
+    def _remainders(self, alpha: tuple, span: RowSpan, index: dict) -> int:
+        """The rank of the relations filed at alpha modulo ``span``,
+        J_alpha.  The relations some left-kernel vector of their
+        remainders uses go to ``dependent``."""
+        rows = [span.remainder(row_of(keys, index))
+                for keys in self._keys(alpha)]
         kernel = left_kernel(rows)
         used = 0
         for mask in kernel:
             used |= mask
-        self.dependent.update(same[i][0] for i in bit_indices(used))
+        filed = self.filed.get(alpha, ())
+        self.dependent.update(filed[i][0] for i in bit_indices(used))
         return len(rows) - len(kernel)
 
-    def rank(self, d: int, stable: bool) -> tuple[int, str]:
-        """The rank of the degree-d span and the route that counted it.
-        The blocks holding degree-d relations decide their minimality
-        here.
-
-        ``stable`` is the caller's statement that every lower degree
-        ended generated: every relation filed vanishes, and the span is
-        the kernel there.  Then the ideal J the relations below d
-        generate is the one the kernel generates, which is S_m-stable.
-        So renumbering the pairs by a block's sorting order
-        (``_sorting``) maps J_alpha onto J_rho, for rho the
-        representative of alpha's orbit, and the relations filed at
-        alpha onto relations of block rho; those are dependent exactly
-        when their images are.  Only the representatives' J are built
-        ("orbits").  Otherwise each block stands for itself ("blocks"),
-        and off the multigrading the one block is the whole degree
-        ("degree")."""
-        self.orbits = self.graded and stable
-        self.products = {}
-        self.spans = {}
+    def rank(self, d: int) -> tuple[int, str]:
+        """The rank of the degree-d span and the route that counted it,
+        one block at a time: "blocks", or "degree" off the multigrading,
+        where the one block is the whole degree.  The blocks holding
+        degree-d relations decide their minimality here."""
         self._set_width(packed_width(d + self.excess))
+        self.spans = {}
+        self.products = {}
         total = 0
         for alpha in compositions(d, self.m) if self.graded else [(d,)]:
-            rho, order = self._representative(alpha)
-            span, index = self._products(rho)
-            total += span.rank + self._remainders(
-                span, index, self._moved(alpha, order))
-        route = ("orbits" if self.orbits else
-                 "blocks" if self.graded else "degree")
-        return total, route
+            span, index = self.products[alpha] = self._products(alpha)
+            total += span.rank + self._remainders(alpha, span, index)
+        return total, "blocks" if self.graded else "degree"
 
-    def _lead(self, top: list[QMon], order: tuple) -> QMon:
-        """The lead of a relation whose terms of greatest ``_measure`` are
-        ``top``, renumbered by ``order``: ties go by grevlex on their
-        ``summand_lead``, then by packed key.  Each part of this order
-        respects multiplication, and packed keys compare alike at every
-        width."""
-        tied = _renumbered(top, order)
+    def _lead(self, element: QPoly) -> QMon:
+        """The lead of a relation: of its terms of greatest ``_measure``,
+        the greatest by grevlex on their ``summand_lead``, then by packed
+        key.  Each part of this order respects multiplication, and packed
+        keys compare alike at every width."""
+        tied = _top(list(element.terms))
         if len(tied) == 1:
             return tied[0]
         keys = dict(zip(self._pack(tied), tied))
@@ -434,8 +379,7 @@ class RelationSpans:
     def _leads(self, block: tuple) -> list[QMon]:
         """The leads of the relations filed at ``block``."""
         if block not in self.leads:
-            same = tuple(range(self.m))
-            self.leads[block] = [self._lead(_top(list(element.terms)), same)
+            self.leads[block] = [self._lead(element)
                                  for _, element in self.filed[block]]
         return self.leads[block]
 
@@ -450,23 +394,24 @@ class RelationSpans:
         degree; ``several`` is how many degree-d monomials carry two or
         more traces.
 
-        The caller states what ``rank``'s orbit route needs and that
-        every relation filed vanishes.  Then each block's count is at
-        most its span rank, that at most its kernel dimension, and a
+        The caller states that every lower degree ended generated and
+        that every relation filed vanishes.  Then each block's count is
+        at most its span rank, that at most its kernel dimension, and a
         total equal to the degree's kernel dimension proves every block
         generated.  In the lead order (``_lead``) the lead of a monomial
         times a relation is the monomial times its lead.  Once every
         pair Tr(A)Tr(B) with |A| + |B| < d leads a relation, every
         monomial with two or more traces leads such a product, but the
-        bare pairs of degree d; a trace-linear monomial of a
-        representative rho does when a lower trace-linear lead divides
-        it (``_covered``), counted once per block of rho's orbit.  Each
-        block holding degree-d relations adds their leads, renumbered
-        into rho as ``rank`` renumbers them, when they are distinct and
-        fresh (``_fresh``): no element of J_rho has a fresh term, so
-        those relations are independent modulo J_rho, and none is
-        dependent.  A missing pair, a repeated lead, one that is not
-        fresh, or a sweep off the multigrading gives None."""
+        bare pairs of degree d.  The relations below d generate the ideal
+        the kernel generates there, which is S_m-stable as evaluation
+        commutes with permuting the pairs; so a trace-linear monomial of
+        a representative rho that a lower trace-linear lead divides
+        (``_covered``) is counted once per block of rho's orbit.  Each
+        block alpha holding degree-d relations adds their leads when they
+        are distinct and fresh (``_fresh``): no element of J_alpha has a
+        fresh term, so those relations are independent modulo J_alpha,
+        and none is dependent.  A missing pair, a repeated lead, one that
+        is not fresh, or a sweep off the multigrading gives None."""
         if not self.graded:
             return None
         self._set_width(packed_width(d + self.excess))
@@ -484,40 +429,32 @@ class RelationSpans:
         total = several - pair_count(self.m, d)
         for rho, monomials in linear_blocks(self.m, d).items():
             total += orbit_size(rho) * _covered(monomials, linear)
-        for alpha, filed in self.filed.items():
+        for alpha in self.filed:
             if sum(alpha) == d:
-                order = _sorting(alpha)
-                leads = {self._lead(_top(list(element.terms)), order)
-                         for _, element in filed}
-                if len(leads) < len(filed) or not all(map(self._fresh, leads)):
+                leads = set(self._leads(alpha))
+                if (len(leads) < len(self.filed[alpha])
+                        or not all(map(self._fresh, leads))):
                     return None
-                total += len(filed)
+                total += len(leads)
         return total
 
     def _span(self, alpha: tuple) -> tuple[RowSpan, dict]:
-        """The span of block alpha and its column index, built on first
-        request: a copy of J_rho, for rho the block standing for alpha,
-        closed by the relations of alpha renumbered into rho.  So it is
-        alpha's span in the numbering of rho.  The copies share J_rho's
-        column index, which only ever gains columns."""
+        """The span of block alpha and its column index: J_alpha as
+        ``rank`` built it, closed in place by the relations filed at
+        alpha on first request."""
         if alpha not in self.spans:
-            rho, order = self._representative(alpha)
-            span, index = self._products(rho)
-            span = span.copy()
-            for _, keys in self._moved(alpha, order):
+            span, index = self.spans[alpha] = self.products.pop(alpha)
+            for keys in self._keys(alpha):
                 span.add(row_of(keys, index))
-            self.spans[alpha] = span, index
         return self.spans[alpha]
 
     def missing(self, d: int, members):
         """The degree-d ``members`` the span misses, in order.  Each lies
-        in one block (block (d,) off the multigrading), is renumbered
-        like that block's relations and is reduced against its span
-        (``_span``).  It is added to the span when found, so none lies
-        in the span of the ones before it."""
+        in one block (block (d,) off the multigrading) and is reduced
+        against its span (``_span``).  It is added to the span when
+        found, so none lies in the span of the ones before it."""
         for member in members:
             block = relation_block(d, member) if self.graded else (d,)
             span, index = self._span(block)
-            terms = _renumbered(member.terms, self._representative(block)[1])
-            if span.add(row_of(self._pack(terms), index)):
+            if span.add(row_of(self._pack(member.terms), index)):
                 yield member

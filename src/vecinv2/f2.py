@@ -37,14 +37,6 @@ class RowSpan:
         self.pivots: list[int] = [0]
         self.rank = 0
 
-    def copy(self) -> RowSpan:
-        """A span with the same rows, to extend without touching this
-        one."""
-        span = RowSpan()
-        span.pivots = self.pivots[:]
-        span.rank = self.rank
-        return span
-
     def reduce(self, row: int) -> int:
         """Cancel pivot bits greedily from the top; the result is zero
         exactly when the row lies in the span."""

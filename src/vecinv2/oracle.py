@@ -62,9 +62,10 @@ times.  Per block the fixed space has dimension
 that dimension when the block's trace-linear monomials have that many
 distinct leads: images with distinct leads are independent, and every
 image is invariant, so the rank lies between the lead count and the
-dimension.  The leads are ``qring.summand_lead``, checked once per m
-against the generators' actual images; a block whose count falls short,
-or any block when that check fails, is eliminated.  The tests compare
+dimension.  The leads are ``qring.summand_lead``, checked once per m and
+degree against the actual images of the generators a block of that
+degree can hold; a block whose count falls short, or any block of a
+degree where that check fails, is eliminated.  The tests compare
 the lead count with the eliminated rank on every block for m <= 4 and
 every orbit representative for m = 5 through degree 11.
 
@@ -77,31 +78,25 @@ of block alpha - beta, plus the relations of block alpha.  Rows of
 different blocks share no column, so a degree's span rank is the sum
 of its block ranks, and a relation is dependent exactly when it is
 dependent inside its own block.  ``RelationSpans.rank`` runs one loop
-over the blocks of a degree.  Each block alpha is stood for by a block
-rho and a renumbering of the pairs that maps alpha onto rho; J_rho is
-built once, and alpha adds rank J_rho plus the rank of its renumbered
-relations modulo J_rho, their remainders also naming its dependent
-relations.  The declared family is not S_m-stable as a set (IIIa and
-IIIb remove the least index), so symmetry is not assumed of it; it
-follows from the lower degrees passing.  When every degree below d
-passed, every relation built vanishes and each degree's span rank is
-its kernel dimension, so the span is the kernel there: the relations
-below d generate the ideal the kernel generates, which is S_m-stable
-because evaluation commutes with permuting the pairs.  Then J_alpha is
-a renumbering of J_rho, for rho the representative of alpha's orbit,
-and only the representatives' J are built.  ``verify_relation_ideal``
-tells ``rank`` whether every lower degree passed; once one fails, a
-stray relation or a rank shortfall, the sweep cannot know the ideal
-is stable, and each block of a later degree stands for itself.  The
-report's ``route`` says which was used.
+over the blocks of a degree: each block alpha builds J_alpha and adds
+its rank plus the rank of alpha's relations modulo J_alpha, their
+remainders also naming its dependent relations.
 
-Leads.  On the orbit route, with every relation built vanishing, a
-degree is first counted with no row built (``lead_count``): span
-elements with distinct leads are independent, so a count of distinct
-leads that reaches the kernel dimension proves the degree generated,
-and relations whose leads no lower relation's term divides are
-independent.  Anything short of that is eliminated as above, to the
-same report; ``route`` reads "leads" where the count decided.
+Leads.  While every lower degree passed and every relation built
+vanishes, a degree is first counted with no row built (``lead_count``):
+span elements with distinct leads are independent, so a count of
+distinct leads that reaches the kernel dimension proves the degree
+generated, and relations whose leads no lower relation's term divides
+are independent.  The count reads the trace-linear monomials once per
+S_m orbit.  The declared family is not S_m-stable as a set (IIIa and
+IIIb remove the least index), so symmetry is not assumed of it; it
+follows from the lower degrees passing.  Each of them then has every
+relation built vanishing and its span rank at its kernel dimension, so
+the span is the kernel there: the relations below d generate the ideal
+the kernel generates, which is S_m-stable because evaluation commutes
+with permuting the pairs.  Anything short of that is eliminated block
+by block, to the same report; ``route`` reads "leads" where the count
+decided.
 
 Fallbacks.  A relation without one multidegree, or whose multidegree
 does not sum to its declared degree, or declared below degree 2,
@@ -320,19 +315,24 @@ def _trace_linear_monomials(m: int, d: int) -> tuple[QMon, ...]:
 
 
 @lru_cache(maxsize=None)
-def _generator_leads_hold(m: int) -> bool:
-    """Whether each of the 2^m + m - 1 generators x_i, N_i and Tr(A)
-    has an image, as the evaluation rows compute it, that leads with
-    its ``summand_lead`` and is fixed by the involution.  Checked once
-    per m."""
+def _generator_leads_hold(m: int, d: int) -> bool:
+    """Whether each generator a degree-d block can hold, x_i, N_i and
+    Tr(A) with |A| <= d, has an image, as the evaluation rows compute
+    it, that leads with its ``summand_lead`` and is fixed by the
+    involution.  Checked once per m and degree, on the generators of
+    degree d, and through the degree before on the rest."""
+    if d > 0 and not _generator_leads_hold(m, d - 1):
+        return False
     zero = (0,) * m
     units = [singleton(m, i) for i in range(m)]
     generators = ([QMon(u, zero, ()) for u in units]
                   + [QMon(zero, u, ()) for u in units]
                   + [QMon(zero, zero, (a,))
                      for a in all_subsets(m, min_size=2)])
+    width = packed_width(d)
     for g in generators:
-        width = packed_width(qmon_degree(g))
+        if qmon_degree(g) != d:
+            continue
         image = Poly(m, frozenset(unpack(p, 2 * m, width)
                                   for p in packed_term_image(g, width)))
         if (not image or image.lead_term() != summand_lead(g)
@@ -372,7 +372,8 @@ def _block_rank(m: int, alpha: tuple[int, ...]) -> int:
     its fixed-space dimension when the lead count reaches it, else by
     elimination (see ``evaluation_rank``)."""
     dimension = _block_dimension(alpha)
-    if _generator_leads_hold(m) and _lead_count(m, alpha) == dimension:
+    if (_generator_leads_hold(m, sum(alpha))
+            and _lead_count(m, alpha) == dimension):
         return dimension
     return _eliminated_rank(m, alpha)
 
@@ -391,9 +392,9 @@ def evaluation_rank(m: int, d: int, budget: int = DEFAULT_BUDGET) -> int:
     from ``summand_lead``, which is exact on every trace-linear monomial
     once each generator's image leads as it says (the lead of a product is the
     product of the leads); ``_generator_leads_hold`` checks that, and
-    that each image is invariant, once per m.  Where the check passed
-    and the count meets the dimension, the two bounds meet and that is
-    the rank; any other block is eliminated."""
+    that each image is invariant, once per m and degree.  Where the
+    check passed and the count meets the dimension, the two bounds meet
+    and that is the rank; any other block is eliminated."""
     _charge(_q_count(m, d), _poly_count(m, d), budget,
             f"evaluation rank at degree {d}")
     return sum(orbit_size(alpha) * _block_rank(m, alpha)
@@ -434,10 +435,9 @@ class DegreeReport:
     counterexample: QPoly | None
     # how span_rank was counted: "leads", by the lead count
     # (``blocks.RelationSpans.lead_count``); else by elimination
-    # (``RelationSpans.rank``) on "orbits", the orbit representatives,
-    # while every lower degree passed, "blocks", each block itself,
-    # after one failed, or "degree", the whole degree, once a relation
-    # has no multidegree.  Not part of the text or JSON report
+    # (``RelationSpans.rank``) on "blocks", one multidegree block at a
+    # time, or "degree", the whole degree, once a relation has no
+    # multidegree.  Not part of the text or JSON report
     route: str
 
     def to_json(self) -> dict:
@@ -598,13 +598,12 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
                 stray = relation
             built[position] = relation
             spans.add(position, relation.degree, relation.element)
-        stable = all(r.generated for r in reports)
         span_rank, route = None, "leads"
-        if stray is None and stable:
+        if stray is None and all(r.generated for r in reports):
             span_rank = spans.lead_count(
                 d, _q_count(m, d) - _trace_linear_count(m, d))
         if span_rank != kernel_dimension:
-            span_rank, route = spans.rank(d, stable)
+            span_rank, route = spans.rank(d)
         counterexample = None
         if stray is not None:
             lift = q_monomials(m, d - stray.degree)[0]
@@ -659,9 +658,7 @@ def max_relation_degree(m: int, budget: int = DEFAULT_BUDGET) -> int:
     for d in range(2, 2 * m + 2):
         kernel_dimension = _q_count(m, d) - evaluation_rank(m, d, budget)
         _charge_span(m, d, degrees, budget)
-        # the members missing() files complete each degree's span to the
-        # kernel, so every lower degree ended generated
-        if spans.rank(d, True)[0] < kernel_dimension:
+        if spans.rank(d)[0] < kernel_dimension:
             for member in spans.missing(d, kernel_basis(m, d, budget)):
                 spans.add(degrees.total(), d, member)
                 degrees[d] += 1

@@ -87,7 +87,6 @@ __all__ = [
     "type_i_relation",
     "type_ii_relation",
     "type_iii_relation",
-    "relation_plan",
     "relation_degrees",
     "relations_of_degree",
     "pair_count",
@@ -313,21 +312,15 @@ def relations_of_degree(m: int, d: int, flavor: str = "III"):
                        partial(make, a, traces[lo]))
 
 
-def relation_plan(m: int, flavor: str = "III") -> list[tuple[int, partial]]:
-    """``(degree, build)`` for each member of ``relation_basis(m,
-    flavor)``, in its order, gathered degree by degree from
-    ``relations_of_degree``.  Nothing is built here."""
-    found = sorted((position, d, build) for d in relation_degrees(m, flavor)
-                   for position, build in relations_of_degree(m, d, flavor))
-    return [(d, build) for _, d, build in found]
-
-
 def relation_basis(m: int, flavor: str = "III") -> list[Relation]:
     """Type I for every subset with >= 3 members plus one quadratic per
     unordered pair (with repetition) of trace subsets, under the chosen
-    quadratic flavor.  Built fresh, bypassing the memo, so the family
-    lives only as long as the caller keeps it."""
-    return [build() for _, build in relation_plan(m, flavor)]
+    quadratic flavor, gathered degree by degree from
+    ``relations_of_degree``.  Built fresh, bypassing the memo, so the
+    family lives only as long as the caller keeps it."""
+    built = {position: build for d in relation_degrees(m, flavor)
+             for position, build in relations_of_degree(m, d, flavor)}
+    return [built[position]() for position in sorted(built)]
 
 
 def count_relations(m: int) -> int:

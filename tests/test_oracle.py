@@ -251,7 +251,7 @@ def test_lead_count_meets_the_elimination_rank():
     cases += [(5, alpha) for d in range(12)
               for alpha in blocks.orbit_reps(d, 5)]
     for m in range(1, 9):
-        assert oracle._generator_leads_hold(m), m
+        assert oracle._generator_leads_hold(m, m), m
     for m, alpha in cases:
         assert (oracle._lead_count(m, alpha)
                 == oracle._eliminated_rank(m, alpha)
@@ -292,18 +292,42 @@ def eliminated(monkeypatch):
 def test_wrong_generator_lead_falls_back(monkeypatch, eliminated):
     # with the least member swapped for the largest, every block still
     # counts as many distinct leads as its dimension, so only the
-    # generator check can refuse the formula; it does, and every block
-    # is eliminated to the same ranks
+    # generator check can refuse the formula; it does from degree 2, the
+    # first that holds a trace, and every block from there is eliminated
+    # to the same ranks
     monkeypatch.setattr(oracle, "summand_lead", _max_member_lead)
     for m in (2, 3, 4):
-        assert not oracle._generator_leads_hold(m)
+        assert oracle._generator_leads_hold(m, 1)
+        assert not oracle._generator_leads_hold(m, 2)
         for d in range(2 * m + 1):
             reps = blocks.orbit_reps(d, m)
             assert all(oracle._lead_count(m, alpha) == _block_dimension(alpha)
                        for alpha in reps)
             eliminated.clear()
             assert evaluation_rank(m, d) == invariant_dimension(m, d)
-            assert eliminated == [(m, alpha) for alpha in reps]
+            assert eliminated == [(m, alpha) for alpha in reps if d >= 2]
+
+
+def test_budget_exit_checks_only_the_generators_it_reaches(monkeypatch):
+    # the generator-lead check runs per degree on what a block of that
+    # degree can hold: m = 9 stops at degree 5 having evaluated traces
+    # Tr(A) up to |A| = 4, none of the 256 with |A| >= 5
+    traces = []
+    image = oracle.packed_term_image
+
+    def recording(t, width):
+        if not any(t.xe + t.ne) and len(t.traces) == 1:
+            traces.append(sum(t.traces[0]))
+        return image(t, width)
+
+    monkeypatch.setattr(oracle, "packed_term_image", recording)
+    oracle._generator_leads_hold.cache_clear()
+    with pytest.raises(BudgetExceeded) as info:
+        verify_relation_ideal(9)
+    assert str(info.value) == (
+        "evaluation rank at degree 5 needs a 26847 x 26334 matrix "
+        "(706988898 entries > budget 100000000)")
+    assert sorted(set(traces)) == [2, 3, 4]
 
 
 def test_short_count_falls_back(monkeypatch, eliminated):
@@ -780,9 +804,8 @@ def _route_table():
         (5, 0, 0)) * dropped.element, 2)
     assert {qmon_degree(t) for t in heavy.element.terms} == {9}
     assert evaluate(heavy.element) == Poly.zero(3)
-    # shifted relations and duplicates in blocks off the representatives
-    # (1, 1, 2), (0, 1, 1, 2), (1, 2, 2) and (1, 1, 2, 2), so their
-    # relations are renumbered into the representative's span
+    # shifted relations and duplicates in blocks off the orbit
+    # representatives (1, 1, 2), (0, 1, 1, 2), (1, 2, 2) and (1, 1, 2, 2)
     assert [blocks.relation_block(r.degree, r.element)
             for r in (basis3[2], basis4[6], basis3[7], basis4[39])] == [
         (1, 1, 2), (0, 1, 1, 2), (1, 2, 2), (1, 1, 2, 2)]
@@ -792,21 +815,20 @@ def _route_table():
              for m in (1, 2, 3, 4) for flavor in ("II", "III")]
     cases += [
         # degree 2 fails, so the later degrees are counted on every block
-        (3, "III", basis3 + [tr110], ["orbits"] + ["blocks"] * 4),
+        (3, "III", basis3 + [tr110], ["blocks"] + ["blocks"] * 4),
         # a repeated lead at degree 4
-        (3, "III", basis3 + [basis3[4]], ["leads"] * 2 + ["orbits"]
+        (3, "III", basis3 + [basis3[4]], ["leads"] * 2 + ["blocks"]
          + ["leads"] * 2),
         # a multiple of the degree-3 relation in block (1, 1, 2): it lies
-        # in J_beta, so its renumbered image lies in J_rho; its lead is
-        # not fresh
-        (3, "III", basis3 + [multiple], ["leads"] * 2 + ["orbits"]
+        # in J_beta, and its lead is not fresh
+        (3, "III", basis3 + [multiple], ["leads"] * 2 + ["blocks"]
          + ["leads"] * 2),
         # the same multiple in place of the relation of block (1, 1, 2):
         # as many leads as the kernel needs, but one is not fresh
         (3, "III", basis3[:2] + basis3[3:] + [multiple],
-         ["leads"] * 2 + ["orbits"] + ["blocks"] * 2),
+         ["leads"] * 2 + ["blocks"] + ["blocks"] * 2),
         # degree 4 lacks the dropped relation: the count falls short
-        (3, "III", basis3[:1] + basis3[2:], ["leads"] * 2 + ["orbits"]
+        (3, "III", basis3[:1] + basis3[2:], ["leads"] * 2 + ["blocks"]
          + ["blocks"] * 2),
         # no multidegree for the sum, so one block per degree from 4 on
         (3, "III", basis3 + [mixed], ["leads"] * 2 + ["degree"] * 3),
@@ -820,9 +842,9 @@ def _route_table():
         (4, "III", _shifted(4, basis4, 6, 0), ["leads"] * 7),
         # degree 4 fails; the duplicate above it is found on every block
         (3, "III", basis3[:1] + basis3[2:] + [basis3[7]],
-         ["leads"] * 2 + ["orbits"] + ["blocks"] * 2),
+         ["leads"] * 2 + ["blocks"] + ["blocks"] * 2),
         (4, "III", basis4[:5] + basis4[6:] + [basis4[39]],
-         ["leads"] * 2 + ["orbits"] + ["blocks"] * 4),
+         ["leads"] * 2 + ["blocks"] + ["blocks"] * 4),
     ]
     return cases
 
@@ -861,9 +883,9 @@ def _count_span_builds(monkeypatch):
 
     rank = blocks.RelationSpans.rank
 
-    def ranking(self, d, stable):
+    def ranking(self, d):
         degree[0] = d
-        return rank(self, d, stable)
+        return rank(self, d)
 
     monkeypatch.setattr(blocks, "RowSpan", Counting)
     monkeypatch.setattr(blocks.RelationSpans, "rank", ranking)
@@ -872,7 +894,7 @@ def _count_span_builds(monkeypatch):
 
 def test_passing_sweep_builds_no_relation_span(monkeypatch):
     # the lead count decides every degree of a passing sweep, so no
-    # relation span is built, not even J_rho for the representatives
+    # relation span is built, not even J_alpha for one block
     built = _count_span_builds(monkeypatch)
     report = verify_relation_ideal(4, 8)
     assert report.ok
@@ -880,56 +902,51 @@ def test_passing_sweep_builds_no_relation_span(monkeypatch):
     assert not built
 
 
-def test_passing_sweep_builds_one_span_per_orbit(monkeypatch):
-    # on elimination a passing sweep builds only J_rho for each orbit
-    # representative rho, the products of the lower relations; the
-    # relations of every other block of the orbit are renumbered into it
+def test_passing_sweep_builds_one_span_per_block(monkeypatch):
+    # on elimination a passing sweep builds J_alpha once for each block
+    # alpha, the products of the lower relations, and nothing more
     built = _count_span_builds(monkeypatch)
     _no_lead_route(monkeypatch)
     report = verify_relation_ideal(4, 8)
     assert report.ok
-    assert [r.route for r in report.degrees] == ["orbits"] * 7
-    assert sorted(built) == list(range(2, 9))
-    for d, count in built.items():
-        assert count <= len(blocks.orbit_reps(d, 4)), (d, count)
-    # of the comb(11, 3) = 165 blocks of degree 8
-    assert built[8] == 15
+    assert [r.route for r in report.degrees] == ["blocks"] * 7
+    assert built == {d: comb(d + 3, 3) for d in range(2, 9)}
+    # the comb(11, 3) = 165 blocks of degree 8
+    assert built[8] == 165
 
 
-def test_generator_search_builds_one_span_per_orbit(monkeypatch):
-    # max_relation_degree looks for the members its spans miss on the
-    # orbit route: a block off the representatives extends a copy of
-    # J_rho by its renumbered generators, and builds no span of its own
+def test_generator_search_builds_one_span_per_block(monkeypatch):
+    # max_relation_degree looks for the members its spans miss in J_alpha
+    # as rank built it, closed in place by alpha's generators: a block
+    # builds no second span
     built = _count_span_builds(monkeypatch)
     assert max_relation_degree(4, budget=5 * 10 ** 8) == 8
-    assert sorted(built) == list(range(2, 10))
-    for d, count in built.items():
-        assert count <= len(blocks.orbit_reps(d, 4)), (d, count)
+    assert built == {d: comb(d + 3, 3) for d in range(2, 10)}
 
 
-def _ranked(m, family, d_max, stable, kernels):
-    """``family`` fed to one RelationSpans degree by degree, each degree
-    ranked with ``stable``: per degree the route, the span rank and the
-    kernel members the span misses, then the dependent positions."""
+def _ranked(m, family, d_max, kernels):
+    """``family`` fed to one RelationSpans degree by degree: per degree
+    the route, the span rank and the kernel members the span misses,
+    then the dependent positions."""
     spans = blocks.RelationSpans(m)
     out = []
     for d in range(2, d_max + 1):
         for p, r in enumerate(family):
             if r.degree == d:
                 spans.add(p, r.degree, r.element)
-        rank, route = spans.rank(d, stable)
+        rank, route = spans.rank(d)
         if (m, d) not in kernels:
             kernels[m, d] = kernel_basis(m, d)
         out.append((route, rank, list(spans.missing(d, kernels[m, d]))))
     return out, spans.dependent
 
 
-def test_orbit_route_matches_every_block_route():
-    # the orbit route counts each block on its representative's span,
-    # the blocks route on the block's own; fed the same relations, the
-    # two agree on every span rank, dependent relation and kernel member
-    # the span misses.  Each case ends at its family's top degree or at
-    # its first failing degree: (span rank, kernel dimension) there
+def test_block_route_ranks_and_misses():
+    # fed relations degree by degree, rank counts each block on its own
+    # span and missing finds the kernel members that span lacks: every
+    # degree of a declared family is generated with nothing missed, and
+    # each case ends at its family's top degree or at its first failing
+    # degree: (span rank, kernel dimension) there, and the members missed
     basis3 = relation_basis(3)
     cases = [(m, relation_basis(m, flavor), 2 * m, set(), None)
              for m in (2, 3, 4) for flavor in ("II", "III")]
@@ -940,17 +957,16 @@ def test_orbit_route_matches_every_block_route():
     ]
     kernels = {}
     for m, family, d_max, dependent, short in cases:
-        orbits = _ranked(m, family, d_max, True, kernels)
-        every = _ranked(m, family, d_max, False, kernels)
-        assert {route for route, _, _ in orbits[0]} == {"orbits"}
-        assert {route for route, _, _ in every[0]} == {"blocks"}
-        assert ([(rank, missed) for _, rank, missed in orbits[0]]
-                == [(rank, missed) for _, rank, missed in every[0]]), m
-        assert orbits[1] == every[1] == dependent, m
+        ranked, found = _ranked(m, family, d_max, kernels)
+        assert {route for route, _, _ in ranked} == {"blocks"}
+        for d, (_, rank, missed) in enumerate(ranked[:-1], start=2):
+            assert (rank, missed) == (len(kernels[m, d]), []), (m, d)
+        assert found == dependent, m
         kernel = len(kernels[m, d_max])
-        _, rank, missed = orbits[0][-1]
+        _, rank, missed = ranked[-1]
         assert (rank, kernel) == (short or (kernel, kernel)), m
         assert len(missed) == kernel - rank
+        assert all(blocks.relation_block(d_max, member) for member in missed)
 
 
 def _largest_block(m, d):
@@ -1067,7 +1083,7 @@ def test_old_order_falls_back(monkeypatch):
     expected = verify_relation_ideal(4, 8)
     monkeypatch.setattr(blocks, "_measure", _old_measure)
     report = verify_relation_ideal(4, 8)
-    assert [r.route for r in report.degrees] == ["leads"] * 4 + ["orbits"] * 3
+    assert [r.route for r in report.degrees] == ["leads"] * 4 + ["blocks"] * 3
     assert report.to_text() == expected.to_text()
     assert json.dumps(report.to_json()) == json.dumps(expected.to_json())
 
@@ -1092,7 +1108,7 @@ def _leads_against_elimination(m, family, d_max):
             count = spans.lead_count(
                 d, oracle._q_count(m, d) - oracle._trace_linear_count(m, d))
         dependent = set(spans.dependent)
-        rank, _ = spans.rank(d, stable)
+        rank, _ = spans.rank(d)
         if count is not None:
             assert count <= rank, (m, d)
         if count == kernel:
@@ -1149,10 +1165,10 @@ def test_declared_family_is_listed_degree_by_degree(monkeypatch):
         return walk(m, d, flavor)
 
     def whole(*args):
-        raise AssertionError("the whole plan was listed")
+        raise AssertionError("the whole family was listed")
 
     monkeypatch.setattr(oracle, "relations_of_degree", recording)
-    monkeypatch.setattr(relations, "relation_plan", whole)
+    monkeypatch.setattr(relations, "relation_basis", whole)
     with pytest.raises(BudgetExceeded):
         verify_relation_ideal(6)
     assert listed == [2, 3, 4, 5]

@@ -42,3 +42,46 @@ def test_benchmark_tracer_finds_every_traced_name(monkeypatch):
         for name in ("tracer", "reference"):
             sys.modules.pop(name, None)
     assert oracle.q_monomials is original
+
+
+def _named(nodes) -> set[str]:
+    """Every identifier the ``nodes`` read, as a name, an attribute or a
+    string (the benchmark tracer looks names up by string)."""
+    found = set()
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                found.add(node.value)
+    return found
+
+
+def _exports(node) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        getattr(target, "id", None) == "__all__" for target in node.targets)
+
+
+def test_every_public_name_has_a_caller_besides_the_tests():
+    # each public module-level function or class is named by library
+    # code outside its own definition and the package's re-exports, or
+    # by the benchmarks; what only tests call is not library code.
+    # max_relation_degree stays until it moves into the tests as their
+    # family-independent reference (ROADMAP item 3)
+    tops = [node for path in SOURCES if path.name != "__init__.py"
+            for node in ast.parse(path.read_text()).body
+            if not _exports(node)]
+    named = [(node, _named([node])) for node in tops]
+    benchmarks = Path(__file__).parents[1] / "benchmarks"
+    outside = _named(ast.parse(path.read_text())
+                     for path in benchmarks.glob("*.py"))
+    unnamed = [node.name for node in tops
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")
+               and node.name not in outside
+               and not any(node.name in names
+                           for other, names in named if other is not node)]
+    assert unnamed == ["max_relation_degree"]
