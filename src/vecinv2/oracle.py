@@ -152,7 +152,6 @@ from .qring import (
     QMon,
     QPoly,
     packed_term_image,
-    qmon_degree,
     qmon_key,
     summand_lead,
     vanishes,
@@ -325,14 +324,14 @@ def _generator_leads_hold(m: int, d: int) -> bool:
         return False
     zero = (0,) * m
     units = [singleton(m, i) for i in range(m)]
-    generators = ([QMon(u, zero, ()) for u in units]
-                  + [QMon(zero, u, ()) for u in units]
-                  + [QMon(zero, zero, (a,))
-                     for a in all_subsets(m, min_size=2)])
+    generators = [QMon(zero, zero, (a,))
+                  for a in all_subsets(m, min_size=2) if cardinality(a) == d]
+    if d == 1:
+        generators += [QMon(u, zero, ()) for u in units]
+    elif d == 2:
+        generators += [QMon(zero, u, ()) for u in units]
     width = packed_width(d)
     for g in generators:
-        if qmon_degree(g) != d:
-            continue
         image = Poly(m, frozenset(unpack(p, 2 * m, width)
                                   for p in packed_term_image(g, width)))
         if (not image or image.lead_term() != summand_lead(g)

@@ -251,7 +251,8 @@ def test_lead_count_meets_the_elimination_rank():
     cases += [(5, alpha) for d in range(12)
               for alpha in blocks.orbit_reps(d, 5)]
     for m in range(1, 9):
-        assert oracle._generator_leads_hold(m, m), m
+        # degree max(m, 2) reaches every generator: N_i has degree 2
+        assert oracle._generator_leads_hold(m, max(m, 2)), m
     for m, alpha in cases:
         assert (oracle._lead_count(m, alpha)
                 == oracle._eliminated_rank(m, alpha)
@@ -815,7 +816,7 @@ def _route_table():
              for m in (1, 2, 3, 4) for flavor in ("II", "III")]
     cases += [
         # degree 2 fails, so the later degrees are counted on every block
-        (3, "III", basis3 + [tr110], ["blocks"] + ["blocks"] * 4),
+        (3, "III", basis3 + [tr110], ["blocks"] * 5),
         # a repeated lead at degree 4
         (3, "III", basis3 + [basis3[4]], ["leads"] * 2 + ["blocks"]
          + ["leads"] * 2),
@@ -826,10 +827,9 @@ def _route_table():
         # the same multiple in place of the relation of block (1, 1, 2):
         # as many leads as the kernel needs, but one is not fresh
         (3, "III", basis3[:2] + basis3[3:] + [multiple],
-         ["leads"] * 2 + ["blocks"] + ["blocks"] * 2),
+         ["leads"] * 2 + ["blocks"] * 3),
         # degree 4 lacks the dropped relation: the count falls short
-        (3, "III", basis3[:1] + basis3[2:], ["leads"] * 2 + ["blocks"]
-         + ["blocks"] * 2),
+        (3, "III", basis3[:1] + basis3[2:], ["leads"] * 2 + ["blocks"] * 3),
         # no multidegree for the sum, so one block per degree from 4 on
         (3, "III", basis3 + [mixed], ["leads"] * 2 + ["degree"] * 3),
         # declared below its degree, so one block per degree throughout;
@@ -842,9 +842,9 @@ def _route_table():
         (4, "III", _shifted(4, basis4, 6, 0), ["leads"] * 7),
         # degree 4 fails; the duplicate above it is found on every block
         (3, "III", basis3[:1] + basis3[2:] + [basis3[7]],
-         ["leads"] * 2 + ["blocks"] + ["blocks"] * 2),
+         ["leads"] * 2 + ["blocks"] * 3),
         (4, "III", basis4[:5] + basis4[6:] + [basis4[39]],
-         ["leads"] * 2 + ["blocks"] + ["blocks"] * 4),
+         ["leads"] * 2 + ["blocks"] * 5),
     ]
     return cases
 
@@ -1168,7 +1168,7 @@ def test_declared_family_is_listed_degree_by_degree(monkeypatch):
         raise AssertionError("the whole family was listed")
 
     monkeypatch.setattr(oracle, "relations_of_degree", recording)
-    monkeypatch.setattr(relations, "relation_basis", whole)
+    monkeypatch.setattr(relations, "relation_degrees", whole)
     with pytest.raises(BudgetExceeded):
         verify_relation_ideal(6)
     assert listed == [2, 3, 4, 5]
