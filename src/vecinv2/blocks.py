@@ -2,7 +2,7 @@
 
 Sending x_i to e_i, N_i to 2 e_i and Tr(A) to the indicator vector 1_A
 grades the presentation ring by multidegree alpha in N^m
-(``multidegree``); a degree-d monomial has |alpha| = d.  Evaluation
+(``qring.multidegree``); a degree-d monomial has |alpha| = d.  Evaluation
 respects the grading when x_i and y_i both count e_i, because every
 generator's image is multihomogeneous of its symbol's multidegree:
 x_i, y_i (y_i + x_i) and the transfer of A, whose terms y^B x^(A-B)
@@ -44,11 +44,10 @@ from operator import attrgetter, ge, le, sub
 
 from .f2 import RowSpan, bit_indices, left_kernel, row_of
 from .poly import all_subsets, monomial_key, pack, packed_width
-from .qring import QMon, QPoly, qmon_degree, summand_lead
+from .qring import QMon, QPoly, multidegree, qmon_degree, summand_lead
 from .relations import pair_count
 
 __all__ = [
-    "multidegree",
     "relation_block",
     "block_monomials",
     "trace_linear_monomials",
@@ -58,12 +57,6 @@ __all__ = [
     "orbit_size",
     "RelationSpans",
 ]
-
-
-def multidegree(t: QMon) -> tuple[int, ...]:
-    """The multidegree of a presentation monomial: x_i counts e_i, N_i
-    counts 2 e_i and Tr(A) the indicator vector of A."""
-    return tuple(map(sum, zip(t.xe, t.ne, t.ne, *t.traces)))
 
 
 def relation_block(degree: int, element: QPoly) -> tuple[int, ...] | None:

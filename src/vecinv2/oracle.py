@@ -39,13 +39,13 @@ linear algebra over monomial bases:
 Ranks, span membership and left-kernel vectors do not depend on the
 order of a matrix's columns: the left kernel is fixed by which rows
 are independent of the rows before them.  So no column order is set
-up in advance; a column is given to each monomial on first sight
-(``f2.row_of``), and neither the polynomial monomials of a degree nor
-its presentation monomials are enumerated to index the columns.  The
-monomials are keyed as packed ints: evaluation rows by the packed
-polynomial monomials of their images (``qring.packed_term_image``),
-and relation-span rows by packed presentation monomials, so that a
-product by a multiplier is one int addition per term (``blocks``).
+up in advance, and neither the polynomial monomials of a degree nor
+its presentation monomials are enumerated to index the columns.  An
+evaluation row is the block int ``qring.block_image`` of its
+monomial, whose bits number the block's polynomial monomials in mixed
+radix.  Relation-span rows give a column to each packed presentation
+monomial on first sight (``f2.row_of``), so that a product by a
+multiplier is one int addition per term (``blocks``).
 
 Blocks.  Sending x_i to e_i, N_i to 2 e_i and Tr(A) to the indicator
 vector 1_A grades the presentation ring by multidegree alpha in N^m,
@@ -131,27 +131,25 @@ from .blocks import (
     RelationSpans,
     block_monomials,
     linear_blocks,
-    multidegree,
     orbit_reps,
     orbit_size,
     trace_linear_monomials,
 )
-from .f2 import RowSpan, bit_indices, left_kernel, row_of
+from .f2 import RowSpan, bit_indices, left_kernel
 from .invariants import involution
 from .poly import (
     Monomial,
-    Poly,
     all_subsets,
     cardinality,
     monomial_key,
-    packed_width,
     singleton,
-    unpack,
 )
 from .qring import (
     QMon,
     QPoly,
-    packed_term_image,
+    block_image,
+    evaluate,
+    multidegree,
     qmon_key,
     summand_lead,
     vanishes,
@@ -258,15 +256,14 @@ def q_monomials(m: int, d: int) -> tuple[QMon, ...]:
     return tuple(found)
 
 
-def _image_rows(d: int, basis) -> list[int]:
-    """Evaluation rows of the degree-d monomials ``basis``: the image of
-    each, with columns read straight off its packed monomials."""
-    width = packed_width(d)
-    index: dict = {}
-    return [row_of(packed_term_image(t, width), index) for t in basis]
+def _image_rows(alpha: tuple[int, ...], basis) -> list[int]:
+    """Evaluation rows of the monomials ``basis`` of block alpha: each
+    row is the monomial's ``block_image``, whose bits are the block's
+    polynomial monomials in a column order of their own."""
+    return [block_image(t, alpha) for t in basis]
 
 
-def _kernel(m: int, d: int, basis: tuple[QMon, ...]) -> list[QPoly]:
+def _kernel(m: int, basis: tuple[QMon, ...]) -> list[QPoly]:
     """Left kernel of the evaluation rows of ``basis``, as elements,
     found block by block.  Rows of different multidegrees share no
     column, so each mask of the whole matrix, a dependent row plus the
@@ -277,8 +274,8 @@ def _kernel(m: int, d: int, basis: tuple[QMon, ...]) -> list[QPoly]:
     for position, t in enumerate(basis):
         blocks.setdefault(multidegree(t), []).append(position)
     found = {}
-    for rows in blocks.values():
-        for mask in left_kernel(_image_rows(d, [basis[p] for p in rows])):
+    for alpha, rows in blocks.items():
+        for mask in left_kernel(_image_rows(alpha, [basis[p] for p in rows])):
             used = [rows[i] for i in bit_indices(mask)]
             found[used[-1]] = QPoly(m, frozenset(basis[p] for p in used))
     return [found[p] for p in sorted(found)]
@@ -288,7 +285,7 @@ def kernel_basis(m: int, d: int, budget: int = DEFAULT_BUDGET) -> list[QPoly]:
     """A basis of the degree-d elements that evaluate to zero."""
     _charge(_q_count(m, d), _poly_count(m, d), budget,
             f"kernel at degree {d}")
-    return _kernel(m, d, q_monomials(m, d))
+    return _kernel(m, q_monomials(m, d))
 
 
 def linear_kernel_basis(m: int, d: int,
@@ -296,7 +293,7 @@ def linear_kernel_basis(m: int, d: int,
     """Same kernel, restricted to terms with at most one trace factor."""
     _charge(_trace_linear_count(m, d), _poly_count(m, d), budget,
             f"trace-linear kernel at degree {d}")
-    return _kernel(m, d, _trace_linear_monomials(m, d))
+    return _kernel(m, _trace_linear_monomials(m, d))
 
 
 def _trace_linear_monomials(m: int, d: int) -> tuple[QMon, ...]:
@@ -316,10 +313,11 @@ def _trace_linear_monomials(m: int, d: int) -> tuple[QMon, ...]:
 @lru_cache(maxsize=None)
 def _generator_leads_hold(m: int, d: int) -> bool:
     """Whether each generator a degree-d block can hold, x_i, N_i and
-    Tr(A) with |A| <= d, has an image, as the evaluation rows compute
-    it, that leads with its ``summand_lead`` and is fixed by the
-    involution.  Checked once per m and degree, on the generators of
-    degree d, and through the degree before on the rest."""
+    Tr(A) with |A| <= d, has an image, decoded by ``evaluate`` from the
+    block int the evaluation rows use, that leads with its
+    ``summand_lead`` and is fixed by the involution.  Checked once per
+    m and degree, on the generators of degree d, and through the
+    degree before on the rest."""
     if d > 0 and not _generator_leads_hold(m, d - 1):
         return False
     zero = (0,) * m
@@ -330,10 +328,8 @@ def _generator_leads_hold(m: int, d: int) -> bool:
         generators += [QMon(u, zero, ()) for u in units]
     elif d == 2:
         generators += [QMon(zero, u, ()) for u in units]
-    width = packed_width(d)
     for g in generators:
-        image = Poly(m, frozenset(unpack(p, 2 * m, width)
-                                  for p in packed_term_image(g, width)))
+        image = evaluate(QPoly.monomial(g))
         if (not image or image.lead_term() != summand_lead(g)
                 or involution(image) != image):
             return False
@@ -361,7 +357,7 @@ def _eliminated_rank(m: int, alpha: tuple[int, ...]) -> int:
     """Rank of the evaluation rows of the block of multidegree alpha, by
     elimination."""
     span = RowSpan()
-    for row in _image_rows(sum(alpha), block_monomials(m, alpha)):
+    for row in _image_rows(alpha, block_monomials(m, alpha)):
         span.add(row)
     return span.rank
 

@@ -21,8 +21,8 @@ is negative is the larger one.
 
 ``pack`` turns a monomial into one int with a fixed-width field per
 exponent, so that a product of monomials is an int sum (``packed_width``
-picks a width that no such sum can overflow); the evaluation kernel in
-``qring`` and the involution in ``invariants`` work on packed ints.
+picks a width that no such sum can overflow); the relation spans in
+``blocks`` and the involution in ``invariants`` work on packed ints.
 
 Zero/one tuples of length m double as subsets of the m copies and as
 exponent sequences, so a subset ``a`` also names the square free

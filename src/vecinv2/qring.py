@@ -16,37 +16,33 @@ rewrites Tr({i}) to x_i and Tr(empty) to 0, and the relation
 constructors, which write their terms directly, rewrite them the same
 way, so terms only ever carry subsets of size two or more.
 
-The evaluation map runs on packed exponents (``packed_image``).  A
-monomial of F2[y1, x1, ..., ym, xm] becomes one int with a field of
-``width`` bits per exponent (``poly.pack``), and multiplying two
-monomials is adding their ints.  The width is the bit length of the
-element's largest term degree D.  Each generator's image is
-homogeneous of its symbol's degree, so every monomial of a term's
-image, and of every partial product on the way to it, has total degree
-at most the term's degree, hence at most D.  An exponent never exceeds
-its monomial's total degree, so every field stays at most D < 2**width,
-and no field can carry into the next.  The transfers are packed once
-per width and cached, and all products are parity-collected into sets
-of ints.  ``evaluate`` unpacks the result once, at the end.
+The evaluation map runs one multidegree block at a time
+(``block_image``).  Sending x_i to e_i, N_i to 2 e_i and Tr(A) to the
+indicator vector of A grades the presentation ring (``multidegree``),
+and every generator's image is multihomogeneous of its symbol's
+multidegree when x_i and y_i both count e_i.  So a term of multidegree
+alpha maps into the span of the x^(alpha-b) y^b with b <= alpha, where
+setting every x_i to 1 loses nothing: y^b names the monomial.  Read
+an int as a polynomial in t over GF(2), bit k the coefficient of t^k,
+so that XOR adds and a shift multiplies by a power of t.  Sending y_i
+to t^R_i with R_i = prod_{j<i} (alpha_j + 1) is a ring map, and it is
+injective on the exponents b <= alpha, which it writes in mixed radix
+as sum_i b_i R_i.  So the image of a term is one int, whatever the
+products on the way to it reach: bit sum_i b_i R_i is the coefficient
+of x^(alpha-b) y^b.  Images of different multidegrees share no monomial,
+so an element's image is one such int per multidegree, and it is zero
+exactly when each of them is; this holds for elements off the
+multigrading too.  ``evaluate`` decodes the set bits into
+y_i = b_i, x_i = alpha_i - b_i at the end, and the oracle takes the
+ints of one block as its matrix rows.  ``Poly``, ``QMon`` and every
+public type stay tuple-based.
 
-``packed_image`` applies the norms after collecting the sum.  It
-groups the terms x^I N^J Tr(A1)...Tr(Ak) by their norm exponent J,
-collects each group's sum of x^I Tr(A1)...Tr(Ak), and multiplies that
-sum once by the image of N^J, sheared straight into packed ints.  This
-is exact: evaluation is a ring map and N^J is a factor common to the
-group.  Terms that cancel inside a group never meet the norm image,
-which is what makes a large normal form cheap to evaluate.  The oracle
-evaluates one monomial per matrix row, where there is nothing to
-collect, so it calls ``packed_term_image`` instead and indexes its
-matrix columns by the packed ints directly.  ``Poly``, ``QMon`` and
-every public type stay tuple-based.
-
-``vanishes`` answers whether an element evaluates to zero from the
-packed image alone, with ``evaluate``'s width rule and without
-unpacking.  The certificate checks in ``rewrite`` call it once per
-distinct relation a certificate applies, not on the certified
-element: the certificate writes that element as a combination of the
-relations, so relations that vanish prove its image.
+``vanishes`` answers whether an element evaluates to zero from its
+block ints alone, without decoding them.  The certificate checks in
+``rewrite`` call it once per distinct relation a certificate applies,
+not on the certified element: the certificate writes that element as a
+combination of the relations, so relations that vanish prove its
+image.
 
 ``times_monomial`` lists the terms of a product by one monomial.
 Such a product is injective on monomials, so its terms are distinct
@@ -61,10 +57,10 @@ from __future__ import annotations
 import itertools
 import re
 from functools import lru_cache
-from operator import add
+from operator import add, mul
 from typing import Iterable, NamedTuple
 
-from . import invariants
+from .f2 import bit_indices
 from .poly import (
     DimensionMismatch,
     Monomial,
@@ -75,13 +71,9 @@ from .poly import (
     bits_to_subset,
     cardinality,
     min_index,
-    pack,
-    packed_width,
     parity_collect,
-    parity_update,
     subset_to_bits,
     term_text,
-    unpack,
     variable_index,
 )
 
@@ -93,8 +85,8 @@ __all__ = [
     "evaluate",
     "vanishes",
     "times_monomial",
-    "packed_image",
-    "packed_term_image",
+    "block_image",
+    "multidegree",
     "summand_lead",
     "qmon_degree",
     "qmon_trace_degree",
@@ -126,17 +118,19 @@ def make_qmon(xe: Iterable[int], ne: Iterable[int], traces: Iterable[Subset]) ->
 
 
 def qmon_degree(q: QMon) -> int:
-    return sum(q.xe) + 2 * sum(q.ne) + sum(cardinality(a) for a in q.traces)
+    return sum(q.xe) + 2 * sum(q.ne) + sum(map(sum, q.traces))
 
 
 def qmon_trace_degree(q: QMon) -> int:
-    return sum(cardinality(a) for a in q.traces)
+    return sum(map(sum, q.traces))
 
 
 def qmon_key(q: QMon):
     """Canonical total order on monomials, used for printing and for
     choosing which term a rewrite touches first."""
-    return (qmon_degree(q), qmon_trace_degree(q), q.traces, q.ne, q.xe)
+    trace_degree = sum(map(sum, q.traces))
+    return (sum(q.xe) + 2 * sum(q.ne) + trace_degree, trace_degree,
+            q.traces, q.ne, q.xe)
 
 
 def _check_qmon(m: int, t: QMon) -> QMon:
@@ -235,8 +229,10 @@ def times_monomial(mon: QMon, q: QPoly) -> list[QMon]:
     if len(mon.xe) != q.m:
         raise DimensionMismatch(f"mixed widths: m={len(mon.xe)} vs m={q.m}")
     xe, ne, traces = mon
+    # with no trace to insert, each term's traces stay in canonical order
     return [QMon(tuple(map(add, xe, t.xe)), tuple(map(add, ne, t.ne)),
-                 tuple(sorted(traces + t.traces, reverse=True)))
+                 tuple(sorted(traces + t.traces, reverse=True))
+                 if traces else t.traces)
             for t in q.terms]
 
 
@@ -255,48 +251,6 @@ def formal_trace(a: Subset) -> QPoly:
 # ---------------------------------------------------------------------------
 # evaluation onto the invariant ring
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _packed_transfer(a: Subset, width: int) -> tuple[int, ...]:
-    return tuple(pack(t, width) for t in invariants.transfer(a).terms)
-
-
-def _times_transfers(image, traces: tuple, width: int) -> list[int]:
-    """The packed terms ``image`` times the transfers of ``traces``.
-    Each transfer but the last is multiplied in and parity-collected;
-    the products with the last are listed as they come, so a term may
-    repeat and the caller toggles them into its sum."""
-    for a in traces[:-1]:
-        factor = _packed_transfer(a, width)
-        image = parity_collect(p + f for p in image for f in factor)
-    if traces:
-        factor = _packed_transfer(traces[-1], width)
-        image = [p + f for p in image for f in factor]
-    return image
-
-
-def _interleave(ys: tuple, xs: tuple, width: int) -> int:
-    """The packed monomial y^ys x^xs."""
-    base = [0] * (2 * len(xs))
-    base[0::2] = ys
-    base[1::2] = xs
-    return pack(base, width)
-
-
-def packed_term_image(t: QMon, width: int) -> set[int]:
-    """The image of the single term ``t`` as a set of packed monomials,
-    ``width`` bits per exponent; the width must hold the term's degree
-    (``packed_width``).
-
-    x^I N^J Tr(A1)...Tr(Ak) maps to y^J x^I prod (y + x)^J (the shear
-    of ``invariants.sheared``) times the k transfers, multiplied in
-    that order; products of packed monomials are int sums."""
-    odd: set[int] = set()
-    parity_update(odd, _times_transfers(
-        invariants.sheared(_interleave(t.ne, t.xe, width), t.ne, width),
-        t.traces, width))
-    return odd
-
 
 def summand_lead(term: QMon) -> Monomial:
     """Leading monomial of the image of a presentation-ring term, read
@@ -320,45 +274,71 @@ def summand_lead(term: QMon) -> Monomial:
     return tuple(exps)
 
 
-def packed_image(terms: Iterable[QMon], width: int) -> set[int]:
-    """The image of the sum of ``terms`` as a set of packed monomials,
-    ``width`` bits per exponent; the width must hold the largest term
-    degree (``packed_width``).
+def multidegree(t: QMon) -> tuple[int, ...]:
+    """The multidegree of a presentation monomial: x_i counts e_i, N_i
+    counts 2 e_i and Tr(A) the indicator vector of A."""
+    return tuple(map(sum, zip(t.xe, t.ne, t.ne, *t.traces)))
 
-    The terms are grouped by their norm exponent J.  Each group's sum
-    of the images of x^I Tr(A1)...Tr(Ak) is parity-collected first, and
-    only then multiplied, once, by the image y^J prod (y + x)^J of N^J.
-    That is exact because evaluation is a ring map and N^J is a factor
-    common to the group: the group's image is the image of N^J times
-    the image of the sum of the rest.  Every partial product has degree
-    at most its term's, so the width holds throughout."""
-    groups: dict[tuple, set[int]] = {}
+
+@lru_cache(maxsize=None)
+def _radices(alpha: tuple[int, ...]) -> tuple[int, ...]:
+    """The bit weight R_i = prod_{j<i} (alpha_j + 1) of y_i in block
+    alpha: b <= alpha is written in mixed radix as sum_i b_i R_i."""
+    return tuple(itertools.accumulate((a + 1 for a in alpha[:-1]), mul,
+                                      initial=1))
+
+
+def block_image(t: QMon, alpha: tuple[int, ...]) -> int:
+    """The image of ``t``, whose multidegree is ``alpha``, as one int:
+    bit sum_i b_i R_i (``_radices``) is the coefficient of
+    x^(alpha-b) y^b.
+
+    The int is the image at x = 1 under y_i -> t^R_i (see the module
+    docstring), on which a product by y_i is a shift and a product by
+    y_i + 1 a shift-XOR.  x_i maps to 1; N_i to y_i (y_i + 1), with one
+    shift-XOR per set bit k of its exponent, as (y_i + 1)^(2^k) =
+    y_i^(2^k) + 1; and Tr(A) to y^A + prod_{i in A} (y_i + 1)."""
+    radices = _radices(alpha)
+    image = 1
+    if any(t.ne):
+        image <<= sum(map(mul, t.ne, radices))
+        for r, e in zip(radices, t.ne):
+            while e:
+                if e & 1:
+                    image ^= image << r
+                e >>= 1
+                r <<= 1
+    for a in t.traces:
+        ones = image
+        for r in itertools.compress(radices, a):
+            ones ^= ones << r
+        image = ones ^ (image << sum(itertools.compress(radices, a)))
+    return image
+
+
+def _block_sums(terms: Iterable[QMon]) -> dict[tuple, int]:
+    """The image of the sum of ``terms``, one ``block_image`` int per
+    multidegree."""
+    sums: dict[tuple, int] = {}
     for t in terms:
-        x_part = _interleave((0,) * len(t.xe), t.xe, width)
-        parity_update(groups.setdefault(t.ne, set()),
-                      _times_transfers([x_part], t.traces, width))
-    total: set[int] = set()
-    for ne, odd in groups.items():
-        y_part = _interleave(ne, (0,) * len(ne), width)
-        norm = invariants.sheared(y_part, ne, width)
-        parity_update(total, [p + n for p in odd for n in norm])
-    return total
-
-
-def _image_width(q: QPoly) -> int:
-    """The packed width that holds every term of ``q``: the bit length
-    of its largest term degree."""
-    return packed_width(max(map(qmon_degree, q.terms), default=0))
+        alpha = multidegree(t)
+        sums[alpha] = sums.get(alpha, 0) ^ block_image(t, alpha)
+    return sums
 
 
 def evaluate(q: QPoly) -> Poly:
     """Substitute the concrete invariants for the formal symbols."""
-    width = _image_width(q)
-    return Poly(q.m, frozenset(unpack(p, 2 * q.m, width)
-                               for p in packed_image(q.terms, width)))
+    found = []
+    for alpha, image in _block_sums(q.terms).items():
+        radices = _radices(alpha)
+        for bit in bit_indices(image):
+            ys = [bit // r % (a + 1) for r, a in zip(radices, alpha)]
+            found.append(tuple(e for y, a in zip(ys, alpha)
+                               for e in (y, a - y)))
+    return Poly(q.m, frozenset(found))
 
 
 def vanishes(q: QPoly) -> bool:
-    """True when ``q`` evaluates to zero, decided on the packed image
-    without unpacking it, and with no ``Poly`` built."""
-    return not packed_image(q.terms, _image_width(q))
+    """True when ``q`` evaluates to zero, decided on its block images
+    without decoding them, and with no ``Poly`` built."""
+    return not any(_block_sums(q.terms).values())

@@ -195,6 +195,11 @@ class ReductionTrace:
 
 
 def _split_two_largest(term: QMon) -> tuple[Subset, Subset, tuple]:
+    if len(term.traces) == 2:
+        first, second = term.traces
+        if subset_key(first) < subset_key(second):
+            first, second = second, first
+        return first, second, ()
     factors = sorted(term.traces, key=subset_key, reverse=True)
     first, second = factors[0], factors[1]
     rest = list(term.traces)
@@ -239,7 +244,8 @@ def normal_form(q: QPoly) -> ReductionTrace:
     steps: list[ReductionStep] = []
     last_measure: tuple[int, int] | None = None
     while heap:
-        term = heapq.heappop(heap).term
+        entry = heapq.heappop(heap)
+        term = entry.term
         if term not in terms:
             continue
         first, second, rest = _split_two_largest(term)
@@ -257,7 +263,7 @@ def normal_form(q: QPoly) -> ReductionTrace:
         if term in terms:
             raise RuntimeError(
                 f"normal_form step left its term {QPoly.monomial(term)}")
-        measure = (qmon_degree(term), qmon_trace_degree(term))
+        measure = entry.key[:2]
         if last_measure is not None and measure > last_measure:
             raise RuntimeError(
                 f"normal_form measure rose from {last_measure} to {measure}")

@@ -30,6 +30,7 @@ from vecinv2.qring import (
     evaluate,
     formal_trace,
     make_qmon,
+    multidegree,
     qmon_degree,
     qmon_key,
     vanishes,
@@ -152,11 +153,20 @@ def test_linear_kernel_basis_members_certify():
                 assert linear_reduce(member).verify()
 
 
-def _whole_kernel(m, d, basis):
+def _whole_rows(basis):
+    """The whole-degree evaluation rows of ``basis``: each image from
+    ``evaluate``, its ``Poly`` monomials given columns on first sight.
+    Block images cannot serve here, as each numbers only its own
+    block's monomials."""
+    index = {}
+    return [row_of(evaluate(QPoly.monomial(t)).terms, index) for t in basis]
+
+
+def _whole_kernel(m, basis):
     """The left kernel of the whole-degree evaluation matrix of
     ``basis``, one elimination over every row, as elements."""
     return [QPoly(m, frozenset(basis[i] for i in bit_indices(mask)))
-            for mask in left_kernel(oracle._image_rows(d, basis))]
+            for mask in left_kernel(_whole_rows(basis))]
 
 
 def test_linear_kernel_basis_matches_the_filtered_monomials():
@@ -174,13 +184,13 @@ def test_linear_kernel_basis_matches_the_filtered_monomials():
             filtered = tuple(t for t in q_monomials(m, d)
                              if len(t.traces) <= 1)
             assert oracle._trace_linear_monomials(m, d) == filtered
-            assert kernel == _whole_kernel(m, d, filtered), (m, d)
+            assert kernel == _whole_kernel(m, filtered), (m, d)
             checked += 1
     assert checked == 31  # all but (5, 8)
     for m in range(1, 5):
         for d in range(1, 2 * m + 1):
             assert kernel_basis(m, d) == _whole_kernel(
-                m, d, q_monomials(m, d)), (m, d)
+                m, q_monomials(m, d)), (m, d)
 
 
 # ---------------------------------------------------------------------------
@@ -314,14 +324,15 @@ def test_budget_exit_checks_only_the_generators_it_reaches(monkeypatch):
     # degree can hold: m = 9 stops at degree 5 having evaluated traces
     # Tr(A) up to |A| = 4, none of the 256 with |A| >= 5
     traces = []
-    image = oracle.packed_term_image
+    image = oracle.evaluate
 
-    def recording(t, width):
-        if not any(t.xe + t.ne) and len(t.traces) == 1:
-            traces.append(sum(t.traces[0]))
-        return image(t, width)
+    def recording(q):
+        for t in q.terms:
+            if not any(t.xe + t.ne) and len(t.traces) == 1:
+                traces.append(sum(t.traces[0]))
+        return image(q)
 
-    monkeypatch.setattr(oracle, "packed_term_image", recording)
+    monkeypatch.setattr(oracle, "evaluate", recording)
     oracle._generator_leads_hold.cache_clear()
     with pytest.raises(BudgetExceeded) as info:
         verify_relation_ideal(9)
@@ -656,27 +667,23 @@ def test_max_relation_degree_builds_kernels_only_where_short(monkeypatch):
 
 
 def test_image_rows_column_order_is_free():
-    # rows with columns given on first sight have the ranks and left
-    # kernels of the evaluated rows with columns in poly_monomials order
+    # block images, whose bits number a block's monomials in mixed
+    # radix, have the ranks and left kernels of the evaluated rows with
+    # columns in poly_monomials order, block by block
     for m in range(1, 5):
         for d in range(7):
+            index = {mono: i for i, mono in enumerate(poly_monomials(m, d))}
+            assert len(index) == oracle._poly_count(m, d)
             full = q_monomials(m, d)
             linear = tuple(t for t in full if len(t.traces) <= 1)
             for basis in (full, linear):
-                index = {mono: i
-                         for i, mono in enumerate(poly_monomials(m, d))}
-                want = [row_of(evaluate(QPoly.monomial(t)).terms, index)
-                        for t in basis]
-                assert len(index) == oracle._poly_count(m, d)
-                got = oracle._image_rows(d, basis)
-                assert left_kernel(got) == left_kernel(want), (m, d)
-                ranks = []
-                for rows in (got, want):
-                    span = RowSpan()
-                    for row in rows:
-                        span.add(row)
-                    ranks.append(span.rank)
-                assert ranks[0] == ranks[1], (m, d)
+                for alpha in blocks.compositions(d, m):
+                    block = [t for t in basis if multidegree(t) == alpha]
+                    want = [row_of(evaluate(QPoly.monomial(t)).terms, index)
+                            for t in block]
+                    got = oracle._image_rows(alpha, block)
+                    assert left_kernel(got) == left_kernel(want), alpha
+                    assert _rank(got) == _rank(want), alpha
 
 
 def test_dropped_relation_reports_golden():
@@ -733,7 +740,7 @@ def _whole_degree_sweep(m, d_max, relations):
     unchecked = deque(sorted(relations, key=lambda r: r.degree))
     for d in range(2, d_max + 1):
         full = q_monomials(m, d)
-        kernel_dimension = len(full) - _rank(oracle._image_rows(d, full))
+        kernel_dimension = len(full) - _rank(_whole_rows(full))
         index = {}
         span = RowSpan()
         for r in relations:
@@ -760,7 +767,7 @@ def _whole_degree_sweep(m, d_max, relations):
             counterexample = QPoly.monomial(lift) * stray.element
         elif span_rank != kernel_dimension:
             counterexample = next(
-                (k for k in _whole_kernel(m, d, full)
+                (k for k in _whole_kernel(m, full)
                  if span.add(row_of(k.terms, index))), None)
         generated = stray is None and span_rank == kernel_dimension
         out.append((kernel_dimension, span_rank, generated,

@@ -2,6 +2,9 @@
 that substitutes the concrete invariant polynomials."""
 
 import random
+from functools import cache, reduce
+from itertools import combinations
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -13,13 +16,17 @@ from vecinv2.poly import (
     Poly,
     ZeroPolynomialError,
     all_subsets,
+    singleton,
 )
+from vecinv2 import qring
 from vecinv2.qring import (
+    QMon,
     QPoly,
+    block_image,
     evaluate,
     formal_trace,
     make_qmon,
-    packed_image,
+    multidegree,
     qmon_degree,
     qmon_key,
     qmon_trace_degree,
@@ -27,7 +34,7 @@ from vecinv2.qring import (
     vanishes,
 )
 from vecinv2.oracle import kernel_basis
-from vecinv2.relations import type_i_relation
+from vecinv2.relations import relation_basis, type_i_relation
 
 from conftest import n_power, random_qmon, random_qpoly
 
@@ -132,7 +139,7 @@ def test_evaluate_norm_powers():
 
 def _reference_image(q: QPoly) -> Poly:
     """The image of q, term by term, as Poly products of the generator
-    polynomials; shares no code with the packed kernel."""
+    polynomials; shares no code with the block-image kernel."""
     gens = generator_set(q.m)
     total = Poly.zero(q.m)
     for t in q.terms:
@@ -168,7 +175,8 @@ def qterms_of_degree(draw, m: int, degree: int):
     return make_qmon(xe, ne, traces)
 
 
-# degrees at the edges of a packed field width: 1, 2**k - 1 and 2**k
+# degrees 1, 2**k - 1 and 2**k: a block radix alpha_i + 1, or the bits
+# of a norm exponent, at a power of two and just below it
 EDGE_DEGREES = (0, 1, 2, 3, 4, 7, 8, 9, 15, 16)
 
 
@@ -223,7 +231,7 @@ def test_grouped_evaluation_edge_cases():
     # the empty element, and elements whose terms all have J = 0
     for m in (1, 3):
         assert evaluate(QPoly.zero(m)) == Poly.zero(m)
-    assert packed_image((), 1) == set()
+    assert qring._block_sums(()) == {}
     relation = type_i_relation((1, 1, 1)).element
     assert evaluate(relation) == Poly.zero(3)
     partial = QPoly.parse(3, "x3*Tr(110) + x2*Tr(101) + x1*x2*x3")
@@ -231,8 +239,8 @@ def test_grouped_evaluation_edge_cases():
 
 
 def test_evaluate_at_field_width_edges():
-    # one field at the largest exponent its width holds, multi-trace
-    # terms, and a lower-degree term that makes the element mixed
+    # one exponent at 2**k - 1 or 2**k, multi-trace terms, and a
+    # lower-degree term that makes the element mixed
     for d in (1, 3, 4, 7, 8, 15, 16):
         x = QPoly.x_power((d, 0, 0))
         n = QPoly.x_power((0, d % 2, 0)) * n_power((0, d // 2, 0))
@@ -269,8 +277,8 @@ def test_evaluate_respects_grading():
 
 
 def test_vanishes_matches_evaluate_on_random_elements():
-    # random_qpoly mixes term degrees, so the packed width is set by
-    # the largest term, as in evaluate
+    # random_qpoly mixes term degrees and multidegrees, so most
+    # elements have several blocks
     rng = random.Random(4242)
     mixed = 0
     for _ in range(400):
@@ -294,6 +302,87 @@ def test_vanishes_on_kernel_members_and_near_misses():
             assert not vanishes(off) and evaluate(off)
             checked += 1
     assert checked == 0 + 1 + 9 + 30 + 93
+
+
+def _decoded(m, alpha, image):
+    """The polynomial a block image of block alpha stands for, its set
+    bits read one mixed-radix digit b_i at a time as x^(alpha-b) y^b."""
+    found = []
+    for bit in range(image.bit_length()):
+        if image >> bit & 1:
+            exps = []
+            for a in alpha:
+                bit, y = divmod(bit, a + 1)
+                exps += [y, a - y]
+            found.append(tuple(exps))
+    return Poly(m, frozenset(found))
+
+
+def test_generator_block_images_decode_to_the_invariants():
+    for m in range(1, 7):
+        zero = (0,) * m
+        for i in range(m):
+            unit = singleton(m, i)
+            double = tuple(2 * u for u in unit)
+            x, n = QMon(unit, zero, ()), QMon(zero, unit, ())
+            assert multidegree(x) == unit and multidegree(n) == double
+            assert _decoded(m, unit, block_image(x, unit)) == \
+                Poly.x_variable(m, i)
+            assert _decoded(m, double, block_image(n, double)) == norm(m, i)
+        for a in all_subsets(m, min_size=2):
+            t = QMon(zero, zero, (a,))
+            assert multidegree(t) == a
+            assert _decoded(m, a, block_image(t, a)) == transfer(a), a
+
+
+@cache
+def _term_reference(t):
+    return _reference_image(QPoly.monomial(t))
+
+
+def test_relations_vanish_and_their_one_term_mutants_do_not():
+    # a relation without one of its terms t has the image of t, which
+    # is never zero; the reference sums Poly products of the generators
+    mutants = 0
+    for m in range(2, 6):
+        for flavor in ("II", "III"):
+            for relation in relation_basis(m, flavor):
+                terms = relation.element.terms
+                assert vanishes(relation.element)
+                assert reduce(add, map(_term_reference, terms)) == Poly.zero(m)
+                for t in terms:
+                    mutant = QPoly(m, terms - {t})
+                    assert not vanishes(mutant)
+                    assert evaluate(mutant) == _term_reference(t) \
+                        != Poly.zero(m)
+                    mutants += 1
+    assert mutants == 4 + 4 + 45 + 41 + 340 + 260 + 2223 + 1325
+
+
+def test_two_block_element_vanishes_iff_both_parts_do():
+    # parts of one multidegree each: the relations at m = 3, each less
+    # its largest term, and the single symbols, among which x1, x2 and
+    # x3 have the same block int in three blocks (so do N1, N2 and N3)
+    m, zero = 3, (0, 0, 0)
+    parts = []
+    for relation in relation_basis(m):
+        parts.append(relation.element)
+        top = max(relation.element.terms, key=qmon_key)
+        parts.append(QPoly(m, relation.element.terms - {top}))
+    for i in range(m):
+        unit = singleton(m, i)
+        parts += [QPoly.monomial(QMon(unit, zero, ())),
+                  QPoly.monomial(QMon(zero, unit, ()))]
+    assert len({block_image(QMon(singleton(m, i), zero, ()), singleton(m, i))
+                for i in range(m)}) == 1
+    pairs = 0
+    for p, q in combinations(parts, 2):
+        (alpha,), (beta,) = ({multidegree(t) for t in r.terms} for r in (p, q))
+        if alpha != beta:
+            assert vanishes(p + q) == (vanishes(p) and vanishes(q)), (p, q)
+            assert vanishes(p + q) == (not _reference_image(p + q))
+            pairs += 1
+    assert pairs > 300
 
 
 def _product_by_make_qmon(mon, q):
