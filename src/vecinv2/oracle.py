@@ -41,11 +41,11 @@ order of a matrix's columns: the left kernel is fixed by which rows
 are independent of the rows before them.  So no column order is set
 up in advance, and neither the polynomial monomials of a degree nor
 its presentation monomials are enumerated to index the columns.  An
-evaluation row is the block int ``qring.block_image`` of its
-monomial, whose bits number the block's polynomial monomials in mixed
-radix.  Relation-span rows give a column to each packed presentation
-monomial on first sight (``f2.row_of``), so that a product by a
-multiplier is one int addition per term (``blocks``).
+evaluation row is the block int of its monomial
+(``qring.block_images``), whose bits number the block's polynomial
+monomials in mixed radix.  Relation-span rows give a column to each
+packed presentation monomial on first sight (``f2.row_of``), so that
+a product by a multiplier is one int addition per term (``blocks``).
 
 Blocks.  Sending x_i to e_i, N_i to 2 e_i and Tr(A) to the indicator
 vector 1_A grades the presentation ring by multidegree alpha in N^m,
@@ -147,7 +147,7 @@ from .poly import (
 from .qring import (
     QMon,
     QPoly,
-    block_image,
+    block_images,
     evaluate,
     multidegree,
     qmon_key,
@@ -258,9 +258,9 @@ def q_monomials(m: int, d: int) -> tuple[QMon, ...]:
 
 def _image_rows(alpha: tuple[int, ...], basis) -> list[int]:
     """Evaluation rows of the monomials ``basis`` of block alpha: each
-    row is the monomial's ``block_image``, whose bits are the block's
-    polynomial monomials in a column order of their own."""
-    return [block_image(t, alpha) for t in basis]
+    row is the monomial's int from ``block_images``, whose bits are the
+    block's polynomial monomials in a column order of their own."""
+    return block_images(alpha, basis)[1]
 
 
 def _kernel(m: int, basis: tuple[QMon, ...]) -> list[QPoly]:

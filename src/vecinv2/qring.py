@@ -17,22 +17,26 @@ constructors, which write their terms directly, rewrite them the same
 way, so terms only ever carry subsets of size two or more.
 
 The evaluation map runs one multidegree block at a time
-(``block_image``).  Sending x_i to e_i, N_i to 2 e_i and Tr(A) to the
+(``block_images``).  Sending x_i to e_i, N_i to 2 e_i and Tr(A) to the
 indicator vector of A grades the presentation ring (``multidegree``),
 and every generator's image is multihomogeneous of its symbol's
 multidegree when x_i and y_i both count e_i.  So a term of multidegree
 alpha maps into the span of the x^(alpha-b) y^b with b <= alpha, where
-setting every x_i to 1 loses nothing: y^b names the monomial.  Read
+setting every x_i to 1 loses nothing: y^b names the monomial.  The y_i
+exponents of a term's image are at most its reach alpha_i - I_i, for
+x^I maps to x^I and every other factor carries y_i at most as often as
+it counts e_i; a block's reach r_i is the largest over its terms.  Read
 an int as a polynomial in t over GF(2), bit k the coefficient of t^k,
 so that XOR adds and a shift multiplies by a power of t.  Sending y_i
-to t^R_i with R_i = prod_{j<i} (alpha_j + 1) is a ring map, and it is
-injective on the exponents b <= alpha, which it writes in mixed radix
-as sum_i b_i R_i.  So the image of a term is one int, whatever the
+to t^R_i with R_i = prod_{j<i} (r_j + 1) is a ring map, and it is
+injective on the exponents b <= r, which it writes in mixed radix as
+sum_i b_i R_i.  So the image of a term is one int, whatever the
 products on the way to it reach: bit sum_i b_i R_i is the coefficient
-of x^(alpha-b) y^b.  Images of different multidegrees share no monomial,
-so an element's image is one such int per multidegree, and it is zero
-exactly when each of them is; this holds for elements off the
-multigrading too.  ``evaluate`` decodes the set bits into
+of x^(alpha-b) y^b.  An int has prod_i (r_i + 1) bits at most, which
+x exponents do not widen.  Images of different multidegrees share no
+monomial, so an element's image is one such int per multidegree, and
+it is zero exactly when each of them is; this holds for elements off
+the multigrading too.  ``evaluate`` decodes the set bits into
 y_i = b_i, x_i = alpha_i - b_i at the end, and the oracle takes the
 ints of one block as its matrix rows.  ``Poly``, ``QMon`` and every
 public type stay tuple-based.
@@ -56,8 +60,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from functools import lru_cache
-from operator import add, mul
+from functools import reduce
+from operator import add, mul, xor
 from typing import Iterable, NamedTuple
 
 from .f2 import bit_indices
@@ -85,7 +89,7 @@ __all__ = [
     "evaluate",
     "vanishes",
     "times_monomial",
-    "block_image",
+    "block_images",
     "multidegree",
     "summand_lead",
     "qmon_degree",
@@ -128,9 +132,7 @@ def qmon_trace_degree(q: QMon) -> int:
 def qmon_key(q: QMon):
     """Canonical total order on monomials, used for printing and for
     choosing which term a rewrite touches first."""
-    trace_degree = sum(map(sum, q.traces))
-    return (sum(q.xe) + 2 * sum(q.ne) + trace_degree, trace_degree,
-            q.traces, q.ne, q.xe)
+    return (qmon_degree(q), qmon_trace_degree(q), q.traces, q.ne, q.xe)
 
 
 def _check_qmon(m: int, t: QMon) -> QMon:
@@ -280,60 +282,65 @@ def multidegree(t: QMon) -> tuple[int, ...]:
     return tuple(map(sum, zip(t.xe, t.ne, t.ne, *t.traces)))
 
 
-@lru_cache(maxsize=None)
-def _radices(alpha: tuple[int, ...]) -> tuple[int, ...]:
-    """The bit weight R_i = prod_{j<i} (alpha_j + 1) of y_i in block
-    alpha: b <= alpha is written in mixed radix as sum_i b_i R_i."""
-    return tuple(itertools.accumulate((a + 1 for a in alpha[:-1]), mul,
-                                      initial=1))
+def block_images(alpha: tuple[int, ...],
+                 terms: list[QMon]) -> tuple[tuple[int, ...], list[int]]:
+    """The images of ``terms``, all of multidegree ``alpha``, as one int
+    each, with the bit weights R_i of the y_i they share: bit
+    sum_i b_i R_i is the coefficient of x^(alpha-b) y^b, and
+    R_i = prod_{j<i} (r_j + 1) for the block's reach r (see the module
+    docstring).
 
-
-def block_image(t: QMon, alpha: tuple[int, ...]) -> int:
-    """The image of ``t``, whose multidegree is ``alpha``, as one int:
-    bit sum_i b_i R_i (``_radices``) is the coefficient of
-    x^(alpha-b) y^b.
-
-    The int is the image at x = 1 under y_i -> t^R_i (see the module
-    docstring), on which a product by y_i is a shift and a product by
-    y_i + 1 a shift-XOR.  x_i maps to 1; N_i to y_i (y_i + 1), with one
-    shift-XOR per set bit k of its exponent, as (y_i + 1)^(2^k) =
-    y_i^(2^k) + 1; and Tr(A) to y^A + prod_{i in A} (y_i + 1)."""
-    radices = _radices(alpha)
-    image = 1
-    if any(t.ne):
-        image <<= sum(map(mul, t.ne, radices))
-        for r, e in zip(radices, t.ne):
-            while e:
-                if e & 1:
-                    image ^= image << r
-                e >>= 1
-                r <<= 1
-    for a in t.traces:
-        ones = image
-        for r in itertools.compress(radices, a):
-            ones ^= ones << r
-        image = ones ^ (image << sum(itertools.compress(radices, a)))
-    return image
-
-
-def _block_sums(terms: Iterable[QMon]) -> dict[tuple, int]:
-    """The image of the sum of ``terms``, one ``block_image`` int per
-    multidegree."""
-    sums: dict[tuple, int] = {}
+    Each int is the image at x = 1 under y_i -> t^R_i, on which a
+    product by y_i is a shift and a product by y_i + 1 a shift-XOR.
+    x_i maps to 1; N_i to y_i (y_i + 1), with one shift-XOR per set bit
+    k of its exponent, as (y_i + 1)^(2^k) = y_i^(2^k) + 1; and Tr(A) to
+    y^A + prod_{i in A} (y_i + 1)."""
+    low = map(min, zip(*(t.xe for t in terms)))
+    radices = tuple(itertools.accumulate(
+        (a - x + 1 for a, x in zip(alpha[:-1], low)), mul, initial=1))
+    images = []
     for t in terms:
-        alpha = multidegree(t)
-        sums[alpha] = sums.get(alpha, 0) ^ block_image(t, alpha)
+        image = 1
+        if any(t.ne):
+            image <<= sum(map(mul, t.ne, radices))
+            for r, e in zip(radices, t.ne):
+                while e:
+                    if e & 1:
+                        image ^= image << r
+                    e >>= 1
+                    r <<= 1
+        for a in t.traces:
+            ones = image
+            for r in itertools.compress(radices, a):
+                ones ^= ones << r
+            image = ones ^ (image << sum(itertools.compress(radices, a)))
+        images.append(image)
+    return radices, images
+
+
+def _block_sums(terms: Iterable[QMon]) -> dict[tuple, tuple[tuple, int]]:
+    """The image of the sum of ``terms``: per multidegree, the bit
+    weights and the sum of the ``block_images`` ints."""
+    groups: dict[tuple, list[QMon]] = {}
+    for t in terms:
+        groups.setdefault(multidegree(t), []).append(t)
+    sums = {}
+    for alpha, group in groups.items():
+        radices, images = block_images(alpha, group)
+        sums[alpha] = radices, reduce(xor, images, 0)
     return sums
 
 
 def evaluate(q: QPoly) -> Poly:
     """Substitute the concrete invariants for the formal symbols."""
     found = []
-    for alpha, image in _block_sums(q.terms).items():
-        radices = _radices(alpha)
+    for alpha, (radices, image) in _block_sums(q.terms).items():
         for bit in bit_indices(image):
-            ys = [bit // r % (a + 1) for r, a in zip(radices, alpha)]
-            found.append(tuple(e for y, a in zip(ys, alpha)
+            ys = []
+            for r in reversed(radices):
+                y, bit = divmod(bit, r)
+                ys.append(y)
+            found.append(tuple(e for y, a in zip(reversed(ys), alpha)
                                for e in (y, a - y)))
     return Poly(q.m, frozenset(found))
 
@@ -341,4 +348,4 @@ def evaluate(q: QPoly) -> Poly:
 def vanishes(q: QPoly) -> bool:
     """True when ``q`` evaluates to zero, decided on its block images
     without decoding them, and with no ``Poly`` built."""
-    return not any(_block_sums(q.terms).values())
+    return not any(image for _, image in _block_sums(q.terms).values())

@@ -195,11 +195,6 @@ class ReductionTrace:
 
 
 def _split_two_largest(term: QMon) -> tuple[Subset, Subset, tuple]:
-    if len(term.traces) == 2:
-        first, second = term.traces
-        if subset_key(first) < subset_key(second):
-            first, second = second, first
-        return first, second, ()
     factors = sorted(term.traces, key=subset_key, reverse=True)
     first, second = factors[0], factors[1]
     rest = list(term.traces)

@@ -2,9 +2,12 @@
 presentation rings, sized to keep the property tests fast."""
 
 import random
+from functools import cache, reduce
+from operator import add
 
+from vecinv2.invariants import generator_set
 from vecinv2.poly import Poly, all_subsets
-from vecinv2.qring import QPoly, make_qmon
+from vecinv2.qring import QMon, QPoly, make_qmon
 
 
 def x_y_power(xs, ys) -> Poly:
@@ -58,3 +61,32 @@ def random_qpoly(rng: random.Random, m: int, max_terms: int = 4,
     terms = [random_qmon(rng, m, max_trace_degree)
              for _ in range(rng.randrange(max_terms + 1))]
     return QPoly.from_terms(m, terms)
+
+
+@cache
+def _generators(m: int):
+    return generator_set(m)
+
+
+@cache
+def term_reference(t: QMon) -> Poly:
+    """The image of the presentation monomial t as a Poly product of
+    the generator polynomials, one factor taken off per call; shares
+    no code with the block-image kernel in ``qring``."""
+    m = len(t.xe)
+    gens = _generators(m)
+    if t.traces:
+        rest = t._replace(traces=t.traces[1:])
+        return term_reference(rest) * gens.traces[t.traces[0]]
+    for field, factors in (("ne", gens.norms), ("xe", gens.xs)):
+        exps = getattr(t, field)
+        for i, e in enumerate(exps):
+            if e:
+                lower = exps[:i] + (e - 1,) + exps[i + 1:]
+                return term_reference(t._replace(**{field: lower})) * factors[i]
+    return Poly.parse(m, "1")
+
+
+def reference_image(q: QPoly) -> Poly:
+    """The image of q, summed term by term from ``term_reference``."""
+    return reduce(add, map(term_reference, q.terms), Poly.zero(q.m))

@@ -42,6 +42,8 @@ from vecinv2.relations import (
     type_iii_relation,
 )
 
+from conftest import reference_image, term_reference
+
 # Report texts and kernel bases that any order of the matrix columns
 # must reproduce character for character.
 GOLDENS = json.loads(
@@ -154,12 +156,11 @@ def test_linear_kernel_basis_members_certify():
 
 
 def _whole_rows(basis):
-    """The whole-degree evaluation rows of ``basis``: each image from
-    ``evaluate``, its ``Poly`` monomials given columns on first sight.
-    Block images cannot serve here, as each numbers only its own
-    block's monomials."""
+    """The whole-degree evaluation rows of ``basis``: each image a Poly
+    product of the generators (``term_reference``), its monomials given
+    columns on first sight."""
     index = {}
-    return [row_of(evaluate(QPoly.monomial(t)).terms, index) for t in basis]
+    return [row_of(term_reference(t).terms, index) for t in basis]
 
 
 def _whole_kernel(m, basis):
@@ -668,8 +669,8 @@ def test_max_relation_degree_builds_kernels_only_where_short(monkeypatch):
 
 def test_image_rows_column_order_is_free():
     # block images, whose bits number a block's monomials in mixed
-    # radix, have the ranks and left kernels of the evaluated rows with
-    # columns in poly_monomials order, block by block
+    # radix, have the ranks and left kernels of the reference images'
+    # rows with columns in poly_monomials order, block by block
     for m in range(1, 5):
         for d in range(7):
             index = {mono: i for i, mono in enumerate(poly_monomials(m, d))}
@@ -679,7 +680,7 @@ def test_image_rows_column_order_is_free():
             for basis in (full, linear):
                 for alpha in blocks.compositions(d, m):
                     block = [t for t in basis if multidegree(t) == alpha]
-                    want = [row_of(evaluate(QPoly.monomial(t)).terms, index)
+                    want = [row_of(term_reference(t).terms, index)
                             for t in block]
                     got = oracle._image_rows(alpha, block)
                     assert left_kernel(got) == left_kernel(want), alpha
@@ -750,7 +751,7 @@ def _whole_degree_sweep(m, d_max, relations):
                     span.add(row_of(product.terms, index))
         while stray is None and unchecked and unchecked[0].degree <= d:
             relation = unchecked.popleft()
-            if evaluate(relation.element) != Poly.zero(m):
+            if reference_image(relation.element) != Poly.zero(m):
                 stray = relation
         same = [p for p, r in enumerate(relations) if r.degree == d]
         rows = [span.remainder(row_of(relations[p].element.terms, index))

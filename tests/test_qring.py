@@ -2,7 +2,7 @@
 that substitutes the concrete invariant polynomials."""
 
 import random
-from functools import cache, reduce
+from functools import reduce
 from itertools import combinations
 from operator import add
 
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vecinv2.invariants import generator_set, norm, transfer
+from vecinv2.invariants import norm, transfer
 from vecinv2.poly import (
     DimensionMismatch,
     Poly,
@@ -22,7 +22,7 @@ from vecinv2 import qring
 from vecinv2.qring import (
     QMon,
     QPoly,
-    block_image,
+    block_images,
     evaluate,
     formal_trace,
     make_qmon,
@@ -36,7 +36,13 @@ from vecinv2.qring import (
 from vecinv2.oracle import kernel_basis
 from vecinv2.relations import relation_basis, type_i_relation
 
-from conftest import n_power, random_qmon, random_qpoly
+from conftest import (
+    n_power,
+    random_qmon,
+    random_qpoly,
+    reference_image,
+    term_reference,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -137,23 +143,6 @@ def test_evaluate_norm_powers():
     assert evaluate(n3) == norm(1, 0) * norm(1, 0) * norm(1, 0)
 
 
-def _reference_image(q: QPoly) -> Poly:
-    """The image of q, term by term, as Poly products of the generator
-    polynomials; shares no code with the block-image kernel."""
-    gens = generator_set(q.m)
-    total = Poly.zero(q.m)
-    for t in q.terms:
-        image = Poly.parse(q.m, "1")
-        for factors, exps in ((gens.xs, t.xe), (gens.norms, t.ne)):
-            for f, e in zip(factors, exps):
-                for _ in range(e):
-                    image = image * f
-        for a in t.traces:
-            image = image * gens.traces[a]
-        total = total + image
-    return total
-
-
 @st.composite
 def qterms_of_degree(draw, m: int, degree: int):
     """A monomial of the given degree, grown from random x, N and trace
@@ -191,7 +180,7 @@ def qpolys_for_evaluation(draw):
 @given(qpolys_for_evaluation())
 @settings(max_examples=150, deadline=None)
 def test_evaluate_matches_generator_products(q):
-    assert evaluate(q) == _reference_image(q)
+    assert evaluate(q) == reference_image(q)
 
 
 @st.composite
@@ -224,7 +213,7 @@ def test_grouped_evaluation_matches_termwise(q):
     termwise = Poly.zero(q.m)
     for t in q.terms:
         termwise = termwise + evaluate(QPoly.monomial(t))
-    assert evaluate(q) == termwise == _reference_image(q)
+    assert evaluate(q) == termwise == reference_image(q)
 
 
 def test_grouped_evaluation_edge_cases():
@@ -235,7 +224,7 @@ def test_grouped_evaluation_edge_cases():
     relation = type_i_relation((1, 1, 1)).element
     assert evaluate(relation) == Poly.zero(3)
     partial = QPoly.parse(3, "x3*Tr(110) + x2*Tr(101) + x1*x2*x3")
-    assert evaluate(partial) == _reference_image(partial) != Poly.zero(3)
+    assert evaluate(partial) == reference_image(partial) != Poly.zero(3)
 
 
 def test_evaluate_at_field_width_edges():
@@ -250,8 +239,8 @@ def test_evaluate_at_field_width_edges():
         q = x + n + tr + QPoly.parse(3, "1")
         assert len(q) == 4 and q.degree() is None
         assert {qmon_degree(t) for t in q.terms} == {0, d}
-        assert evaluate(q) == _reference_image(q)
-        assert evaluate(tr) == _reference_image(tr)
+        assert evaluate(q) == reference_image(q)
+        assert evaluate(tr) == reference_image(tr)
 
 
 def test_evaluate_is_a_homomorphism():
@@ -304,17 +293,19 @@ def test_vanishes_on_kernel_members_and_near_misses():
     assert checked == 0 + 1 + 9 + 30 + 93
 
 
-def _decoded(m, alpha, image):
-    """The polynomial a block image of block alpha stands for, its set
-    bits read one mixed-radix digit b_i at a time as x^(alpha-b) y^b."""
+def _decoded(m, alpha, term):
+    """The polynomial the block image of ``term`` of block alpha stands
+    for, its set bits read one mixed-radix digit b_i at a time as
+    x^(alpha-b) y^b, digit i below R_(i+1) / R_i."""
+    radices, (image,) = block_images(alpha, [term])
     found = []
     for bit in range(image.bit_length()):
         if image >> bit & 1:
-            exps = []
-            for a in alpha:
-                bit, y = divmod(bit, a + 1)
-                exps += [y, a - y]
-            found.append(tuple(exps))
+            ys = []
+            for r, above in zip(radices, radices[1:] + (None,)):
+                ys.append(bit // r if above is None else bit % above // r)
+            found.append(tuple(e for y, a in zip(ys, alpha)
+                               for e in (y, a - y)))
     return Poly(m, frozenset(found))
 
 
@@ -326,18 +317,29 @@ def test_generator_block_images_decode_to_the_invariants():
             double = tuple(2 * u for u in unit)
             x, n = QMon(unit, zero, ()), QMon(zero, unit, ())
             assert multidegree(x) == unit and multidegree(n) == double
-            assert _decoded(m, unit, block_image(x, unit)) == \
-                Poly.x_variable(m, i)
-            assert _decoded(m, double, block_image(n, double)) == norm(m, i)
+            assert _decoded(m, unit, x) == Poly.x_variable(m, i)
+            assert _decoded(m, double, n) == norm(m, i)
         for a in all_subsets(m, min_size=2):
             t = QMon(zero, zero, (a,))
             assert multidegree(t) == a
-            assert _decoded(m, a, block_image(t, a)) == transfer(a), a
+            assert _decoded(m, a, t) == transfer(a), a
 
 
-@cache
-def _term_reference(t):
-    return _reference_image(QPoly.monomial(t))
+def test_block_images_skip_the_x_exponents():
+    # x^I Tr(1^m) with I_i = 100 reaches y_i at most once, so its
+    # block int has 2^m bits at most, not prod (alpha_i + 1) = 102^m
+    for m in (2, 5, 7):
+        hundreds, zero, whole = (100,) * m, (0,) * m, (1,) * m
+        t = QMon(hundreds, zero, (whole,))
+        alpha = multidegree(t)
+        radices, (image,) = block_images(alpha, [t])
+        assert radices == tuple(2 ** i for i in range(m))
+        assert image.bit_length() <= 2 ** m
+        q = QPoly.monomial(t)
+        x_part = Poly.monomial(m, tuple(e for x in hundreds for e in (0, x)))
+        assert evaluate(q) == x_part * transfer(whole)
+        assert not vanishes(q)
+        assert vanishes(q + q) and evaluate(q + q) == Poly.zero(m)
 
 
 def test_relations_vanish_and_their_one_term_mutants_do_not():
@@ -349,11 +351,11 @@ def test_relations_vanish_and_their_one_term_mutants_do_not():
             for relation in relation_basis(m, flavor):
                 terms = relation.element.terms
                 assert vanishes(relation.element)
-                assert reduce(add, map(_term_reference, terms)) == Poly.zero(m)
+                assert reduce(add, map(term_reference, terms)) == Poly.zero(m)
                 for t in terms:
                     mutant = QPoly(m, terms - {t})
                     assert not vanishes(mutant)
-                    assert evaluate(mutant) == _term_reference(t) \
+                    assert evaluate(mutant) == term_reference(t) \
                         != Poly.zero(m)
                     mutants += 1
     assert mutants == 4 + 4 + 45 + 41 + 340 + 260 + 2223 + 1325
@@ -373,14 +375,15 @@ def test_two_block_element_vanishes_iff_both_parts_do():
         unit = singleton(m, i)
         parts += [QPoly.monomial(QMon(unit, zero, ())),
                   QPoly.monomial(QMon(zero, unit, ()))]
-    assert len({block_image(QMon(singleton(m, i), zero, ()), singleton(m, i))
+    assert len({block_images(singleton(m, i),
+                             [QMon(singleton(m, i), zero, ())])[1][0]
                 for i in range(m)}) == 1
     pairs = 0
     for p, q in combinations(parts, 2):
         (alpha,), (beta,) = ({multidegree(t) for t in r.terms} for r in (p, q))
         if alpha != beta:
             assert vanishes(p + q) == (vanishes(p) and vanishes(q)), (p, q)
-            assert vanishes(p + q) == (not _reference_image(p + q))
+            assert vanishes(p + q) == (not reference_image(p + q))
             pairs += 1
     assert pairs > 300
 
