@@ -17,9 +17,9 @@ non-increasing one, and ``orbit_size`` counts its orbit.
 against its own span.  While the caller states that the ideal of the
 lower relations is S_m-stable, ``RelationSpans.lead_count`` can count a
 degree with no row built, from the distinct leads of the span's
-elements: the trace-linear ones on the representatives' trace-linear
-monomials (``linear_blocks``, which the evaluation lead count reads
-too), the rest from closed-form counts.
+elements, all in closed form: the monomials with two or more traces,
+and, once per orbit representative, the trace-linear monomials that a
+lower lead of the shape x_c Tr(B) divides (``_covered``).
 
 The relation spans key their columns by packed monomials, as
 ``poly.pack`` does for polynomial monomials: a presentation monomial
@@ -38,9 +38,9 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import groupby, product
-from math import factorial, inf
-from operator import attrgetter, ge, le, sub
+from itertools import product
+from math import factorial, inf, prod
+from operator import le, sub
 
 from .f2 import RowSpan, bit_indices, left_kernel, row_of
 from .poly import all_subsets, monomial_key, pack, packed_width
@@ -50,8 +50,6 @@ from .relations import pair_count
 __all__ = [
     "relation_block",
     "block_monomials",
-    "trace_linear_monomials",
-    "linear_blocks",
     "compositions",
     "orbit_reps",
     "orbit_size",
@@ -94,17 +92,6 @@ def block_monomials(m: int, alpha: tuple[int, ...]) -> list[QMon]:
     return found
 
 
-def trace_linear_monomials(m: int, alpha: tuple[int, ...]) -> list[QMon]:
-    """The members of block ``alpha`` with at most one trace symbol: the
-    x/N splits of alpha, then for each trace subset A under alpha those
-    of alpha - 1_A times Tr(A)."""
-    found = _splits(alpha, ())
-    for a in all_subsets(m, min_size=2):
-        if all(map(le, a, alpha)):
-            found += _splits(tuple(map(sub, alpha, a)), (a,))
-    return found
-
-
 def compositions(d: int, m: int):
     """Every m-tuple of naturals summing to d: each multidegree of
     degree d."""
@@ -119,8 +106,12 @@ def compositions(d: int, m: int):
 @lru_cache(maxsize=None)
 def orbit_reps(d: int, m: int) -> tuple[tuple[int, ...], ...]:
     """One multidegree of degree d from each S_m orbit: the
-    non-increasing ones."""
-    return tuple(a for a in compositions(d, m) if all(map(ge, a, a[1:])))
+    non-increasing ones, listed largest first part first, as
+    ``compositions`` lists them.  The largest part is at least d / m."""
+    if m == 1:
+        return ((d,),)
+    return tuple((first,) + rest for first in range(d, -(-d // m) - 1, -1)
+                 for rest in orbit_reps(d - first, m - 1) if rest[0] <= first)
 
 
 def orbit_size(alpha: tuple[int, ...]) -> int:
@@ -129,13 +120,6 @@ def orbit_size(alpha: tuple[int, ...]) -> int:
     for repeats in Counter(alpha).values():
         size //= factorial(repeats)
     return size
-
-
-@lru_cache(maxsize=1)
-def linear_blocks(m: int, d: int) -> dict[tuple, list[QMon]]:
-    """``trace_linear_monomials`` of each orbit representative of degree
-    d, for both lead counts of a degree; the last degree is kept."""
-    return {rho: trace_linear_monomials(m, rho) for rho in orbit_reps(d, m)}
 
 
 def _measure(t: QMon) -> tuple[int, int, int]:
@@ -180,19 +164,20 @@ def _divisors(t: QMon, fewest: int) -> set[QMon]:
     return found
 
 
-def _covered(monomials, linear: dict) -> int:
-    """How many of the trace-linear ``monomials`` some lead in ``linear``
-    divides.  ``linear`` groups trace-linear leads by their traces; a
-    lead divides a monomial when it has the monomial's trace or none,
-    and no larger x or N exponent."""
-    free = linear.get((), [])
+def _covered(rho: tuple[int, ...], below: dict) -> int:
+    """How many trace-linear monomials of block rho some lead x_c Tr(B)
+    divides, where ``below`` maps each trace B to the set P(B) of its
+    indices c.  With r = rho - 1_B >= 0, the monomials x^I N^J Tr(B) of
+    the block are one per choice of J, I + 2J = r: prod(r_i // 2 + 1)
+    of them.  No lead divides one exactly when I_c = 0, so r_c is even
+    and J_c = r_c / 2, for every c in P(B)."""
     count = 0
-    for traces, group in groupby(monomials, attrgetter("traces")):
-        leads = linear.get(traces, []) + (free if traces else [])
-        if leads:
-            count += sum(any(all(map(le, lead.xe, t.xe))
-                             and all(map(le, lead.ne, t.ne))
-                             for lead in leads) for t in group)
+    for trace, indices in below.items():
+        r = tuple(map(sub, rho, trace))
+        if min(r) >= 0:
+            count += prod(k // 2 + 1 for k in r) - prod(
+                k % 2 == 0 if i in indices else k // 2 + 1
+                for i, k in enumerate(r))
     return count
 
 
@@ -224,8 +209,9 @@ class RelationSpans:
     below alpha with the monomials of the remaining block.
 
     ``rank`` counts a degree in one loop over its blocks: each block
-    alpha adds rank J_alpha plus the rank of its relations modulo
-    J_alpha.  The J of the degree last ranked are kept for ``missing``.
+    alpha builds J_alpha and closes it by the relations filed at alpha
+    into the block's span.  The spans of the degree last ranked are
+    kept for ``missing``.
     ``lead_count`` bounds the same rank from below with no row built; it
     keeps the leads of the relations filed and the set of their terms.
 
@@ -246,7 +232,6 @@ class RelationSpans:
         self.trace_keys: dict[tuple, int] = {}
         self.multipliers: dict[tuple, list[int]] = {}
         self.keys: dict[tuple, list[list[int]]] = {}
-        self.products: dict[tuple, tuple[RowSpan, dict]] = {}
         self.spans: dict[tuple, tuple[RowSpan, dict]] = {}
         self.leads: dict[tuple, list[QMon]] = {}
         self.terms: set[QMon] = set()
@@ -329,19 +314,19 @@ class RelationSpans:
                         span.add(row_of(map(mult.__add__, keys), index))
         return span, index
 
-    def _remainders(self, alpha: tuple, span: RowSpan, index: dict) -> int:
-        """The rank of the relations filed at alpha modulo ``span``,
-        J_alpha.  The relations some left-kernel vector of their
-        remainders uses go to ``dependent``."""
+    def _close(self, alpha: tuple, span: RowSpan, index: dict) -> None:
+        """Add to ``span``, J_alpha, the remainders modulo J_alpha of the
+        relations filed at alpha.  The relations some left-kernel vector
+        of those remainders uses go to ``dependent``."""
         rows = [span.remainder(row_of(keys, index))
                 for keys in self._keys(alpha)]
-        kernel = left_kernel(rows)
         used = 0
-        for mask in kernel:
+        for mask in left_kernel(rows):
             used |= mask
         filed = self.filed.get(alpha, ())
         self.dependent.update(filed[i][0] for i in bit_indices(used))
-        return len(rows) - len(kernel)
+        for row in rows:
+            span.add(row)
 
     def rank(self, d: int) -> tuple[int, str]:
         """The rank of the degree-d span and the route that counted it,
@@ -350,11 +335,11 @@ class RelationSpans:
         degree-d relations decide their minimality here."""
         self._set_width(packed_width(d + self.excess))
         self.spans = {}
-        self.products = {}
         total = 0
         for alpha in compositions(d, self.m) if self.graded else [(d,)]:
-            span, index = self.products[alpha] = self._products(alpha)
-            total += span.rank + self._remainders(alpha, span, index)
+            span, index = self.spans[alpha] = self._products(alpha)
+            self._close(alpha, span, index)
+            total += span.rank
         return total, "blocks" if self.graded else "degree"
 
     def _lead(self, element: QPoly) -> QMon:
@@ -395,33 +380,48 @@ class RelationSpans:
         times a relation is the monomial times its lead.  Once every
         pair Tr(A)Tr(B) with |A| + |B| < d leads a relation, every
         monomial with two or more traces leads such a product, but the
-        bare pairs of degree d.  The relations below d generate the ideal
-        the kernel generates there, which is S_m-stable as evaluation
-        commutes with permuting the pairs; so a trace-linear monomial of
-        a representative rho that a lower trace-linear lead divides
-        (``_covered``) is counted once per block of rho's orbit.  Each
-        block alpha holding degree-d relations adds their leads when they
-        are distinct and fresh (``_fresh``): no element of J_alpha has a
+        bare pairs of degree d.  The trace-linear monomials that lead
+        such products are those a lower trace-linear lead divides.  A
+        lead that another lead with its trace divides covers nothing
+        more, so it is dropped; every other one must have the shape
+        x_c Tr(B), and ``below`` maps each B to its indices c.  The
+        relations below d generate the ideal the kernel generates
+        there, which is S_m-stable as evaluation commutes with
+        permuting the pairs; so the count of a representative rho
+        (``_covered``) holds once per block of rho's orbit.  Each block
+        alpha holding degree-d relations adds their leads when they are
+        distinct and fresh (``_fresh``): no element of J_alpha has a
         fresh term, so those relations are independent modulo J_alpha,
-        and none is dependent.  A missing pair, a repeated lead, one that
-        is not fresh, or a sweep off the multigrading gives None."""
+        and none is dependent.  A missing pair, a lower trace-linear
+        lead of another shape, a repeated lead, one that is not fresh,
+        or a sweep off the multigrading gives None."""
         if not self.graded:
             return None
         self._set_width(packed_width(d + self.excess))
-        linear: dict[tuple, list[QMon]] = {}
+        linear: dict[tuple, set[QMon]] = {}
         pairs = set()
         for block in self.filed:
             if sum(block) < d:
                 for lead in self._leads(block):
                     if len(lead.traces) < 2:
-                        linear.setdefault(lead.traces, []).append(lead)
+                        linear.setdefault(lead.traces, set()).add(lead)
                     elif len(lead.traces) == 2 and not any(lead.xe + lead.ne):
                         pairs.add(lead)
         if len(pairs) < sum(pair_count(self.m, e) for e in range(d)):
             return None
+        below: dict[tuple, set[int]] = {}
+        for traces, leads in linear.items():
+            for lead in leads:
+                if any(other != lead and all(map(le, other.xe, lead.xe))
+                       and all(map(le, other.ne, lead.ne))
+                       for other in leads):
+                    continue
+                if not traces or any(lead.ne) or sum(lead.xe) != 1:
+                    return None
+                below.setdefault(traces[0], set()).add(lead.xe.index(1))
         total = several - pair_count(self.m, d)
-        for rho, monomials in linear_blocks(self.m, d).items():
-            total += orbit_size(rho) * _covered(monomials, linear)
+        for rho in orbit_reps(d, self.m):
+            total += orbit_size(rho) * _covered(rho, below)
         for alpha in self.filed:
             if sum(alpha) == d:
                 leads = set(self._leads(alpha))
@@ -431,23 +431,14 @@ class RelationSpans:
                 total += len(leads)
         return total
 
-    def _span(self, alpha: tuple) -> tuple[RowSpan, dict]:
-        """The span of block alpha and its column index: J_alpha as
-        ``rank`` built it, closed in place by the relations filed at
-        alpha on first request."""
-        if alpha not in self.spans:
-            span, index = self.spans[alpha] = self.products.pop(alpha)
-            for keys in self._keys(alpha):
-                span.add(row_of(keys, index))
-        return self.spans[alpha]
-
     def missing(self, d: int, members):
         """The degree-d ``members`` the span misses, in order.  Each lies
         in one block (block (d,) off the multigrading) and is reduced
-        against its span (``_span``).  It is added to the span when
-        found, so none lies in the span of the ones before it."""
+        against that block's span as ``rank`` closed it.  It is added to
+        the span when found, so none lies in the span of the ones before
+        it."""
         for member in members:
             block = relation_block(d, member) if self.graded else (d,)
-            span, index = self._span(block)
+            span, index = self.spans[block]
             if span.add(row_of(self._pack(member.terms), index)):
                 yield member

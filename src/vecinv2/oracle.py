@@ -34,7 +34,8 @@ linear algebra over monomial bases:
   fixed monomial per all-even multidegree.  ``evaluation_rank`` counts
   what the generators span there; the two agree exactly when the
   generators generate, and ``evaluation_rank`` proves that agreement
-  block by block from the generators' leads where it can (below).
+  from the generators' leads, at every degree, where their check
+  passes (below).
 
 Ranks, span membership and left-kernel vectors do not depend on the
 order of a matrix's columns: the left kernel is fixed by which rows
@@ -54,20 +55,16 @@ and evaluation respects the grading when x_i and y_i both count e_i
 diagonal, one block per alpha with |alpha| = d, whose rows are the
 presentation monomials of multidegree alpha (``block_monomials``) and
 whose columns are the polynomial monomials of multidegree alpha.
-Permuting the variable pairs commutes with evaluation, so the blocks
-of one S_m orbit have equal rank, and ``evaluation_rank`` ranks one
-block per orbit, the non-increasing alpha, and counts it |S_m alpha|
-times.  Per block the fixed space has dimension
-``(prod(alpha_i + 1) + [every alpha_i even]) / 2``, and the rank is
-that dimension when the block's trace-linear monomials have that many
-distinct leads: images with distinct leads are independent, and every
-image is invariant, so the rank lies between the lead count and the
-dimension.  The leads are ``qring.summand_lead``, checked once per m and
-degree against the actual images of the generators a block of that
-degree can hold; a block whose count falls short, or any block of a
-degree where that check fails, is eliminated.  The tests compare
-the lead count with the eliminated rank on every block for m <= 4 and
-every orbit representative for m = 5 through degree 11.
+Per block the fixed space has dimension
+``(prod(alpha_i + 1) + [every alpha_i even]) / 2``.  Once the
+generators' leads are checked (``qring.summand_lead``, against the
+images of the generators a degree can hold), a block's trace-linear
+monomials have exactly that many distinct leads, so
+``evaluation_rank`` is ``invariant_dimension`` with no block listed
+(the proof is in its docstring).  Where the check fails, one block per
+S_m orbit, the non-increasing alpha, is eliminated and counted
+|S_m alpha| times: permuting the variable pairs commutes with
+evaluation, so the blocks of one orbit have equal rank.
 
 Every type I, II and III relation is multihomogeneous, and so are its
 monomial multiples, so ``verify_relation_ideal`` files each relation
@@ -78,25 +75,25 @@ of block alpha - beta, plus the relations of block alpha.  Rows of
 different blocks share no column, so a degree's span rank is the sum
 of its block ranks, and a relation is dependent exactly when it is
 dependent inside its own block.  ``RelationSpans.rank`` runs one loop
-over the blocks of a degree: each block alpha builds J_alpha and adds
-its rank plus the rank of alpha's relations modulo J_alpha, their
-remainders also naming its dependent relations.
+over the blocks of a degree: each block alpha builds J_alpha, reduces
+alpha's relations modulo J_alpha, whose remainders name its dependent
+relations, and closes J_alpha with them into the block's span.
 
 Leads.  While every lower degree passed and every relation built
 vanishes, a degree is first counted with no row built (``lead_count``):
 span elements with distinct leads are independent, so a count of
 distinct leads that reaches the kernel dimension proves the degree
 generated, and relations whose leads no lower relation's term divides
-are independent.  The count reads the trace-linear monomials once per
-S_m orbit.  The declared family is not S_m-stable as a set (IIIa and
-IIIb remove the least index), so symmetry is not assumed of it; it
-follows from the lower degrees passing.  Each of them then has every
-relation built vanishing and its span rank at its kernel dimension, so
-the span is the kernel there: the relations below d generate the ideal
-the kernel generates, which is S_m-stable because evaluation commutes
-with permuting the pairs.  Anything short of that is eliminated block
-by block, to the same report; ``route`` reads "leads" where the count
-decided.
+are independent.  The trace-linear monomials a lower lead x_c Tr(B)
+divides are counted in closed form, once per S_m orbit.  The declared
+family is not S_m-stable as a set (IIIa and IIIb remove the least
+index), so symmetry is not assumed of it; it follows from the lower
+degrees passing.  Each of them then has every relation built vanishing
+and its span rank at its kernel dimension, so the span is the kernel
+there: the relations below d generate the ideal the kernel generates,
+which is S_m-stable because evaluation commutes with permuting the
+pairs.  Anything short of that is eliminated block by block, to the
+same report; ``route`` reads "leads" where the count decided.
 
 Fallbacks.  A relation without one multidegree, or whose multidegree
 does not sum to its declared degree, or declared below degree 2,
@@ -125,15 +122,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from math import comb, prod
+from math import comb
 
 from .blocks import (
     RelationSpans,
     block_monomials,
-    linear_blocks,
     orbit_reps,
     orbit_size,
-    trace_linear_monomials,
 )
 from .f2 import RowSpan, bit_indices, left_kernel
 from .invariants import involution
@@ -336,23 +331,6 @@ def _generator_leads_hold(m: int, d: int) -> bool:
     return True
 
 
-def _lead_count(m: int, alpha: tuple[int, ...]) -> int:
-    """How many distinct ``summand_lead``s the trace-linear monomials of
-    block alpha have, read from ``linear_blocks`` when alpha stands for
-    its orbit."""
-    reps = linear_blocks(m, sum(alpha))
-    monomials = (reps[alpha] if alpha in reps
-                 else trace_linear_monomials(m, alpha))
-    return len({summand_lead(t) for t in monomials})
-
-
-def _block_dimension(alpha: tuple[int, ...]) -> int:
-    """Dimension of the fixed space in multidegree alpha: the orbit sums
-    of the y/z monomials y^a z^(alpha-a), free pairs plus the fixed
-    y^(alpha/2) z^(alpha/2) when every alpha_i is even."""
-    return (prod(a + 1 for a in alpha) + all(a % 2 == 0 for a in alpha)) // 2
-
-
 def _eliminated_rank(m: int, alpha: tuple[int, ...]) -> int:
     """Rank of the evaluation rows of the block of multidegree alpha, by
     elimination."""
@@ -362,37 +340,36 @@ def _eliminated_rank(m: int, alpha: tuple[int, ...]) -> int:
     return span.rank
 
 
-def _block_rank(m: int, alpha: tuple[int, ...]) -> int:
-    """Rank of the evaluation rows of the block of multidegree alpha:
-    its fixed-space dimension when the lead count reaches it, else by
-    elimination (see ``evaluation_rank``)."""
-    dimension = _block_dimension(alpha)
-    if (_generator_leads_hold(m, sum(alpha))
-            and _lead_count(m, alpha) == dimension):
-        return dimension
-    return _eliminated_rank(m, alpha)
-
-
 def evaluation_rank(m: int, d: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Dimension of the degree-d space the generators span: the block
-    ranks of the orbit representatives, each counted once per member
-    of its S_m orbit.
+    """Dimension of the degree-d space the generators span: the
+    fixed-space dimension ``invariant_dimension(m, d)`` once
+    ``_generator_leads_hold(m, d)``, else the eliminated ranks of the
+    orbit representatives, each counted |S_m alpha| times.
 
-    A block's rank is pinned between two bounds.  Images whose leads
-    differ are linearly independent, so the rank is at least the
-    number of distinct leads among the block's trace-linear monomials.
-    Every image lies in the block's fixed space, since the generators
-    are invariant, so the rank is at most that space's dimension,
-    ``(prod(alpha_i + 1) + [every alpha_i even]) / 2``.  The leads come
-    from ``summand_lead``, which is exact on every trace-linear monomial
-    once each generator's image leads as it says (the lead of a product is the
-    product of the leads); ``_generator_leads_hold`` checks that, and
-    that each image is invariant, once per m and degree.  Where the
-    check passed and the count meets the dimension, the two bounds meet
-    and that is the rank; any other block is eliminated."""
+    Proof (Richman's first main theorem, block by block).  In block
+    alpha, images with distinct leads are independent and every image
+    is invariant, so the rank lies between the number of distinct leads
+    of the trace-linear monomials and the fixed-space dimension
+    (P + [alpha all even]) / 2, P = prod(alpha_i + 1).  Once the
+    generator check holds, those leads are ``summand_lead``s: x^I N^J
+    leads with x^I y^(2J), and x^I N^J Tr(A) with
+    x^(I + e_a) y^(2J + A - e_a), a = min A.  So the leads are the
+    x^(alpha - b) y^b with b <= alpha all even, or with a nonempty odd
+    support S and some a < min S where b_a < alpha_a (A = S + {a}).
+    The other b, whose first odd coordinate comes after only
+    b_i = alpha_i even, number bad(alpha), and 2 bad(alpha) =
+    P - [alpha all even] by induction from bad(()) = 0: peeling
+    a = alpha_1 off alpha = (a, alpha') gives bad(alpha) =
+    #odd(b <= a) P(alpha') + [a even] bad(alpha'), and the two facts
+    #even(b <= a) + #odd(b <= a) = a + 1 and 2 #even(b <= a) =
+    (a + 1) + [a even] give 2 #odd(b <= a) = (a + 1) - [a even].  So
+    the lead count P - bad(alpha) meets the dimension, and the ranks of
+    the blocks of degree d sum to ``invariant_dimension(m, d)``."""
     _charge(_q_count(m, d), _poly_count(m, d), budget,
             f"evaluation rank at degree {d}")
-    return sum(orbit_size(alpha) * _block_rank(m, alpha)
+    if _generator_leads_hold(m, d):
+        return invariant_dimension(m, d)
+    return sum(orbit_size(alpha) * _eliminated_rank(m, alpha)
                for alpha in orbit_reps(d, m))
 
 

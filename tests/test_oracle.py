@@ -3,8 +3,9 @@ kernel of evaluation, and generation/minimality of the relation basis."""
 
 import json
 from collections import Counter, deque
+from itertools import product
 from math import comb, prod
-from operator import sub
+from operator import ge, le, sub
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,7 @@ from vecinv2.oracle import (
     q_monomials,
     verify_relation_ideal,
 )
-from vecinv2.poly import Poly, monomial_key
+from vecinv2.poly import Poly, all_subsets, monomial_key
 from vecinv2.qring import (
     QPoly,
     evaluate,
@@ -234,10 +235,92 @@ def _block_dimension(alpha):
     return (prod(a + 1 for a in alpha) + all(a % 2 == 0 for a in alpha)) // 2
 
 
+def trace_linear_monomials(m, alpha):
+    """The members of block ``alpha`` with at most one trace symbol: the
+    x/N splits of alpha, then for each trace subset A under alpha those
+    of alpha - 1_A times Tr(A)."""
+    found = blocks._splits(alpha, ())
+    for a in all_subsets(m, min_size=2):
+        if all(map(le, a, alpha)):
+            found += blocks._splits(tuple(map(sub, alpha, a)), (a,))
+    return found
+
+
+def _enumerated_lead_count(m, alpha, lead=qring.summand_lead):
+    """How many distinct leads the trace-linear monomials of block alpha
+    have, each listed."""
+    return len({lead(t) for t in trace_linear_monomials(m, alpha)})
+
+
+def _is_lead(alpha, b):
+    """Whether x^(alpha - b) y^b is a trace-linear lead of block alpha:
+    b is all even, or some a before b's first odd coordinate has
+    b_a < alpha_a."""
+    odd = [i for i, e in enumerate(b) if e % 2]
+    return not odd or any(map(sub, alpha[:odd[0]], b[:odd[0]]))
+
+
+def _closed_lead_count(alpha):
+    """The b <= alpha that ``_is_lead`` admits, counted in one pass over
+    the coordinates with three states: every b_i even and at alpha_i so
+    far; every b_i even and one below alpha_i; an odd b_i after that."""
+    tight, slack, past = 1, 0, 0
+    for a in alpha:
+        even, odd = a // 2 + 1, (a + 1) // 2
+        top = a % 2 == 0
+        tight, slack, past = (tight * top,
+                              tight * (even - top) + slack * even,
+                              slack * odd + past * (a + 1))
+    return tight + slack + past
+
+
+def test_per_coordinate_counts():
+    # the two facts per coordinate value a that evaluation_rank's proof
+    # rests on
+    for a in range(200):
+        even = sum(b % 2 == 0 for b in range(a + 1))
+        odd = sum(b % 2 for b in range(a + 1))
+        assert even + odd == a + 1
+        assert 2 * even == (a + 1) + (a % 2 == 0)
+
+
+def test_closed_lead_count_is_the_block_dimension():
+    # the count evaluation_rank proves, on every orbit representative
+    # for m <= 8 and on every block for m <= 4
+    for m in range(1, 9):
+        for d in range(2 * m + 2):
+            alphas = (blocks.compositions(d, m) if m <= 4
+                      else blocks.orbit_reps(d, m))
+            for alpha in alphas:
+                assert _closed_lead_count(alpha) == _block_dimension(alpha)
+
+
+def test_closed_lead_count_matches_the_summand_leads():
+    # on every block for m <= 5, the closed count is the enumerated
+    # count of distinct summand leads; for m <= 4 the leads are exactly
+    # the x^(alpha - b) y^b that _is_lead admits
+    for m in range(1, 6):
+        for d in range(2 * m + 2):
+            for alpha in blocks.compositions(d, m):
+                if m <= 4:
+                    leads = {qring.summand_lead(t)
+                             for t in trace_linear_monomials(m, alpha)}
+                    assert all(lead[1::2] == tuple(map(sub, alpha, lead[::2]))
+                               for lead in leads)
+                    assert {lead[::2] for lead in leads} == {
+                        b for b in product(*(range(a + 1) for a in alpha))
+                        if _is_lead(alpha, b)}, (m, alpha)
+                    assert len(leads) == _closed_lead_count(alpha)
+                else:
+                    assert _enumerated_lead_count(m, alpha) == \
+                        _closed_lead_count(alpha), (m, alpha)
+
+
 def test_evaluation_rank_sums_blocks():
     # the orbit-weighted rank is the plain sum over every multidegree,
     # and the generators span the fixed space of each block (Richman's
-    # first main theorem, checked rather than assumed)
+    # first main theorem, checked on the listed leads rather than
+    # assumed)
     cases = [(m, d) for m in (1, 2, 3, 4) for d in range(9)]
     cases += [(5, d) for d in range(8)]
     for m, d in cases:
@@ -245,17 +328,17 @@ def test_evaluation_rank_sums_blocks():
         assert len(alphas) == comb(d + m - 1, m - 1)
         assert sum(len(blocks.block_monomials(m, alpha))
                    for alpha in alphas) == oracle._q_count(m, d)
-        ranks = [oracle._block_rank(m, alpha) for alpha in alphas]
-        assert ranks == [_block_dimension(alpha) for alpha in alphas]
-        assert evaluation_rank(m, d, budget=10 ** 9) == sum(ranks) == \
+        counts = [_enumerated_lead_count(m, alpha) for alpha in alphas]
+        assert counts == [_block_dimension(alpha) for alpha in alphas]
+        assert evaluation_rank(m, d, budget=10 ** 9) == sum(counts) == \
             invariant_dimension(m, d), (m, d)
 
 
 def test_lead_count_meets_the_elimination_rank():
-    # the brute force behind evaluation_rank's lead count: on every
-    # block for m <= 4 and every orbit representative for m = 5 through
-    # degree 11, the distinct leads of the trace-linear monomials, the
-    # rank by elimination and the fixed-space dimension agree
+    # the brute force behind evaluation_rank: on every block for m <= 4
+    # and every orbit representative for m = 5 through degree 11, the
+    # distinct leads of the trace-linear monomials, the rank by
+    # elimination and the fixed-space dimension agree
     cases = [(m, alpha) for m in (1, 2, 3, 4)
              for d in range(2 * m + 2)
              for alpha in blocks.compositions(d, m)]
@@ -265,7 +348,7 @@ def test_lead_count_meets_the_elimination_rank():
         # degree max(m, 2) reaches every generator: N_i has degree 2
         assert oracle._generator_leads_hold(m, max(m, 2)), m
     for m, alpha in cases:
-        assert (oracle._lead_count(m, alpha)
+        assert (_enumerated_lead_count(m, alpha)
                 == oracle._eliminated_rank(m, alpha)
                 == _block_dimension(alpha)), (m, alpha)
 
@@ -290,15 +373,16 @@ def eliminated(monkeypatch):
     the generator check is recomputed before and after the test."""
     calls = []
     rank = oracle._eliminated_rank
+    check = oracle._generator_leads_hold
 
     def recording(m, alpha):
         calls.append((m, alpha))
         return rank(m, alpha)
 
     monkeypatch.setattr(oracle, "_eliminated_rank", recording)
-    oracle._generator_leads_hold.cache_clear()
+    check.cache_clear()
     yield calls
-    oracle._generator_leads_hold.cache_clear()
+    check.cache_clear()
 
 
 def test_wrong_generator_lead_falls_back(monkeypatch, eliminated):
@@ -313,8 +397,8 @@ def test_wrong_generator_lead_falls_back(monkeypatch, eliminated):
         assert not oracle._generator_leads_hold(m, 2)
         for d in range(2 * m + 1):
             reps = blocks.orbit_reps(d, m)
-            assert all(oracle._lead_count(m, alpha) == _block_dimension(alpha)
-                       for alpha in reps)
+            assert all(_enumerated_lead_count(m, alpha, _max_member_lead)
+                       == _block_dimension(alpha) for alpha in reps)
             eliminated.clear()
             assert evaluation_rank(m, d) == invariant_dimension(m, d)
             assert eliminated == [(m, alpha) for alpha in reps if d >= 2]
@@ -343,14 +427,12 @@ def test_budget_exit_checks_only_the_generators_it_reaches(monkeypatch):
     assert sorted(set(traces)) == [2, 3, 4]
 
 
-def test_short_count_falls_back(monkeypatch, eliminated):
-    # a count one short of a block's dimension sends that block to
-    # elimination, and the report stays byte-identical
+def test_failed_generator_check_falls_back(monkeypatch, eliminated):
+    # a degree whose generator check fails has every orbit
+    # representative eliminated, and the report stays byte-identical
     expected = verify_relation_ideal(4, 8)
     assert eliminated == []
-    count = oracle._lead_count
-    monkeypatch.setattr(oracle, "_lead_count",
-                        lambda m, alpha: count(m, alpha) - 1)
+    monkeypatch.setattr(oracle, "_generator_leads_hold", lambda m, d: False)
     report = verify_relation_ideal(4, 8)
     assert eliminated == [(4, alpha) for d in range(2, 9)
                           for alpha in blocks.orbit_reps(d, 4)]
@@ -414,6 +496,16 @@ def test_block_monomials_partition_the_degree():
             reps = list(blocks.orbit_reps(d, m))
             assert all(list(a) == sorted(a, reverse=True) for a in reps)
             assert sum(map(blocks.orbit_size, reps)) == comb(d + m - 1, m - 1)
+
+
+def test_orbit_reps_are_the_non_increasing_compositions():
+    # listed as partitions, largest part first, they are the compositions
+    # the filter keeps, in the same order
+    for m in range(1, 7):
+        for d in range(2 * m + 2):
+            assert blocks.orbit_reps(d, m) == tuple(
+                a for a in blocks.compositions(d, m)
+                if all(map(ge, a, a[1:]))), (m, d)
 
 
 # ---------------------------------------------------------------------------
@@ -1137,6 +1229,63 @@ def test_lead_count_agrees_with_elimination():
         assert decided == [r.degree for r in report.degrees
                            if r.route == "leads"], (m, flavor, len(family))
     assert decided  # the last case, a mutant, is decided at degrees 2, 3
+
+
+def _enumerated_covered(monomials, linear):
+    """How many of the trace-linear ``monomials`` some lead in ``linear``
+    divides, each monomial tested.  ``linear`` groups trace-linear
+    leads by their traces; a lead divides a monomial when it has the
+    monomial's trace or none, and no larger x or N exponent."""
+    free = linear.get((), [])
+    return sum(any(all(map(le, lead.xe, t.xe)) and all(map(le, lead.ne, t.ne))
+                   for lead in linear.get(t.traces, []) + (
+                       free if t.traces else []))
+               for t in monomials)
+
+
+def test_closed_covered_matches_enumeration(monkeypatch):
+    # wherever the lead count reaches its closed-form _covered, each
+    # representative's count is the enumerated one, from every lower
+    # trace-linear lead, those it drops included: on the declared sweeps
+    # for m <= 6 through degree 2m + 1 and on the route-table families
+    asked = []
+    covered = blocks._covered
+    lead_count = blocks.RelationSpans.lead_count
+    compared = Counter()
+
+    def recording(rho, below):
+        asked.append((rho, covered(rho, below)))
+        return asked[-1][1]
+
+    def checking(self, d, several):
+        asked.clear()
+        total = lead_count(self, d, several)
+        if asked:
+            linear = {}
+            for block in self.filed:
+                if sum(block) < d:
+                    for lead in self._leads(block):
+                        if len(lead.traces) < 2:
+                            linear.setdefault(lead.traces, []).append(lead)
+            assert [rho for rho, _ in asked] == list(
+                blocks.orbit_reps(d, self.m))
+            for rho, count in asked:
+                assert count == _enumerated_covered(
+                    trace_linear_monomials(self.m, rho), linear), (d, rho)
+            compared[self.m] += len(asked)
+        return total
+
+    monkeypatch.setattr(blocks, "_covered", recording)
+    monkeypatch.setattr(blocks.RelationSpans, "lead_count", checking)
+    for m in range(1, 7):
+        for flavor in ("II", "III"):
+            assert verify_relation_ideal(m, 2 * m + 1, flavor,
+                                         budget=10 ** 40).ok
+    assert all(compared[m] for m in range(1, 7))
+    compared.clear()
+    for m, flavor, family, _ in _route_table():
+        verify_relation_ideal(m, flavor=flavor, relations=family)
+    assert compared[3] and compared[4]
 
 
 def test_declared_relations_are_built_at_their_degree(monkeypatch):
