@@ -48,6 +48,7 @@ from .qring import QMon, QPoly, multidegree, qmon_degree, summand_lead
 from .relations import pair_count
 
 __all__ = [
+    "multidegrees",
     "relation_block",
     "block_monomials",
     "compositions",
@@ -57,13 +58,18 @@ __all__ = [
 ]
 
 
-def relation_block(degree: int, element: QPoly) -> tuple[int, ...] | None:
-    """The multidegree of a relation's element, when all its terms share
+def multidegrees(q: QPoly) -> set[tuple[int, ...]]:
+    """The multidegrees of the terms of ``q``."""
+    return {multidegree(t) for t in q.terms}
+
+
+def relation_block(degree: int, alphas) -> tuple[int, ...] | None:
+    """The multidegree of a relation whose terms have the multidegrees
+    ``alphas`` (a set, or the keys of ``qring.block_sums``), when it has
     one whose total is the declared ``degree``, at least 2; else None."""
-    found = {multidegree(t) for t in element.terms}
-    if len(found) != 1 or degree < 2:
+    if len(alphas) != 1 or degree < 2:
         return None
-    (beta,) = found
+    (beta,) = alphas
     return beta if sum(beta) == degree else None
 
 
@@ -200,13 +206,14 @@ def _repack(keys: list[int], old: int, new: int) -> list[int]:
 class RelationSpans:
     """The relation span of each degree, block by block.
 
-    ``add`` files a relation, by position, degree and element, under its
-    block: its multidegree while every relation filed has one
-    (``relation_block``).  The first that does not refiles them all under
-    (declared degree,), one block per degree from then on.  The span of
-    block alpha is J_alpha plus the relations filed at alpha, J_alpha
-    being the row space of the products of the relations filed strictly
-    below alpha with the monomials of the remaining block.
+    ``add`` files a relation, by position, degree, element and the
+    multidegrees of its terms, under its block: its multidegree while
+    every relation filed has one (``relation_block``).  The first that
+    does not refiles them all under (declared degree,), one block per
+    degree from then on.  The span of block alpha is J_alpha plus the
+    relations filed at alpha, J_alpha being the row space of the
+    products of the relations filed strictly below alpha with the
+    monomials of the remaining block.
 
     ``rank`` counts a degree in one loop over its blocks: each block
     alpha builds J_alpha and closes it by the relations filed at alpha
@@ -238,8 +245,8 @@ class RelationSpans:
         self.fewest = inf
         self.dependent: set[int] = set()
 
-    def add(self, position: int, degree: int, element: QPoly) -> None:
-        beta = relation_block(degree, element)
+    def add(self, position: int, degree: int, element: QPoly, alphas) -> None:
+        beta = relation_block(degree, alphas)
         if beta is None:
             heaviest = max(map(qmon_degree, element.terms), default=0)
             self.excess = max(self.excess, heaviest - degree)
@@ -438,7 +445,8 @@ class RelationSpans:
         the span when found, so none lies in the span of the ones before
         it."""
         for member in members:
-            block = relation_block(d, member) if self.graded else (d,)
+            block = (relation_block(d, multidegrees(member))
+                     if self.graded else (d,))
             span, index = self.spans[block]
             if span.add(row_of(self._pack(member.terms), index)):
                 yield member

@@ -127,6 +127,7 @@ from math import comb
 from .blocks import (
     RelationSpans,
     block_monomials,
+    multidegrees,
     orbit_reps,
     orbit_size,
 )
@@ -143,11 +144,11 @@ from .qring import (
     QMon,
     QPoly,
     block_images,
+    block_sums,
     evaluate,
     multidegree,
     qmon_key,
     summand_lead,
-    vanishes,
 )
 from .relations import Relation, relation_degrees, relations_of_degree
 
@@ -526,7 +527,9 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
     vector of the remainders uses it (see the module docstring).
     Relations are built and evaluated inside the sweep, at their own
     degree and after that degree's budget charges (those declared below
-    degree 2 at degree 2), and evaluated until one does not vanish;
+    degree 2 at degree 2), and evaluated until one does not vanish, by
+    ``qring.block_sums``, whose grouping by multidegree also names the
+    block ``RelationSpans.add`` files the relation under;
     relations above ``d_max`` are never built, and the report counts
     them as unchecked: its PASS line then names the checked range
     instead of the whole family.  The declared family is listed degree
@@ -566,10 +569,15 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
         _charge_span(m, d, counts, budget)
         for position, build in due(d):
             relation = build()
-            if stray is None and not vanishes(relation.element):
-                stray = relation
+            if stray is None:
+                # one grouping by multidegree: the images and the block
+                alphas = block_sums(relation.element)
+                if any(image for _, image in alphas.values()):
+                    stray = relation
+            else:
+                alphas = multidegrees(relation.element)
             built[position] = relation
-            spans.add(position, relation.degree, relation.element)
+            spans.add(position, relation.degree, relation.element, alphas)
         span_rank, route = None, "leads"
         if stray is None and all(r.generated for r in reports):
             span_rank = spans.lead_count(
@@ -632,7 +640,7 @@ def max_relation_degree(m: int, budget: int = DEFAULT_BUDGET) -> int:
         _charge_span(m, d, degrees, budget)
         if spans.rank(d)[0] < kernel_dimension:
             for member in spans.missing(d, kernel_basis(m, d, budget)):
-                spans.add(degrees.total(), d, member)
+                spans.add(degrees.total(), d, member, multidegrees(member))
                 degrees[d] += 1
             top = d
     return top

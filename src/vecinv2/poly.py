@@ -26,11 +26,13 @@ picks a width that no such sum can overflow); the relation spans in
 
 Zero/one tuples of length m double as subsets of the m copies and as
 exponent sequences, so a subset ``a`` also names the square free
-monomial x^a.  The helpers in the first half of this module give the
-small calculus of such subsets (intersection, difference, least member,
-submask enumeration, the canonical order ``subset_key``) used
-throughout the package.  Indices are 0-based internally; only the text
-formats use 1-based variable names.
+monomial x^a.  The helpers in the first half of this module give what
+the generators, the oracle and the rewrites use of the calculus of such
+subsets (cardinality, union, singletons and least members, submask
+enumeration, the canonical order ``subset_key``); the relation
+constructors do their set algebra on int masks instead (module
+``relations``).  Indices are 0-based internally; only the text formats
+use 1-based variable names.
 """
 
 from __future__ import annotations
@@ -62,14 +64,9 @@ __all__ = [
     "monomial_text",
     "cardinality",
     "subset_key",
-    "intersect",
-    "setminus",
     "union",
-    "is_subset_of",
-    "is_disjoint",
     "singleton",
     "min_index",
-    "drop_min",
     "strict_submasks",
     "all_subsets",
     "subset_to_bits",
@@ -90,11 +87,6 @@ class ZeroPolynomialError(ValueError):
 # subsets of {0, ..., m-1}, stored as 0/1 tuples of length m
 # ---------------------------------------------------------------------------
 
-def _check_same_width(a: Subset, b: Subset) -> None:
-    if len(a) != len(b):
-        raise DimensionMismatch(f"subset widths differ: {len(a)} vs {len(b)}")
-
-
 def cardinality(a: Subset) -> int:
     return sum(a)
 
@@ -104,29 +96,10 @@ def subset_key(a: Subset) -> tuple:
     return (cardinality(a), a)
 
 
-def intersect(a: Subset, b: Subset) -> Subset:
-    _check_same_width(a, b)
-    return tuple(u & v for u, v in zip(a, b))
-
-
-def setminus(a: Subset, b: Subset) -> Subset:
-    _check_same_width(a, b)
-    return tuple(u & (1 - v) for u, v in zip(a, b))
-
-
 def union(a: Subset, b: Subset) -> Subset:
-    _check_same_width(a, b)
+    if len(a) != len(b):
+        raise DimensionMismatch(f"subset widths differ: {len(a)} vs {len(b)}")
     return tuple(u | v for u, v in zip(a, b))
-
-
-def is_subset_of(a: Subset, b: Subset) -> bool:
-    _check_same_width(a, b)
-    return all(u <= v for u, v in zip(a, b))
-
-
-def is_disjoint(a: Subset, b: Subset) -> bool:
-    _check_same_width(a, b)
-    return all(u & v == 0 for u, v in zip(a, b))
 
 
 def singleton(m: int, i: int) -> Subset:
@@ -142,12 +115,6 @@ def min_index(a: Subset) -> int:
         if bit:
             return i
     raise ValueError("empty subset has no least member")
-
-
-def drop_min(a: Subset) -> Subset:
-    """The subset with its least member removed."""
-    i = min_index(a)
-    return a[:i] + (0,) + a[i + 1:]
 
 
 def _mask(a: Subset) -> int:

@@ -41,12 +41,14 @@ y_i = b_i, x_i = alpha_i - b_i at the end, and the oracle takes the
 ints of one block as its matrix rows.  ``Poly``, ``QMon`` and every
 public type stay tuple-based.
 
-``vanishes`` answers whether an element evaluates to zero from its
-block ints alone, without decoding them.  The certificate checks in
-``rewrite`` call it once per distinct relation a certificate applies,
-not on the certified element: the certificate writes that element as a
-combination of the relations, so relations that vanish prove its
-image.
+``block_sums`` groups an element's terms by multidegree once and sums
+each block's ints: ``evaluate`` decodes them, ``vanishes`` reads only
+whether they are zero, and the verify sweep reads from the one call
+both whether a relation vanishes and the block it is filed under.  The
+certificate checks in ``rewrite`` call ``vanishes`` once per distinct
+relation a certificate applies, not on the certified element: the
+certificate writes that element as a combination of the relations, so
+relations that vanish prove its image.
 
 ``times_monomial`` lists the terms of a product by one monomial.
 Such a product is injective on monomials, so its terms are distinct
@@ -90,6 +92,7 @@ __all__ = [
     "vanishes",
     "times_monomial",
     "block_images",
+    "block_sums",
     "multidegree",
     "summand_lead",
     "qmon_degree",
@@ -318,11 +321,13 @@ def block_images(alpha: tuple[int, ...],
     return radices, images
 
 
-def _block_sums(terms: Iterable[QMon]) -> dict[tuple, tuple[tuple, int]]:
-    """The image of the sum of ``terms``: per multidegree, the bit
-    weights and the sum of the ``block_images`` ints."""
+def block_sums(q: QPoly) -> dict[tuple, tuple[tuple, int]]:
+    """The image of ``q`` by block: for each multidegree of its terms,
+    the bit weights and the sum of the ``block_images`` ints.  The keys
+    are the multidegrees ``q`` has, and ``q`` vanishes exactly when
+    every int is zero."""
     groups: dict[tuple, list[QMon]] = {}
-    for t in terms:
+    for t in q.terms:
         groups.setdefault(multidegree(t), []).append(t)
     sums = {}
     for alpha, group in groups.items():
@@ -334,7 +339,7 @@ def _block_sums(terms: Iterable[QMon]) -> dict[tuple, tuple[tuple, int]]:
 def evaluate(q: QPoly) -> Poly:
     """Substitute the concrete invariants for the formal symbols."""
     found = []
-    for alpha, (radices, image) in _block_sums(q.terms).items():
+    for alpha, (radices, image) in block_sums(q).items():
         for bit in bit_indices(image):
             ys = []
             for r in reversed(radices):
@@ -348,4 +353,4 @@ def evaluate(q: QPoly) -> Poly:
 def vanishes(q: QPoly) -> bool:
     """True when ``q`` evaluates to zero, decided on its block images
     without decoding them, and with no ``Poly`` built."""
-    return not any(image for _, image in _block_sums(q.terms).values())
+    return not any(image for _, image in block_sums(q).values())

@@ -18,18 +18,28 @@ and Tr of the empty set is 0 and Tr({i}) is x_i:
   - IIIc, A and B meet and neither contains the other:
     Tr(A)Tr(B) + Tr(A | B)Tr(I) + N^I Tr(J)Tr(K).
 
-The constructors write each term straight down as a ``QMon`` through
-``_term``, which does to a term what ``qring.formal_trace`` does to a
-factor: a trace on the empty set makes the term vanish, one on a
-singleton {i} becomes a factor x_i, and the traces that remain are
-sorted descending.  The few terms are then parity-collected, since
-some coincide (the |A| singleton submasks of type I all give x^A, so
-it survives exactly when |A| is odd).  The terms need none of
-``make_qmon``'s checks: the arguments are checked once, at entry, for
-0/1 entries and one width, every set formed from them by the subset
-calculus is then a 0/1 tuple of that width, the exponents are sums of
-such tuples, and ``_term`` keeps only traces with two or more members,
-in canonical order.
+The constructors compute on int masks with one byte per member,
+big-endian: each argument is converted once, at entry, after the check
+for 0/1 entries and one width (``int.from_bytes``), and a mask becomes
+a tuple again only where a term is written (``_members``).  Set
+algebra is ``&``, ``|``, ``& ~`` and ``^``, ``bit_count`` is the
+cardinality and the highest set bit the least member.  Masks of one
+width compare as their tuples do, so the canonical order is
+(bit_count, mask).  A byte holds an exponent, so a sum of masks is the
+exponents of a product, where an OR would lose x_i^2.
+
+``_term`` writes each term straight down as a ``QMon``.  It does to a
+term what ``qring.formal_trace`` does to a factor: a trace on the
+empty set makes the term vanish, one on a singleton {i} becomes a
+factor x_i, and the traces that remain are sorted descending.  The few
+terms are then parity-collected, since some coincide (the |A|
+singleton submasks of type I all give x^A, so it survives exactly when
+|A| is odd).  The terms need none of ``make_qmon``'s checks: every set
+formed from checked arguments is a 0/1 tuple of their width, the
+exponents are sums of such sets, and ``_term`` keeps only traces with
+two or more members, in canonical order.  No table over all 2^m
+subsets is built, so any width works; ``_members`` keeps the tuples of
+the last 4096 masks, which the terms of memoized relations share.
 
 Type I together with either quadratic family generates the whole
 relation ideal; the ``oracle`` module checks that claim degree by
@@ -66,18 +76,9 @@ from .poly import (
     Subset,
     all_subsets,
     cardinality,
-    drop_min,
-    intersect,
-    is_disjoint,
-    is_subset_of,
-    min_index,
+    int_submasks,
     parity_collect,
-    setminus,
-    singleton,
-    strict_submasks,
-    subset_key,
     subset_to_bits,
-    union,
 )
 from .qring import QMon, QPoly
 
@@ -135,115 +136,124 @@ class Relation:
 
 
 def _finish(family: str, a: Subset, b: Subset | None, index: int | None,
-            element: QPoly) -> Relation:
+            m: int, terms) -> Relation:
+    """The relation whose element is the sum of ``terms``, with the
+    vanished ones (None) left out."""
+    element = QPoly(m, parity_collect(t for t in terms if t is not None))
     degree = element.degree()
     if degree is None:
         raise RuntimeError(f"relation element {element} is not homogeneous")
     return Relation(family, a, b, index, element, degree)
 
 
-def _check_subsets(*subsets: Subset) -> None:
-    """A constructor's arguments, checked once at entry: 0/1 entries and
-    one width.  The terms built from them are then canonical as built."""
+def _masks(*subsets: Subset) -> list[int]:
+    """A constructor's arguments as masks, checked once at entry for
+    0/1 entries and one width; see the module docstring."""
     for a in subsets:
         if not set(a) <= {0, 1}:
             raise ValueError(f"trace subset needs 0/1 entries, got {a}")
     if len({len(a) for a in subsets}) > 1:
         raise DimensionMismatch(
             "subset widths differ: " + " vs ".join(str(len(a)) for a in subsets))
+    return [int.from_bytes(a, "big") for a in subsets]
 
 
-def _term(x: Subset, n: Subset, *traces: Subset) -> QMon | None:
-    """The monomial x^x N^n Tr(t1)...Tr(tk) with ``formal_trace``'s
-    rewrites of a degenerate factor: a trace on the empty subset makes
-    the term vanish (None), and one on a singleton {i} becomes a factor
-    x_i.  The kept traces are sorted descending."""
+@lru_cache(maxsize=1 << 12)
+def _members(m: int, mask: int) -> tuple[int, ...]:
+    """The tuple of a mask of width m: its 0/1 entries, or the exponents
+    a sum of masks holds."""
+    return tuple(mask.to_bytes(m, "big"))
+
+
+def _least(m: int, mask: int) -> tuple[int, int]:
+    """The least member of a nonempty mask of width m, index and mask."""
+    top = mask.bit_length() - 1
+    return m - 1 - top // 8, 1 << top
+
+
+def _term(m: int, x: int, n: int, *traces: int) -> QMon | None:
+    """The monomial x^x N^n Tr(t1)...Tr(tk) of masks, with
+    ``formal_trace``'s rewrites of a degenerate factor: a trace on the
+    empty set makes the term vanish (None), and one on a singleton {i}
+    becomes a factor x_i, added to the exponents.  The kept traces are
+    sorted descending."""
     kept = []
     for t in traces:
-        k = cardinality(t)
-        if k > 1:
+        if t & (t - 1):
             kept.append(t)
-        elif k:
-            x = tuple(u + v for u, v in zip(x, t))
+        elif t:
+            x += t
         else:
             return None
     kept.sort(reverse=True)
-    return QMon(x, n, tuple(kept))
-
-
-def _element(m: int, terms) -> QPoly:
-    """The sum of ``terms`` with the vanished ones (None) left out."""
-    return QPoly(m, parity_collect(t for t in terms if t is not None))
+    return QMon(_members(m, x), _members(m, n),
+                tuple([_members(m, t) for t in kept]))
 
 
 def _type_i(a: Subset) -> Relation:
     """Sum of x^(A-L) Tr(L) over nonempty proper submasks L of A."""
-    _check_subsets(a)
-    if cardinality(a) < 3:
+    (am,) = _masks(a)
+    if am.bit_count() < 3:
         raise VacuousRelationError(
             f"type I needs at least three members, got {subset_to_bits(a)}")
-    zero = (0,) * len(a)
-    return _finish("I", a, None, None, _element(len(a), (
-        _term(setminus(a, low), zero, low) for low in strict_submasks(a))))
+    m = len(a)
+    return _finish("I", a, None, None, m, (
+        _term(m, am ^ low, 0, low) for low in int_submasks(am) if low != am))
 
 
 def type_ii_relation(a: Subset, b: Subset) -> Relation:
     """The long rewrite of Tr(A)Tr(B) over submasks of the overlap."""
-    _check_subsets(a, b)
-    if cardinality(a) < 2 or cardinality(b) < 2:
+    am, bm = _masks(a, b)
+    if am.bit_count() < 2 or bm.bit_count() < 2:
         raise VacuousRelationError(
             "type II needs two subsets with at least two members each")
     m = len(a)
-    zero = (0,) * m
-    i_set = intersect(a, b)
-    j_set = setminus(a, b)
-    k_set = setminus(b, a)
-    terms = [_term(zero, zero, a, b)]
-    for low in strict_submasks(i_set):
-        top = setminus(i_set, low)
-        terms.append(_term(top, low, union(union(top, j_set), k_set)))
-    for low in strict_submasks(j_set):
-        terms.append(_term(setminus(j_set, low), i_set, union(low, k_set)))
-    return _finish("II", a, b, None, _element(m, terms))
+    i_set, j_set, k_set = am & bm, am & ~bm, bm & ~am
+    terms = [_term(m, 0, 0, am, bm)]
+    for low in int_submasks(i_set):
+        if low != i_set:
+            top = i_set ^ low
+            terms.append(_term(m, top, low, top | j_set | k_set))
+    for low in int_submasks(j_set):
+        if low != j_set:
+            terms.append(_term(m, j_set ^ low, i_set, low | k_set))
+    return _finish("II", a, b, None, m, terms)
 
 
 def _type_iii(a: Subset, b: Subset) -> Relation:
     """Four-term rewrite of Tr(A)Tr(B), canonicalized by shape."""
-    _check_subsets(a, b)
-    if cardinality(a) < 2 or cardinality(b) < 2:
+    am, bm = _masks(a, b)
+    if am.bit_count() < 2 or bm.bit_count() < 2:
         raise VacuousRelationError(
             "type III needs two subsets with at least two members each")
     m = len(a)
-    zero = (0,) * m
-    if is_disjoint(a, b):
-        if subset_key(a) < subset_key(b):
-            a, b = b, a
-        j = min_index(b)
-        xj = singleton(m, j)
-        b_rest = drop_min(b)
-        return _finish("IIIa", a, b, j, _element(m, (
-            _term(zero, zero, a, b),
-            _term(zero, zero, union(a, xj), b_rest),
-            _term(xj, zero, union(a, b_rest)),
-            _term(xj, zero, a, b_rest))))
-    if is_subset_of(a, b) and not is_subset_of(b, a):
-        a, b = b, a
-    if is_subset_of(b, a):
-        i = min_index(b)
-        delta = singleton(m, i)
-        b_rest = setminus(b, delta)
-        return _finish("IIIb", a, b, i, _element(m, (
-            _term(zero, zero, a, b),
-            _term(delta, zero, a, b_rest),
-            _term(zero, delta, setminus(a, delta), b_rest),
-            _term(delta, b_rest, union(setminus(a, b), delta)))))
-    if subset_key(a) < subset_key(b):
-        a, b = b, a
-    i_set = intersect(a, b)
-    return _finish("IIIc", a, b, None, _element(m, (
-        _term(zero, zero, a, b),
-        _term(zero, zero, union(a, b), i_set),
-        _term(zero, i_set, setminus(a, b), setminus(b, a)))))
+    if not am & bm:
+        if (am.bit_count(), am) < (bm.bit_count(), bm):
+            a, b, am, bm = b, a, bm, am
+        j, xj = _least(m, bm)
+        b_rest = bm ^ xj
+        return _finish("IIIa", a, b, j, m, (
+            _term(m, 0, 0, am, bm),
+            _term(m, 0, 0, am | xj, b_rest),
+            _term(m, xj, 0, am | b_rest),
+            _term(m, xj, 0, am, b_rest)))
+    if not am & ~bm and bm & ~am:
+        a, b, am, bm = b, a, bm, am
+    if not bm & ~am:
+        i, delta = _least(m, bm)
+        b_rest = bm ^ delta
+        return _finish("IIIb", a, b, i, m, (
+            _term(m, 0, 0, am, bm),
+            _term(m, delta, 0, am, b_rest),
+            _term(m, 0, delta, am ^ delta, b_rest),
+            _term(m, delta, b_rest, (am & ~bm) | delta)))
+    if (am.bit_count(), am) < (bm.bit_count(), bm):
+        a, b, am, bm = b, a, bm, am
+    i_set = am & bm
+    return _finish("IIIc", a, b, None, m, (
+        _term(m, 0, 0, am, bm),
+        _term(m, 0, 0, am | bm, i_set),
+        _term(m, 0, i_set, am & ~bm, bm & ~am)))
 
 
 @lru_cache(maxsize=None)

@@ -6,8 +6,42 @@ from functools import cache, reduce
 from operator import add
 
 from vecinv2.invariants import generator_set
-from vecinv2.poly import Poly, all_subsets
+from vecinv2.poly import DimensionMismatch, Poly, all_subsets, min_index
 from vecinv2.qring import QMon, QPoly, make_qmon
+
+
+# The subset calculus on 0/1 tuples that the reference builders of the
+# tests use; the library's constructors work on int masks instead.
+
+def _check_same_width(a, b) -> None:
+    if len(a) != len(b):
+        raise DimensionMismatch(f"subset widths differ: {len(a)} vs {len(b)}")
+
+
+def intersect(a, b):
+    _check_same_width(a, b)
+    return tuple(u & v for u, v in zip(a, b))
+
+
+def setminus(a, b):
+    _check_same_width(a, b)
+    return tuple(u & (1 - v) for u, v in zip(a, b))
+
+
+def is_subset_of(a, b) -> bool:
+    _check_same_width(a, b)
+    return all(u <= v for u, v in zip(a, b))
+
+
+def is_disjoint(a, b) -> bool:
+    _check_same_width(a, b)
+    return all(u & v == 0 for u, v in zip(a, b))
+
+
+def drop_min(a):
+    """The subset with its least member removed."""
+    i = min_index(a)
+    return a[:i] + (0,) + a[i + 1:]
 
 
 def x_y_power(xs, ys) -> Poly:

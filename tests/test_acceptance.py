@@ -22,9 +22,7 @@ from vecinv2.poly import (
     Poly,
     all_subsets,
     cardinality,
-    drop_min,
     min_index,
-    setminus,
     singleton,
     strict_submasks,
 )
@@ -38,7 +36,7 @@ from vecinv2.relations import (
 )
 from vecinv2.rewrite import linear_reduce, normal_form, reduce_product
 
-from conftest import random_qpoly, x_y_power, y_power
+from conftest import drop_min, random_qpoly, setminus, x_y_power, y_power
 
 
 def test_criterion_01_generator_census():

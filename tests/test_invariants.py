@@ -16,14 +16,12 @@ from vecinv2.poly import (
     Poly,
     all_subsets,
     cardinality,
-    drop_min,
     min_index,
     singleton,
     strict_submasks,
-    setminus,
 )
 
-from conftest import random_poly, x_y_power, y_power
+from conftest import drop_min, random_poly, setminus, x_y_power, y_power
 
 
 # ---------------------------------------------------------------------------

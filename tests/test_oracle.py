@@ -28,6 +28,7 @@ from vecinv2.oracle import (
 from vecinv2.poly import Poly, all_subsets, monomial_key
 from vecinv2.qring import (
     QPoly,
+    block_sums,
     evaluate,
     formal_trace,
     make_qmon,
@@ -667,9 +668,9 @@ def test_relations_are_evaluated_inside_the_sweep(monkeypatch):
 
     def counting(q):
         calls.append(q)
-        return vanishes(q)
+        return block_sums(q)
 
-    monkeypatch.setattr(oracle, "vanishes", counting)
+    monkeypatch.setattr(oracle, "block_sums", counting)
     with pytest.raises(BudgetExceeded) as info:
         verify_relation_ideal(4, budget=10000)
     assert "at degree 4" in str(info.value)
@@ -868,13 +869,17 @@ def _whole_degree_sweep(m, d_max, relations):
     return out, sorted(dependent)
 
 
+def _block(r):
+    """The block ``RelationSpans`` files the relation r under."""
+    return blocks.relation_block(r.degree, blocks.multidegrees(r.element))
+
+
 def _shifted(m, family, position, lower):
     """``family`` with relation ``position`` replaced by itself plus a
     monomial multiple of relation ``lower`` that lies in its block: the
     same ideal and still minimal, but no longer the declared set."""
     r, s = family[position], family[lower]
-    beta = blocks.relation_block(r.degree, r.element)
-    gamma = blocks.relation_block(s.degree, s.element)
+    beta, gamma = _block(r), _block(s)
     mult = blocks.block_monomials(m, tuple(map(sub, beta, gamma)))[0]
     element = r.element + QPoly.monomial(mult) * s.element
     shifted = Relation("shifted", r.a, r.b, r.index, element, r.degree)
@@ -887,8 +892,7 @@ def _route_table():
     basis3 = relation_basis(3)
     basis4 = relation_basis(4)
     first, second = [r for r in basis3 if r.degree == 4][:2]
-    assert (blocks.relation_block(first.degree, first.element)
-            != blocks.relation_block(second.degree, second.element))
+    assert _block(first) != _block(second)
     mixed = Relation("sum", first.a, second.a, None,
                      first.element + second.element, 4)
     tr110 = Relation("bogus", (1, 1, 0), None, None,
@@ -907,7 +911,7 @@ def _route_table():
     assert evaluate(heavy.element) == Poly.zero(3)
     # shifted relations and duplicates in blocks off the orbit
     # representatives (1, 1, 2), (0, 1, 1, 2), (1, 2, 2) and (1, 1, 2, 2)
-    assert [blocks.relation_block(r.degree, r.element)
+    assert [_block(r)
             for r in (basis3[2], basis4[6], basis3[7], basis4[39])] == [
         (1, 1, 2), (0, 1, 1, 2), (1, 2, 2), (1, 1, 2, 2)]
     assert [r.degree for r in (basis3[1], basis4[5])] == [4, 4]
@@ -1033,7 +1037,8 @@ def _ranked(m, family, d_max, kernels):
     for d in range(2, d_max + 1):
         for p, r in enumerate(family):
             if r.degree == d:
-                spans.add(p, r.degree, r.element)
+                spans.add(p, r.degree, r.element,
+                          blocks.multidegrees(r.element))
         rank, route = spans.rank(d)
         if (m, d) not in kernels:
             kernels[m, d] = kernel_basis(m, d)
@@ -1066,7 +1071,8 @@ def test_block_route_ranks_and_misses():
         _, rank, missed = ranked[-1]
         assert (rank, kernel) == (short or (kernel, kernel)), m
         assert len(missed) == kernel - rank
-        assert all(blocks.relation_block(d_max, member) for member in missed)
+        assert all(blocks.relation_block(d_max, blocks.multidegrees(member))
+                   for member in missed)
 
 
 def _largest_block(m, d):
@@ -1201,7 +1207,8 @@ def _leads_against_elimination(m, family, d_max):
         kernel = oracle._q_count(m, d) - evaluation_rank(m, d, 10 ** 12)
         for p, r in enumerate(family):
             if max(r.degree, 2) == d:
-                spans.add(p, r.degree, r.element)
+                spans.add(p, r.degree, r.element,
+                          blocks.multidegrees(r.element))
                 vanishing = vanishing and vanishes(r.element)
         count = None
         if stable and vanishing:

@@ -14,16 +14,11 @@ from vecinv2.poly import (
     all_subsets,
     bits_to_subset,
     cardinality,
-    drop_min,
-    intersect,
-    is_disjoint,
-    is_subset_of,
     min_index,
     monomial_key,
     monomial_text,
     pack,
     packed_width,
-    setminus,
     singleton,
     strict_submasks,
     subset_to_bits,
@@ -31,7 +26,14 @@ from vecinv2.poly import (
     unpack,
 )
 
-from conftest import random_poly
+from conftest import (
+    drop_min,
+    intersect,
+    is_disjoint,
+    is_subset_of,
+    random_poly,
+    setminus,
+)
 
 
 # ---------------------------------------------------------------------------

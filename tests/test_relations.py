@@ -14,13 +14,8 @@ from vecinv2.poly import (
     Poly,
     all_subsets,
     cardinality,
-    drop_min,
-    intersect,
-    is_disjoint,
-    is_subset_of,
     min_index,
     monomial_key,
-    setminus,
     singleton,
     strict_submasks,
     subset_key,
@@ -49,7 +44,15 @@ from vecinv2.relations import (
     type_iii_relation,
 )
 
-from conftest import n_power, x_y_power
+from conftest import (
+    drop_min,
+    intersect,
+    is_disjoint,
+    is_subset_of,
+    n_power,
+    setminus,
+    x_y_power,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +236,29 @@ def _reference_iii(a, b):
     return "IIIc", a, b, None, q
 
 
+def _entries_are_ints(rel) -> bool:
+    """Whether every exponent and subset entry of a relation is an int.
+    A bool would pass ``==``, as True == 1, but print as True."""
+    entries = [rel.a] + ([rel.b] if rel.b is not None else [])
+    for t in rel.element.terms:
+        entries += [t.xe, t.ne, *t.traces]
+    return all(type(e) is int for entry in entries for e in entry)
+
+
+def _matched_family(build, reference, args) -> str:
+    """The family of ``build(*args)``, once its fields, its text and the
+    types of its entries match the reference's."""
+    rel = build(*args)
+    want = reference(*args)
+    assert (rel.family, rel.a, rel.b, rel.index, rel.element) == want, args
+    assert str(rel.element) == str(want[-1]), args
+    assert _entries_are_ints(rel), args
+    return rel.family
+
+
 def test_closed_forms_match_formal_symbol_products():
+    # every argument through m = 6; the text catches an entry that is
+    # only equal to 0 or 1, such as a bool
     families = set()
     for m in range(2, 7):
         cases = [(_type_i, _reference_i, (a,))
@@ -242,11 +267,25 @@ def test_closed_forms_match_formal_symbol_products():
         cases += [(build, reference, (a, b)) for a in pairs for b in pairs
                   for build, reference in ((type_ii_relation, _reference_ii),
                                            (_type_iii, _reference_iii))]
-        for build, reference, args in cases:
-            rel = build(*args)
-            assert (rel.family, rel.a, rel.b, rel.index,
-                    rel.element) == reference(*args), args
-            families.add(rel.family)
+        families.update(_matched_family(*case) for case in cases)
+    assert families == {"I", "II", "IIIa", "IIIb", "IIIc"}
+
+
+def test_wide_widths_match_formal_symbol_products():
+    # width 40, where a table over all 2^m subsets could not be built;
+    # A = B = {3, 17} squares x_4 in type II and in IIIb
+    def subset(*members):
+        return tuple(int(i in members) for i in range(40))
+
+    pairs = [(subset(*range(12)), subset(*range(6, 20))),
+             (subset(*range(6)), subset(*range(33, 39))),
+             (subset(0, 9, 18, 27, 36, 39), subset(9, 27, 39)),
+             (subset(3, 17), subset(3, 17))]
+    cases = [(_type_i, _reference_i, (subset(0, 7, 13, 21, 30, 39),))]
+    cases += [(build, reference, pair) for pair in pairs
+              for build, reference in ((type_ii_relation, _reference_ii),
+                                       (_type_iii, _reference_iii))]
+    families = {_matched_family(*case) for case in cases}
     assert families == {"I", "II", "IIIa", "IIIb", "IIIc"}
 
 
