@@ -12,6 +12,13 @@ Verbs:
 
 Exit status: 0 success, 1 a verification failed (a counterexample is
 printed), 2 usage error, 3 the matrix budget was exceeded.
+
+Each verb is one row of ``_VERBS``.  When the first argument is exactly
+a verb's name, ``main`` builds the parser with that verb's subparser
+alone, because the six unused subparsers are most of a full parser's
+cost.  Otherwise (no argument, an option first, or an unknown verb) it
+builds all seven, so every help text and error that lists the verbs
+comes from the full parser.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable
 
 from .invariants import generator_set, transfer
 from .oracle import (
@@ -199,52 +207,47 @@ def _add_m(parser: argparse.ArgumentParser) -> None:
                         help="number of variable pairs")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="vecinv2",
-        description="Exact workbench for mod-2 vector invariants of an "
-                    "order-two group action.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_checked_m(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("-m", type=int, default=None, metavar="M",
+                        help="number of variable pairs (checked against BITS)")
 
-    p = sub.add_parser("gens", help="list the generators")
+
+def _args_m(p: argparse.ArgumentParser) -> None:
     _add_m(p)
     _add_format(p)
-    p.set_defaults(func=_cmd_gens)
 
-    p = sub.add_parser("trace", help="print one transfer polynomial")
-    p.add_argument("-m", type=int, default=None, metavar="M",
-                   help="number of variable pairs (checked against BITS)")
+
+def _args_trace(p: argparse.ArgumentParser) -> None:
+    _add_checked_m(p)
     p.add_argument("--subset", required=True, metavar="BITS",
                    help="subset as a 0/1 string, one character per pair")
     _add_format(p)
-    p.set_defaults(func=_cmd_trace)
 
-    p = sub.add_parser("relation", help="print one relation element")
-    p.add_argument("-m", type=int, default=None, metavar="M",
-                   help="number of variable pairs (checked against BITS)")
+
+def _args_relation(p: argparse.ArgumentParser) -> None:
+    _add_checked_m(p)
     p.add_argument("--flavor", choices=("I", "II", "III"), required=True)
     p.add_argument("--subset", metavar="BITS",
                    help="defining subset (type I)")
     p.add_argument("--product", metavar="BITS,BITS",
                    help="trace pair (types II and III)")
     _add_format(p)
-    p.set_defaults(func=_cmd_relation)
 
-    p = sub.add_parser("basis", help="print the relation basis")
+
+def _args_basis(p: argparse.ArgumentParser) -> None:
     _add_m(p)
     p.add_argument("--flavor", choices=("II", "III"), default="III",
                    help="quadratic family to use (default: III)")
     _add_format(p)
-    p.set_defaults(func=_cmd_basis)
 
-    p = sub.add_parser("reduce", help="rewrite a product of two traces")
-    p.add_argument("-m", type=int, default=None, metavar="M",
-                   help="number of variable pairs (checked against BITS)")
+
+def _args_reduce(p: argparse.ArgumentParser) -> None:
+    _add_checked_m(p)
     p.add_argument("--product", required=True, metavar="BITS,BITS")
     _add_format(p)
-    p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser("verify", help="check generation and minimality")
+
+def _args_verify(p: argparse.ArgumentParser) -> None:
     _add_m(p)
     p.add_argument("--dmax", type=int, default=None, metavar="D",
                    help="largest degree to check (default: 2m)")
@@ -252,18 +255,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="matrix entry budget (default: %(default)s)")
     _add_format(p)
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("count", help="closed-form counts")
-    _add_m(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_count)
 
+# Each verb once: (name, help, argument adder, command).
+_VERBS = (
+    ("gens", "list the generators", _args_m, _cmd_gens),
+    ("trace", "print one transfer polynomial", _args_trace, _cmd_trace),
+    ("relation", "print one relation element", _args_relation,
+     _cmd_relation),
+    ("basis", "print the relation basis", _args_basis, _cmd_basis),
+    ("reduce", "rewrite a product of two traces", _args_reduce, _cmd_reduce),
+    ("verify", "check generation and minimality", _args_verify, _cmd_verify),
+    ("count", "closed-form counts", _args_m, _cmd_count),
+)
+_NAMES = tuple(name for name, *_ in _VERBS)
+
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser for every verb, or, given a verb's name, for that
+    verb alone.  The one-verb parser spells out the subcommand metavar,
+    so that its usage line still lists every verb.  The full parser
+    must not: an explicit metavar would rename ``argument command`` in
+    its "required" and "invalid choice" errors."""
+    parser = argparse.ArgumentParser(
+        prog="vecinv2",
+        description="Exact workbench for mod-2 vector invariants of an "
+                    "order-two group action.")
+    metavar = None if verb is None else "{" + ",".join(_NAMES) + "}"
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=metavar)
+    for name, text, add_arguments, command in _VERBS:
+        if verb in (None, name):
+            p = sub.add_parser(name, help=text)
+            add_arguments(p)
+            p.set_defaults(func=command)
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+def main(argv: Iterable[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    parser = build_parser(argv[0] if argv and argv[0] in _NAMES else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as err:

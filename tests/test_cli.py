@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line front end: golden outputs,
 exit statuses, JSON shape, and byte-for-byte determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -194,6 +195,54 @@ def test_output_is_deterministic(capsys):
         assert first == second
         seen[verb] = first
     assert len(seen) == 4
+
+
+# ---------------------------------------------------------------------------
+# goldens of the whole surface: help, usage errors and runs
+# ---------------------------------------------------------------------------
+
+# Each entry is one argv with the exit status, stdout and stderr that
+# cli.main gave for it, at a terminal width of 80 columns.
+CLI_GOLDENS = json.loads(
+    (Path(__file__).parent / "cli_goldens.json").read_text())
+
+
+def test_cli_goldens(capsys, monkeypatch):
+    # argparse wraps help and usage to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    assert len(CLI_GOLDENS) > 80
+    differ = []
+    for case in CLI_GOLDENS:
+        got = run_cli(capsys, *case["argv"])
+        if got != (case["code"], case["stdout"], case["stderr"]):
+            differ.append(case["argv"])
+    assert differ == []
+
+
+def test_main_builds_only_the_named_verbs_subparser(capsys, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    every = ["gens", "trace", "relation", "basis", "reduce", "verify",
+             "count"]
+    for argv, names in ((["verify", "-m", "2"], ["verify"]),
+                        (["bogus"], every), (["-h"], every)):
+        built.clear()
+        cli.main(argv)
+        assert built == names, argv
+    capsys.readouterr()
+
+
+def test_main_reads_sys_argv_or_any_iterable(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["vecinv2", "count", "-m", "2"])
+    for argv in (None, ("count", "-m", "2"), iter(["count", "-m", "2"])):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "generators: 5"
 
 
 # ---------------------------------------------------------------------------

@@ -85,3 +85,13 @@ def test_every_public_name_has_a_caller_besides_the_tests():
                and not any(node.name in names
                            for other, names in named if other is not node)]
     assert unnamed == ["max_relation_degree"]
+
+
+def test_every_command_is_in_the_verb_table():
+    # the parsers are built from cli._VERBS alone, so a _cmd_ function
+    # left out of the table would be no verb at all
+    from vecinv2 import cli
+
+    commands = {name for name in vars(cli) if name.startswith("_cmd_")}
+    assert commands
+    assert {command.__name__ for *_, command in cli._VERBS} == commands
