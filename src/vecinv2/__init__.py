@@ -21,7 +21,6 @@ from .poly import (
 from .invariants import (
     GeneratorSet,
     generator_set,
-    involution,
     norm,
     transfer,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "subset_to_bits",
     "GeneratorSet",
     "generator_set",
-    "involution",
     "norm",
     "transfer",
     "QMon",

@@ -11,62 +11,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable
 
 from .poly import (
     Poly,
     Subset,
     all_subsets,
     cardinality,
-    int_submasks,
-    pack,
-    packed_width,
-    parity_collect,
     strict_submasks,
     subset_to_bits,
-    unpack,
 )
 
 __all__ = [
-    "involution",
     "transfer",
     "norm",
     "GeneratorSet",
     "generator_set",
 ]
-
-
-def sheared(base: int, ys: Iterable[int], width: int) -> list[int]:
-    """The terms of the monomial ``base`` times prod_i (y_i + x_i)^ys[i],
-    all monomials packed ``width`` bits per exponent (``poly.pack``); the
-    width must hold the product's total degree.
-
-    (y + x)^k expands over GF(2) to the sum of y^j x^(k-j) over the
-    bitwise submasks j of k, by the parity of binomial coefficients, so
-    every term arises once.
-    """
-    terms = [base]
-    for i, k in enumerate(ys):
-        if k:
-            y = 2 * i * width
-            x = y + width
-            factor = [(j << y) + ((k - j) << x) for j in int_submasks(k)]
-            terms = [t + f for t in terms for f in factor]
-    return terms
-
-
-def involution(f: Poly) -> Poly:
-    """Apply the nontrivial algebra map: x_i -> x_i, y_i -> y_i + x_i,
-    which sends x^b y^a to x^b (y + x)^a."""
-    n = 2 * f.m
-    width = packed_width(max(map(sum, f.terms), default=0))
-    images: list[int] = []
-    for mono in f.terms:
-        base = list(mono)
-        base[0::2] = [0] * f.m
-        images.extend(sheared(pack(base, width), mono[0::2], width))
-    return Poly(f.m, frozenset(unpack(t, n, width)
-                               for t in parity_collect(images)))
 
 
 @lru_cache(maxsize=None)

@@ -58,13 +58,15 @@ whose columns are the polynomial monomials of multidegree alpha.
 Per block the fixed space has dimension
 ``(prod(alpha_i + 1) + [every alpha_i even]) / 2``.  Once the
 generators' leads are checked (``qring.summand_lead``, against the
-images of the generators a degree can hold), a block's trace-linear
-monomials have exactly that many distinct leads, so
-``evaluation_rank`` is ``invariant_dimension`` with no block listed
-(the proof is in its docstring).  Where the check fails, one block per
-S_m orbit, the non-increasing alpha, is eliminated and counted
-|S_m alpha| times: permuting the variable pairs commutes with
-evaluation, so the blocks of one orbit have equal rank.
+images of the generators a degree can hold, each read off its block
+int: the lead is the top bit, and the involution a shift-XOR Taylor
+shift), a block's trace-linear monomials have exactly that many
+distinct leads, so ``evaluation_rank`` is ``invariant_dimension``
+with no block listed (the proof is in its docstring).  Where the
+check fails, one block per S_m orbit, the non-increasing alpha, is
+eliminated and counted |S_m alpha| times: permuting the variable
+pairs commutes with evaluation, so the blocks of one orbit have equal
+rank.
 
 Every type I, II and III relation is multihomogeneous, and so are its
 monomial multiples, so ``verify_relation_ideal`` files each relation
@@ -132,7 +134,6 @@ from .blocks import (
     orbit_size,
 )
 from .f2 import RowSpan, bit_indices, left_kernel
-from .invariants import involution
 from .poly import (
     Monomial,
     all_subsets,
@@ -143,9 +144,10 @@ from .poly import (
 from .qring import (
     QMon,
     QPoly,
+    bit_monomial,
     block_images,
     block_sums,
-    evaluate,
+    involution_fixes,
     multidegree,
     qmon_key,
     summand_lead,
@@ -306,16 +308,21 @@ def _trace_linear_monomials(m: int, d: int) -> tuple[QMon, ...]:
     return tuple(found)
 
 
-@lru_cache(maxsize=None)
 def _generator_leads_hold(m: int, d: int) -> bool:
     """Whether each generator a degree-d block can hold, x_i, N_i and
-    Tr(A) with |A| <= d, has an image, decoded by ``evaluate`` from the
-    block int the evaluation rows use, that leads with its
-    ``summand_lead`` and is fixed by the involution.  Checked once per
-    m and degree, on the generators of degree d, and through the
-    degree before on the rest."""
-    if d > 0 and not _generator_leads_hold(m, d - 1):
-        return False
+    Tr(A) with |A| <= d, has an image that leads with its
+    ``summand_lead`` and is fixed by the involution.  No generator has
+    a degree above max(m, 2), so the degrees up to the lesser of that
+    and d are checked, each once per m (``_degree_leads_hold``)."""
+    return all(_degree_leads_hold(m, k)
+               for k in range(1, min(d, max(m, 2)) + 1))
+
+
+@lru_cache(maxsize=None)
+def _degree_leads_hold(m: int, d: int) -> bool:
+    """``_generator_leads_hold`` on the generators of degree d, read off
+    the block int of each image: its top bit decodes to its lead, and
+    ``involution_fixes`` tells whether it is invariant."""
     zero = (0,) * m
     units = [singleton(m, i) for i in range(m)]
     generators = [QMon(zero, zero, (a,))
@@ -325,9 +332,12 @@ def _generator_leads_hold(m: int, d: int) -> bool:
     elif d == 2:
         generators += [QMon(zero, u, ()) for u in units]
     for g in generators:
-        image = evaluate(QPoly.monomial(g))
-        if (not image or image.lead_term() != summand_lead(g)
-                or involution(image) != image):
+        alpha = multidegree(g)
+        radices, (image,) = block_images(alpha, [g])
+        if (not image
+                or bit_monomial(alpha, radices, image.bit_length() - 1)
+                != summand_lead(g)
+                or not involution_fixes(image, radices)):
             return False
     return True
 
@@ -345,7 +355,9 @@ def evaluation_rank(m: int, d: int, budget: int = DEFAULT_BUDGET) -> int:
     """Dimension of the degree-d space the generators span: the
     fixed-space dimension ``invariant_dimension(m, d)`` once
     ``_generator_leads_hold(m, d)``, else the eliminated ranks of the
-    orbit representatives, each counted |S_m alpha| times.
+    orbit representatives, each counted |S_m alpha| times.  The check
+    reads each generator's block int, its top bit and its Taylor shift,
+    and builds no ``Poly``.
 
     Proof (Richman's first main theorem, block by block).  In block
     alpha, images with distinct leads are independent and every image

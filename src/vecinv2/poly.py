@@ -22,7 +22,7 @@ is negative is the larger one.
 ``pack`` turns a monomial into one int with a fixed-width field per
 exponent, so that a product of monomials is an int sum (``packed_width``
 picks a width that no such sum can overflow); the relation spans in
-``blocks`` and the involution in ``invariants`` work on packed ints.
+``blocks`` work on packed ints.
 
 Zero/one tuples of length m double as subsets of the m copies and as
 exponent sequences, so a subset ``a`` also names the square free
@@ -57,7 +57,6 @@ __all__ = [
     "parity_update",
     "packed_width",
     "pack",
-    "unpack",
     "term_text",
     "variable_index",
     "monomial_key",
@@ -317,12 +316,6 @@ def pack(mono: Monomial, width: int) -> int:
     for k, e in enumerate(mono):
         packed |= e << (k * width)
     return packed
-
-
-def unpack(packed: int, n: int, width: int) -> Monomial:
-    """Inverse of ``pack`` for a monomial with n exponents."""
-    field = (1 << width) - 1
-    return tuple((packed >> (k * width)) & field for k in range(n))
 
 
 def _check_monomial(m: int, exps: Iterable[int]) -> Monomial:

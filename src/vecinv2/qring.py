@@ -41,6 +41,21 @@ y_i = b_i, x_i = alpha_i - b_i at the end, and the oracle takes the
 ints of one block as its matrix rows.  ``Poly``, ``QMon`` and every
 public type stay tuple-based.
 
+Two facts about a block's polynomial can be read off its int without
+decoding it.  Its monomials all have x_i + y_i = alpha_i, so grevlex on
+(y1, x1, ..., ym, xm), which is decided by the last variable whose
+exponent differs, prefers the smaller x_m, that is the larger y_m, then
+the larger y_(m-1), and so on: the order of the bit indices
+sum_i b_i R_i, most significant digit b_m first.  So a nonzero int leads
+with its top bit, ``bit_length() - 1``, which ``bit_monomial`` decodes.
+And at x = 1 the involution, y_i -> y_i + x_i, sends y_i to y_i + 1,
+where (y_i + 1)^b is the product of y_i^s + 1 over the powers of two s
+in b: it acts on an int by one shift-XOR per coordinate i and power of
+two s <= r_i, which adds to each term whose i-th digit has bit s set the
+term with that bit cleared, s R_i bits lower.  No exponent rises, so
+the result stays inside the radix (``involution_fixes``).  The oracle
+checks the generators' leads and invariance this way.
+
 ``block_sums`` groups an element's terms by multidegree once and sums
 each block's ints: ``evaluate`` decodes them, ``vanishes`` reads only
 whether they are zero, and the verify sweep reads from the one call
@@ -89,6 +104,8 @@ __all__ = [
     "make_qmon",
     "formal_trace",
     "evaluate",
+    "bit_monomial",
+    "involution_fixes",
     "vanishes",
     "times_monomial",
     "block_images",
@@ -336,18 +353,49 @@ def block_sums(q: QPoly) -> dict[tuple, tuple[tuple, int]]:
     return sums
 
 
+def bit_monomial(alpha: tuple[int, ...], radices: tuple[int, ...],
+                 bit: int) -> Monomial:
+    """The monomial x^(alpha-b) y^b that bit ``bit`` of a block int with
+    bit weights ``radices`` stands for: b_i is the bit index's i-th
+    mixed-radix digit."""
+    ys = []
+    for r in reversed(radices):
+        y, bit = divmod(bit, r)
+        ys.append(y)
+    return tuple(e for y, a in zip(reversed(ys), alpha) for e in (y, a - y))
+
+
+def involution_fixes(image: int, radices: tuple[int, ...]) -> bool:
+    """Whether the involution fixes the polynomial that the block int
+    ``image`` with bit weights ``radices`` stands for, decided by the
+    Taylor shift y_i -> y_i + 1 on the int (see the module docstring).
+    The positions whose i-th digit has bit s set repeat with the period
+    R_(i+1), the weight of the next digit, so one period times a
+    repunit marks them all; the last digit runs up to the top bit."""
+    if not image:
+        return True
+    top = (image.bit_length() - 1) // radices[-1]
+    periods = radices[1:] + (radices[-1] * (top + 1),)
+    shifted = image
+    for weight, period in zip(radices, periods):
+        repunit = ((1 << periods[-1]) - 1) // ((1 << period) - 1)
+        run = (1 << weight) - 1
+        digits = period // weight
+        s = 1
+        while s < digits:
+            mask = repunit * sum(run << (k * weight)
+                                 for k in range(digits) if k & s)
+            shifted ^= (shifted & mask) >> (s * weight)
+            s <<= 1
+    return shifted == image
+
+
 def evaluate(q: QPoly) -> Poly:
     """Substitute the concrete invariants for the formal symbols."""
-    found = []
-    for alpha, (radices, image) in block_sums(q).items():
-        for bit in bit_indices(image):
-            ys = []
-            for r in reversed(radices):
-                y, bit = divmod(bit, r)
-                ys.append(y)
-            found.append(tuple(e for y, a in zip(reversed(ys), alpha)
-                               for e in (y, a - y)))
-    return Poly(q.m, frozenset(found))
+    return Poly(q.m, frozenset(
+        bit_monomial(alpha, radices, bit)
+        for alpha, (radices, image) in block_sums(q).items()
+        for bit in bit_indices(image)))
 
 
 def vanishes(q: QPoly) -> bool:

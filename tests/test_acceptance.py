@@ -6,11 +6,7 @@ import random
 from math import comb
 
 from vecinv2.f2 import RowSpan
-from vecinv2.invariants import (
-    generator_set,
-    involution,
-    transfer,
-)
+from vecinv2.invariants import generator_set, transfer
 from vecinv2.oracle import (
     kernel_basis,
     linear_kernel_basis,
@@ -36,7 +32,14 @@ from vecinv2.relations import (
 )
 from vecinv2.rewrite import linear_reduce, normal_form, reduce_product
 
-from conftest import drop_min, random_qpoly, setminus, x_y_power, y_power
+from conftest import (
+    drop_min,
+    involution,
+    random_qpoly,
+    setminus,
+    x_y_power,
+    y_power,
+)
 
 
 def test_criterion_01_generator_census():

@@ -8,7 +8,6 @@ import pytest
 from vecinv2.invariants import (
     GeneratorSet,
     generator_set,
-    involution,
     norm,
     transfer,
 )
@@ -21,7 +20,14 @@ from vecinv2.poly import (
     strict_submasks,
 )
 
-from conftest import drop_min, random_poly, setminus, x_y_power, y_power
+from conftest import (
+    drop_min,
+    involution,
+    random_poly,
+    setminus,
+    x_y_power,
+    y_power,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 kernel of evaluation, and generation/minimality of the relation basis."""
 
 import json
+import random
+import sys
 from collections import Counter, deque
 from itertools import product
 from math import comb, prod
@@ -10,9 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from vecinv2 import blocks, oracle, qring, relations
+from vecinv2 import blocks, cli, oracle, qring, relations
 from vecinv2.f2 import RowSpan, bit_indices, left_kernel, row_of
-from vecinv2.invariants import involution
 from vecinv2.oracle import (
     BudgetExceeded,
     DEFAULT_BUDGET,
@@ -25,7 +26,7 @@ from vecinv2.oracle import (
     q_monomials,
     verify_relation_ideal,
 )
-from vecinv2.poly import Poly, all_subsets, monomial_key
+from vecinv2.poly import Poly, all_subsets, monomial_key, singleton
 from vecinv2.qring import (
     QPoly,
     block_sums,
@@ -44,7 +45,7 @@ from vecinv2.relations import (
     type_iii_relation,
 )
 
-from conftest import reference_image, term_reference
+from conftest import involution, reference_image, term_reference
 
 # Report texts and kernel bases that any order of the matrix columns
 # must reproduce character for character.
@@ -374,7 +375,7 @@ def eliminated(monkeypatch):
     the generator check is recomputed before and after the test."""
     calls = []
     rank = oracle._eliminated_rank
-    check = oracle._generator_leads_hold
+    check = oracle._degree_leads_hold
 
     def recording(m, alpha):
         calls.append((m, alpha))
@@ -407,25 +408,168 @@ def test_wrong_generator_lead_falls_back(monkeypatch, eliminated):
 
 def test_budget_exit_checks_only_the_generators_it_reaches(monkeypatch):
     # the generator-lead check runs per degree on what a block of that
-    # degree can hold: m = 9 stops at degree 5 having evaluated traces
-    # Tr(A) up to |A| = 4, none of the 256 with |A| >= 5
+    # degree can hold: m = 9 stops at degree 5 having read the block
+    # images of traces Tr(A) up to |A| = 4, none of the 256 with |A| >= 5
     traces = []
-    image = oracle.evaluate
+    images = oracle.block_images
 
-    def recording(q):
-        for t in q.terms:
+    def recording(alpha, terms):
+        for t in terms:
             if not any(t.xe + t.ne) and len(t.traces) == 1:
                 traces.append(sum(t.traces[0]))
-        return image(q)
+        return images(alpha, terms)
 
-    monkeypatch.setattr(oracle, "evaluate", recording)
-    oracle._generator_leads_hold.cache_clear()
+    monkeypatch.setattr(oracle, "block_images", recording)
+    oracle._degree_leads_hold.cache_clear()
     with pytest.raises(BudgetExceeded) as info:
         verify_relation_ideal(9)
     assert str(info.value) == (
         "evaluation rank at degree 5 needs a 26847 x 26334 matrix "
         "(706988898 entries > budget 100000000)")
     assert sorted(set(traces)) == [2, 3, 4]
+
+
+def test_generator_check_takes_no_frame_per_degree():
+    # no generator has a degree above max(m, 2), so the check loops over
+    # at most that many degrees, however high d is
+    assert evaluation_rank(1, 1500) == invariant_dimension(1, 1500) == 751
+
+
+def _generators(m):
+    """The generators x_i, N_i and Tr(A) as presentation monomials."""
+    zero = (0,) * m
+    units = [singleton(m, i) for i in range(m)]
+    return ([make_qmon(u, zero, ()) for u in units]
+            + [make_qmon(zero, u, ()) for u in units]
+            + [make_qmon(zero, zero, [a])
+               for a in all_subsets(m, min_size=2)])
+
+
+def _random_block_int(rng, m):
+    """A random polynomial of one block, with its multidegree, as a Poly
+    and as the block int of a random reach, encoded here in mixed radix:
+    x^(alpha-b) y^b is bit sum_i b_i R_i."""
+    alpha = tuple(rng.randrange(4) for _ in range(m))
+    reach = [rng.randrange(a + 1) for a in alpha]
+    radices = tuple(prod(r + 1 for r in reach[:i]) for i in range(m))
+    monos = list(product(*(range(r + 1) for r in reach)))
+    chosen = rng.sample(monos, rng.randrange(1, len(monos) + 1))
+    poly = Poly(m, frozenset(tuple(e for y, a in zip(b, alpha)
+                                   for e in (y, a - y)) for b in chosen))
+    if rng.random() < 0.5:
+        # a sum of an element and its image is fixed; it may be zero
+        poly = poly + involution(poly)
+    image = 0
+    for t in poly.terms:
+        image ^= 1 << sum(b * r for b, r in zip(t[0::2], radices))
+    return alpha, radices, image, poly
+
+
+def test_block_int_lead_and_involution_match_poly_reference():
+    # the generator check reads an image's lead off its block int's top
+    # bit and applies the involution to the int as a Taylor shift; both
+    # agree with the Poly reference on every generator for m <= 6 and on
+    # random block polynomials for m <= 4, fixed or not
+    for m in range(1, 7):
+        for g in _generators(m):
+            alpha = multidegree(g)
+            radices, (image,) = qring.block_images(alpha, [g])
+            lead = qring.bit_monomial(alpha, radices, image.bit_length() - 1)
+            assert lead == evaluate(QPoly.monomial(g)).lead_term(), g
+            assert qring.involution_fixes(image, radices), g
+    rng = random.Random(2401)
+    fixed = Counter()
+    for m in range(1, 5):
+        for _ in range(150):
+            alpha, radices, image, poly = _random_block_int(rng, m)
+            expected = involution(poly) == poly
+            assert qring.involution_fixes(image, radices) == expected
+            fixed[expected] += 1
+            if image:
+                top = image.bit_length() - 1
+                assert (qring.bit_monomial(alpha, radices, top)
+                        == poly.lead_term())
+    assert fixed[True] > 50 and fixed[False] > 50
+
+
+def _drop_y_part(radices, a, image):
+    """Tr(A)'s image without its y^A part: prod_{i in A} (y_i + 1),
+    which leads with y^A and is not fixed."""
+    return image ^ 1 << sum(r for r, i in zip(radices, a) if i)
+
+
+def _drop_least_y(radices, a, image):
+    """Tr(A)'s image without its term y_a x^(A-a), a = min A: the lead
+    stays, but the image is no longer fixed."""
+    return image ^ 1 << radices[a.index(1)]
+
+
+@pytest.mark.parametrize("mutate", [_drop_y_part, _drop_least_y])
+def test_wrong_generator_image_falls_back(monkeypatch, eliminated, mutate):
+    # a block_images that breaks the image of a lone Tr(A), the call the
+    # generator check makes per generator, fails the check from degree
+    # 2; the blocks of the eliminated fallback hold more than one term
+    # and keep their images, so the report stays byte-identical
+    expected = verify_relation_ideal(4, 8)
+    images = oracle.block_images
+
+    def mutant(alpha, terms):
+        radices, found = images(alpha, terms)
+        if len(terms) == 1 and terms[0].traces:
+            found = [mutate(radices, terms[0].traces[0], found[0])]
+        return radices, found
+
+    monkeypatch.setattr(oracle, "block_images", mutant)
+    oracle._degree_leads_hold.cache_clear()
+    assert oracle._generator_leads_hold(4, 1)
+    assert not oracle._generator_leads_hold(4, 2)
+    eliminated.clear()
+    report = verify_relation_ideal(4, 8)
+    assert eliminated == [(4, alpha) for d in range(2, 9)
+                          for alpha in blocks.orbit_reps(d, 4)]
+    assert report.to_text() == expected.to_text()
+    assert json.dumps(report.to_json()) == json.dumps(expected.to_json())
+    assert report.degrees == expected.degrees
+
+
+def test_wrong_norm_image_fails_the_check(monkeypatch, eliminated):
+    # N_i has degree 2, above m = 1, so the check reaches degree
+    # max(m, 2): an N_i image without its y_i^2 fails it at every width
+    images = oracle.block_images
+
+    def mutant(alpha, terms):
+        radices, found = images(alpha, terms)
+        if len(terms) == 1 and any(terms[0].ne):
+            square = 2 * radices[terms[0].ne.index(1)]
+            found = [found[0] ^ 1 << square]
+        return radices, found
+
+    monkeypatch.setattr(oracle, "block_images", mutant)
+    oracle._degree_leads_hold.cache_clear()
+    for m in (1, 2, 3):
+        assert oracle._generator_leads_hold(m, 1)
+        assert not oracle._generator_leads_hold(m, 2)
+        assert not oracle._generator_leads_hold(m, 7)
+
+
+def test_passing_verify_decodes_no_image(monkeypatch, capsys):
+    # a passing sweep reads the block ints alone: neither the generator
+    # check nor the relation side decodes an image into a Poly
+    calls = []
+    original = qring.evaluate
+
+    def counting(q):
+        calls.append(q)
+        return original(q)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "vecinv2"
+                and getattr(module, "evaluate", None) is original):
+            monkeypatch.setattr(module, "evaluate", counting)
+    oracle._degree_leads_hold.cache_clear()
+    assert cli.main(["verify", "-m", "4", "--dmax", "8"]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert calls == []
 
 
 def test_failed_generator_check_falls_back(monkeypatch, eliminated):

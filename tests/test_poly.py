@@ -23,7 +23,6 @@ from vecinv2.poly import (
     strict_submasks,
     subset_to_bits,
     union,
-    unpack,
 )
 
 from conftest import (
@@ -33,6 +32,7 @@ from conftest import (
     is_subset_of,
     random_poly,
     setminus,
+    unpack,
 )
 
 
