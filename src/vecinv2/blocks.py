@@ -21,30 +21,31 @@ elements, all in closed form: the monomials with two or more traces,
 and, once per orbit representative, the trace-linear monomials that a
 lower lead of the shape x_c Tr(B) divides (``_covered``).
 
-The relation spans key their columns by packed monomials, as
-``poly.pack`` does for polynomial monomials: a presentation monomial
-is one int with a field of ``width`` bits for each x_i, each N_i and,
-per trace subset, the count of that trace symbol.  Multiplying by a
-monomial is then adding its int, with no tuple built and no trace
-multiset sorted.  No field exceeds its monomial's degree, so a width
-that holds the largest degree a product reaches keeps every field from
-carrying into the next: one degree's width is chosen from what its
-products actually reach, the multiplier degree plus the heaviest term
-of the element, never from the declared degree, which a relation off
-the multigrading may understate.
+The relation spans key their columns by Goedel numbers: each symbol,
+x_i, N_i and each trace subset A, gets a prime of its own, and a
+presentation monomial is the product of its symbols' primes, each
+raised to the symbol's exponent.  By unique factorization distinct
+monomials get distinct keys, and the key of a product of monomials is
+the product of their keys at any degree: no field can carry, so
+there is no width to choose, and multiplying a relation by a monomial
+is one int multiplication per term, with no tuple built and no trace
+multiset sorted.  Keys are not ordered like monomials, so the lead
+order of ``RelationSpans._lead`` breaks its last ties by the monomial
+tuple itself, an order that respects multiplication as the lead
+count needs.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import product
-from math import factorial, inf, prod
+from itertools import compress, product
+from math import factorial, inf, isqrt, log, prod
 from operator import le, sub
 
 from .f2 import RowSpan, bit_indices, left_kernel, row_of
-from .poly import all_subsets, monomial_key, pack, packed_width
-from .qring import QMon, QPoly, multidegree, qmon_degree, summand_lead
+from .poly import all_subsets, monomial_key
+from .qring import QMon, QPoly, multidegree, summand_lead
 from .relations import pair_count
 
 __all__ = [
@@ -187,20 +188,16 @@ def _covered(rho: tuple[int, ...], below: dict) -> int:
     return count
 
 
-def _repack(keys: list[int], old: int, new: int) -> list[int]:
-    """The packed ``keys`` with each field moved from ``old`` to ``new``
-    bits, visiting only the nonzero fields, lowest first."""
-    mask = (1 << old) - 1
-    found = []
-    for key in keys:
-        out = 0
-        while key:
-            field = ((key & -key).bit_length() - 1) // old
-            value = (key >> field * old) & mask
-            out |= value << field * new
-            key ^= value << field * old
-        found.append(out)
-    return found
+def _primes(n: int) -> list[int]:
+    """The first n primes, sieved up to n (ln n + ln ln n), which
+    bounds the n-th prime from n = 6 on."""
+    limit = 13 if n < 6 else int(n * (log(n) + log(log(n))))
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = bytes(2)
+    for p in range(2, isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+    return list(compress(range(limit + 1), sieve))[:n]
 
 
 class RelationSpans:
@@ -222,21 +219,21 @@ class RelationSpans:
     ``lead_count`` bounds the same rank from below with no row built; it
     keeps the leads of the relations filed and the set of their terms.
 
-    Columns are packed monomial keys (see the module docstring), all of
-    one degree at one width.  ``excess`` is how far the heaviest term of
-    any relation filed lies above its declared degree, so no product of
-    degree d's spans passes degree d + excess, and the width holds that.
-    The packed multiplier blocks and relation terms are cached for one
-    sweep, and repacked when the width grows, so no block is enumerated
-    twice."""
+    Columns are the monomials' Goedel numbers (``_pack``; see the
+    module docstring), on one prime table sieved per instance, so a key
+    names the same monomial at every degree, whatever degree a relation
+    declares.  The keyed multiplier blocks are cached for the whole
+    sweep, so no block is enumerated twice, and the keyed terms of a
+    block's relations until ``add`` files another there."""
 
     def __init__(self, m: int):
         self.m = m
         self.graded = True
         self.filed: dict[tuple, list[tuple[int, QPoly]]] = {}
-        self.excess = 0
-        self.width = 0
-        self.trace_keys: dict[tuple, int] = {}
+        subsets = all_subsets(m, min_size=2)
+        primes = _primes(2 * m + len(subsets))
+        self.primes = primes[:2 * m]
+        self.trace_primes = dict(zip(subsets, primes[2 * m:]))
         self.multipliers: dict[tuple, list[int]] = {}
         self.keys: dict[tuple, list[list[int]]] = {}
         self.spans: dict[tuple, tuple[RowSpan, dict]] = {}
@@ -247,17 +244,14 @@ class RelationSpans:
 
     def add(self, position: int, degree: int, element: QPoly, alphas) -> None:
         beta = relation_block(degree, alphas)
-        if beta is None:
-            heaviest = max(map(qmon_degree, element.terms), default=0)
-            self.excess = max(self.excess, heaviest - degree)
-            if self.graded:
-                # a key sums to the declared degree of the relations under it
-                self.graded = False
-                refiled: dict[tuple, list[tuple[int, QPoly]]] = {}
-                for key, filed in self.filed.items():
-                    refiled.setdefault((sum(key),), []).extend(filed)
-                self.filed, self.keys = refiled, {}
-                self.leads, self.terms, self.fewest = {}, set(), inf
+        if beta is None and self.graded:
+            # a key sums to the declared degree of the relations under it
+            self.graded = False
+            refiled: dict[tuple, list[tuple[int, QPoly]]] = {}
+            for key, filed in self.filed.items():
+                refiled.setdefault((sum(key),), []).extend(filed)
+            self.filed, self.keys = refiled, {}
+            self.leads, self.terms, self.fewest = {}, set(), inf
         block = beta if self.graded else (degree,)
         self.filed.setdefault(block, []).append((position, element))
         self.keys.pop(block, None)
@@ -266,33 +260,20 @@ class RelationSpans:
             self.terms.update(element.terms)
             self.fewest = min(self.fewest, min(map(_factors, element.terms)))
 
-    def _set_width(self, width: int) -> None:
-        """Pack at ``width`` bits a field from now on.  What was packed
-        at a narrower width is repacked (``_repack``), as every field of
-        it fits the wider one; what was packed at a wider width, which a
-        sweep never asks for, is dropped."""
-        if width != self.width:
-            old = self.width
-            if width > old:
-                self.multipliers = {
-                    gamma: _repack(keys, old, width)
-                    for gamma, keys in self.multipliers.items()}
-                self.keys = {
-                    block: [_repack(keys, old, width) for keys in relations]
-                    for block, relations in self.keys.items()}
-            else:
-                self.multipliers, self.keys = {}, {}
-            self.width = width
-            self.trace_keys = {
-                a: 1 << (k * width)
-                for k, a in enumerate(all_subsets(self.m, min_size=2),
-                                      start=2 * self.m)}
-
     def _pack(self, terms) -> list[int]:
-        """The packed keys of presentation monomials."""
-        width, trace = self.width, self.trace_keys.__getitem__
-        return [pack(t.xe + t.ne, width) + sum(map(trace, t.traces))
-                for t in terms]
+        """The keys of presentation monomials: the product of the
+        primes of their symbols, each to its exponent."""
+        primes, trace = self.primes, self.trace_primes
+        keys = []
+        for t in terms:
+            key = 1
+            for p, e in zip(primes, t.xe + t.ne):
+                if e:
+                    key *= p ** e
+            for a in t.traces:
+                key *= trace[a]
+            keys.append(key)
+        return keys
 
     def _multipliers(self, gamma: tuple) -> list[int]:
         if gamma not in self.multipliers:
@@ -303,7 +284,7 @@ class RelationSpans:
         return self.multipliers[gamma]
 
     def _keys(self, key: tuple) -> list[list[int]]:
-        """The packed terms of the relations filed under ``key``."""
+        """The keyed terms of the relations filed under ``key``."""
         if key not in self.keys and key in self.filed:
             self.keys[key] = [self._pack(element.terms)
                               for _, element in self.filed[key]]
@@ -318,7 +299,7 @@ class RelationSpans:
                 elements = self._keys(key)
                 for mult in self._multipliers(tuple(map(sub, alpha, key))):
                     for keys in elements:
-                        span.add(row_of(map(mult.__add__, keys), index))
+                        span.add(row_of(map(mult.__mul__, keys), index))
         return span, index
 
     def _close(self, alpha: tuple, span: RowSpan, index: dict) -> None:
@@ -340,7 +321,6 @@ class RelationSpans:
         one block at a time: "blocks", or "degree" off the multigrading,
         where the one block is the whole degree.  The blocks holding
         degree-d relations decide their minimality here."""
-        self._set_width(packed_width(d + self.excess))
         self.spans = {}
         total = 0
         for alpha in compositions(d, self.m) if self.graded else [(d,)]:
@@ -351,15 +331,15 @@ class RelationSpans:
 
     def _lead(self, element: QPoly) -> QMon:
         """The lead of a relation: of its terms of greatest ``_measure``,
-        the greatest by grevlex on their ``summand_lead``, then by packed
-        key.  Each part of this order respects multiplication, and packed
-        keys compare alike at every width."""
+        the greatest by grevlex on their ``summand_lead``, then as
+        ``QMon`` tuples, lexicographic on the x exponents, the N
+        exponents and the descending trace list.  Each part of this
+        order respects multiplication: the trace list compares like its
+        count vector, largest subset first, and count vectors add."""
         tied = _top(list(element.terms))
         if len(tied) == 1:
             return tied[0]
-        keys = dict(zip(self._pack(tied), tied))
-        return keys[max(keys, key=lambda key: (
-            monomial_key(summand_lead(keys[key])), key))]
+        return max(tied, key=lambda t: (monomial_key(summand_lead(t)), t))
 
     def _leads(self, block: tuple) -> list[QMon]:
         """The leads of the relations filed at ``block``."""
@@ -404,7 +384,6 @@ class RelationSpans:
         or a sweep off the multigrading gives None."""
         if not self.graded:
             return None
-        self._set_width(packed_width(d + self.excess))
         linear: dict[tuple, set[QMon]] = {}
         pairs = set()
         for block in self.filed:

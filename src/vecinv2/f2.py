@@ -116,7 +116,8 @@ def left_kernel(rows: list[int]) -> list[int]:
 def row_of(terms, index: dict) -> int:
     """Bit mask of a set of terms, with ``index`` mapping each term to
     its column; a term seen for the first time takes the next free
-    column.  Works for ``Poly``, ``QPoly`` and packed monomials."""
+    column.  Works for the terms of ``Poly`` and ``QPoly`` and for the
+    int keys of ``blocks.RelationSpans``."""
     bits = 0
     for term in terms:
         bits |= 1 << index.setdefault(term, len(index))

@@ -45,8 +45,9 @@ its presentation monomials are enumerated to index the columns.  An
 evaluation row is the block int of its monomial
 (``qring.block_images``), whose bits number the block's polynomial
 monomials in mixed radix.  Relation-span rows give a column to each
-packed presentation monomial on first sight (``f2.row_of``), so that
-a product by a multiplier is one int addition per term (``blocks``).
+presentation monomial's key on first sight (``f2.row_of``); a key is
+a product of primes, one per symbol, so that a product by a
+multiplier is one int multiplication per term (``blocks``).
 
 Blocks.  Sending x_i to e_i, N_i to 2 e_i and Tr(A) to the indicator
 vector 1_A grades the presentation ring by multidegree alpha in N^m,
@@ -254,13 +255,6 @@ def q_monomials(m: int, d: int) -> tuple[QMon, ...]:
     return tuple(found)
 
 
-def _image_rows(alpha: tuple[int, ...], basis) -> list[int]:
-    """Evaluation rows of the monomials ``basis`` of block alpha: each
-    row is the monomial's int from ``block_images``, whose bits are the
-    block's polynomial monomials in a column order of their own."""
-    return block_images(alpha, basis)[1]
-
-
 def _kernel(m: int, basis: tuple[QMon, ...]) -> list[QPoly]:
     """Left kernel of the evaluation rows of ``basis``, as elements,
     found block by block.  Rows of different multidegrees share no
@@ -273,7 +267,8 @@ def _kernel(m: int, basis: tuple[QMon, ...]) -> list[QPoly]:
         blocks.setdefault(multidegree(t), []).append(position)
     found = {}
     for alpha, rows in blocks.items():
-        for mask in left_kernel(_image_rows(alpha, [basis[p] for p in rows])):
+        _, images = block_images(alpha, [basis[p] for p in rows])
+        for mask in left_kernel(images):
             used = [rows[i] for i in bit_indices(mask)]
             found[used[-1]] = QPoly(m, frozenset(basis[p] for p in used))
     return [found[p] for p in sorted(found)]
@@ -346,7 +341,8 @@ def _eliminated_rank(m: int, alpha: tuple[int, ...]) -> int:
     """Rank of the evaluation rows of the block of multidegree alpha, by
     elimination."""
     span = RowSpan()
-    for row in _image_rows(alpha, block_monomials(m, alpha)):
+    _, rows = block_images(alpha, block_monomials(m, alpha))
+    for row in rows:
         span.add(row)
     return span.rank
 

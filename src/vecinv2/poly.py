@@ -19,11 +19,6 @@ y1 > x1 > y2 > x2 > ... > ym > xm: higher total degree wins, and among
 equal degrees the monomial whose rightmost nonzero exponent difference
 is negative is the larger one.
 
-``pack`` turns a monomial into one int with a fixed-width field per
-exponent, so that a product of monomials is an int sum (``packed_width``
-picks a width that no such sum can overflow); the relation spans in
-``blocks`` work on packed ints.
-
 Zero/one tuples of length m double as subsets of the m copies and as
 exponent sequences, so a subset ``a`` also names the square free
 monomial x^a.  The helpers in the first half of this module give what
@@ -55,8 +50,6 @@ __all__ = [
     "Poly",
     "parity_collect",
     "parity_update",
-    "packed_width",
-    "pack",
     "term_text",
     "variable_index",
     "monomial_key",
@@ -298,24 +291,6 @@ def monomial_text(mono: Monomial) -> str:
     m = len(mono) // 2
     return term_text([(f"x{i + 1}", mono[2 * i + 1]) for i in range(m)]
                      + [(f"y{i + 1}", mono[2 * i]) for i in range(m)])
-
-
-def packed_width(degree: int) -> int:
-    """Bits per exponent field of a packed monomial whose total degree is
-    at most ``degree``.  No exponent exceeds the total degree, which is
-    below 2**width, so adding packed monomials whose sum still has total
-    degree at most ``degree`` never carries from one field into the
-    next: the int sum is the monomial product."""
-    return max(degree.bit_length(), 1)
-
-
-def pack(mono: Monomial, width: int) -> int:
-    """A monomial as one int, exponent k in bits k*width up to
-    (k+1)*width; see ``packed_width`` for the choice of width."""
-    packed = 0
-    for k, e in enumerate(mono):
-        packed |= e << (k * width)
-    return packed
 
 
 def _check_monomial(m: int, exps: Iterable[int]) -> Monomial:

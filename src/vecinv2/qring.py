@@ -69,7 +69,7 @@ relations that vanish prove its image.
 Such a product is injective on monomials, so its terms are distinct
 and need no parity collection; the rewrite procedures use it to
 toggle multiples into term sets without building a ``QPoly``.  (The
-relation spans multiply packed monomial keys instead, in ``blocks``.)
+relation spans multiply prime-product keys instead, in ``blocks``.)
 ``QPoly.__mul__`` is its sum over the terms of the left factor.
 """
 

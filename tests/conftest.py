@@ -11,11 +11,7 @@ from vecinv2.poly import (
     DimensionMismatch,
     Poly,
     all_subsets,
-    int_submasks,
     min_index,
-    pack,
-    packed_width,
-    parity_collect,
 )
 from vecinv2.qring import QMon, QPoly, make_qmon
 
@@ -54,45 +50,22 @@ def drop_min(a):
     return a[:i] + (0,) + a[i + 1:]
 
 
-def unpack(packed: int, n: int, width: int):
-    """Inverse of ``poly.pack`` for a monomial with n exponents."""
-    field = (1 << width) - 1
-    return tuple((packed >> (k * width)) & field for k in range(n))
-
-
-def sheared(base: int, ys, width: int) -> list[int]:
-    """The terms of the monomial ``base`` times prod_i (y_i + x_i)^ys[i],
-    all monomials packed ``width`` bits per exponent (``poly.pack``); the
-    width must hold the product's total degree.
-
-    (y + x)^k expands over GF(2) to the sum of y^j x^(k-j) over the
-    bitwise submasks j of k, by the parity of binomial coefficients, so
-    every term arises once.
-    """
-    terms = [base]
-    for i, k in enumerate(ys):
-        if k:
-            y = 2 * i * width
-            x = y + width
-            factor = [(j << y) + ((k - j) << x) for j in int_submasks(k)]
-            terms = [t + f for t in terms for f in factor]
-    return terms
-
-
 def involution(f: Poly) -> Poly:
     """Apply the nontrivial algebra map: x_i -> x_i, y_i -> y_i + x_i,
-    which sends x^b y^a to x^b (y + x)^a, term by term on ``Poly``
-    values: the reference the library's shift-XOR form is checked
-    against."""
-    n = 2 * f.m
-    width = packed_width(max(map(sum, f.terms), default=0))
-    images: list[int] = []
+    which sends each term x^b y^a to x^b prod_i (y_i + x_i)^a_i, built
+    as ``Poly`` products: the reference the library's shift-XOR form
+    is checked against, sharing no code with it."""
+    m = f.m
+    shifted = [Poly.y_variable(m, i) + Poly.x_variable(m, i)
+               for i in range(m)]
+    image = Poly.zero(m)
     for mono in f.terms:
-        base = list(mono)
-        base[0::2] = [0] * f.m
-        images.extend(sheared(pack(base, width), mono[0::2], width))
-    return Poly(f.m, frozenset(unpack(t, n, width)
-                               for t in parity_collect(images)))
+        term = x_y_power(mono[1::2], (0,) * m)
+        for factor, a in zip(shifted, mono[0::2]):
+            for _ in range(a):
+                term = term * factor
+        image = image + term
+    return image
 
 
 def x_y_power(xs, ys) -> Poly:

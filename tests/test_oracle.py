@@ -45,7 +45,12 @@ from vecinv2.relations import (
     type_iii_relation,
 )
 
-from conftest import involution, reference_image, term_reference
+from conftest import (
+    involution,
+    random_qmon,
+    reference_image,
+    term_reference,
+)
 
 # Report texts and kernel bases that any order of the matrix columns
 # must reproduce character for character.
@@ -593,9 +598,8 @@ def _no_lead_route(monkeypatch):
 
 
 def test_sweep_enumerates_each_block_once(monkeypatch):
-    # the lead route enumerates no block; on elimination the packed
-    # multiplier blocks are repacked, not enumerated again, when the
-    # width grows (at degrees 4 and 8)
+    # the lead route enumerates no block; on elimination each multiplier
+    # block is enumerated once and kept for the rest of the sweep
     seen = Counter()
     enumerate_block = blocks.block_monomials
 
@@ -615,15 +619,26 @@ def test_sweep_enumerates_each_block_once(monkeypatch):
     assert seen and max(seen.values()) == 1
 
 
-def test_repacked_keys_match_fresh_packing():
-    for m in (2, 3, 4):
-        narrow, wide = blocks.RelationSpans(m), blocks.RelationSpans(m)
-        narrow._set_width(2)
-        wide._set_width(4)
-        for alpha in blocks.compositions(3, m):
-            terms = blocks.block_monomials(m, alpha)
-            assert blocks._repack(narrow._pack(terms), 2, 4) == \
-                wide._pack(terms), (m, alpha)
+def test_prime_keys_are_distinct_and_multiplicative():
+    # a span column key is the product of one prime per symbol: distinct
+    # monomials get distinct keys, and the key of a product is the
+    # product of the keys, whatever its degree
+    for m in (1, 2, 3):
+        pack = blocks.RelationSpans(m)._pack
+        found = [t for d in range(7) for alpha in blocks.compositions(d, m)
+                 for t in blocks.block_monomials(m, alpha)]
+        assert len(set(pack(found))) == len(set(found)) == len(found)
+    rng = random.Random(2525)
+    traced = 0
+    for m in (1, 2, 3, 4):
+        pack = blocks.RelationSpans(m)._pack
+        for _ in range(300):
+            s = random_qmon(rng, m, max_exp=4)
+            t = random_qmon(rng, m, max_exp=4)
+            (st,) = qring.times_monomial(s, QPoly.monomial(t))
+            assert pack([st]) == [pack([s])[0] * pack([t])[0]], (s, t)
+            traced += bool(s.traces and t.traces)
+    assert traced > 100
 
 
 def test_block_monomials_partition_the_degree():
@@ -919,7 +934,7 @@ def test_image_rows_column_order_is_free():
                     block = [t for t in basis if multidegree(t) == alpha]
                     want = [row_of(term_reference(t).terms, index)
                             for t in block]
-                    got = oracle._image_rows(alpha, block)
+                    _, got = qring.block_images(alpha, block)
                     assert left_kernel(got) == left_kernel(want), alpha
                     assert _rank(got) == _rank(want), alpha
 
@@ -1045,10 +1060,10 @@ def _route_table():
                         QPoly.x_power((0, 0, 1)) * basis3[0].element, 4)
     dropped = basis3[1]
     assert dropped.label() == "IIIb A=011 B=011 index=2 degree=4"
-    # a genuine relation of degree 9 declared at degree 2: its degree-d
-    # products reach degree d + 7.  Packed keys as wide as degree d,
-    # 3 bits from d = 4 to 7, would carry, and a carry at width 3 lowers
-    # a key's field sum by 7, onto the keys of degree-d monomials
+    # a genuine relation of degree 9 declared at degree 2, the
+    # misdeclared-degree case: its multidegree does not sum to its
+    # declared degree, so the sweep takes the whole-degree route, and
+    # its degree-d products reach degree d + 7
     heavy = Relation("heavy", (0, 1, 1), (0, 1, 1), 2, QPoly.x_power(
         (5, 0, 0)) * dropped.element, 2)
     assert {qmon_degree(t) for t in heavy.element.terms} == {9}

@@ -17,8 +17,6 @@ from vecinv2.poly import (
     min_index,
     monomial_key,
     monomial_text,
-    pack,
-    packed_width,
     singleton,
     strict_submasks,
     subset_to_bits,
@@ -32,7 +30,6 @@ from conftest import (
     is_subset_of,
     random_poly,
     setminus,
-    unpack,
 )
 
 
@@ -294,38 +291,3 @@ def polys(draw):
 def test_parse_round_trip(f):
     assert Poly.parse(f.m, str(f)) == f
     assert str(Poly.parse(f.m, str(f))) == str(f)
-
-
-# ---------------------------------------------------------------------------
-# packed monomials
-# ---------------------------------------------------------------------------
-
-def test_packed_width_edges():
-    assert [packed_width(d) for d in (0, 1, 2, 3, 4, 7, 8, 15, 16)] == [
-        1, 1, 2, 2, 3, 3, 4, 4, 5]
-    # the largest exponent a degree allows fills its field, no more
-    for d in (1, 3, 4, 7, 8, 15, 16):
-        width = packed_width(d)
-        assert d < 1 << width
-        mono = (0, d, 0)
-        assert pack(mono, width) == d << width
-        assert unpack(pack(mono, width), 3, width) == mono
-
-
-@st.composite
-def monomial_pairs(draw):
-    m = draw(st.integers(min_value=1, max_value=3))
-    mono = st.tuples(*[st.integers(min_value=0, max_value=9)] * (2 * m))
-    return draw(mono), draw(mono)
-
-
-@given(monomial_pairs())
-@settings(max_examples=300, deadline=None)
-def test_packed_sum_is_product(pair):
-    # a sum of packed monomials whose degree fits the width is their
-    # product: no field carries into the next
-    a, b = pair
-    width = packed_width(sum(a) + sum(b))
-    assert pack(a, width) + pack(b, width) == pack(
-        tuple(map(sum, zip(a, b))), width)
-    assert unpack(pack(a, width), len(a), width) == a
