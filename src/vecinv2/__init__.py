@@ -58,7 +58,6 @@ from .oracle import (
     invariant_dimension,
     kernel_basis,
     linear_kernel_basis,
-    max_relation_degree,
     verify_relation_ideal,
 )
 
@@ -105,6 +104,5 @@ __all__ = [
     "invariant_dimension",
     "kernel_basis",
     "linear_kernel_basis",
-    "max_relation_degree",
     "verify_relation_ideal",
 ]

@@ -32,7 +32,11 @@ is one int multiplication per term, with no tuple built and no trace
 multiset sorted.  Keys are not ordered like monomials, so the lead
 order of ``RelationSpans._lead`` breaks its last ties by the monomial
 tuple itself, an order that respects multiplication as the lead
-count needs.
+count needs.  It also commutes with monotone embeddings of the pairs:
+inserting pairs that no symbol reads changes neither nu', nor grevlex
+on the interleaved y_i, x_i, nor the tuple order.  So
+``shape_leads_hold``, the declared family's lead table checked on a
+relation whose sets cover its pairs, holds for every image of it.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from operator import le, sub
 from .f2 import RowSpan, bit_indices, left_kernel, row_of
 from .poly import all_subsets, monomial_key
 from .qring import QMon, QPoly, multidegree, summand_lead
-from .relations import pair_count
+from .relations import Relation, pair_count
 
 __all__ = [
     "multidegrees",
@@ -56,6 +60,7 @@ __all__ = [
     "orbit_reps",
     "orbit_size",
     "RelationSpans",
+    "shape_leads_hold",
 ]
 
 
@@ -329,7 +334,8 @@ class RelationSpans:
             total += span.rank
         return total, "blocks" if self.graded else "degree"
 
-    def _lead(self, element: QPoly) -> QMon:
+    @staticmethod
+    def _lead(element: QPoly) -> QMon:
         """The lead of a relation: of its terms of greatest ``_measure``,
         the greatest by grevlex on their ``summand_lead``, then as
         ``QMon`` tuples, lexicographic on the x exponents, the N
@@ -429,3 +435,20 @@ class RelationSpans:
             span, index = self.spans[block]
             if span.add(row_of(self._pack(member.terms), index)):
                 yield member
+
+
+def shape_leads_hold(relation: Relation) -> bool:
+    """Whether a relation whose defining sets cover its k pairs
+    (``relations.relation_shapes``) has the lead the declared family's
+    table gives it, and every term a product of two generators or
+    more.  The table: ``RelationSpans._lead`` is Tr(A)Tr(B) for a
+    quadratic, and x_0 Tr(C - {0}) for type I on C = [k], whose least
+    member is 0."""
+    zero = (0,) * len(relation.a)
+    if relation.b is None:
+        lead = QMon((1,) + zero[1:], zero, ((0,) + relation.a[1:],))
+    else:
+        lead = QMon(zero, zero,
+                    tuple(sorted((relation.a, relation.b), reverse=True)))
+    return (RelationSpans._lead(relation.element) == lead
+            and min(map(_factors, relation.element.terms)) >= 2)

@@ -13,20 +13,11 @@ linear algebra over monomial bases:
   span has the kernel's dimension in every checked degree (so the two
   are equal: generation), no declared relation lies in the span of
   the others at its own degree (minimality), and at least one degree
-  was checked.  Relations above the bound are never built, so those
-  conditions hold only for the ones at or below it; when any lie
-  above, the PASS line says "PASS through degree d" and counts them,
-  and the JSON adds ``checked_through`` and ``unchecked_relations``.
-  The kernel dimension is a rank count, so no kernel
-  basis is built unless a degree fails and a counterexample is wanted;
-* ``max_relation_degree`` finds the largest degree where the kernel is
-  not yet generated by lower-degree kernel elements — the degree at
-  which the last new relation appears — by the same degree sweep as
-  ``verify_relation_ideal``, run over generators it discovers and
-  files in the same block spans.  Ranks decide each degree; a kernel
-  basis is built only where the span of the lower-degree generators
-  falls short, and only the members their block's span misses are
-  kept, which gives a minimal generating set;
+  was checked.  Relations above the bound are never built; when any
+  lie above, the PASS line says "PASS through degree d" and counts
+  them, and the JSON adds ``checked_through`` and
+  ``unchecked_relations``.  The kernel dimension is a rank count, so
+  no kernel basis is built unless a degree fails;
 * ``invariant_dimension`` counts the fixed polynomials of a degree in
   closed form, ``(C(d+2m-1, 2m-1) + [d even] C(d/2+m-1, m-1)) / 2``:
   the involution swaps y_i with z_i = y_i + x_i, so the fixed space is
@@ -40,10 +31,9 @@ linear algebra over monomial bases:
 Ranks, span membership and left-kernel vectors do not depend on the
 order of a matrix's columns: the left kernel is fixed by which rows
 are independent of the rows before them.  So no column order is set
-up in advance, and neither the polynomial monomials of a degree nor
-its presentation monomials are enumerated to index the columns.  An
-evaluation row is the block int of its monomial
-(``qring.block_images``), whose bits number the block's polynomial
+up in advance, and no monomial of a degree is enumerated to index the
+columns.  An evaluation row is the block int of its monomial
+(``block_images``), whose bits number the block's polynomial
 monomials in mixed radix.  Relation-span rows give a column to each
 presentation monomial's key on first sight (``f2.row_of``); a key is
 a product of primes, one per symbol, so that a product by a
@@ -82,21 +72,27 @@ over the blocks of a degree: each block alpha builds J_alpha, reduces
 alpha's relations modulo J_alpha, whose remainders name its dependent
 relations, and closes J_alpha with them into the block's span.
 
-Leads.  While every lower degree passed and every relation built
-vanishes, a degree is first counted with no row built (``lead_count``):
-span elements with distinct leads are independent, so a count of
-distinct leads that reaches the kernel dimension proves the degree
-generated, and relations whose leads no lower relation's term divides
-are independent.  The trace-linear monomials a lower lead x_c Tr(B)
-divides are counted in closed form, once per S_m orbit.  The declared
-family is not S_m-stable as a set (IIIa and IIIb remove the least
-index), so symmetry is not assumed of it; it follows from the lower
-degrees passing.  Each of them then has every relation built vanishing
-and its span rank at its kernel dimension, so the span is the kernel
-there: the relations below d generate the ideal the kernel generates,
-which is S_m-stable because evaluation commutes with permuting the
-pairs.  Anything short of that is eliminated block by block, to the
-same report; ``route`` reads "leads" where the count decided.
+Leads.  The declared family is decided on its shapes, with nothing
+filed.  Each relation is the image of one whose sets cover [k]
+(``relation_shapes``) under a monotone embedding [k] -> [m] of the
+pairs, which the constructors, ``RelationSpans._lead`` and evaluation
+(injective) commute with: an OI-module (Sam and Snowden, "Groebner
+methods for representations of combinatorial categories").  So once a
+degree's shapes at every k <= m vanish, lead as the table of
+``shape_leads_hold`` says and have two generator factors or more per
+term, the leads are every Tr(A)Tr(B) and x_c Tr(B), c < min B.  The
+lead order is a monomial order and distinct leads are independent, so
+by Macaulay the span rank is at least the number of monomials a lead
+divides, all but the ``_standard_count`` ones, and at most the kernel
+dimension; the two meet, as their series agree.  A shape that fails,
+or a count that misses, files the relations below the degree and
+sends the sweep on per relation: while every lower degree passed and
+every relation built vanishes, ``lead_count`` counts distinct leads of
+the relations filed, the trace-linear monomials lower leads x_c Tr(B)
+divide in closed form per S_m orbit (the ideal of the lower relations
+is then the kernel's, S_m-stable though the family is not); anything
+short of that is eliminated block by block, to the same report.
+``route`` reads "leads" where a count decided.
 
 Fallbacks.  A relation without one multidegree, or whose multidegree
 does not sum to its declared degree, or declared below degree 2,
@@ -108,16 +104,13 @@ member lies in one block, as ``kernel_basis`` runs one left kernel per
 block, so that is the first member outside the whole-degree span,
 whichever route counted the ranks.
 
-Matrix shapes grow quickly with the number of variable pairs, so every
-degree is gated by an entry budget (rows times columns); blowing it
-raises ``BudgetExceeded`` instead of grinding.  The shapes come from
-closed-form monomial counts, so the budget is charged before any
-monomial of the degree is enumerated.  The charges stay whole-degree,
-the evaluation matrix and the relation span of the degree, even where
-only blocks are built: the budget then stops a sweep at the same
-degree, with the same message, whatever route the ranks take.
-Charging each block for its own size would admit larger sweeps but
-move those exits.
+Every degree is gated by an entry budget (rows times columns),
+charged from closed-form monomial counts before any monomial of the
+degree is enumerated; blowing it raises ``BudgetExceeded``.  The
+charges stay whole-degree, the evaluation matrix and the relation
+span, whatever route the ranks take, so the budget stops a sweep at
+the same degree with the same message; charging each block for its
+own size would admit larger sweeps but move those exits.
 """
 
 from __future__ import annotations
@@ -125,6 +118,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import accumulate
 from math import comb
 
 from .blocks import (
@@ -133,6 +127,7 @@ from .blocks import (
     multidegrees,
     orbit_reps,
     orbit_size,
+    shape_leads_hold,
 )
 from .f2 import RowSpan, bit_indices, left_kernel
 from .poly import (
@@ -152,8 +147,14 @@ from .qring import (
     multidegree,
     qmon_key,
     summand_lead,
+    vanishes,
 )
-from .relations import Relation, relation_degrees, relations_of_degree
+from .relations import (
+    Relation,
+    relation_degrees,
+    relation_shapes,
+    relations_of_degree,
+)
 
 __all__ = [
     "BudgetExceeded",
@@ -164,7 +165,6 @@ __all__ = [
     "linear_kernel_basis",
     "evaluation_rank",
     "invariant_dimension",
-    "max_relation_degree",
     "DegreeReport",
     "VerificationReport",
     "verify_relation_ideal",
@@ -219,6 +219,23 @@ def _trace_linear_count(m: int, d: int) -> int:
     free = _series([1] * m + [2] * m, d)
     return free[d] + sum(comb(m, k) * free[d - k]
                          for k in range(2, min(m, d) + 1))
+
+
+def _standard_count(m: int, d: int) -> int:
+    """How many degree-d monomials no lead of the declared family
+    divides: the x^I N^J, and the x^I N^J Tr(B) with I_c = 0 for every
+    c < s = min B.  The t^d coefficient of 1/((1-t)^m (1-t^2)^m) plus,
+    over s and k = |B| >= 2, C(m-1-s, k-1) t^k / ((1-t)^(m-s) (1-t^2)^m).
+    It is ``invariant_dimension(m, d)``: times (1-t^2)^m, with j = m - s,
+    u = 1/(1-t) and v = (1+t)/(1-t), so that u - 1 = tu and v - 1 = 2tu,
+    the series is u^m + sum_j (tu v^(j-1) - t u^j) = (v^m + 1) / 2, the
+    Hilbert series (1/(1-t)^(2m) + 1/(1-t^2)^m) / 2 times (1-t^2)^m."""
+    free, total = _series([2] * m, d), 0
+    for s in range(m - 1, -1, -1):
+        free = list(accumulate(free))  # now with x_s, ..., x_(m-1)
+        total += sum(comb(m - 1 - s, k - 1) * free[d - k]
+                     for k in range(2, min(m - s, d) + 1))
+    return total + free[d]
 
 
 def _poly_count(m: int, d: int) -> int:
@@ -414,8 +431,8 @@ class DegreeReport:
     span_rank: int
     generated: bool
     counterexample: QPoly | None
-    # how span_rank was counted: "leads", by the lead count
-    # (``blocks.RelationSpans.lead_count``); else by elimination
+    # how span_rank was counted: "leads", by a count of leads, on the
+    # shapes or ``blocks.RelationSpans.lead_count``; else by elimination
     # (``RelationSpans.rank``) on "blocks", one multidegree block at a
     # time, or "degree", the whole degree, once a relation has no
     # multidegree.  Not part of the text or JSON report
@@ -528,22 +545,21 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
     which only a relation declared off its real degree can cause, fails
     with no counterexample: no kernel element lies outside the span.
     Minimality: no relation of degree 2 to ``d_max`` may lie in the span
-    of the others at its own degree.  Both are decided by a lead count
-    where it can, else by one elimination per block: the relations of
-    degree d in the block are reduced modulo the multiples of the lower
-    ones, and a relation is dependent exactly when some left-kernel
-    vector of the remainders uses it (see the module docstring).
-    Relations are built and evaluated inside the sweep, at their own
-    degree and after that degree's budget charges (those declared below
-    degree 2 at degree 2), and evaluated until one does not vanish, by
-    ``qring.block_sums``, whose grouping by multidegree also names the
-    block ``RelationSpans.add`` files the relation under;
-    relations above ``d_max`` are never built, and the report counts
-    them as unchecked: its PASS line then names the checked range
-    instead of the whole family.  The declared family is listed degree
-    by degree (``relations_of_degree``) and counted in closed form
-    (``relation_degrees``), so a budget exit never waits for the whole
-    family.
+    of the others at its own degree.  The declared family is decided
+    on its shapes (module docstring, "Leads"), and names no dependent
+    relation: its degree-d relations lead with distinct products of
+    two generators, so a nonzero sum of them keeps its greatest lead,
+    and every term of a lower relation times a monomial has three or
+    more.  A family passed in is decided by a lead count where it can,
+    else by one elimination per block: a block's degree-d relations
+    are reduced modulo the multiples of the lower ones, and one is
+    dependent exactly when a left-kernel vector of the remainders uses
+    it.  Relations are built at their own degree, after its budget
+    charges (those declared below 2 at degree 2), and evaluated by
+    ``qring.block_sums``, which also names a relation's block, until
+    one does not vanish.  The declared family is counted in closed
+    form (``relation_degrees``) and listed one degree at a time, so a
+    budget exit never waits for the whole family.
     Passing ``relations`` overrides the declared basis, which is how
     deliberately broken families can be shown to fail.
     """
@@ -572,9 +588,25 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
     stray = None
     spans = RelationSpans(m)
     reports = []
+    shapes = relations is None
     for d in range(2, d_max + 1):
         kernel_dimension = _q_count(m, d) - evaluation_rank(m, d, budget)
         _charge_span(m, d, counts, budget)
+        if shapes and all(vanishes(r.element) and shape_leads_hold(r)
+                          for k in range(1, m + 1)
+                          for r in relation_shapes(k, d, flavor)) and (
+                _q_count(m, d) - _standard_count(m, d) == kernel_dimension):
+            reports.append(DegreeReport(
+                d, _q_count(m, d), _poly_count(m, d), kernel_dimension,
+                kernel_dimension, True, None, "leads"))
+            continue
+        if shapes:
+            shapes = False
+            for e in range(2, d):
+                for position, build in due(e):
+                    built[position] = r = build()
+                    spans.add(position, r.degree, r.element,
+                              multidegrees(r.element))
         for position, build in due(d):
             relation = build()
             if stray is None:
@@ -620,35 +652,3 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
         dependent=tuple(built[p].label() for p in sorted(spans.dependent)),
         n_unchecked=sum(n for e, n in counts.items() if e > d_max),
     )
-
-
-def max_relation_degree(m: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Largest degree whose kernel is not spanned by lower-degree kernel
-    elements; the search stops one past twice the number of pairs.
-
-    Multiples of kernel elements lie in the kernel, so the span of the
-    lower-degree generators falls short exactly when its rank is below
-    the kernel's dimension; ranks decide each degree.  Only where the
-    span falls short is a kernel basis built, and only the members the
-    span misses become generators, so the generators found form a
-    minimal generating set.  Every multiple of a lower-degree kernel
-    element is a combination of multiples of these generators, so the
-    next degree's span needs no other rows."""
-    if m < 1:
-        raise ValueError(
-            f"max_relation_degree wants m >= 1 variable pairs, got {m}")
-    if budget < 1:
-        raise ValueError(
-            f"max_relation_degree wants a positive budget, got {budget}")
-    top = 0
-    degrees: Counter = Counter()
-    spans = RelationSpans(m)
-    for d in range(2, 2 * m + 2):
-        kernel_dimension = _q_count(m, d) - evaluation_rank(m, d, budget)
-        _charge_span(m, d, degrees, budget)
-        if spans.rank(d)[0] < kernel_dimension:
-            for member in spans.missing(d, kernel_basis(m, d, budget)):
-                spans.add(degrees.total(), d, member, multidegrees(member))
-                degrees[d] += 1
-            top = d
-    return top

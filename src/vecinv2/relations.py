@@ -62,6 +62,16 @@ than staying in the memo.  ``relations_of_degree`` lists the members
 of one degree, each with a deferred build, and ``relation_degrees``
 counts every degree in closed form, so the oracle neither lists nor
 builds a relation before its sweep reaches the relation's degree.
+
+``relation_shapes`` builds the members of one degree whose defining
+sets cover all k pairs: type I on [k], and one quadratic per word over
+{A only, B only, both}.  Every member at width m >= k is the image of
+exactly one of them under a monotone embedding [k] -> [m] of the
+pairs, and the constructors commute with the embedding: inserting
+pairs that lie in no set keeps every order they read (cardinality
+then bits, the least member, the descending trace list), so the same
+member is singled out and the terms written are the embedded terms.
+So are their images, as evaluation commutes with renaming the pairs.
 """
 
 from __future__ import annotations
@@ -69,6 +79,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import combinations, product
 from math import comb
 
 from .poly import (
@@ -78,6 +89,7 @@ from .poly import (
     cardinality,
     int_submasks,
     parity_collect,
+    subset_key,
     subset_to_bits,
 )
 from .qring import QMon, QPoly
@@ -90,6 +102,7 @@ __all__ = [
     "type_iii_relation",
     "relation_degrees",
     "relations_of_degree",
+    "relation_shapes",
     "pair_count",
     "relation_basis",
     "count_relations",
@@ -320,6 +333,27 @@ def relations_of_degree(m: int, d: int, flavor: str = "III"):
             for lo in range(first[k], min(first[k + 1], hi + 1)):
                 yield (len(cubic) + hi * (hi + 1) // 2 + lo,
                        partial(make, a, traces[lo]))
+
+
+def relation_shapes(k: int, d: int, flavor: str = "III"):
+    """The members of degree d of ``relation_basis(k, flavor)`` whose
+    defining sets cover all k pairs, built: type I on C = [k] when
+    d = k, and one quadratic per word over {A only, B only, both} with
+    d - k letters "both" and |A|, |B| >= 2, its pair oriented as
+    ``relations_of_degree`` orients it (A before B, the larger set by
+    ``subset_key``, since type II is not symmetric).  A word with B
+    larger than A is the swap of one kept, so it is skipped."""
+    _check_family(k, flavor)
+    if d == k >= 3:
+        yield _type_i((1,) * k)
+    make = type_ii_relation if flavor == "II" else _type_iii
+    for both in combinations(range(k), d - k) if k <= d <= 2 * k else ():
+        for word in product(((1, 0), (0, 1)), repeat=2 * k - d):
+            letters = iter(word)
+            a, b = zip(*[(1, 1) if i in both else next(letters)
+                         for i in range(k)])
+            if min(sum(a), sum(b)) >= 2 and subset_key(a) >= subset_key(b):
+                yield make(a, b)
 
 
 def relation_basis(m: int, flavor: str = "III") -> list[Relation]:

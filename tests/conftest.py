@@ -3,9 +3,12 @@ presentation rings, sized to keep the property tests fast, and the
 references the tests check the library against."""
 
 import random
+from collections import Counter
 from functools import cache, reduce
 from operator import add
 
+from vecinv2 import oracle
+from vecinv2.blocks import RelationSpans, multidegrees
 from vecinv2.invariants import generator_set
 from vecinv2.poly import (
     DimensionMismatch,
@@ -148,3 +151,39 @@ def term_reference(t: QMon) -> Poly:
 def reference_image(q: QPoly) -> Poly:
     """The image of q, summed term by term from ``term_reference``."""
     return reduce(add, map(term_reference, q.terms), Poly.zero(q.m))
+
+
+def max_relation_degree(m: int, budget: int = oracle.DEFAULT_BUDGET) -> int:
+    """Largest degree whose kernel is not spanned by lower-degree kernel
+    elements; the search stops one past twice the number of pairs.  It
+    assumes no relation family, so it is the reference the declared
+    families' top degree 2m is checked against.  It reaches the oracle
+    through its module, so the tests' monkeypatches of it apply.
+
+    Multiples of kernel elements lie in the kernel, so the span of the
+    lower-degree generators falls short exactly when its rank is below
+    the kernel's dimension; ranks decide each degree.  Only where the
+    span falls short is a kernel basis built, and only the members the
+    span misses become generators, so the generators found form a
+    minimal generating set.  Every multiple of a lower-degree kernel
+    element is a combination of multiples of these generators, so the
+    next degree's span needs no other rows."""
+    if m < 1:
+        raise ValueError(
+            f"max_relation_degree wants m >= 1 variable pairs, got {m}")
+    if budget < 1:
+        raise ValueError(
+            f"max_relation_degree wants a positive budget, got {budget}")
+    top = 0
+    degrees: Counter = Counter()
+    spans = RelationSpans(m)
+    for d in range(2, 2 * m + 2):
+        kernel_dimension = (oracle._q_count(m, d)
+                            - oracle.evaluation_rank(m, d, budget))
+        oracle._charge_span(m, d, degrees, budget)
+        if spans.rank(d)[0] < kernel_dimension:
+            for member in spans.missing(d, oracle.kernel_basis(m, d, budget)):
+                spans.add(degrees.total(), d, member, multidegrees(member))
+                degrees[d] += 1
+            top = d
+    return top

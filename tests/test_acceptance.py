@@ -10,7 +10,6 @@ from vecinv2.invariants import generator_set, transfer
 from vecinv2.oracle import (
     kernel_basis,
     linear_kernel_basis,
-    max_relation_degree,
     q_monomials,
     verify_relation_ideal,
 )
@@ -35,6 +34,7 @@ from vecinv2.rewrite import linear_reduce, normal_form, reduce_product
 from conftest import (
     drop_min,
     involution,
+    max_relation_degree,
     random_qpoly,
     setminus,
     x_y_power,

@@ -21,12 +21,17 @@ from vecinv2.oracle import (
     invariant_dimension,
     kernel_basis,
     linear_kernel_basis,
-    max_relation_degree,
     poly_monomials,
     q_monomials,
     verify_relation_ideal,
 )
-from vecinv2.poly import Poly, all_subsets, monomial_key, singleton
+from vecinv2.poly import (
+    Poly,
+    all_subsets,
+    min_index,
+    monomial_key,
+    singleton,
+)
 from vecinv2.qring import (
     QPoly,
     block_sums,
@@ -47,6 +52,7 @@ from vecinv2.relations import (
 
 from conftest import (
     involution,
+    max_relation_degree,
     random_qmon,
     reference_image,
     term_reference,
@@ -598,8 +604,9 @@ def _no_lead_route(monkeypatch):
 
 
 def test_sweep_enumerates_each_block_once(monkeypatch):
-    # the lead route enumerates no block; on elimination each multiplier
-    # block is enumerated once and kept for the rest of the sweep
+    # the shape route enumerates no block; on elimination (the caller
+    # path, with the lead count off) each multiplier block is enumerated
+    # once and kept for the rest of the sweep
     seen = Counter()
     enumerate_block = blocks.block_monomials
 
@@ -615,7 +622,7 @@ def test_sweep_enumerates_each_block_once(monkeypatch):
     assert seen and max(seen.values()) == 1
     seen.clear()
     _no_lead_route(monkeypatch)
-    assert verify_relation_ideal(4, 8).ok
+    assert verify_relation_ideal(4, 8, relations=relation_basis(4)).ok
     assert seen and max(seen.values()) == 1
 
 
@@ -821,19 +828,24 @@ def test_non_relation_fails_generation():
 
 
 def test_relations_are_evaluated_inside_the_sweep(monkeypatch):
-    # the budget stops m = 4 at degree 4, so only the four degree-3
-    # relations have been evaluated; the degree-4..8 ones never are
+    # the budget stops m = 4 at degree 4, so only the one degree-3 shape,
+    # type I on [3], has been evaluated; no shape of degree 4..8 ever is
     calls = []
 
-    def counting(q):
-        calls.append(q)
-        return block_sums(q)
+    def counting(evaluate):
+        def wrapper(q):
+            calls.append(q)
+            return evaluate(q)
+        return wrapper
 
-    monkeypatch.setattr(oracle, "block_sums", counting)
+    # shapes are evaluated by vanishes, the relations of a family passed
+    # in (or past a failed shape) by block_sums
+    monkeypatch.setattr(oracle, "vanishes", counting(vanishes))
+    monkeypatch.setattr(oracle, "block_sums", counting(block_sums))
     with pytest.raises(BudgetExceeded) as info:
         verify_relation_ideal(4, budget=10000)
     assert "at degree 4" in str(info.value)
-    assert len(calls) == 4
+    assert len(calls) == 1
     assert all(q.degree() == 3 for q in calls)
 
 
@@ -1167,10 +1179,11 @@ def test_passing_sweep_builds_no_relation_span(monkeypatch):
 
 def test_passing_sweep_builds_one_span_per_block(monkeypatch):
     # on elimination a passing sweep builds J_alpha once for each block
-    # alpha, the products of the lower relations, and nothing more
+    # alpha, the products of the lower relations, and nothing more; the
+    # family is passed in, as the declared one is decided on its shapes
     built = _count_span_builds(monkeypatch)
     _no_lead_route(monkeypatch)
-    report = verify_relation_ideal(4, 8)
+    report = verify_relation_ideal(4, 8, relations=relation_basis(4))
     assert report.ok
     assert [r.route for r in report.degrees] == ["blocks"] * 7
     assert built == {d: comb(d + 3, 3) for d in range(2, 9)}
@@ -1279,7 +1292,7 @@ def test_blocked_sweep_rows_stay_block_sized(monkeypatch):
         assert all(widest[d] <= _largest_block(m, d) for d in degrees), widest
         widest.clear()
 
-    # the lead count builds no row at all
+    # the shape route builds no row at all
     assert verify_relation_ideal(4, 8).ok
     block_sized(4, [])
     degree[0] = 8
@@ -1295,9 +1308,9 @@ def test_blocked_sweep_rows_stay_block_sized(monkeypatch):
     block_sized(4, [8])
     assert max_relation_degree(3) == 6
     block_sized(3, list(range(2, 8)))
-    # elimination at every degree
+    # elimination at every degree, on the caller path
     _no_lead_route(monkeypatch)
-    assert verify_relation_ideal(4, 8).ok
+    assert verify_relation_ideal(4, 8, relations=basis).ok
     block_sized(4, list(range(2, 9)))
     assert _largest_block(4, 8) == 226
 
@@ -1342,15 +1355,166 @@ def test_quadratic_relations_lead_with_their_bare_pair():
 
 
 def test_old_order_falls_back(monkeypatch):
-    # under the old nu the leads of degree 6 repeat and the pairs of
-    # degree 6 no longer all lead, so degrees 6 to 8 are eliminated, to
-    # the same report
+    # under the old nu the IIIc shapes of degree 6 lead with Tr(A | B)
+    # Tr(A & B), so the sweep leaves the shapes at degree 6; the leads of
+    # degree 6 repeat and the pairs of degree 6 no longer all lead, so
+    # degrees 6 to 8 are eliminated, to the same report
     expected = verify_relation_ideal(4, 8)
     monkeypatch.setattr(blocks, "_measure", _old_measure)
+    listed = set()
+    walk = oracle.relation_shapes
+
+    def recording(k, d, flavor):
+        listed.add(d)
+        return walk(k, d, flavor)
+
+    monkeypatch.setattr(oracle, "relation_shapes", recording)
     report = verify_relation_ideal(4, 8)
+    assert sorted(listed) == [2, 3, 4, 5, 6]
     assert [r.route for r in report.degrees] == ["leads"] * 4 + ["blocks"] * 3
     assert report.to_text() == expected.to_text()
     assert json.dumps(report.to_json()) == json.dumps(expected.to_json())
+
+
+def _table_lead(r):
+    """The lead the declared family's table gives r: Tr(A)Tr(B) for a
+    quadratic, x_c Tr(C - {c}) for type I on C, c = min C."""
+    m = len(r.a)
+    zero = (0,) * m
+    if r.b is not None:
+        return make_qmon(zero, zero, [r.a, r.b])
+    c = min_index(r.a)
+    return make_qmon(singleton(m, c), zero, [r.a[:c] + (0,) + r.a[c + 1:]])
+
+
+def test_lead_table_is_the_lead_of_every_declared_relation():
+    # the closed-form lead is RelationSpans._lead's on every declared
+    # relation for m <= 6, in both flavors, and shape_leads_hold passes
+    # every shape: type I ties x_c1 Tr(C - c1) with x_c2 Tr(C - c2), and
+    # _lead must break the tie towards the least member c1
+    for m in range(1, 7):
+        for flavor in ("II", "III"):
+            for r in relation_basis(m, flavor):
+                assert blocks.RelationSpans._lead(r.element) == _table_lead(
+                    r), r.label()
+            assert all(blocks.shape_leads_hold(r)
+                       for d in range(2 * m + 1)
+                       for r in relations.relation_shapes(m, d, flavor))
+
+
+def test_shape_check_refuses_a_term_of_one_factor():
+    # a term that is a single generator keeps the lead of type I on [3]
+    # but could be a divisor of another relation's lead, so the shape
+    # fails the check; so does a shape whose lead is off the table
+    shape = relations._type_i((1, 1, 1))
+    assert blocks.shape_leads_hold(shape)
+    norm = make_qmon((0, 0, 0), (1, 0, 0), [])
+    bare = shape.element + QPoly.monomial(norm)
+    assert blocks.RelationSpans._lead(bare) == _table_lead(shape)
+    for element in (bare, QPoly.x_power((1, 0, 0)) * shape.element):
+        assert not blocks.shape_leads_hold(
+            Relation("I", shape.a, None, None, element, 3))
+
+
+def test_standard_count_is_the_invariant_dimension():
+    # the standard monomials of the declared leads number the invariants
+    # of every degree: the series identity the shape route rests on
+    for m in range(1, 13):
+        for d in range(41):
+            assert oracle._standard_count(m, d) == invariant_dimension(
+                m, d), (m, d)
+
+
+def test_closed_count_is_the_lead_count(monkeypatch):
+    # the shape route's span rank, q_count - standard_count, is what the
+    # lead count finds from the relations filed, at every degree through
+    # 2m + 1 for m <= 7, with the declared family passed in
+    counted = {}
+    lead_count = blocks.RelationSpans.lead_count
+
+    def recording(self, d, several):
+        counted[d] = lead_count(self, d, several)
+        return counted[d]
+
+    monkeypatch.setattr(blocks.RelationSpans, "lead_count", recording)
+    for m in range(1, 8):
+        for flavor in ("II", "III"):
+            counted.clear()
+            report = verify_relation_ideal(
+                m, 2 * m + 1, flavor, budget=10 ** 30,
+                relations=relation_basis(m, flavor))
+            assert report.ok
+            assert counted == {
+                d: oracle._q_count(m, d) - oracle._standard_count(m, d)
+                for d in range(2, 2 * m + 2)}, (m, flavor)
+
+
+def _stray_type_i(monkeypatch):
+    """An evaluation that finds type I on [4] nonzero at m = 4, both in
+    the shapes' vanishes and in the relations' block_sums."""
+    stray = relations._type_i((1, 1, 1, 1)).element
+
+    def sums(q):
+        found = block_sums(q)
+        if q == stray:
+            found = {alpha: (radices, 1)
+                     for alpha, (radices, _) in found.items()}
+        return found
+
+    monkeypatch.setattr(oracle, "block_sums", sums)
+    monkeypatch.setattr(oracle, "vanishes", lambda q: not any(
+        image for _, image in sums(q).values()))
+    return 4
+
+
+def _failing_leads(monkeypatch):
+    """A lead check that refuses every shape of degree 6."""
+    check = oracle.shape_leads_hold
+    monkeypatch.setattr(oracle, "shape_leads_hold",
+                        lambda r: r.degree != 6 and check(r))
+    return 6
+
+
+def _missed_count(monkeypatch):
+    """A standard count one too high at degree 5."""
+    count = oracle._standard_count
+    monkeypatch.setattr(oracle, "_standard_count",
+                        lambda m, d: count(m, d) + (d == 5))
+    return 5
+
+
+@pytest.mark.parametrize("mutant",
+                         [_stray_type_i, _failing_leads, _missed_count])
+def test_failed_shape_falls_back(monkeypatch, mutant):
+    # a shape that does not vanish, a shape that leads off the table, or
+    # a count that misses the kernel dimension sends the sweep down the
+    # per-relation path from that degree on: the relations below it are
+    # filed first, in order, and each mutant's report, routes included,
+    # is the one the family passed in gets
+    shapes, walk = [], oracle.relation_shapes
+    listed, due = [], oracle.relations_of_degree
+
+    def shaping(k, d, flavor):
+        shapes.append(d)
+        return walk(k, d, flavor)
+
+    def listing(m, d, flavor):
+        listed.append(d)
+        return due(m, d, flavor)
+
+    expected = verify_relation_ideal(4, 8)
+    d = mutant(monkeypatch)
+    monkeypatch.setattr(oracle, "relation_shapes", shaping)
+    monkeypatch.setattr(oracle, "relations_of_degree", listing)
+    report = verify_relation_ideal(4, 8)
+    assert (max(shapes), listed) == (d, list(range(2, 9)))
+    passed = verify_relation_ideal(4, 8, relations=relation_basis(4))
+    assert report.to_text() == passed.to_text()
+    assert json.dumps(report.to_json()) == json.dumps(passed.to_json())
+    assert report.degrees == passed.degrees
+    # only the stray changes the verdict
+    assert report.ok == (mutant is not _stray_type_i)
+    assert (report == expected) == report.ok
 
 
 def _leads_against_elimination(m, family, d_max):
@@ -1412,8 +1576,9 @@ def _enumerated_covered(monomials, linear):
 def test_closed_covered_matches_enumeration(monkeypatch):
     # wherever the lead count reaches its closed-form _covered, each
     # representative's count is the enumerated one, from every lower
-    # trace-linear lead, those it drops included: on the declared sweeps
-    # for m <= 6 through degree 2m + 1 and on the route-table families
+    # trace-linear lead, those it drops included: on the declared
+    # families for m <= 6 through degree 2m + 1, passed in so that the
+    # lead count runs, and on the route-table families
     asked = []
     covered = blocks._covered
     lead_count = blocks.RelationSpans.lead_count
@@ -1445,8 +1610,9 @@ def test_closed_covered_matches_enumeration(monkeypatch):
     monkeypatch.setattr(blocks.RelationSpans, "lead_count", checking)
     for m in range(1, 7):
         for flavor in ("II", "III"):
-            assert verify_relation_ideal(m, 2 * m + 1, flavor,
-                                         budget=10 ** 40).ok
+            assert verify_relation_ideal(
+                m, 2 * m + 1, flavor, budget=10 ** 40,
+                relations=relation_basis(m, flavor)).ok
     assert all(compared[m] for m in range(1, 7))
     compared.clear()
     for m, flavor, family, _ in _route_table():
@@ -1455,8 +1621,10 @@ def test_closed_covered_matches_enumeration(monkeypatch):
 
 
 def test_declared_relations_are_built_at_their_degree(monkeypatch):
-    # m = 8 stops at degree 5; only the 56 + 70 + 406 relations of
-    # degree 3 and 4 are built, not all 30847
+    # m = 8 stops at degree 5; only the 1 + 8 shapes of degree 3 and 4
+    # at k <= 8 are built, type I on [3] and [4] and the seven pairs of
+    # two-member sets covering [2], [3] or [4]: not the 56 + 476
+    # relations of those degrees, nor all 30847
     built = []
 
     def counting(build):
@@ -1474,28 +1642,32 @@ def test_declared_relations_are_built_at_their_degree(monkeypatch):
     assert str(info.value) == (
         "evaluation rank at degree 5 needs a 15088 x 15504 matrix "
         "(233924352 entries > budget 100000000)")
-    assert sorted(built) == [3] * 56 + [4] * 476
+    assert sorted(built) == [3] + [4] * 8
 
 
 def test_declared_family_is_listed_degree_by_degree(monkeypatch):
-    # the sweep lists only the degrees it reaches, and counts the rest
-    # in closed form: m = 6 lists degrees 2 to 5 of its 1695 relations
+    # the sweep lists the shapes of only the degrees it reaches, at every
+    # width k <= m, and counts the rest in closed form: m = 6 lists
+    # degrees 2 to 5 of its 1695 relations; a passing sweep lists no
+    # relation of the family itself
     listed = []
-    walk = oracle.relations_of_degree
+    walk = oracle.relation_shapes
 
-    def recording(m, d, flavor):
-        listed.append(d)
-        return walk(m, d, flavor)
+    def recording(k, d, flavor):
+        listed.append((d, k))
+        return walk(k, d, flavor)
 
     def whole(*args):
         raise AssertionError("the whole family was listed")
 
-    monkeypatch.setattr(oracle, "relations_of_degree", recording)
+    monkeypatch.setattr(oracle, "relation_shapes", recording)
+    monkeypatch.setattr(oracle, "relations_of_degree", whole)
     monkeypatch.setattr(relations, "relation_degrees", whole)
     with pytest.raises(BudgetExceeded):
         verify_relation_ideal(6)
-    assert listed == [2, 3, 4, 5]
+    assert listed == [(d, k) for d in range(2, 6) for k in range(1, 7)]
+    listed.clear()
     report = verify_relation_ideal(4, 5)
-    assert listed[4:] == [2, 3, 4, 5]
+    assert listed == [(d, k) for d in range(2, 6) for k in range(1, 5)]
     assert (report.n_relations, report.max_degree, report.n_unchecked) == (
         71, 8, 21)

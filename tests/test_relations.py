@@ -5,6 +5,8 @@ rewrites."""
 import gc
 import json
 import weakref
+from collections import Counter
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -21,8 +23,10 @@ from vecinv2.poly import (
     subset_key,
     union,
 )
+from vecinv2.blocks import RelationSpans
 from vecinv2.oracle import verify_relation_ideal
 from vecinv2.qring import (
+    QMon,
     QPoly,
     evaluate,
     formal_trace,
@@ -38,6 +42,7 @@ from vecinv2.relations import (
     pair_count,
     relation_basis,
     relation_degrees,
+    relation_shapes,
     relations_of_degree,
     type_i_relation,
     type_ii_relation,
@@ -192,13 +197,15 @@ def _reference_ii(a, b):
     return "II", a, b, None, q
 
 
-def _reference_iii(a, b):
+def _reference_iii(a, b, pick=min_index):
+    """The type III relation; ``pick`` chooses the member the IIIa and
+    IIIb shapes single out, the least one."""
     m = len(a)
     if is_disjoint(a, b):
         if subset_key(a) < subset_key(b):
             a, b = b, a
-        j = min_index(b)
-        b_rest = drop_min(b)
+        j = pick(b)
+        b_rest = setminus(b, singleton(m, j))
         xj = QPoly.x_power(singleton(m, j))
         q = (
             formal_trace(a) * formal_trace(b)
@@ -210,7 +217,7 @@ def _reference_iii(a, b):
     if is_subset_of(a, b) and not is_subset_of(b, a):
         a, b = b, a
     if is_subset_of(b, a):
-        i = min_index(b)
+        i = pick(b)
         delta = singleton(m, i)
         a_rest = setminus(a, delta)
         b_rest = setminus(b, delta)
@@ -520,3 +527,116 @@ def test_relation_json_round_trip():
 
     blob = type_i_relation((1, 1, 1)).to_json()
     assert blob["B"] is None and blob["index"] is None
+
+
+# ---------------------------------------------------------------------------
+# shapes: the family is closed under order-preserving embeddings
+# ---------------------------------------------------------------------------
+
+def _fields(r):
+    """A relation as (family, A, B, index, element), the tuple the
+    reference builders return."""
+    return r if isinstance(r, tuple) else (r.family, r.a, r.b, r.index,
+                                           r.element)
+
+
+def _embedding(sigma, m):
+    """The monotone embedding [k] -> [m] sending pair i to sigma[i], on
+    subsets (and exponent vectors), monomials and relation tuples."""
+    def subset(a):
+        out = [0] * m
+        for i, e in zip(sigma, a):
+            out[i] = e
+        return tuple(out)
+
+    def monomial(t):
+        return QMon(subset(t.xe), subset(t.ne), tuple(map(subset, t.traces)))
+
+    def relation(family, a, b, index, element):
+        return (family, subset(a), None if b is None else subset(b),
+                None if index is None else sigma[index],
+                QPoly(m, frozenset(map(monomial, element.terms))))
+
+    return subset, monomial, relation
+
+
+def _shapes(k, flavor):
+    """The shapes of width k at every degree."""
+    return [r for d in range(2 * k + 1) for r in relation_shapes(k, d, flavor)]
+
+
+def _commutes(m, quadratic, flavor) -> bool:
+    """Whether type I and ``quadratic`` commute with every monotone
+    embedding sigma: [k] -> [m], k <= m, on the sets of every shape of
+    width k, in both argument orders: build(sigma A, sigma B) is
+    sigma(build(A, B)), and ``RelationSpans._lead`` of it is sigma of
+    the lead."""
+    lead = RelationSpans._lead
+    for k in range(1, m + 1):
+        shapes = _shapes(k, flavor)
+        for sigma in combinations(range(m), k):
+            subset, monomial, relation = _embedding(sigma, m)
+            for r in shapes:
+                cases = ([(_type_i, (r.a,))] if r.b is None else
+                         [(quadratic, (r.a, r.b)), (quadratic, (r.b, r.a))])
+                for build, args in cases:
+                    small = _fields(build(*args))
+                    big = _fields(build(*map(subset, args)))
+                    if (big != relation(*small)
+                            or lead(big[-1]) != monomial(lead(small[-1]))):
+                        return False
+    return True
+
+
+def _nearest_middle(b):
+    """The member of b nearest the middle of its width, the lesser on a
+    tie: a choice that reads absolute positions."""
+    m = len(b)
+    return min((i for i in range(m) if b[i]),
+               key=lambda i: (abs(2 * i - (m - 1)), i))
+
+
+def test_constructors_and_leads_commute_with_monotone_embeddings():
+    # exhaustively for m <= 6; a type III that singles out the member
+    # nearest the middle of [m] fails, while the reference that singles
+    # out the least member commutes like the library's constructors
+    for m in range(1, 7):
+        assert _commutes(m, type_ii_relation, "II"), m
+        assert _commutes(m, _type_iii, "III"), m
+    assert _commutes(4, _reference_iii, "III")
+
+    def middle(a, b):
+        return _reference_iii(a, b, pick=_nearest_middle)
+
+    # from m = 3 on, B = {0, c} with 0 < c < m - 1 embeds the pair [2],
+    # whose middle choice is its lesser member, onto a set whose middle
+    # choice is its greater one
+    assert [m for m in range(1, 7) if not _commutes(m, middle, "III")] == [
+        3, 4, 5, 6]
+
+
+def test_shapes_embed_onto_the_declared_family():
+    # each shape covers its k pairs, and the embeddings of the shapes of
+    # degree d over every k <= m are the declared relations of degree d,
+    # each once, in both flavors
+    for m in range(1, 7):
+        for flavor in ("II", "III"):
+            for k in range(1, m + 1):
+                assert all(union(r.a, r.b or r.a) == (1,) * k
+                           for r in _shapes(k, flavor))
+            for d in range(2 * m + 2):
+                embedded = Counter(
+                    _embedding(sigma, m)[2](*_fields(r))
+                    for k in range(1, m + 1)
+                    for r in relation_shapes(k, d, flavor)
+                    for sigma in combinations(range(m), k))
+                declared = [_fields(build())
+                            for _, build in relations_of_degree(m, d, flavor)]
+                assert embedded == Counter(declared), (m, flavor, d)
+                assert len(set(declared)) == len(declared)
+    # (3^k - 4k - 1) / 2 unordered pairs of sets of two or more covering
+    # [k], of the 3^k ordered ones, plus type I on [k]
+    assert [len(_shapes(k, "III")) for k in range(1, 7)] == [0, 1] + [
+        (3 ** k - 4 * k - 1) // 2 + 1 for k in range(3, 7)]
+    with pytest.raises(ValueError):
+        list(relation_shapes(3, 4, "IV"))

@@ -68,9 +68,7 @@ def _exports(node) -> bool:
 def test_every_public_name_has_a_caller_besides_the_tests():
     # each public module-level function or class is named by library
     # code outside its own definition and the package's re-exports, or
-    # by the benchmarks; what only tests call is not library code.
-    # max_relation_degree stays until it moves into the tests as their
-    # family-independent reference (ROADMAP item 3)
+    # by the benchmarks; what only tests call is not library code
     tops = [node for path in SOURCES if path.name != "__init__.py"
             for node in ast.parse(path.read_text()).body
             if not _exports(node)]
@@ -84,7 +82,7 @@ def test_every_public_name_has_a_caller_besides_the_tests():
                and node.name not in outside
                and not any(node.name in names
                            for other, names in named if other is not node)]
-    assert unnamed == ["max_relation_degree"]
+    assert unnamed == []
 
 
 def test_every_command_is_in_the_verb_table():
