@@ -32,11 +32,9 @@ is one int multiplication per term, with no tuple built and no trace
 multiset sorted.  Keys are not ordered like monomials, so the lead
 order of ``RelationSpans._lead`` breaks its last ties by the monomial
 tuple itself, an order that respects multiplication as the lead
-count needs.  It also commutes with monotone embeddings of the pairs:
-inserting pairs that no symbol reads changes neither nu', nor grevlex
-on the interleaved y_i, x_i, nor the tuple order.  So
-``shape_leads_hold``, the declared family's lead table checked on a
-relation whose sets cover its pairs, holds for every image of it.
+count needs.  Its first part, nu' (``_nu``), and its tie-break
+(``_tie_break``) also lead the shapes that ``shapes.shape_holds``
+checks on masks, so both routes read one order.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ from operator import le, sub
 from .f2 import RowSpan, bit_indices, left_kernel, row_of
 from .poly import all_subsets, monomial_key
 from .qring import QMon, QPoly, multidegree, summand_lead
-from .relations import Relation, pair_count
+from .relations import pair_count
 
 __all__ = [
     "multidegrees",
@@ -60,7 +58,6 @@ __all__ = [
     "orbit_reps",
     "orbit_size",
     "RelationSpans",
-    "shape_leads_hold",
 ]
 
 
@@ -134,12 +131,16 @@ def orbit_size(alpha: tuple[int, ...]) -> int:
     return size
 
 
-def _measure(t: QMon) -> tuple[int, int, int]:
-    """nu'(t) = (number of trace factors, sum of |A|, -sum of |A|^2) over
-    the traces Tr(A) of t: the first part of the lead order.  Each part
-    adds under multiplication."""
-    sizes = [sum(a) for a in t.traces]
+def _nu(sizes: list[int]) -> tuple[int, int, int]:
+    """nu' = (number of trace factors, sum of |A|, -sum of |A|^2) of a
+    monomial whose traces Tr(A) have the sizes ``sizes``: the first part
+    of the lead order.  Each part adds under multiplication."""
     return len(sizes), sum(sizes), -sum(k * k for k in sizes)
+
+
+def _measure(t: QMon) -> tuple[int, int, int]:
+    """``_nu`` of the trace sizes of t."""
+    return _nu([sum(a) for a in t.traces])
 
 
 def _top(terms) -> list[QMon]:
@@ -147,6 +148,16 @@ def _top(terms) -> list[QMon]:
     measures = list(map(_measure, terms))
     top = max(measures)
     return [t for t, mu in zip(terms, measures) if mu == top]
+
+
+def _tie_break(tied: list[QMon]) -> QMon:
+    """The lead among terms of equal ``_measure``: the greatest by
+    grevlex on their ``summand_lead``, then as ``QMon`` tuples,
+    lexicographic on the x exponents, the N exponents and the
+    descending trace list."""
+    if len(tied) == 1:
+        return tied[0]
+    return max(tied, key=lambda t: (monomial_key(summand_lead(t)), t))
 
 
 def _factors(t: QMon) -> int:
@@ -225,20 +236,19 @@ class RelationSpans:
     keeps the leads of the relations filed and the set of their terms.
 
     Columns are the monomials' Goedel numbers (``_pack``; see the
-    module docstring), on one prime table sieved per instance, so a key
-    names the same monomial at every degree, whatever degree a relation
-    declares.  The keyed multiplier blocks are cached for the whole
-    sweep, so no block is enumerated twice, and the keyed terms of a
-    block's relations until ``add`` files another there."""
+    module docstring), on one prime table per instance, sieved when the
+    first row is packed, so a key names the same monomial at every
+    degree, whatever degree a relation declares.  The keyed multiplier
+    blocks are cached for the whole sweep, so no block is enumerated
+    twice, and the keyed terms of a block's relations until ``add``
+    files another there."""
 
     def __init__(self, m: int):
         self.m = m
         self.graded = True
         self.filed: dict[tuple, list[tuple[int, QPoly]]] = {}
-        subsets = all_subsets(m, min_size=2)
-        primes = _primes(2 * m + len(subsets))
-        self.primes = primes[:2 * m]
-        self.trace_primes = dict(zip(subsets, primes[2 * m:]))
+        self.primes: list[int] | None = None
+        self.trace_primes: dict[tuple, int] = {}
         self.multipliers: dict[tuple, list[int]] = {}
         self.keys: dict[tuple, list[list[int]]] = {}
         self.spans: dict[tuple, tuple[RowSpan, dict]] = {}
@@ -267,7 +277,14 @@ class RelationSpans:
 
     def _pack(self, terms) -> list[int]:
         """The keys of presentation monomials: the product of the
-        primes of their symbols, each to its exponent."""
+        primes of their symbols, each to its exponent.  The primes are
+        sieved at the first call, so a sweep that packs nothing, such
+        as one decided on its shapes, sieves nothing."""
+        if self.primes is None:
+            subsets = all_subsets(self.m, min_size=2)
+            primes = _primes(2 * self.m + len(subsets))
+            self.primes = primes[:2 * self.m]
+            self.trace_primes = dict(zip(subsets, primes[2 * self.m:]))
         primes, trace = self.primes, self.trace_primes
         keys = []
         for t in terms:
@@ -337,15 +354,10 @@ class RelationSpans:
     @staticmethod
     def _lead(element: QPoly) -> QMon:
         """The lead of a relation: of its terms of greatest ``_measure``,
-        the greatest by grevlex on their ``summand_lead``, then as
-        ``QMon`` tuples, lexicographic on the x exponents, the N
-        exponents and the descending trace list.  Each part of this
-        order respects multiplication: the trace list compares like its
-        count vector, largest subset first, and count vectors add."""
-        tied = _top(list(element.terms))
-        if len(tied) == 1:
-            return tied[0]
-        return max(tied, key=lambda t: (monomial_key(summand_lead(t)), t))
+        the one ``_tie_break`` picks.  Each part of this order respects
+        multiplication: the trace list compares like its count vector,
+        largest subset first, and count vectors add."""
+        return _tie_break(_top(list(element.terms)))
 
     def _leads(self, block: tuple) -> list[QMon]:
         """The leads of the relations filed at ``block``."""
@@ -435,20 +447,3 @@ class RelationSpans:
             span, index = self.spans[block]
             if span.add(row_of(self._pack(member.terms), index)):
                 yield member
-
-
-def shape_leads_hold(relation: Relation) -> bool:
-    """Whether a relation whose defining sets cover its k pairs
-    (``relations.relation_shapes``) has the lead the declared family's
-    table gives it, and every term a product of two generators or
-    more.  The table: ``RelationSpans._lead`` is Tr(A)Tr(B) for a
-    quadratic, and x_0 Tr(C - {0}) for type I on C = [k], whose least
-    member is 0."""
-    zero = (0,) * len(relation.a)
-    if relation.b is None:
-        lead = QMon((1,) + zero[1:], zero, ((0,) + relation.a[1:],))
-    else:
-        lead = QMon(zero, zero,
-                    tuple(sorted((relation.a, relation.b), reverse=True)))
-    return (RelationSpans._lead(relation.element) == lead
-            and min(map(_factors, relation.element.terms)) >= 2)

@@ -73,26 +73,27 @@ alpha's relations modulo J_alpha, whose remainders name its dependent
 relations, and closes J_alpha with them into the block's span.
 
 Leads.  The declared family is decided on its shapes, with nothing
-filed.  Each relation is the image of one whose sets cover [k]
-(``relation_shapes``) under a monotone embedding [k] -> [m] of the
-pairs, which the constructors, ``RelationSpans._lead`` and evaluation
+built or filed.  Each relation is the image of one whose sets cover
+[k] (``shapes``) under a monotone embedding [k] -> [m] of the pairs,
+which the constructors, ``RelationSpans._lead`` and evaluation
 (injective) commute with: an OI-module (Sam and Snowden, "Groebner
 methods for representations of combinatorial categories").  So once a
-degree's shapes at every k <= m vanish, lead as the table of
-``shape_leads_hold`` says and have two generator factors or more per
-term, the leads are every Tr(A)Tr(B) and x_c Tr(B), c < min B.  The
-lead order is a monomial order and distinct leads are independent, so
-by Macaulay the span rank is at least the number of monomials a lead
-divides, all but the ``_standard_count`` ones, and at most the kernel
-dimension; the two meet, as their series agree.  A shape that fails,
-or a count that misses, files the relations below the degree and
-sends the sweep on per relation: while every lower degree passed and
-every relation built vanishes, ``lead_count`` counts distinct leads of
-the relations filed, the trace-linear monomials lower leads x_c Tr(B)
-divide in closed form per S_m orbit (the ideal of the lower relations
-is then the kernel's, S_m-stable though the family is not); anything
-short of that is eliminated block by block, to the same report.
-``route`` reads "leads" where a count decided.
+degree's shapes at every k <= m vanish, lead as their table says and
+have two generator factors or more per term, each read in one pass
+over its core's mask terms (``shape_holds``), the leads are every
+Tr(A)Tr(B) and x_c Tr(B), c < min B.  The lead order is a monomial
+order and distinct leads are independent, so by Macaulay the span
+rank is at least the number of monomials a lead divides, all but the
+``_standard_count`` ones, and at most the kernel dimension; the two
+meet, as their series agree.  A shape that fails, or a count that
+misses, files the relations below the degree and sends the sweep on
+per relation: while every lower degree passed and every relation
+built vanishes, ``lead_count`` counts distinct leads of the relations
+filed, the trace-linear monomials lower leads x_c Tr(B) divide in
+closed form per S_m orbit (the lower relations then generate the
+kernel's ideal, S_m-stable though the family is not); else each block
+is eliminated, to the same report.  ``route`` reads "leads" where a
+count decided.
 
 Fallbacks.  A relation without one multidegree, or whose multidegree
 does not sum to its declared degree, or declared below degree 2,
@@ -127,7 +128,6 @@ from .blocks import (
     multidegrees,
     orbit_reps,
     orbit_size,
-    shape_leads_hold,
 )
 from .f2 import RowSpan, bit_indices, left_kernel
 from .poly import (
@@ -144,17 +144,17 @@ from .qring import (
     block_images,
     block_sums,
     involution_fixes,
+    largest_qmon,
     multidegree,
     qmon_key,
     summand_lead,
-    vanishes,
 )
 from .relations import (
     Relation,
     relation_degrees,
-    relation_shapes,
     relations_of_degree,
 )
+from .shapes import shape_cores, shape_holds
 
 __all__ = [
     "BudgetExceeded",
@@ -558,10 +558,9 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
     charges (those declared below 2 at degree 2), and evaluated by
     ``qring.block_sums``, which also names a relation's block, until
     one does not vanish.  The declared family is counted in closed
-    form (``relation_degrees``) and listed one degree at a time, so a
-    budget exit never waits for the whole family.
-    Passing ``relations`` overrides the declared basis, which is how
-    deliberately broken families can be shown to fail.
+    form (``relation_degrees``), so a budget exit never waits for it.
+    Passing ``relations`` overrides the declared basis, so that broken
+    families can be shown to fail.
     """
     if m < 1:
         raise ValueError(f"verify wants m >= 1 variable pairs, got {m}")
@@ -592,9 +591,8 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
     for d in range(2, d_max + 1):
         kernel_dimension = _q_count(m, d) - evaluation_rank(m, d, budget)
         _charge_span(m, d, counts, budget)
-        if shapes and all(vanishes(r.element) and shape_leads_hold(r)
-                          for k in range(1, m + 1)
-                          for r in relation_shapes(k, d, flavor)) and (
+        if shapes and all(shape_holds(k, *shape) for k in range(1, m + 1)
+                          for shape in shape_cores(k, d, flavor)) and (
                 _q_count(m, d) - _standard_count(m, d) == kernel_dimension):
             reports.append(DegreeReport(
                 d, _q_count(m, d), _poly_count(m, d), kernel_dimension,
@@ -626,7 +624,7 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
             span_rank, route = spans.rank(d)
         counterexample = None
         if stray is not None:
-            lift = q_monomials(m, d - stray.degree)[0]
+            lift = largest_qmon(m, d - stray.degree)
             counterexample = QPoly.monomial(lift) * stray.element
         elif span_rank != kernel_dimension:
             counterexample = next(

@@ -56,6 +56,11 @@ term with that bit cleared, s R_i bits lower.  No exponent rises, so
 the result stays inside the radix (``involution_fixes``).  The oracle
 checks the generators' leads and invariance this way.
 
+``term_image`` is the shift-XOR rule for one term, read from the
+weights of its N exponents and of its traces' members:
+``block_images`` reads them off ``QMon`` tuples, and the shape check
+of module ``shapes`` off int masks, so both run one evaluator.
+
 ``block_sums`` groups an element's terms by multidegree once and sums
 each block's ints: ``evaluate`` decodes them, ``vanishes`` reads only
 whether they are zero, and the verify sweep reads from the one call
@@ -71,6 +76,8 @@ and need no parity collection; the rewrite procedures use it to
 toggle multiples into term sets without building a ``QPoly``.  (The
 relation spans multiply prime-product keys instead, in ``blocks``.)
 ``QPoly.__mul__`` is its sum over the terms of the left factor.
+``largest_qmon`` writes down the greatest monomial of a degree under
+``qmon_key``, with nothing enumerated.
 """
 
 from __future__ import annotations
@@ -108,6 +115,7 @@ __all__ = [
     "involution_fixes",
     "vanishes",
     "times_monomial",
+    "term_image",
     "block_images",
     "block_sums",
     "multidegree",
@@ -115,6 +123,7 @@ __all__ = [
     "qmon_degree",
     "qmon_trace_degree",
     "qmon_key",
+    "largest_qmon",
 ]
 
 
@@ -153,6 +162,26 @@ def qmon_key(q: QMon):
     """Canonical total order on monomials, used for printing and for
     choosing which term a rewrite touches first."""
     return (qmon_degree(q), qmon_trace_degree(q), q.traces, q.ne, q.xe)
+
+
+def largest_qmon(m: int, e: int) -> QMon:
+    """The largest monomial of degree e under ``qmon_key``,
+    ``oracle.q_monomials(m, e)[0]``, written down directly.  The
+    greatest trace degree comes first: all of e once traces of sizes
+    2..m sum to it, which leaves one x at e = 1, or at odd e when
+    m = 2, and leaves all of it at m = 1.  Then the trace list,
+    lexicographic: each trace in turn is the prefix 1^s with s largest,
+    m or what is left, but m - 1 where m would leave 1.  Then the N
+    exponents and the x exponents, the rest on pair 0."""
+    free = e if m < 2 else e % 2 if m == 2 else int(e == 1)
+    rest, traces = e - free, []
+    while rest:
+        size = min(m, rest)
+        size -= rest - size == 1
+        traces.append((1,) * size + (0,) * (m - size))
+        rest -= size
+    zero = (0,) * (m - 1)
+    return QMon((free % 2,) + zero, (free // 2,) + zero, tuple(traces))
 
 
 def _check_qmon(m: int, t: QMon) -> QMon:
@@ -302,40 +331,48 @@ def multidegree(t: QMon) -> tuple[int, ...]:
     return tuple(map(sum, zip(t.xe, t.ne, t.ne, *t.traces)))
 
 
+def term_image(norms, traces) -> int:
+    """The block int of x^I N^J Tr(A_1)...Tr(A_k) at x = 1, under
+    y_i -> t^(R_i): ``norms`` pairs the weight R_i of each N_i with its
+    exponent J_i > 0, and ``traces`` gives each trace's member weights
+    as an iterable.  A product by y_i is a shift and one by y_i + 1 a
+    shift-XOR: x_i maps to 1; N_i to y_i (y_i + 1), with one shift-XOR
+    per set bit k of its exponent, as (y_i + 1)^(2^k) = y_i^(2^k) + 1;
+    and Tr(A) to y^A + prod_{i in A} (y_i + 1).  ``block_images`` reads
+    the weights off ``QMon`` tuples, ``shapes.shape_holds`` off int
+    masks."""
+    image = 1
+    for r, e in norms:
+        image <<= r * e
+        while e:
+            if e & 1:
+                image ^= image << r
+            e >>= 1
+            r <<= 1
+    for weights in traces:
+        ones, shift = image, 0
+        for r in weights:
+            ones ^= ones << r
+            shift += r
+        image = ones ^ (image << shift)
+    return image
+
+
 def block_images(alpha: tuple[int, ...],
                  terms: list[QMon]) -> tuple[tuple[int, ...], list[int]]:
     """The images of ``terms``, all of multidegree ``alpha``, as one int
-    each, with the bit weights R_i of the y_i they share: bit
-    sum_i b_i R_i is the coefficient of x^(alpha-b) y^b, and
+    each (``term_image``), with the bit weights R_i of the y_i they
+    share: bit sum_i b_i R_i is the coefficient of x^(alpha-b) y^b, and
     R_i = prod_{j<i} (r_j + 1) for the block's reach r (see the module
-    docstring).
-
-    Each int is the image at x = 1 under y_i -> t^R_i, on which a
-    product by y_i is a shift and a product by y_i + 1 a shift-XOR.
-    x_i maps to 1; N_i to y_i (y_i + 1), with one shift-XOR per set bit
-    k of its exponent, as (y_i + 1)^(2^k) = y_i^(2^k) + 1; and Tr(A) to
-    y^A + prod_{i in A} (y_i + 1)."""
+    docstring)."""
     low = map(min, zip(*(t.xe for t in terms)))
     radices = tuple(itertools.accumulate(
         (a - x + 1 for a, x in zip(alpha[:-1], low)), mul, initial=1))
-    images = []
-    for t in terms:
-        image = 1
-        if any(t.ne):
-            image <<= sum(map(mul, t.ne, radices))
-            for r, e in zip(radices, t.ne):
-                while e:
-                    if e & 1:
-                        image ^= image << r
-                    e >>= 1
-                    r <<= 1
-        for a in t.traces:
-            ones = image
-            for r in itertools.compress(radices, a):
-                ones ^= ones << r
-            image = ones ^ (image << sum(itertools.compress(radices, a)))
-        images.append(image)
-    return radices, images
+    return radices, [
+        term_image([(r, e) for r, e in zip(radices, t.ne) if e]
+                   if any(t.ne) else (),
+                   [itertools.compress(radices, a) for a in t.traces])
+        for t in terms]
 
 
 def block_sums(q: QPoly) -> dict[tuple, tuple[tuple, int]]:

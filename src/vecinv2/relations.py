@@ -28,6 +28,13 @@ width compare as their tuples do, so the canonical order is
 (bit_count, mask).  A byte holds an exponent, so a sum of masks is the
 exponents of a product, where an OR would lose x_i^2.
 
+Each family has one mask core, ``_core_i``, ``_core_ii`` and
+``_core_iii``: its term writer on masks, which lists every term as an
+(x, n, *traces) tuple of masks and builds nothing else.  A public
+constructor checks its arguments, runs its family's core and hands the
+terms to ``_term`` and ``_finish``; ``shapes`` reads the same terms as
+masks, so a family is written by one piece of code either way.
+
 ``_term`` writes each term straight down as a ``QMon``.  It does to a
 term what ``qring.formal_trace`` does to a factor: a trace on the
 empty set makes the term vanish, one on a singleton {i} becomes a
@@ -62,16 +69,6 @@ than staying in the memo.  ``relations_of_degree`` lists the members
 of one degree, each with a deferred build, and ``relation_degrees``
 counts every degree in closed form, so the oracle neither lists nor
 builds a relation before its sweep reaches the relation's degree.
-
-``relation_shapes`` builds the members of one degree whose defining
-sets cover all k pairs: type I on [k], and one quadratic per word over
-{A only, B only, both}.  Every member at width m >= k is the image of
-exactly one of them under a monotone embedding [k] -> [m] of the
-pairs, and the constructors commute with the embedding: inserting
-pairs that lie in no set keeps every order they read (cardinality
-then bits, the least member, the descending trace list), so the same
-member is singled out and the terms written are the embedded terms.
-So are their images, as evaluation commutes with renaming the pairs.
 """
 
 from __future__ import annotations
@@ -79,7 +76,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import combinations, product
 from math import comb
 
 from .poly import (
@@ -89,7 +85,6 @@ from .poly import (
     cardinality,
     int_submasks,
     parity_collect,
-    subset_key,
     subset_to_bits,
 )
 from .qring import QMon, QPoly
@@ -102,7 +97,6 @@ __all__ = [
     "type_iii_relation",
     "relation_degrees",
     "relations_of_degree",
-    "relation_shapes",
     "pair_count",
     "relation_basis",
     "count_relations",
@@ -178,12 +172,6 @@ def _members(m: int, mask: int) -> tuple[int, ...]:
     return tuple(mask.to_bytes(m, "big"))
 
 
-def _least(m: int, mask: int) -> tuple[int, int]:
-    """The least member of a nonempty mask of width m, index and mask."""
-    top = mask.bit_length() - 1
-    return m - 1 - top // 8, 1 << top
-
-
 def _term(m: int, x: int, n: int, *traces: int) -> QMon | None:
     """The monomial x^x N^n Tr(t1)...Tr(tk) of masks, with
     ``formal_trace``'s rewrites of a degenerate factor: a trace on the
@@ -203,6 +191,53 @@ def _term(m: int, x: int, n: int, *traces: int) -> QMon | None:
                 tuple([_members(m, t) for t in kept]))
 
 
+def _core_i(c: int) -> list[tuple]:
+    """Type I's terms on the mask c, each an (x, n, *traces) tuple of
+    masks for ``_term``: x^(C-L) Tr(L) over proper submasks L of C,
+    where L = 0 writes the vanishing Tr(empty)."""
+    return [(c ^ low, 0, low) for low in int_submasks(c) if low != c]
+
+
+def _core_ii(a: int, b: int) -> list[tuple]:
+    """Type II's terms on the masks a and b, as ``_core_i`` gives them."""
+    i_set, j_set, k_set = a & b, a & ~b, b & ~a
+    terms = [(0, 0, a, b)]
+    for low in int_submasks(i_set):
+        if low != i_set:
+            top = i_set ^ low
+            terms.append((top, low, top | j_set | k_set))
+    for low in int_submasks(j_set):
+        if low != j_set:
+            terms.append((j_set ^ low, i_set, low | k_set))
+    return terms
+
+
+def _core_iii(a: int, b: int) -> tuple[str, int, int, int, list[tuple]]:
+    """Type III on the masks a and b: the shape, the pair as the shape
+    orders it, the singled-out least member of B as a mask (0 for
+    IIIc), and its terms, as ``_core_i`` gives them."""
+    if not a & b:
+        if (a.bit_count(), a) < (b.bit_count(), b):
+            a, b = b, a
+        j = 1 << (b.bit_length() - 1)
+        rest = b ^ j
+        return "IIIa", a, b, j, [(0, 0, a, b), (0, 0, a | j, rest),
+                                 (j, 0, a | rest), (j, 0, a, rest)]
+    if not a & ~b and b & ~a:
+        a, b = b, a
+    if not b & ~a:
+        i = 1 << (b.bit_length() - 1)
+        rest = b ^ i
+        return "IIIb", a, b, i, [
+            (0, 0, a, b), (i, 0, a, rest), (0, i, a ^ i, rest),
+            (i, rest, (a & ~b) | i)]
+    if (a.bit_count(), a) < (b.bit_count(), b):
+        a, b = b, a
+    i_set = a & b
+    return "IIIc", a, b, 0, [
+        (0, 0, a, b), (0, 0, a | b, i_set), (0, i_set, a & ~b, b & ~a)]
+
+
 def _type_i(a: Subset) -> Relation:
     """Sum of x^(A-L) Tr(L) over nonempty proper submasks L of A."""
     (am,) = _masks(a)
@@ -210,8 +245,8 @@ def _type_i(a: Subset) -> Relation:
         raise VacuousRelationError(
             f"type I needs at least three members, got {subset_to_bits(a)}")
     m = len(a)
-    return _finish("I", a, None, None, m, (
-        _term(m, am ^ low, 0, low) for low in int_submasks(am) if low != am))
+    return _finish("I", a, None, None, m,
+                   (_term(m, *t) for t in _core_i(am)))
 
 
 def type_ii_relation(a: Subset, b: Subset) -> Relation:
@@ -221,16 +256,8 @@ def type_ii_relation(a: Subset, b: Subset) -> Relation:
         raise VacuousRelationError(
             "type II needs two subsets with at least two members each")
     m = len(a)
-    i_set, j_set, k_set = am & bm, am & ~bm, bm & ~am
-    terms = [_term(m, 0, 0, am, bm)]
-    for low in int_submasks(i_set):
-        if low != i_set:
-            top = i_set ^ low
-            terms.append(_term(m, top, low, top | j_set | k_set))
-    for low in int_submasks(j_set):
-        if low != j_set:
-            terms.append(_term(m, j_set ^ low, i_set, low | k_set))
-    return _finish("II", a, b, None, m, terms)
+    return _finish("II", a, b, None, m,
+                   (_term(m, *t) for t in _core_ii(am, bm)))
 
 
 def _type_iii(a: Subset, b: Subset) -> Relation:
@@ -240,33 +267,11 @@ def _type_iii(a: Subset, b: Subset) -> Relation:
         raise VacuousRelationError(
             "type III needs two subsets with at least two members each")
     m = len(a)
-    if not am & bm:
-        if (am.bit_count(), am) < (bm.bit_count(), bm):
-            a, b, am, bm = b, a, bm, am
-        j, xj = _least(m, bm)
-        b_rest = bm ^ xj
-        return _finish("IIIa", a, b, j, m, (
-            _term(m, 0, 0, am, bm),
-            _term(m, 0, 0, am | xj, b_rest),
-            _term(m, xj, 0, am | b_rest),
-            _term(m, xj, 0, am, b_rest)))
-    if not am & ~bm and bm & ~am:
-        a, b, am, bm = b, a, bm, am
-    if not bm & ~am:
-        i, delta = _least(m, bm)
-        b_rest = bm ^ delta
-        return _finish("IIIb", a, b, i, m, (
-            _term(m, 0, 0, am, bm),
-            _term(m, delta, 0, am, b_rest),
-            _term(m, 0, delta, am ^ delta, b_rest),
-            _term(m, delta, b_rest, (am & ~bm) | delta)))
-    if (am.bit_count(), am) < (bm.bit_count(), bm):
-        a, b, am, bm = b, a, bm, am
-    i_set = am & bm
-    return _finish("IIIc", a, b, None, m, (
-        _term(m, 0, 0, am, bm),
-        _term(m, 0, 0, am | bm, i_set),
-        _term(m, 0, i_set, am & ~bm, bm & ~am)))
+    family, first, _, single, terms = _core_iii(am, bm)
+    if first != am:
+        a, b = b, a
+    index = m - 1 - (single.bit_length() - 1) // 8 if single else None
+    return _finish(family, a, b, index, m, (_term(m, *t) for t in terms))
 
 
 @lru_cache(maxsize=None)
@@ -333,27 +338,6 @@ def relations_of_degree(m: int, d: int, flavor: str = "III"):
             for lo in range(first[k], min(first[k + 1], hi + 1)):
                 yield (len(cubic) + hi * (hi + 1) // 2 + lo,
                        partial(make, a, traces[lo]))
-
-
-def relation_shapes(k: int, d: int, flavor: str = "III"):
-    """The members of degree d of ``relation_basis(k, flavor)`` whose
-    defining sets cover all k pairs, built: type I on C = [k] when
-    d = k, and one quadratic per word over {A only, B only, both} with
-    d - k letters "both" and |A|, |B| >= 2, its pair oriented as
-    ``relations_of_degree`` orients it (A before B, the larger set by
-    ``subset_key``, since type II is not symmetric).  A word with B
-    larger than A is the swap of one kept, so it is skipped."""
-    _check_family(k, flavor)
-    if d == k >= 3:
-        yield _type_i((1,) * k)
-    make = type_ii_relation if flavor == "II" else _type_iii
-    for both in combinations(range(k), d - k) if k <= d <= 2 * k else ():
-        for word in product(((1, 0), (0, 1)), repeat=2 * k - d):
-            letters = iter(word)
-            a, b = zip(*[(1, 1) if i in both else next(letters)
-                         for i in range(k)])
-            if min(sum(a), sum(b)) >= 2 and subset_key(a) >= subset_key(b):
-                yield make(a, b)
 
 
 def relation_basis(m: int, flavor: str = "III") -> list[Relation]:

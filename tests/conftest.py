@@ -7,8 +7,8 @@ from collections import Counter
 from functools import cache, reduce
 from operator import add
 
-from vecinv2 import oracle
-from vecinv2.blocks import RelationSpans, multidegrees
+from vecinv2 import oracle, relations, shapes
+from vecinv2.blocks import RelationSpans, _factors, multidegrees
 from vecinv2.invariants import generator_set
 from vecinv2.poly import (
     DimensionMismatch,
@@ -17,6 +17,7 @@ from vecinv2.poly import (
     min_index,
 )
 from vecinv2.qring import QMon, QPoly, make_qmon
+from vecinv2.relations import Relation
 
 
 # The subset calculus on 0/1 tuples that the reference builders of the
@@ -187,3 +188,40 @@ def max_relation_degree(m: int, budget: int = oracle.DEFAULT_BUDGET) -> int:
                 degrees[d] += 1
             top = d
     return top
+
+
+def relation_shapes(k: int, d: int, flavor: str = "III"):
+    """The shapes ``shapes.shape_cores`` lists, each built by its
+    public constructor on the sets its table lead names: type I on
+    C = [k] for a lead x_0 Tr(C - {0}), and the quadratic on A and B,
+    the larger by (cardinality, bits) first, for a lead Tr(A)Tr(B).
+    The constructors are looked up when called, so monkeypatches of the
+    cores apply."""
+    def members(mask):
+        return tuple(mask.to_bytes(k, "big"))
+
+    for _, (x, _, traces), _ in shapes.shape_cores(k, d, flavor):
+        if x:
+            yield relations._type_i(members(x | traces[0]))
+        else:
+            a, b = sorted(traces, key=lambda t: (t.bit_count(), t),
+                          reverse=True)
+            build = (relations.type_ii_relation if flavor == "II"
+                     else relations._type_iii)
+            yield build(members(a), members(b))
+
+
+def shape_leads_hold(relation: Relation) -> bool:
+    """The shape check on a built relation, the reference for
+    ``shapes.shape_holds``: ``RelationSpans._lead`` of a relation whose
+    sets cover its k pairs is the table's, Tr(A)Tr(B) for a quadratic
+    and x_0 Tr(C - {0}) for type I on C = [k], and every term is a
+    product of two generators or more."""
+    zero = (0,) * len(relation.a)
+    if relation.b is None:
+        lead = QMon((1,) + zero[1:], zero, ((0,) + relation.a[1:],))
+    else:
+        lead = QMon(zero, zero,
+                    tuple(sorted((relation.a, relation.b), reverse=True)))
+    return (RelationSpans._lead(relation.element) == lead
+            and min(map(_factors, relation.element.terms)) >= 2)

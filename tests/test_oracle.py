@@ -1,9 +1,14 @@
 """Degree-by-degree linear-algebra checks: monomial enumeration, the
 kernel of evaluation, and generation/minimality of the relation basis."""
 
+import hashlib
 import json
+import os
 import random
+import resource
+import subprocess
 import sys
+import time
 from collections import Counter, deque
 from itertools import product
 from math import comb, prod
@@ -12,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from vecinv2 import blocks, cli, oracle, qring, relations
+from vecinv2 import blocks, cli, oracle, qring, relations, shapes
 from vecinv2.f2 import RowSpan, bit_indices, left_kernel, row_of
 from vecinv2.oracle import (
     BudgetExceeded,
@@ -30,6 +35,7 @@ from vecinv2.poly import (
     all_subsets,
     min_index,
     monomial_key,
+    parity_collect,
     singleton,
 )
 from vecinv2.qring import (
@@ -55,6 +61,8 @@ from conftest import (
     max_relation_degree,
     random_qmon,
     reference_image,
+    relation_shapes,
+    shape_leads_hold,
     term_reference,
 )
 
@@ -827,26 +835,34 @@ def test_non_relation_fails_generation():
         assert report.to_text().splitlines()[-1] == "FAIL: generation"
 
 
+def _alpha_degree(k, alpha):
+    """The degree of a shape of width k whose multidegree mask is
+    ``alpha``: the sum of its bytes."""
+    return sum(alpha.to_bytes(k, "big"))
+
+
 def test_relations_are_evaluated_inside_the_sweep(monkeypatch):
     # the budget stops m = 4 at degree 4, so only the one degree-3 shape,
     # type I on [3], has been evaluated; no shape of degree 4..8 ever is
     calls = []
 
-    def counting(evaluate):
-        def wrapper(q):
-            calls.append(q)
-            return evaluate(q)
-        return wrapper
+    def checking(k, alpha, lead, terms):
+        calls.append(_alpha_degree(k, alpha))
+        return check(k, alpha, lead, terms)
 
-    # shapes are evaluated by vanishes, the relations of a family passed
-    # in (or past a failed shape) by block_sums
-    monkeypatch.setattr(oracle, "vanishes", counting(vanishes))
-    monkeypatch.setattr(oracle, "block_sums", counting(block_sums))
+    def summing(q):
+        calls.append(q.degree())
+        return block_sums(q)
+
+    # shapes are evaluated by the one-pass shape check, the relations of
+    # a family passed in (or past a failed shape) by block_sums
+    check = oracle.shape_holds
+    monkeypatch.setattr(oracle, "shape_holds", checking)
+    monkeypatch.setattr(oracle, "block_sums", summing)
     with pytest.raises(BudgetExceeded) as info:
         verify_relation_ideal(4, budget=10000)
     assert "at degree 4" in str(info.value)
-    assert len(calls) == 1
-    assert all(q.degree() == 3 for q in calls)
+    assert calls == [3]
 
 
 def test_verify_m6_through_degree_ten():
@@ -1319,11 +1335,14 @@ def test_blocked_sweep_rows_stay_block_sized(monkeypatch):
 # the lead count of the relation spans
 
 
-def _old_measure(t):
+def _old_nu(sizes):
     """The order the lead count was first planned on, nu = (trace
-    degree, sum of |A|^2), in place of ``blocks._measure``."""
-    sizes = [sum(a) for a in t.traces]
+    degree, sum of |A|^2), in place of ``blocks._nu``."""
     return sum(sizes), sum(k * k for k in sizes)
+
+
+def _old_measure(t):
+    return _old_nu([sum(a) for a in t.traces])
 
 
 def test_quadratic_relations_lead_with_their_bare_pair():
@@ -1360,15 +1379,15 @@ def test_old_order_falls_back(monkeypatch):
     # degree 6 repeat and the pairs of degree 6 no longer all lead, so
     # degrees 6 to 8 are eliminated, to the same report
     expected = verify_relation_ideal(4, 8)
-    monkeypatch.setattr(blocks, "_measure", _old_measure)
+    monkeypatch.setattr(blocks, "_nu", _old_nu)
     listed = set()
-    walk = oracle.relation_shapes
+    walk = oracle.shape_cores
 
     def recording(k, d, flavor):
         listed.add(d)
         return walk(k, d, flavor)
 
-    monkeypatch.setattr(oracle, "relation_shapes", recording)
+    monkeypatch.setattr(oracle, "shape_cores", recording)
     report = verify_relation_ideal(4, 8)
     assert sorted(listed) == [2, 3, 4, 5, 6]
     assert [r.route for r in report.degrees] == ["leads"] * 4 + ["blocks"] * 3
@@ -1389,17 +1408,20 @@ def _table_lead(r):
 
 def test_lead_table_is_the_lead_of_every_declared_relation():
     # the closed-form lead is RelationSpans._lead's on every declared
-    # relation for m <= 6, in both flavors, and shape_leads_hold passes
-    # every shape: type I ties x_c1 Tr(C - c1) with x_c2 Tr(C - c2), and
-    # _lead must break the tie towards the least member c1
+    # relation for m <= 6, in both flavors, and both the reference
+    # shape_leads_hold and the one-pass shape_holds pass every shape:
+    # type I ties x_c1 Tr(C - c1) with x_c2 Tr(C - c2), and _lead must
+    # break the tie towards the least member c1
     for m in range(1, 7):
         for flavor in ("II", "III"):
             for r in relation_basis(m, flavor):
                 assert blocks.RelationSpans._lead(r.element) == _table_lead(
                     r), r.label()
-            assert all(blocks.shape_leads_hold(r)
-                       for d in range(2 * m + 1)
-                       for r in relations.relation_shapes(m, d, flavor))
+            for d in range(2 * m + 1):
+                assert all(map(shape_leads_hold,
+                               relation_shapes(m, d, flavor)))
+                assert all(shapes.shape_holds(m, *shape)
+                           for shape in shapes.shape_cores(m, d, flavor))
 
 
 def test_shape_check_refuses_a_term_of_one_factor():
@@ -1407,13 +1429,51 @@ def test_shape_check_refuses_a_term_of_one_factor():
     # but could be a divisor of another relation's lead, so the shape
     # fails the check; so does a shape whose lead is off the table
     shape = relations._type_i((1, 1, 1))
-    assert blocks.shape_leads_hold(shape)
+    assert shape_leads_hold(shape)
     norm = make_qmon((0, 0, 0), (1, 0, 0), [])
     bare = shape.element + QPoly.monomial(norm)
     assert blocks.RelationSpans._lead(bare) == _table_lead(shape)
     for element in (bare, QPoly.x_power((1, 0, 0)) * shape.element):
-        assert not blocks.shape_leads_hold(
+        assert not shape_leads_hold(
             Relation("I", shape.a, None, None, element, 3))
+    # on the core's terms: Tr(C) itself, of the shape's multidegree, and
+    # a pair of such terms, which cancel
+    ((alpha, lead, terms),) = shapes.shape_cores(3, 3)
+    assert shapes.shape_holds(3, alpha, lead, terms)
+    assert not shapes.shape_holds(3, alpha, lead, terms + [(0, 0, alpha)])
+    assert not shapes.shape_holds(3, alpha, lead, terms + [(0, 0, alpha)] * 2)
+
+
+def test_shape_check_reads_each_term_on_its_own():
+    # the one-pass check does not depend on the order of the terms; it
+    # leaves type I's tie to _tie_break, so x_c Tr(C - c) leads only at
+    # c = 0; it refuses a term off the shape's block, here one copy of
+    # x_1 x_2 x_3 times x_1, which an image at x = 1 cannot tell from
+    # the copy; and it refuses a one-factor term even where a
+    # duplicate cancels it, where the collected element would pass
+    for k in range(1, 6):
+        for flavor in ("II", "III"):
+            for d in range(2 * k + 1):
+                for alpha, lead, terms in shapes.shape_cores(k, d, flavor):
+                    assert shapes.shape_holds(k, alpha, lead, terms[::-1])
+    for k in range(3, 7):
+        alpha, (_, n, _), terms = next(shapes.shape_cores(k, k))
+        for member in range(1, k):
+            x = 1 << 8 * (k - 1 - member)
+            assert not shapes.shape_holds(k, alpha, (x, n, (alpha ^ x,)),
+                                          terms)
+    ((alpha, lead, terms),) = shapes.shape_cores(3, 3)
+    off = [(x + (1 << 16), n, t) if t == 0x000001 else (x, n, t)
+           for x, n, t in terms]
+    assert not shapes.shape_holds(3, alpha, lead, off)
+    assert not vanishes(QPoly(3, parity_collect(
+        t for t in (relations._term(3, *t) for t in off) if t)))
+    disjoint = [shape for shape in shapes.shape_cores(4, 4)
+                if shape[1][2] == (0x01010000, 0x00000101)]
+    ((alpha, lead, terms),) = disjoint
+    assert shapes.shape_holds(4, alpha, lead, terms)
+    assert not shapes.shape_holds(4, alpha, lead,
+                                  terms + [(0, 0, alpha)] * 2)
 
 
 def test_standard_count_is_the_invariant_dimension():
@@ -1450,28 +1510,25 @@ def test_closed_count_is_the_lead_count(monkeypatch):
 
 
 def _stray_type_i(monkeypatch):
-    """An evaluation that finds type I on [4] nonzero at m = 4, both in
-    the shapes' vanishes and in the relations' block_sums."""
-    stray = relations._type_i((1, 1, 1, 1)).element
-
-    def sums(q):
-        found = block_sums(q)
-        if q == stray:
-            found = {alpha: (radices, 1)
-                     for alpha, (radices, _) in found.items()}
-        return found
-
-    monkeypatch.setattr(oracle, "block_sums", sums)
-    monkeypatch.setattr(oracle, "vanishes", lambda q: not any(
-        image for _, image in sums(q).values()))
+    """A type I core that drops a term on four pairs, so that type I on
+    [4] does not vanish, as a shape and as a relation."""
+    core = relations._core_i
+    monkeypatch.setattr(relations, "_core_i", lambda c: core(c)[
+        c.bit_count() == 4:])
     return 4
 
 
 def _failing_leads(monkeypatch):
-    """A lead check that refuses every shape of degree 6."""
-    check = oracle.shape_leads_hold
-    monkeypatch.setattr(oracle, "shape_leads_hold",
-                        lambda r: r.degree != 6 and check(r))
+    """A lead table that names a wrong lead, an extra x, for every shape
+    of degree 6."""
+    check = oracle.shape_holds
+
+    def checking(k, alpha, lead, terms):
+        if _alpha_degree(k, alpha) == 6:
+            lead = (lead[0] + 1,) + lead[1:]
+        return check(k, alpha, lead, terms)
+
+    monkeypatch.setattr(oracle, "shape_holds", checking)
     return 6
 
 
@@ -1491,11 +1548,11 @@ def test_failed_shape_falls_back(monkeypatch, mutant):
     # per-relation path from that degree on: the relations below it are
     # filed first, in order, and each mutant's report, routes included,
     # is the one the family passed in gets
-    shapes, walk = [], oracle.relation_shapes
+    shaped, walk = [], oracle.shape_cores
     listed, due = [], oracle.relations_of_degree
 
     def shaping(k, d, flavor):
-        shapes.append(d)
+        shaped.append(d)
         return walk(k, d, flavor)
 
     def listing(m, d, flavor):
@@ -1504,10 +1561,10 @@ def test_failed_shape_falls_back(monkeypatch, mutant):
 
     expected = verify_relation_ideal(4, 8)
     d = mutant(monkeypatch)
-    monkeypatch.setattr(oracle, "relation_shapes", shaping)
+    monkeypatch.setattr(oracle, "shape_cores", shaping)
     monkeypatch.setattr(oracle, "relations_of_degree", listing)
     report = verify_relation_ideal(4, 8)
-    assert (max(shapes), listed) == (d, list(range(2, 9)))
+    assert (max(shaped), listed) == (d, list(range(2, 9)))
     passed = verify_relation_ideal(4, 8, relations=relation_basis(4))
     assert report.to_text() == passed.to_text()
     assert json.dumps(report.to_json()) == json.dumps(passed.to_json())
@@ -1515,6 +1572,193 @@ def test_failed_shape_falls_back(monkeypatch, mutant):
     # only the stray changes the verdict
     assert report.ok == (mutant is not _stray_type_i)
     assert (report == expected) == report.ok
+
+
+def test_one_pass_check_agrees_with_the_reference():
+    # exhaustively for k <= 6, d <= 2k, both flavors: the one-pass check
+    # on a shape's core terms accepts exactly where the built relation
+    # vanishes and passes the reference lead-table and two-factor check
+    seen = 0
+    for k in range(1, 7):
+        for flavor in ("II", "III"):
+            for d in range(2 * k + 1):
+                for shape, r in zip(shapes.shape_cores(k, d, flavor),
+                                    relation_shapes(k, d, flavor)):
+                    assert shapes.shape_holds(k, *shape), r.label()
+                    assert vanishes(r.element) and shape_leads_hold(r)
+                    seen += 1
+    assert seen == 2 * sum((3 ** k - 4 * k - 1) // 2 + 1
+                           for k in range(3, 7)) + 2
+
+
+def _dropped_term(monkeypatch):
+    """Quadratic cores that drop their last term."""
+    core_ii, core_iii = relations._core_ii, relations._core_iii
+
+    def dropped(a, b):
+        *named, terms = core_iii(a, b)
+        return (*named, terms[:-1])
+
+    monkeypatch.setattr(relations, "_core_ii", lambda a, b: core_ii(a, b)[:-1])
+    monkeypatch.setattr(relations, "_core_iii", dropped)
+    return ("II", "III")
+
+
+def _moved_member(monkeypatch):
+    """A IIIb core whose last term singles out the greatest member of B,
+    the others its least."""
+    core = relations._core_iii
+
+    def moved(a, b):
+        family, a, b, i, terms = core(a, b)
+        if family == "IIIb":
+            g = b & -b
+            terms = terms[:-1] + [(g, b ^ g, (a & ~b) | g)]
+        return family, a, b, i, terms
+
+    monkeypatch.setattr(relations, "_core_iii", moved)
+    return ("III",)
+
+
+def _swapped_types(monkeypatch):
+    """A IIIb core whose second term swaps A and B: x_i Tr(B)Tr(A - i)
+    for x_i Tr(A)Tr(B - i)."""
+    core = relations._core_iii
+
+    def swapped(a, b):
+        family, a, b, i, terms = core(a, b)
+        if family == "IIIb":
+            terms = terms[:1] + [(i, 0, b, a ^ i)] + terms[2:]
+        return family, a, b, i, terms
+
+    monkeypatch.setattr(relations, "_core_iii", swapped)
+    return ("III",)
+
+
+def _single_factor(monkeypatch):
+    """A type I core that keeps the term of L = C, Tr(C) alone."""
+    core = relations._core_i
+    monkeypatch.setattr(relations, "_core_i", lambda c: core(c) + [(0, 0, c)])
+    return ("II", "III")
+
+
+@pytest.mark.parametrize("mutant", [_dropped_term, _moved_member,
+                                    _swapped_types, _single_factor])
+def test_mutated_cores_are_refused(monkeypatch, mutant):
+    # a mutated core changes the constructors and the shapes alike: the
+    # one-pass check agrees with the reference on every shape for
+    # k <= 6, refuses some, and the sweep falls back to the report, routes
+    # included, that the mutated family gets when passed in
+    for flavor in mutant(monkeypatch):
+        refused = 0
+        for k in range(1, 7):
+            for d in range(2 * k + 1):
+                for shape, r in zip(shapes.shape_cores(k, d, flavor),
+                                    relation_shapes(k, d, flavor)):
+                    holds = shapes.shape_holds(k, *shape)
+                    assert holds == (vanishes(r.element)
+                                     and shape_leads_hold(r)), r.label()
+                    refused += not holds
+        assert refused, flavor
+        report = verify_relation_ideal(4, 8, flavor)
+        passed = verify_relation_ideal(
+            4, 8, flavor, relations=relation_basis(4, flavor))
+        assert not report.ok
+        assert report.to_text() == passed.to_text()
+        assert json.dumps(report.to_json()) == json.dumps(passed.to_json())
+        assert report.degrees == passed.degrees
+
+
+def test_member_moved_within_b_is_a_relation(monkeypatch):
+    # IIIb singling out the greatest member of B in every term is still
+    # a vanishing relation with the table's lead, so the shapes accept
+    # it and the sweep passes as the declared family does
+    core = relations._core_iii
+
+    def greatest(a, b):
+        family, a, b, i, terms = core(a, b)
+        if family != "IIIb":
+            return family, a, b, i, terms
+        g = b & -b
+        rest = b ^ g
+        return family, a, b, g, [
+            (0, 0, a, b), (g, 0, a, rest), (0, g, a ^ g, rest),
+            (g, rest, (a & ~b) | g)]
+
+    expected = verify_relation_ideal(4, 8)
+    monkeypatch.setattr(relations, "_core_iii", greatest)
+    assert relations._type_iii((1, 1, 1), (1, 1, 0)).index == 1
+    report = verify_relation_ideal(4, 8)
+    assert [r.route for r in report.degrees] == ["leads"] * 7
+    assert report == expected
+
+
+def _reference_top(m, e):
+    """The largest monomial of degree e under ``qmon_key``, by search:
+    the greatest trace degree that trace sizes 2..m can make, the trace
+    list found depth first over every subset, largest first, then the
+    rest on N_0 and x_0."""
+    subsets = sorted(all_subsets(m, min_size=2), reverse=True)
+
+    def search(rest, start):
+        if rest == 0:
+            return ()
+        for i in range(start, len(subsets)):
+            if sum(subsets[i]) <= rest:
+                tail = search(rest - sum(subsets[i]), i)
+                if tail is not None:
+                    return (subsets[i],) + tail
+        return None
+
+    for degree in range(e, -1, -1):
+        traces = search(degree, 0)
+        if traces is not None:
+            free = e - degree
+            zero = (0,) * (m - 1)
+            return make_qmon((free % 2,) + zero, (free // 2,) + zero, traces)
+
+
+def test_top_monomial_is_the_first_q_monomial():
+    # the stray's lift, written down directly, is q_monomials(m, e)[0]
+    # wherever that is enumerated cheaply, and the search's largest
+    # monomial for every m <= 7, e <= 14
+    for m in range(1, 8):
+        for e in range(15):
+            top = qring.largest_qmon(m, e)
+            assert top == _reference_top(m, e), (m, e)
+            assert qmon_degree(top) == e
+            if oracle._q_count(m, e) <= 40000:
+                assert top == q_monomials(m, e)[0], (m, e)
+    # the bogus m = 3 family's counterexamples are its lifts
+    bogus = formal_trace((1, 1, 0))
+    report = verify_relation_ideal(3, relations=relation_basis(3) + [
+        Relation("bogus", (1, 1, 0), None, None, bogus, 2)])
+    assert [r.counterexample for r in report.degrees] == [
+        QPoly.monomial(q_monomials(3, d - 2)[0]) * bogus
+        for d in range(2, 7)]
+
+
+@pytest.mark.slow
+def test_verify_m11_through_degree_23():
+    # lifted m = 11 through 2m + 1, whole process: the declared family
+    # passes on its shapes in under 60 s and 200 MB, its JSON report
+    # pinned by digest
+    package_root = str(Path(oracle.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root,
+                                         os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "vecinv2", "verify", "-m", "11", "--dmax",
+         "23", "--budget", str(10 ** 40), "--format", "json"],
+        capture_output=True, env={**os.environ, "PYTHONPATH": path})
+    wall = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["ok"]
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "1f029f9eadd6eefd86e13427f9d8b23a453afe19b3da0646c4f14a2f549cf041")
+    assert wall < 60
+    # ru_maxrss is in KB on Linux
+    assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss < 200 * 1024
 
 
 def _leads_against_elimination(m, family, d_max):
@@ -1627,14 +1871,14 @@ def test_declared_relations_are_built_at_their_degree(monkeypatch):
     # relations of those degrees, nor all 30847
     built = []
 
-    def counting(build):
-        def wrapper(*args):
-            relation = build(*args)
-            built.append(relation.degree)
-            return relation
+    def counting(core):
+        def wrapper(*masks):
+            built.append(sum(mask.bit_count() for mask in masks))
+            return core(*masks)
         return wrapper
 
-    for name in ("_type_i", "_type_iii"):
+    # the shapes run the cores of the constructors, on masks
+    for name in ("_core_i", "_core_iii"):
         monkeypatch.setattr(relations, name,
                             counting(getattr(relations, name)))
     with pytest.raises(BudgetExceeded) as info:
@@ -1651,7 +1895,7 @@ def test_declared_family_is_listed_degree_by_degree(monkeypatch):
     # degrees 2 to 5 of its 1695 relations; a passing sweep lists no
     # relation of the family itself
     listed = []
-    walk = oracle.relation_shapes
+    walk = oracle.shape_cores
 
     def recording(k, d, flavor):
         listed.append((d, k))
@@ -1660,7 +1904,7 @@ def test_declared_family_is_listed_degree_by_degree(monkeypatch):
     def whole(*args):
         raise AssertionError("the whole family was listed")
 
-    monkeypatch.setattr(oracle, "relation_shapes", recording)
+    monkeypatch.setattr(oracle, "shape_cores", recording)
     monkeypatch.setattr(oracle, "relations_of_degree", whole)
     monkeypatch.setattr(relations, "relation_degrees", whole)
     with pytest.raises(BudgetExceeded):

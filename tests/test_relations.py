@@ -18,6 +18,7 @@ from vecinv2.poly import (
     cardinality,
     min_index,
     monomial_key,
+    parity_collect,
     singleton,
     strict_submasks,
     subset_key,
@@ -31,23 +32,25 @@ from vecinv2.qring import (
     evaluate,
     formal_trace,
     make_qmon,
+    multidegree,
     qmon_trace_degree,
 )
 from vecinv2.relations import (
     Relation,
     VacuousRelationError,
+    _term,
     _type_i,
     _type_iii,
     count_relations,
     pair_count,
     relation_basis,
     relation_degrees,
-    relation_shapes,
     relations_of_degree,
     type_i_relation,
     type_ii_relation,
     type_iii_relation,
 )
+from vecinv2.shapes import shape_cores
 
 from conftest import (
     drop_min,
@@ -55,6 +58,7 @@ from conftest import (
     is_disjoint,
     is_subset_of,
     n_power,
+    relation_shapes,
     setminus,
     x_y_power,
 )
@@ -640,3 +644,34 @@ def test_shapes_embed_onto_the_declared_family():
         (3 ** k - 4 * k - 1) // 2 + 1 for k in range(3, 7)]
     with pytest.raises(ValueError):
         list(relation_shapes(3, 4, "IV"))
+
+
+def test_shape_cores_convert_to_the_constructors_elements():
+    # exhaustively for k <= 6, d <= 2k, both flavors: each shape's core
+    # terms, converted by _term and collected, are the element the
+    # public constructor builds on the sets the shape's lead names, and
+    # the reference builder's; every term has the listed multidegree,
+    # and the listed lead, converted, is the table's
+    references = {"I": _reference_i, "II": _reference_ii,
+                  "IIIa": _reference_iii, "IIIb": _reference_iii,
+                  "IIIc": _reference_iii}
+    for k in range(1, 7):
+        for flavor in ("II", "III"):
+            for d in range(2 * k + 1):
+                shapes = list(shape_cores(k, d, flavor))
+                built = list(relation_shapes(k, d, flavor))
+                assert len(shapes) == len(built)
+                for (alpha, (x, n, traces), terms), r in zip(shapes, built):
+                    element = QPoly(k, parity_collect(
+                        t for t in (_term(k, *t) for t in terms) if t))
+                    assert element == r.element, r.label()
+                    args = (r.a,) if r.b is None else (r.a, r.b)
+                    assert _fields(r) == _fields(
+                        references[r.family](*args)), r.label()
+                    assert {multidegree(t) for t in element.terms} == {
+                        tuple(alpha.to_bytes(k, "big"))}
+                    lead = _term(k, x, n, *traces)
+                    assert lead in element.terms
+                    if r.b is not None:
+                        assert lead.traces == tuple(
+                            sorted((r.a, r.b), reverse=True))
