@@ -9,11 +9,11 @@ members.  Everything here is exact arithmetic on ``Poly`` values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .poly import (
     Poly,
+    Record,
     Subset,
     all_subsets,
     cardinality,
@@ -50,14 +50,22 @@ def norm(m: int, i: int) -> Poly:
     return y * y + x * y
 
 
-@dataclass
-class GeneratorSet:
-    """The minimal generating set of the invariant ring at width m."""
+class GeneratorSet(Record):
+    """The minimal generating set of the invariant ring at width m; unlike
+    the other records it is mutable, and so unhashable."""
 
-    m: int
-    xs: tuple
-    norms: tuple
-    traces: dict = field(default_factory=dict)  # subset -> Poly, |subset| >= 2
+    __slots__ = ("m", "xs", "norms", "traces")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, m: int, xs: tuple, norms: tuple,
+                 traces: dict | None = None):
+        self.m = m
+        self.xs = xs
+        self.norms = norms
+        # subset -> Poly, |subset| >= 2
+        self.traces = {} if traces is None else traces
 
     @property
     def count(self) -> int:

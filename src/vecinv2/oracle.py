@@ -117,7 +117,6 @@ own size would admit larger sweeps but move those exits.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate
 from math import comb
@@ -132,6 +131,8 @@ from .blocks import (
 from .f2 import RowSpan, bit_indices, left_kernel
 from .poly import (
     Monomial,
+    Record,
+    _set,
     all_subsets,
     cardinality,
     monomial_key,
@@ -422,21 +423,28 @@ def _charge_span(m: int, d: int, degrees: Counter, budget: int) -> None:
     _charge(nrows, _q_count(m, d), budget, f"relation span at degree {d}")
 
 
-@dataclass(frozen=True)
-class DegreeReport:
-    degree: int
-    n_q_monomials: int
-    n_poly_monomials: int
-    kernel_dimension: int
-    span_rank: int
-    generated: bool
-    counterexample: QPoly | None
-    # how span_rank was counted: "leads", by a count of leads, on the
-    # shapes or ``blocks.RelationSpans.lead_count``; else by elimination
-    # (``RelationSpans.rank``) on "blocks", one multidegree block at a
-    # time, or "degree", the whole degree, once a relation has no
-    # multidegree.  Not part of the text or JSON report
-    route: str
+class DegreeReport(Record):
+    # route, how span_rank was counted: "leads", by a count of leads, on
+    # the shapes or ``blocks.RelationSpans.lead_count``; else by
+    # elimination (``RelationSpans.rank``) on "blocks", one multidegree
+    # block at a time, or "degree", the whole degree, once a relation has
+    # no multidegree.  Not part of the text or JSON report
+    __slots__ = ("degree", "n_q_monomials", "n_poly_monomials",
+                 "kernel_dimension", "span_rank", "generated",
+                 "counterexample", "route")
+
+    def __init__(self, degree: int, n_q_monomials: int,
+                 n_poly_monomials: int, kernel_dimension: int,
+                 span_rank: int, generated: bool,
+                 counterexample: QPoly | None, route: str):
+        _set(self, "degree", degree)
+        _set(self, "n_q_monomials", n_q_monomials)
+        _set(self, "n_poly_monomials", n_poly_monomials)
+        _set(self, "kernel_dimension", kernel_dimension)
+        _set(self, "span_rank", span_rank)
+        _set(self, "generated", generated)
+        _set(self, "counterexample", counterexample)
+        _set(self, "route", route)
 
     def to_json(self) -> dict:
         return {
@@ -451,18 +459,23 @@ class DegreeReport:
         }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    m: int
-    flavor: str
-    d_max: int
-    n_relations: int
-    max_degree: int
-    degrees: tuple[DegreeReport, ...]
-    dependent: tuple[str, ...]
-    # relations above d_max: never built, so neither evaluated nor
-    # tested for minimality
-    n_unchecked: int
+class VerificationReport(Record):
+    # n_unchecked counts the relations above d_max: never built, so
+    # neither evaluated nor tested for minimality
+    __slots__ = ("m", "flavor", "d_max", "n_relations", "max_degree",
+                 "degrees", "dependent", "n_unchecked")
+
+    def __init__(self, m: int, flavor: str, d_max: int, n_relations: int,
+                 max_degree: int, degrees: tuple[DegreeReport, ...],
+                 dependent: tuple[str, ...], n_unchecked: int):
+        _set(self, "m", m)
+        _set(self, "flavor", flavor)
+        _set(self, "d_max", d_max)
+        _set(self, "n_relations", n_relations)
+        _set(self, "max_degree", max_degree)
+        _set(self, "degrees", degrees)
+        _set(self, "dependent", dependent)
+        _set(self, "n_unchecked", n_unchecked)
 
     @property
     def generated(self) -> bool:

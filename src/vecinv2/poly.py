@@ -28,14 +28,24 @@ enumeration, the canonical order ``subset_key``); the relation
 constructors do their set algebra on int masks instead (module
 ``relations``).  Indices are 0-based internally; only the text formats
 use 1-based variable names.
+
+``Record`` here is the base of the package's records: the polynomials,
+relations, traces, certificates, reports and the generator set.  They
+are plain ``__slots__`` classes, not ``@dataclass`` ones, because a
+``vecinv2`` command is one short process, and there the import is most
+of the time: ``verify -m 4`` takes about 4 ms of a 147 ms process.
+The module behind ``@dataclass`` pulls in ``inspect``, ``ast``, ``dis``
+and ``tokenize``, and the decorator writes and ``exec``s each class's
+methods; without them ``import vecinv2`` fell from 66 to 41 ms (medians
+of 40 fresh interpreters without bytecode caches, on a 2-vCPU host),
+and what is left is almost all compiling the source.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
+from operator import add, attrgetter
 from typing import Iterable, Iterator, Tuple
 
 Monomial = Tuple[int, ...]
@@ -46,6 +56,7 @@ __all__ = [
     "ZeroPolynomialError",
     "Monomial",
     "Subset",
+    "Record",
     "SparsePoly",
     "Poly",
     "parity_collect",
@@ -166,6 +177,62 @@ def bits_to_subset(text: str) -> Subset:
 
 
 # ---------------------------------------------------------------------------
+# immutable records
+# ---------------------------------------------------------------------------
+
+# what a record's ``__init__`` writes its fields with, past the refusing
+# ``Record.__setattr__``
+_set = object.__setattr__
+
+
+class Record:
+    """The base of the package's records: named fields, value equality.
+
+    A subclass names its fields in ``__slots__``, in the order of its
+    constructor's parameters, and writes them in its ``__init__`` with
+    ``_set``; ``_compared``, when the class sets it, names the fields
+    that equality and hash read (all of them otherwise).  A subclass
+    that adds no field declares ``__slots__ = ()`` and keeps its base's.
+
+    Records are equal only to records of their own class whose compared
+    fields are equal, and hash as the tuple of those fields.  Assigning
+    or deleting a field raises ``AttributeError``.  Pickle and ``copy``
+    rebuild a record through its constructor; weak references work.
+    """
+
+    __slots__ = ("__weakref__",)
+
+    def __init_subclass__(cls):
+        fields = cls.__dict__.get("__slots__")
+        if fields:
+            cls._fields = fields
+            cls._key = staticmethod(
+                attrgetter(*cls.__dict__.get("_compared", fields)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+# ---------------------------------------------------------------------------
 # the sparse GF(2) core shared by ``Poly`` and the presentation ring
 # ---------------------------------------------------------------------------
 
@@ -203,8 +270,7 @@ def variable_index(m: int, digits: str) -> int:
     return idx - 1
 
 
-@dataclass(frozen=True)
-class SparsePoly:
+class SparsePoly(Record):
     """A polynomial over GF(2) as the frozenset of its monomials.
 
     Every stored monomial has coefficient 1 and addition is symmetric
@@ -215,8 +281,11 @@ class SparsePoly:
     monomial from the matched factors); it also defines ``__mul__``.
     """
 
-    m: int
-    terms: frozenset
+    __slots__ = ("m", "terms")
+
+    def __init__(self, m: int, terms: frozenset):
+        _set(self, "m", m)
+        _set(self, "terms", terms)
 
     @classmethod
     def zero(cls, m: int):
@@ -316,6 +385,7 @@ def _parse_monomial(m: int, factors: list[tuple]) -> Monomial:
 class Poly(SparsePoly):
     """A polynomial over GF(2); ``terms`` is a frozenset of monomials."""
 
+    __slots__ = ()
     _order = staticmethod(monomial_key)
     _check_term = staticmethod(_check_monomial)
     _term_text = staticmethod(monomial_text)

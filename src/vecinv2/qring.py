@@ -216,6 +216,7 @@ def _parse_qterm(m: int, factors: list[tuple]) -> QMon:
 class QPoly(SparsePoly):
     """A polynomial in the formal generator symbols, over GF(2)."""
 
+    __slots__ = ()
     _order = staticmethod(qmon_key)
     _check_term = staticmethod(_check_qmon)
     _term_text = staticmethod(_qterm_text)

@@ -74,13 +74,14 @@ builds a relation before its sweep reaches the relation's degree.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import comb
 
 from .poly import (
     DimensionMismatch,
+    Record,
     Subset,
+    _set,
     all_subsets,
     cardinality,
     int_submasks,
@@ -107,18 +108,21 @@ class VacuousRelationError(ValueError):
     """Raised when the defining subsets are too small to give a relation."""
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Record):
     """One named relation: the family tag, the defining subsets, the
     removal index for the IIIa/IIIb shapes (0-based, None elsewhere),
     and the element of the presentation ring that evaluates to zero."""
 
-    family: str
-    a: Subset
-    b: Subset | None
-    index: int | None
-    element: QPoly
-    degree: int
+    __slots__ = ("family", "a", "b", "index", "element", "degree")
+
+    def __init__(self, family: str, a: Subset, b: Subset | None,
+                 index: int | None, element: QPoly, degree: int):
+        _set(self, "family", family)
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "index", index)
+        _set(self, "element", element)
+        _set(self, "degree", degree)
 
     def label(self) -> str:
         parts = [self.family, f"A={subset_to_bits(self.a)}"]

@@ -52,15 +52,16 @@ distinct, so it is toggled into the running term set without a
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import pairwise
 
 from .poly import (
     DimensionMismatch,
     Monomial,
+    Record,
     Subset,
     ZeroPolynomialError,
+    _set,
     cardinality,
     min_index,
     monomial_key,
@@ -123,17 +124,20 @@ def _relation_vanishes(element: QPoly) -> bool:
 # eliminating products of traces
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(Record):
     """One rewrite: ``term`` was the reduced term, ``relation`` the quadratic
     relation applied to its two largest trace factors, ``multiplier`` the
     leftover monomial, and ``measure`` the (degree, trace degree) of the
     term, logged so that a trace can be checked for monotonicity."""
 
-    term: QMon
-    relation: Relation
-    multiplier: QMon
-    measure: tuple[int, int]
+    __slots__ = ("term", "relation", "multiplier", "measure")
+
+    def __init__(self, term: QMon, relation: Relation, multiplier: QMon,
+                 measure: tuple[int, int]):
+        _set(self, "term", term)
+        _set(self, "relation", relation)
+        _set(self, "multiplier", multiplier)
+        _set(self, "measure", measure)
 
     def to_json(self) -> dict:
         return {
@@ -147,13 +151,16 @@ class ReductionStep:
         }
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(Record):
     """A replayable normal-form computation."""
 
-    start: QPoly
-    result: QPoly
-    steps: tuple[ReductionStep, ...]
+    __slots__ = ("start", "result", "steps")
+
+    def __init__(self, start: QPoly, result: QPoly,
+                 steps: tuple[ReductionStep, ...]):
+        _set(self, "start", start)
+        _set(self, "result", result)
+        _set(self, "steps", steps)
 
     def replay(self) -> QPoly:
         """Re-run the logged steps from ``start``; equals ``result``."""
@@ -306,16 +313,19 @@ def _lead_achievers(h: QPoly) -> tuple[Monomial, list[QMon]]:
     return best, achievers
 
 
-@dataclass(frozen=True)
-class LinearStep:
+class LinearStep(Record):
     """One descent step: the cubic-and-up relation on ``subset`` was scaled
     by ``multiplier`` to cancel the two smallest terms achieving the lead
     monomial ``lead`` (``achievers`` counts how many terms achieved it)."""
 
-    subset: Subset
-    multiplier: QMon
-    lead: Monomial
-    achievers: int
+    __slots__ = ("subset", "multiplier", "lead", "achievers")
+
+    def __init__(self, subset: Subset, multiplier: QMon, lead: Monomial,
+                 achievers: int):
+        _set(self, "subset", subset)
+        _set(self, "multiplier", multiplier)
+        _set(self, "lead", lead)
+        _set(self, "achievers", achievers)
 
     def to_json(self) -> dict:
         return {
@@ -326,14 +336,19 @@ class LinearStep:
         }
 
 
-@dataclass(frozen=True)
-class LinearCertificate:
+class LinearCertificate(Record):
     """An expression of ``start`` as a combination of the relations
-    ``type_i_relation(C)`` for the subsets C in ``coefficients``."""
+    ``type_i_relation(C)`` for the subsets C in ``coefficients``, which
+    equality and hash leave out."""
 
-    start: QPoly
-    coefficients: dict[Subset, QPoly] = field(compare=False)
-    steps: tuple[LinearStep, ...] = ()
+    __slots__ = ("start", "coefficients", "steps")
+    _compared = ("start", "steps")
+
+    def __init__(self, start: QPoly, coefficients: dict[Subset, QPoly],
+                 steps: tuple[LinearStep, ...] = ()):
+        _set(self, "start", start)
+        _set(self, "coefficients", coefficients)
+        _set(self, "steps", steps)
 
     def combination(self) -> QPoly:
         odd: set = set()

@@ -2,6 +2,7 @@
 presentation rings, sized to keep the property tests fast, and the
 references the tests check the library against."""
 
+import inspect
 import random
 from collections import Counter
 from functools import cache, reduce
@@ -18,6 +19,17 @@ from vecinv2.poly import (
 )
 from vecinv2.qring import QMon, QPoly, make_qmon
 from vecinv2.relations import Relation
+
+
+def replace(record, **changes):
+    """A copy of ``record`` with the named fields changed, rebuilt through
+    its class's constructor; the tests forge records with it."""
+    fields = inspect.signature(type(record)).parameters
+    unknown = set(changes) - set(fields)
+    if unknown:
+        raise TypeError(f"no fields {sorted(unknown)} in {type(record)}")
+    return type(record)(**{name: changes.get(name, getattr(record, name))
+                           for name in fields})
 
 
 # The subset calculus on 0/1 tuples that the reference builders of the

@@ -2,7 +2,6 @@
 and certifying trace-linear kernel elements as combinations of the
 cubic-and-up relations."""
 
-import dataclasses
 import random
 
 import pytest
@@ -39,7 +38,7 @@ from vecinv2.rewrite import (
     summand_lead,
 )
 
-from conftest import random_qpoly
+from conftest import random_qpoly, replace
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +215,7 @@ def test_normal_form_rejects_a_step_that_keeps_its_term(monkeypatch):
     def headless(a, b):
         relation = real(a, b)
         lead = QPoly.trace_symbol(a) * QPoly.trace_symbol(b)
-        return dataclasses.replace(relation, element=relation.element + lead)
+        return replace(relation, element=relation.element + lead)
 
     monkeypatch.setattr(rewrite, "type_iii_relation", headless)
     with pytest.raises(RuntimeError, match="left its term"):
@@ -227,7 +226,7 @@ def test_trace_verify_rejects_a_tampered_result():
     trace = reduce_product((1, 1, 0), (0, 1, 1))
     assert trace.verify()
     for extra in ("x1*Tr(011)", "x1*x2*x3"):
-        forged = dataclasses.replace(
+        forged = replace(
             trace, result=trace.result + QPoly.parse(3, extra))
         assert not forged.verify()
 
@@ -249,13 +248,13 @@ def test_trace_verify_rejects_a_relation_that_does_not_vanish():
     # have different images here)
     trace = reduce_product((1, 1, 0), (0, 1, 1))
     step = trace.steps[0]
-    bogus = dataclasses.replace(
+    bogus = replace(
         step.relation,
         element=step.relation.element + QPoly.parse(3, "x1*Tr(111)"))
-    steps = (dataclasses.replace(step, relation=bogus),) + trace.steps[1:]
+    steps = (replace(step, relation=bogus),) + trace.steps[1:]
     forged = ReductionTrace(start=trace.start, result=trace.result,
                             steps=steps)
-    forged = dataclasses.replace(forged, result=forged.replay())
+    forged = replace(forged, result=forged.replay())
     assert forged.result.is_trace_linear()
     assert forged.replay() == forged.result
     assert evaluate(forged.start) != evaluate(forged.result)
@@ -268,10 +267,10 @@ def test_trace_verify_rejects_a_bogus_step_applied_twice():
     # and the identity of the images all hold; the relation does not
     trace = reduce_product((1, 1, 0), (0, 1, 1))
     step = trace.steps[0]
-    bogus = dataclasses.replace(step, relation=dataclasses.replace(
+    bogus = replace(step, relation=replace(
         step.relation,
         element=step.relation.element + QPoly.parse(3, "x1*Tr(111)")))
-    forged = dataclasses.replace(
+    forged = replace(
         trace, steps=(step, bogus, bogus) + trace.steps[1:])
     assert forged.replay() == forged.result == trace.result
     assert forged.result.is_trace_linear()
@@ -287,14 +286,13 @@ def test_trace_verify_checks_the_measure_log():
     assert trace.verify()
     steps = list(trace.steps)
     degree, trace_degree = steps[5].measure
-    steps[5] = dataclasses.replace(steps[5],
-                                   measure=(degree, trace_degree + 1))
-    assert not dataclasses.replace(trace, steps=tuple(steps)).verify()
+    steps[5] = replace(steps[5], measure=(degree, trace_degree + 1))
+    assert not replace(trace, steps=tuple(steps)).verify()
     # true measures in a rising order: the replay does not depend on
     # the order of the steps, so only the monotonicity check fails
     rising = tuple(sorted(trace.steps, key=lambda s: s.measure))
     assert rising[0].measure < rising[-1].measure
-    forged = dataclasses.replace(trace, steps=rising)
+    forged = replace(trace, steps=rising)
     assert forged.replay() == forged.result
     assert not forged.verify()
 
@@ -480,7 +478,7 @@ def test_linear_reduce_checks_each_applied_relation(monkeypatch):
     # of the applied relation, keyed by its element, can refuse it
     real = type_i_relation((1, 1, 1))
     assert linear_reduce(real.element).verify()  # memoizes the real one
-    patched = dataclasses.replace(
+    patched = replace(
         real, element=real.element + QPoly.parse(3, "x3^3"))
     monkeypatch.setattr(rewrite, "type_i_relation", lambda a: patched)
     with monkeypatch.context() as unchecked:
@@ -496,7 +494,7 @@ def test_linear_reduce_checks_each_applied_relation(monkeypatch):
 
     def shifted(a):
         relation = type_i_relation(a)
-        return dataclasses.replace(relation, element=relation.element + extra)
+        return replace(relation, element=relation.element + extra)
 
     monkeypatch.setattr(rewrite, "type_i_relation", shifted)
     h = (type_i_relation((1, 1, 1, 0)).element
@@ -512,7 +510,7 @@ def test_linear_certificate_rejects_a_dropped_term():
     coefficient = cert.coefficients[(1, 1, 1, 0)]
     for term in coefficient.terms:
         kept = QPoly(4, coefficient.terms - {term})
-        forged = dataclasses.replace(
+        forged = replace(
             cert, coefficients={(1, 1, 1, 0): kept})
         assert not forged.verify()
 
