@@ -49,11 +49,13 @@ whose columns are the polynomial monomials of multidegree alpha.
 Per block the fixed space has dimension
 ``(prod(alpha_i + 1) + [every alpha_i even]) / 2``.  Once the
 generators' leads are checked (``qring.summand_lead``, against the
-images of the generators a degree can hold, each read off its block
-int: the lead is the top bit, and the involution a shift-XOR Taylor
-shift), a block's trace-linear monomials have exactly that many
-distinct leads, so ``evaluation_rank`` is ``invariant_dimension``
-with no block listed (the proof is in its docstring).  Where the
+images of the generators whose support is all of [k], once per width
+k: every generator is one of them with zero pairs inserted, which
+keeps its block int, its lead and its invariance; the lead is the top
+bit, and the involution a shift-XOR Taylor shift), a block's
+trace-linear monomials have exactly that many distinct leads, so
+``evaluation_rank`` is ``invariant_dimension`` with no block listed
+(the proof is in its docstring).  Where the
 check fails, one block per S_m orbit, the non-increasing alpha, is
 eliminated and counted |S_m alpha| times: permuting the variable
 pairs commutes with evaluation, so the blocks of one orbit have equal
@@ -80,7 +82,8 @@ which the constructors, ``RelationSpans._lead`` and evaluation
 methods for representations of combinatorial categories").  So once a
 degree's shapes at every k <= m vanish, lead as their table says and
 have two generator factors or more per term, each read in one pass
-over its core's mask terms (``shape_holds``), the leads are every
+over its core's mask terms (``shape_holds``; the verdict of each
+width and degree is kept, ``_shapes_hold``), the leads are every
 Tr(A)Tr(B) and x_c Tr(B), c < min B.  The lead order is a monomial
 order and distinct leads are independent, so by Macaulay the span
 rank is at least the number of monomials a lead divides, all but the
@@ -136,7 +139,6 @@ from .poly import (
     all_subsets,
     cardinality,
     monomial_key,
-    singleton,
 )
 from .qring import (
     QMon,
@@ -324,35 +326,42 @@ def _trace_linear_monomials(m: int, d: int) -> tuple[QMon, ...]:
 def _generator_leads_hold(m: int, d: int) -> bool:
     """Whether each generator a degree-d block can hold, x_i, N_i and
     Tr(A) with |A| <= d, has an image that leads with its
-    ``summand_lead`` and is fixed by the involution.  No generator has
-    a degree above max(m, 2), so the degrees up to the lesser of that
-    and d are checked, each once per m (``_degree_leads_hold``)."""
-    return all(_degree_leads_hold(m, k)
-               for k in range(1, min(d, max(m, 2)) + 1))
+    ``summand_lead`` and is fixed by the involution.  Each is the image
+    of a generator on all of [k] under a monotone embedding [k] -> [m],
+    whose verdict is its own (``_width_leads``), so the full-support
+    generators of widths k <= min(d, m) and degree at most d are read:
+    m + 1 images at most, once per width in a process."""
+    return all(holds for k in range(1, min(d, m) + 1)
+               for degree, holds in _width_leads(k) if degree <= d)
 
 
 @lru_cache(maxsize=None)
-def _degree_leads_hold(m: int, d: int) -> bool:
-    """``_generator_leads_hold`` on the generators of degree d, read off
-    the block int of each image: its top bit decodes to its lead, and
-    ``involution_fixes`` tells whether it is invariant."""
-    zero = (0,) * m
-    units = [singleton(m, i) for i in range(m)]
-    generators = [QMon(zero, zero, (a,))
-                  for a in all_subsets(m, min_size=2) if cardinality(a) == d]
-    if d == 1:
-        generators += [QMon(u, zero, ()) for u in units]
-    elif d == 2:
-        generators += [QMon(zero, u, ()) for u in units]
+def _width_leads(k: int) -> tuple[tuple[int, bool], ...]:
+    """The degree and verdict of each generator of width k whose support
+    is [k]: x_0 and N_0 at k = 1, Tr([k]) above.  Its block int's top
+    bit decodes to its lead, and ``involution_fixes`` tells whether it
+    is invariant.
+
+    A generator at width m is the image of one of these under a
+    monotone embedding sigma: [k] -> [m], which inserts zero
+    coordinates, and each reading commutes with sigma.  A zero
+    coordinate has radix factor 1, so ``block_images`` gives sigma(g)
+    the same int and its members the same radices, 1, 2, ..., 2^(k-1)
+    for Tr([k]).  ``bit_monomial`` and ``summand_lead`` commute with
+    zero insertion: a zero coordinate's digit is 0.
+    ``involution_fixes`` makes no move on a zero coordinate, whose digit
+    count is 1, and reads each member's weight and period as at k."""
+    one, zero = (1,) * k, (0,) * k
+    generators = ([QMon(one, zero, ()), QMon(zero, one, ())] if k == 1
+                  else [QMon(zero, zero, (one,))])
+    found = []
     for g in generators:
         alpha = multidegree(g)
         radices, (image,) = block_images(alpha, [g])
-        if (not image
-                or bit_monomial(alpha, radices, image.bit_length() - 1)
-                != summand_lead(g)
-                or not involution_fixes(image, radices)):
-            return False
-    return True
+        found.append((sum(alpha), bool(image) and bit_monomial(
+            alpha, radices, image.bit_length() - 1) == summand_lead(g)
+            and involution_fixes(image, radices)))
+    return tuple(found)
 
 
 def _eliminated_rank(m: int, alpha: tuple[int, ...]) -> int:
@@ -370,8 +379,8 @@ def evaluation_rank(m: int, d: int, budget: int = DEFAULT_BUDGET) -> int:
     fixed-space dimension ``invariant_dimension(m, d)`` once
     ``_generator_leads_hold(m, d)``, else the eliminated ranks of the
     orbit representatives, each counted |S_m alpha| times.  The check
-    reads each generator's block int, its top bit and its Taylor shift,
-    and builds no ``Poly``.
+    reads the block int of each full-support generator, once per width,
+    its top bit and its Taylor shift, and builds no ``Poly``.
 
     Proof (Richman's first main theorem, block by block).  In block
     alpha, images with distinct leads are independent and every image
@@ -412,6 +421,14 @@ def invariant_dimension(m: int, d: int) -> int:
 
 # ---------------------------------------------------------------------------
 # the relation ideal
+
+
+@lru_cache(maxsize=None)
+def _shapes_hold(k: int, d: int, flavor: str) -> bool:
+    """Whether every shape of width k and degree d holds: the verdict
+    ``verify_relation_ideal`` needs at each k <= m, once per process, as
+    the shapes of width k do not depend on m."""
+    return all(shape_holds(k, *shape) for shape in shape_cores(k, d, flavor))
 
 
 def _charge_span(m: int, d: int, degrees: Counter, budget: int) -> None:
@@ -604,8 +621,8 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
     for d in range(2, d_max + 1):
         kernel_dimension = _q_count(m, d) - evaluation_rank(m, d, budget)
         _charge_span(m, d, counts, budget)
-        if shapes and all(shape_holds(k, *shape) for k in range(1, m + 1)
-                          for shape in shape_cores(k, d, flavor)) and (
+        if shapes and all(_shapes_hold(k, d, flavor)
+                          for k in range(1, m + 1)) and (
                 _q_count(m, d) - _standard_count(m, d) == kernel_dimension):
             reports.append(DegreeReport(
                 d, _q_count(m, d), _poly_count(m, d), kernel_dimension,

@@ -22,6 +22,13 @@ the table says, and has two generator factors or more in every term.
 The cores, and the lead order's ``blocks._nu`` and ``blocks._tie_break``,
 are looked up on their modules when called, so a shape is always written
 and led by the code that writes and leads the relation.
+
+A shape of width k is the same at every m >= k, so ``oracle`` keeps the
+verdict of each width, degree and flavor for the process
+(``oracle._shapes_hold``): verifying m = 3 and then m = 4 checks only
+the shapes of width 4 the second time.  A kept verdict reads no core
+again, so code that swaps a core or the lead order after a sweep
+clears that memo before the next one.
 """
 
 from __future__ import annotations

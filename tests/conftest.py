@@ -8,6 +8,8 @@ from collections import Counter
 from functools import cache, reduce
 from operator import add
 
+import pytest
+
 from vecinv2 import oracle, relations, shapes
 from vecinv2.blocks import RelationSpans, _factors, multidegrees
 from vecinv2.invariants import generator_set
@@ -16,9 +18,19 @@ from vecinv2.poly import (
     Poly,
     all_subsets,
     min_index,
+    singleton,
 )
-from vecinv2.qring import QMon, QPoly, make_qmon
+from vecinv2.qring import QMon, QPoly, make_qmon, multidegree
 from vecinv2.relations import Relation
+
+
+@pytest.fixture(autouse=True)
+def _cold_width_memos():
+    """Each test starts from cleared per-width verdicts, as a process
+    does, so a check a test patches is run, not read from a memo that
+    an earlier test filled."""
+    oracle._width_leads.cache_clear()
+    oracle._shapes_hold.cache_clear()
 
 
 def replace(record, **changes):
@@ -200,6 +212,40 @@ def max_relation_degree(m: int, budget: int = oracle.DEFAULT_BUDGET) -> int:
                 degrees[d] += 1
             top = d
     return top
+
+
+def degree_leads_hold(m: int, d: int) -> bool:
+    """The generator-lead check on every generator of degree d at width
+    m, x_i, N_i and each Tr(A) with |A| = d, one subset at a time: the
+    reference for ``oracle._width_leads``, which reads the full-support
+    generators alone.  Its lead is its block int's top bit decoded, and
+    ``involution_fixes`` tells whether it is invariant.  It reaches the
+    oracle through its module, so the tests' monkeypatches apply."""
+    zero = (0,) * m
+    units = [singleton(m, i) for i in range(m)]
+    generators = [QMon(zero, zero, (a,))
+                  for a in all_subsets(m, min_size=2) if sum(a) == d]
+    if d == 1:
+        generators += [QMon(u, zero, ()) for u in units]
+    elif d == 2:
+        generators += [QMon(zero, u, ()) for u in units]
+    for g in generators:
+        alpha = multidegree(g)
+        radices, (image,) = oracle.block_images(alpha, [g])
+        if (not image
+                or oracle.bit_monomial(alpha, radices, image.bit_length() - 1)
+                != oracle.summand_lead(g)
+                or not oracle.involution_fixes(image, radices)):
+            return False
+    return True
+
+
+def generator_leads_hold(m: int, d: int) -> bool:
+    """``oracle._generator_leads_hold`` by ``degree_leads_hold``: every
+    degree up to the lesser of d and max(m, 2), the highest degree of a
+    generator."""
+    return all(degree_leads_hold(m, k)
+               for k in range(1, min(d, max(m, 2)) + 1))
 
 
 def relation_shapes(k: int, d: int, flavor: str = "III"):

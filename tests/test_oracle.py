@@ -57,6 +57,7 @@ from vecinv2.relations import (
 )
 
 from conftest import (
+    generator_leads_hold,
     involution,
     max_relation_degree,
     random_qmon,
@@ -394,7 +395,7 @@ def eliminated(monkeypatch):
     the generator check is recomputed before and after the test."""
     calls = []
     rank = oracle._eliminated_rank
-    check = oracle._degree_leads_hold
+    check = oracle._width_leads
 
     def recording(m, alpha):
         calls.append((m, alpha))
@@ -412,7 +413,7 @@ def test_wrong_generator_lead_falls_back(monkeypatch, eliminated):
     # generator check can refuse the formula; it does from degree 2, the
     # first that holds a trace, and every block from there is eliminated
     # to the same ranks
-    monkeypatch.setattr(oracle, "summand_lead", _max_member_lead)
+    _max_member_leads(monkeypatch)
     for m in (2, 3, 4):
         assert oracle._generator_leads_hold(m, 1)
         assert not oracle._generator_leads_hold(m, 2)
@@ -439,7 +440,7 @@ def test_budget_exit_checks_only_the_generators_it_reaches(monkeypatch):
         return images(alpha, terms)
 
     monkeypatch.setattr(oracle, "block_images", recording)
-    oracle._degree_leads_hold.cache_clear()
+    oracle._width_leads.cache_clear()
     with pytest.raises(BudgetExceeded) as info:
         verify_relation_ideal(9)
     assert str(info.value) == (
@@ -523,6 +524,44 @@ def _drop_least_y(radices, a, image):
     return image ^ 1 << radices[a.index(1)]
 
 
+def _lone_trace_image(mutate):
+    """An installer of a ``block_images`` that passes the image of a
+    lone Tr(A), the call the generator check makes per trace, through
+    ``mutate``."""
+    def install(monkeypatch):
+        images = oracle.block_images
+
+        def mutant(alpha, terms):
+            radices, found = images(alpha, terms)
+            if len(terms) == 1 and terms[0].traces:
+                found = [mutate(radices, terms[0].traces[0], found[0])]
+            return radices, found
+
+        monkeypatch.setattr(oracle, "block_images", mutant)
+    install.__name__ = mutate.__name__
+    return install
+
+
+def _drop_norm_square(monkeypatch):
+    """Install a ``block_images`` that drops y_i^2 from the image of a
+    lone N_i."""
+    images = oracle.block_images
+
+    def mutant(alpha, terms):
+        radices, found = images(alpha, terms)
+        if len(terms) == 1 and any(terms[0].ne):
+            square = 2 * radices[terms[0].ne.index(1)]
+            found = [found[0] ^ 1 << square]
+        return radices, found
+
+    monkeypatch.setattr(oracle, "block_images", mutant)
+
+
+def _max_member_leads(monkeypatch):
+    """Install ``_max_member_lead`` as the oracle's ``summand_lead``."""
+    monkeypatch.setattr(oracle, "summand_lead", _max_member_lead)
+
+
 @pytest.mark.parametrize("mutate", [_drop_y_part, _drop_least_y])
 def test_wrong_generator_image_falls_back(monkeypatch, eliminated, mutate):
     # a block_images that breaks the image of a lone Tr(A), the call the
@@ -530,16 +569,8 @@ def test_wrong_generator_image_falls_back(monkeypatch, eliminated, mutate):
     # 2; the blocks of the eliminated fallback hold more than one term
     # and keep their images, so the report stays byte-identical
     expected = verify_relation_ideal(4, 8)
-    images = oracle.block_images
-
-    def mutant(alpha, terms):
-        radices, found = images(alpha, terms)
-        if len(terms) == 1 and terms[0].traces:
-            found = [mutate(radices, terms[0].traces[0], found[0])]
-        return radices, found
-
-    monkeypatch.setattr(oracle, "block_images", mutant)
-    oracle._degree_leads_hold.cache_clear()
+    _lone_trace_image(mutate)(monkeypatch)
+    oracle._width_leads.cache_clear()
     assert oracle._generator_leads_hold(4, 1)
     assert not oracle._generator_leads_hold(4, 2)
     eliminated.clear()
@@ -554,21 +585,101 @@ def test_wrong_generator_image_falls_back(monkeypatch, eliminated, mutate):
 def test_wrong_norm_image_fails_the_check(monkeypatch, eliminated):
     # N_i has degree 2, above m = 1, so the check reaches degree
     # max(m, 2): an N_i image without its y_i^2 fails it at every width
-    images = oracle.block_images
-
-    def mutant(alpha, terms):
-        radices, found = images(alpha, terms)
-        if len(terms) == 1 and any(terms[0].ne):
-            square = 2 * radices[terms[0].ne.index(1)]
-            found = [found[0] ^ 1 << square]
-        return radices, found
-
-    monkeypatch.setattr(oracle, "block_images", mutant)
-    oracle._degree_leads_hold.cache_clear()
+    _drop_norm_square(monkeypatch)
+    oracle._width_leads.cache_clear()
     for m in (1, 2, 3):
         assert oracle._generator_leads_hold(m, 1)
         assert not oracle._generator_leads_hold(m, 2)
         assert not oracle._generator_leads_hold(m, 7)
+
+
+def _inserted(support, m, mono):
+    """The monomial at width m whose pair ``support[i]`` is pair i of
+    ``mono``, a monomial at width len(support), and zero elsewhere."""
+    exps = [0] * (2 * m)
+    for i, j in enumerate(support):
+        exps[2 * j:2 * j + 2] = mono[2 * i:2 * i + 2]
+    return tuple(exps)
+
+
+def test_generators_embed_the_full_support_generators():
+    # every generator at width m <= 8 is the image of the generator on
+    # all of [k], k the size of its support, under the monotone
+    # embedding onto that support: the same block int and member
+    # radices, the embedded decoded lead and summand_lead, and the same
+    # involution verdict, also on the image with any one bit flipped
+    for m in range(1, 9):
+        for g in _generators(m):
+            alpha = multidegree(g)
+            support = [i for i, a in enumerate(alpha) if a]
+            full = make_qmon([g.xe[i] for i in support],
+                             [g.ne[i] for i in support],
+                             [[a[i] for i in support] for a in g.traces])
+            beta = multidegree(full)
+            radices, (image,) = qring.block_images(alpha, [g])
+            weights, (base,) = qring.block_images(beta, [full])
+            assert image == base, g
+            assert [radices[i] for i in support] == list(weights), g
+            top = image.bit_length() - 1
+            assert qring.bit_monomial(alpha, radices, top) == _inserted(
+                support, m, qring.bit_monomial(beta, weights, top)), g
+            assert qring.summand_lead(g) == _inserted(
+                support, m, qring.summand_lead(full)), g
+            for flip in [0] + [1 << b for b in range(image.bit_length())]:
+                assert qring.involution_fixes(image ^ flip, radices) == \
+                    qring.involution_fixes(base ^ flip, weights), (g, flip)
+
+
+@pytest.mark.parametrize("mutant", [
+    None, _max_member_leads, _lone_trace_image(_drop_y_part),
+    _lone_trace_image(_drop_least_y), _drop_norm_square])
+def test_width_check_agrees_with_the_per_subset_reference(monkeypatch,
+                                                          mutant):
+    # the full-support generators decide what every generator of the
+    # degrees a block can hold decides, for m <= 9 and d <= 2m + 1, with
+    # the library's images and leads and under each wrong one above
+    if mutant is not None:
+        mutant(monkeypatch)
+    verdicts = Counter()
+    for m in range(1, 10):
+        for d in range(2 * m + 2):
+            expected = generator_leads_hold(m, d)
+            assert oracle._generator_leads_hold(m, d) == expected, (m, d)
+            verdicts[expected] += 1
+    assert (verdicts[False] > 0) == (mutant is not None)
+
+
+def test_each_width_is_checked_once(monkeypatch):
+    # from cleared memos, the generator check at m = 13 through degree
+    # 27 reads m + 1 images, x_0 and N_0 at width 1 and Tr([k]) at width
+    # k = 2..13, and a second call reads none; a sweep at m = 4 after
+    # one at m = 3 checks the shapes of width 4 alone
+    read = []
+    images = oracle.block_images
+
+    def recording(alpha, terms):
+        read.extend(terms)
+        return images(alpha, terms)
+
+    monkeypatch.setattr(oracle, "block_images", recording)
+    assert oracle._generator_leads_hold(13, 27)
+    assert [len(t.xe) for t in read] == [1, 1] + list(range(2, 14))
+    read.clear()
+    assert oracle._generator_leads_hold(13, 27)
+    assert read == []
+    widths = []
+    check = oracle.shape_holds
+
+    def checking(k, *shape):
+        widths.append(k)
+        return check(k, *shape)
+
+    monkeypatch.setattr(oracle, "shape_holds", checking)
+    assert verify_relation_ideal(3, 6).ok
+    assert set(widths) == {2, 3}
+    widths.clear()
+    assert verify_relation_ideal(4, 8).ok
+    assert widths and set(widths) == {4}
 
 
 def test_passing_verify_decodes_no_image(monkeypatch, capsys):
@@ -585,7 +696,7 @@ def test_passing_verify_decodes_no_image(monkeypatch, capsys):
         if (name.split(".")[0] == "vecinv2"
                 and getattr(module, "evaluate", None) is original):
             monkeypatch.setattr(module, "evaluate", counting)
-    oracle._degree_leads_hold.cache_clear()
+    oracle._width_leads.cache_clear()
     assert cli.main(["verify", "-m", "4", "--dmax", "8"]) == 0
     assert "PASS" in capsys.readouterr().out
     assert calls == []
@@ -1380,6 +1491,7 @@ def test_old_order_falls_back(monkeypatch):
     # degrees 6 to 8 are eliminated, to the same report
     expected = verify_relation_ideal(4, 8)
     monkeypatch.setattr(blocks, "_nu", _old_nu)
+    oracle._shapes_hold.cache_clear()
     listed = set()
     walk = oracle.shape_cores
 
@@ -1561,6 +1673,7 @@ def test_failed_shape_falls_back(monkeypatch, mutant):
 
     expected = verify_relation_ideal(4, 8)
     d = mutant(monkeypatch)
+    oracle._shapes_hold.cache_clear()
     monkeypatch.setattr(oracle, "shape_cores", shaping)
     monkeypatch.setattr(oracle, "relations_of_degree", listing)
     report = verify_relation_ideal(4, 8)
@@ -1672,13 +1785,15 @@ def test_mutated_cores_are_refused(monkeypatch, mutant):
 def test_member_moved_within_b_is_a_relation(monkeypatch):
     # IIIb singling out the greatest member of B in every term is still
     # a vanishing relation with the table's lead, so the shapes accept
-    # it and the sweep passes as the declared family does
-    core = relations._core_iii
+    # it and the sweep passes as the declared family does; the second
+    # sweep must write its IIIb shapes through the moved core
+    core, moved = relations._core_iii, []
 
     def greatest(a, b):
         family, a, b, i, terms = core(a, b)
         if family != "IIIb":
             return family, a, b, i, terms
+        moved.append((a, b))
         g = b & -b
         rest = b ^ g
         return family, a, b, g, [
@@ -1687,8 +1802,11 @@ def test_member_moved_within_b_is_a_relation(monkeypatch):
 
     expected = verify_relation_ideal(4, 8)
     monkeypatch.setattr(relations, "_core_iii", greatest)
+    oracle._shapes_hold.cache_clear()
     assert relations._type_iii((1, 1, 1), (1, 1, 0)).index == 1
+    moved.clear()
     report = verify_relation_ideal(4, 8)
+    assert moved
     assert [r.route for r in report.degrees] == ["leads"] * 7
     assert report == expected
 
@@ -1911,6 +2029,7 @@ def test_declared_family_is_listed_degree_by_degree(monkeypatch):
         verify_relation_ideal(6)
     assert listed == [(d, k) for d in range(2, 6) for k in range(1, 7)]
     listed.clear()
+    oracle._shapes_hold.cache_clear()
     report = verify_relation_ideal(4, 5)
     assert listed == [(d, k) for d in range(2, 6) for k in range(1, 5)]
     assert (report.n_relations, report.max_degree, report.n_unchecked) == (
