@@ -14,12 +14,13 @@ Permuting the variable pairs permutes the blocks and commutes with
 evaluation.  ``orbit_reps`` picks one multidegree per S_m orbit, the
 non-increasing one, and ``orbit_size`` counts its orbit.
 ``RelationSpans`` ranks a degree in one loop over its blocks, each
-against its own span.  While the caller states that the ideal of the
-lower relations is S_m-stable, ``RelationSpans.lead_count`` can count a
-degree with no row built, from the distinct leads of the span's
-elements, all in closed form: the monomials with two or more traces,
-and, once per orbit representative, the trace-linear monomials that a
-lower lead of the shape x_c Tr(B) divides (``_covered``).
+against its own span.  While every relation filed vanishes,
+``RelationSpans.lead_count`` can count a degree with no row built, from
+the distinct leads of the span's elements, all in closed form: the
+monomials with two or more traces, and the trace-linear monomials that
+a lower lead of the shape x_c Tr(B) divides, summed over every block of
+the degree (``_covered_count``) from the x/N series of ``free_series``,
+which ``oracle`` counts its monomials from too.
 
 The relation spans key their columns by Goedel numbers: each symbol,
 x_i, N_i and each trace subset A, gets a prime of its own, and a
@@ -41,8 +42,8 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import compress, product
-from math import factorial, inf, isqrt, log, prod
+from itertools import accumulate, compress, product
+from math import factorial, inf, isqrt, log
 from operator import le, sub
 
 from .f2 import RowSpan, bit_indices, left_kernel, row_of
@@ -57,6 +58,8 @@ __all__ = [
     "compositions",
     "orbit_reps",
     "orbit_size",
+    "monomial_series",
+    "free_series",
     "RelationSpans",
 ]
 
@@ -165,42 +168,40 @@ def _factors(t: QMon) -> int:
     return sum(t.xe) + sum(t.ne) + len(t.traces)
 
 
-def _divisors(t: QMon, fewest: int) -> set[QMon]:
-    """The monomials that divide t, t itself excepted, down to products
-    of ``fewest`` generators: what dividing by one generator at a time
-    reaches."""
-    found: set[QMon] = set()
-    stack = [t] if _factors(t) > fewest else []
-    while stack:
-        xe, ne, traces = stack.pop()
-        below = [QMon(xe[:i] + (e - 1,) + xe[i + 1:], ne, traces)
-                 for i, e in enumerate(xe) if e]
-        below += [QMon(xe, ne[:i] + (e - 1,) + ne[i + 1:], traces)
-                  for i, e in enumerate(ne) if e]
-        below += [QMon(xe, ne, traces[:j] + traces[j + 1:])
-                  for j in range(len(traces))]
-        for divisor in below:
-            if divisor not in found:
-                found.add(divisor)
-                if _factors(divisor) > fewest:
-                    stack.append(divisor)
-    return found
+def monomial_series(weights: list[int], d: int) -> list[int]:
+    """Coefficients of t^0..t^d in the product of 1/(1 - t^w) over the
+    generator degrees ``weights``: how many monomials of each degree."""
+    coeffs = [1] + [0] * d
+    for w in weights:
+        for i in range(w, d + 1):
+            coeffs[i] += coeffs[i - w]
+    return coeffs
 
 
-def _covered(rho: tuple[int, ...], below: dict) -> int:
-    """How many trace-linear monomials of block rho some lead x_c Tr(B)
-    divides, where ``below`` maps each trace B to the set P(B) of its
-    indices c.  With r = rho - 1_B >= 0, the monomials x^I N^J Tr(B) of
-    the block are one per choice of J, I + 2J = r: prod(r_i // 2 + 1)
-    of them.  No lead divides one exactly when I_c = 0, so r_c is even
-    and J_c = r_c / 2, for every c in P(B)."""
+def free_series(m: int, d: int) -> list[list[int]]:
+    """Row j, for j = 0..m: the coefficients of t^0..t^d in
+    1/((1-t)^j (1-t^2)^m), how many monomials x^I N^J of each degree
+    have I supported on j given indices.  Row 0 is the series of the
+    norms alone, and each row the partial sums of the one before."""
+    table = [monomial_series([2] * m, d)]
+    for _ in range(m):
+        table.append(list(accumulate(table[-1])))
+    return table
+
+
+def _covered_count(m: int, d: int, below: dict) -> int:
+    """How many trace-linear monomials of degree d, over every block,
+    some lead x_c Tr(B) divides, where ``below`` maps each trace B, of
+    size at most d, to the set P(B) of its indices c.  The monomials
+    x^I N^J Tr(B) of degree d number F_m(d - |B|), F_j being row j of
+    ``free_series``.  No lead divides one exactly when I_c = 0 for
+    every c in P(B), which leaves the x's of m - |P(B)| indices:
+    F_(m - |P(B)|)(d - |B|) of them."""
+    table = free_series(m, d)
     count = 0
     for trace, indices in below.items():
-        r = tuple(map(sub, rho, trace))
-        if min(r) >= 0:
-            count += prod(k // 2 + 1 for k in r) - prod(
-                k % 2 == 0 if i in indices else k // 2 + 1
-                for i, k in enumerate(r))
+        rest = d - sum(trace)
+        count += table[m][rest] - table[m - len(indices)][rest]
     return count
 
 
@@ -233,7 +234,8 @@ class RelationSpans:
     into the block's span.  The spans of the degree last ranked are
     kept for ``missing``.
     ``lead_count`` bounds the same rank from below with no row built; it
-    keeps the leads of the relations filed and the set of their terms.
+    keeps the leads of the relations filed and the fewest generator
+    factors of any of their terms.
 
     Columns are the monomials' Goedel numbers (``_pack``; see the
     module docstring), on one prime table per instance, sieved when the
@@ -253,7 +255,6 @@ class RelationSpans:
         self.keys: dict[tuple, list[list[int]]] = {}
         self.spans: dict[tuple, tuple[RowSpan, dict]] = {}
         self.leads: dict[tuple, list[QMon]] = {}
-        self.terms: set[QMon] = set()
         self.fewest = inf
         self.dependent: set[int] = set()
 
@@ -266,13 +267,11 @@ class RelationSpans:
             for key, filed in self.filed.items():
                 refiled.setdefault((sum(key),), []).extend(filed)
             self.filed, self.keys = refiled, {}
-            self.leads, self.terms, self.fewest = {}, set(), inf
         block = beta if self.graded else (degree,)
         self.filed.setdefault(block, []).append((position, element))
         self.keys.pop(block, None)
         if self.graded:
             self.leads.pop(block, None)
-            self.terms.update(element.terms)
             self.fewest = min(self.fewest, min(map(_factors, element.terms)))
 
     def _pack(self, terms) -> list[int]:
@@ -366,40 +365,34 @@ class RelationSpans:
                                  for _, element in self.filed[block]]
         return self.leads[block]
 
-    def _fresh(self, lead: QMon) -> bool:
-        """Whether no proper divisor of ``lead`` is a term of a relation
-        filed, so no element of any J has ``lead`` as a term."""
-        return self.terms.isdisjoint(_divisors(lead, self.fewest))
-
     def lead_count(self, d: int, several: int) -> int | None:
         """A count of distinct leads among the degree-d span's elements,
         with no row built, or None where the leads cannot settle the
         degree; ``several`` is how many degree-d monomials carry two or
         more traces.
 
-        The caller states that every lower degree ended generated and
-        that every relation filed vanishes.  Then each block's count is
-        at most its span rank, that at most its kernel dimension, and a
-        total equal to the degree's kernel dimension proves every block
-        generated.  In the lead order (``_lead``) the lead of a monomial
-        times a relation is the monomial times its lead.  Once every
-        pair Tr(A)Tr(B) with |A| + |B| < d leads a relation, every
-        monomial with two or more traces leads such a product, but the
-        bare pairs of degree d.  The trace-linear monomials that lead
-        such products are those a lower trace-linear lead divides.  A
-        lead that another lead with its trace divides covers nothing
-        more, so it is dropped; every other one must have the shape
-        x_c Tr(B), and ``below`` maps each B to its indices c.  The
-        relations below d generate the ideal the kernel generates
-        there, which is S_m-stable as evaluation commutes with
-        permuting the pairs; so the count of a representative rho
-        (``_covered``) holds once per block of rho's orbit.  Each block
-        alpha holding degree-d relations adds their leads when they are
-        distinct and fresh (``_fresh``): no element of J_alpha has a
-        fresh term, so those relations are independent modulo J_alpha,
-        and none is dependent.  A missing pair, a lower trace-linear
-        lead of another shape, a repeated lead, one that is not fresh,
-        or a sweep off the multigrading gives None."""
+        The caller states that every relation filed vanishes.  Then each
+        block's count is at most its span rank, that at most its kernel
+        dimension, and a total equal to the degree's kernel dimension
+        proves every block generated.  In the lead order (``_lead``) the
+        lead of a monomial times a relation is the monomial times its
+        lead.  Once every pair Tr(A)Tr(B) with |A| + |B| < d leads a
+        relation, every monomial with two or more traces leads such a
+        product, but the bare pairs of degree d.  The trace-linear
+        monomials that lead such products are those a lower trace-linear
+        lead divides.  A lead that another lead with its trace divides
+        covers nothing more, so it is dropped; every other one must have
+        the shape x_c Tr(B), and ``below`` maps each B to its indices c,
+        whose multiples ``_covered_count`` counts over every block of
+        degree d.  Each block alpha holding degree-d relations adds their
+        leads when they are distinct and have at most ``fewest``
+        generator factors: every term of an element of J_alpha is a term
+        of a monomial of positive degree times a relation filed, with
+        ``fewest`` + 1 factors or more, so no such element has one of
+        those leads as a term, the relations are independent modulo
+        J_alpha, and none is dependent.  A missing pair, a lower
+        trace-linear lead of another shape, a repeated lead, one with
+        more factors, or a sweep off the multigrading gives None."""
         if not self.graded:
             return None
         linear: dict[tuple, set[QMon]] = {}
@@ -423,14 +416,13 @@ class RelationSpans:
                 if not traces or any(lead.ne) or sum(lead.xe) != 1:
                     return None
                 below.setdefault(traces[0], set()).add(lead.xe.index(1))
-        total = several - pair_count(self.m, d)
-        for rho in orbit_reps(d, self.m):
-            total += orbit_size(rho) * _covered(rho, below)
+        total = several - pair_count(self.m, d) + _covered_count(
+            self.m, d, below)
         for alpha in self.filed:
             if sum(alpha) == d:
                 leads = set(self._leads(alpha))
                 if (len(leads) < len(self.filed[alpha])
-                        or not all(map(self._fresh, leads))):
+                        or max(map(_factors, leads)) > self.fewest):
                     return None
                 total += len(leads)
         return total

@@ -90,13 +90,12 @@ rank is at least the number of monomials a lead divides, all but the
 ``_standard_count`` ones, and at most the kernel dimension; the two
 meet, as their series agree.  A shape that fails, or a count that
 misses, files the relations below the degree and sends the sweep on
-per relation: while every lower degree passed and every relation
-built vanishes, ``lead_count`` counts distinct leads of the relations
-filed, the trace-linear monomials lower leads x_c Tr(B) divide in
-closed form per S_m orbit (the lower relations then generate the
-kernel's ideal, S_m-stable though the family is not); else each block
-is eliminated, to the same report.  ``route`` reads "leads" where a
-count decided.
+per relation: while every relation built vanishes, ``lead_count``
+counts distinct leads of the relations filed, the trace-linear
+monomials lower leads x_c Tr(B) divide in closed form over every
+block, from the series ``_standard_count`` reads; else, or where that
+count misses, each block is eliminated, to the same report.  ``route``
+reads "leads" where a count decided.
 
 Fallbacks.  A relation without one multidegree, or whose multidegree
 does not sum to its declared degree, or declared below degree 2,
@@ -121,18 +120,20 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache, partial
-from itertools import accumulate
 from math import comb
 
 from .blocks import (
     RelationSpans,
     block_monomials,
+    free_series,
+    monomial_series,
     multidegrees,
     orbit_reps,
     orbit_size,
 )
 from .f2 import RowSpan, bit_indices, left_kernel
 from .poly import (
+    DimensionMismatch,
     Monomial,
     Record,
     _set,
@@ -187,20 +188,10 @@ def _charge(rows: int, cols: int, budget: int, what: str) -> None:
             f"({rows * cols} entries > budget {budget})")
 
 
-def _series(weights: list[int], d: int) -> list[int]:
-    """Coefficients of t^0..t^d in the product of 1/(1 - t^w) over the
-    generator degrees ``weights``: how many monomials of each degree."""
-    coeffs = [1] + [0] * d
-    for w in weights:
-        for i in range(w, d + 1):
-            coeffs[i] += coeffs[i - w]
-    return coeffs
-
-
 def _enumerate(weights: list[int], d: int) -> list[list[tuple]]:
-    """The monomials ``_series`` counts: entry k lists every exponent
-    vector over the generator degrees ``weights`` of weighted degree k,
-    for k = 0..d."""
+    """The monomials ``monomial_series`` counts: entry k lists every
+    exponent vector over the generator degrees ``weights`` of weighted
+    degree k, for k = 0..d."""
     found = [[()]] + [[] for _ in range(d)]
     for w in weights:
         found = [[e + (k,) for k in range(i // w + 1)
@@ -213,13 +204,13 @@ def _q_count(m: int, d: int) -> int:
     """``len(q_monomials(m, d))``, without enumerating them: x's weigh
     1, norms 2, and each trace symbol Tr(A) weighs |A|."""
     traces = [k for k in range(2, m + 1) for _ in range(comb(m, k))]
-    return _series([1] * m + [2] * m + traces, d)[d]
+    return monomial_series([1] * m + [2] * m + traces, d)[d]
 
 
 def _trace_linear_count(m: int, d: int) -> int:
     """How many degree-d presentation monomials carry at most one trace:
     the trace-free count at d plus, for each trace symbol, at d - |A|."""
-    free = _series([1] * m + [2] * m, d)
+    free = free_series(m, d)[m]
     return free[d] + sum(comb(m, k) * free[d - k]
                          for k in range(2, min(m, d) + 1))
 
@@ -233,12 +224,10 @@ def _standard_count(m: int, d: int) -> int:
     u = 1/(1-t) and v = (1+t)/(1-t), so that u - 1 = tu and v - 1 = 2tu,
     the series is u^m + sum_j (tu v^(j-1) - t u^j) = (v^m + 1) / 2, the
     Hilbert series (1/(1-t)^(2m) + 1/(1-t^2)^m) / 2 times (1-t^2)^m."""
-    free, total = _series([2] * m, d), 0
-    for s in range(m - 1, -1, -1):
-        free = list(accumulate(free))  # now with x_s, ..., x_(m-1)
-        total += sum(comb(m - 1 - s, k - 1) * free[d - k]
-                     for k in range(2, min(m - s, d) + 1))
-    return total + free[d]
+    free = free_series(m, d)  # free[j] is 1/((1-t)^j (1-t^2)^m)
+    return free[m][d] + sum(comb(m - 1 - s, k - 1) * free[m - s][d - k]
+                            for s in range(m)
+                            for k in range(2, min(m - s, d) + 1))
 
 
 def _poly_count(m: int, d: int) -> int:
@@ -442,10 +431,11 @@ def _charge_span(m: int, d: int, degrees: Counter, budget: int) -> None:
 
 class DegreeReport(Record):
     # route, how span_rank was counted: "leads", by a count of leads, on
-    # the shapes or ``blocks.RelationSpans.lead_count``; else by
-    # elimination (``RelationSpans.rank``) on "blocks", one multidegree
-    # block at a time, or "degree", the whole degree, once a relation has
-    # no multidegree.  Not part of the text or JSON report
+    # the shapes or, while every relation built vanishes, by
+    # ``blocks.RelationSpans.lead_count``; else by elimination
+    # (``RelationSpans.rank``) on "blocks", one multidegree block at a
+    # time, or "degree", the whole degree, once a relation has no
+    # multidegree.  Not part of the text or JSON report
     __slots__ = ("degree", "n_q_monomials", "n_poly_monomials",
                  "kernel_dimension", "span_rank", "generated",
                  "counterexample", "route")
@@ -590,7 +580,8 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
     one does not vanish.  The declared family is counted in closed
     form (``relation_degrees``), so a budget exit never waits for it.
     Passing ``relations`` overrides the declared basis, so that broken
-    families can be shown to fail.
+    families can be shown to fail; one of another width than m raises
+    ``DimensionMismatch``, before any degree is checked.
     """
     if m < 1:
         raise ValueError(f"verify wants m >= 1 variable pairs, got {m}")
@@ -604,6 +595,10 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
         counts = relation_degrees(m, flavor)
         due = partial(relations_of_degree, m, flavor=flavor)
     else:
+        wrong = next((r for r in relations if r.element.m != m), None)
+        if wrong is not None:
+            raise DimensionMismatch(f"relation {wrong.label()} has"
+                                    f" m={wrong.element.m}, not {m}")
         counts = Counter(r.degree for r in relations)
         # lowest degree first; the sort is stable, so list order among
         # equals; those declared below degree 2 are due at degree 2
@@ -647,7 +642,7 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
             built[position] = relation
             spans.add(position, relation.degree, relation.element, alphas)
         span_rank, route = None, "leads"
-        if stray is None and all(r.generated for r in reports):
+        if stray is None:
             span_rank = spans.lead_count(
                 d, _q_count(m, d) - _trace_linear_count(m, d))
         if span_rank != kernel_dimension:

@@ -322,3 +322,23 @@ def test_module_entry_point():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "generators: 5"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "-m", "3", "--format", "json"],
+    ["reduce", "-m", "3", "--product", "111,110"],
+])
+def test_optimized_run_matches_plain_run(argv):
+    # python -O strips assert statements, so no output may hang on one:
+    # each command prints the same and exits the same with -O as without
+    package_root = str(Path(vecinv2.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root,
+                                         os.environ.get("PYTHONPATH")]))
+    plain, optimized = (subprocess.run(
+        [sys.executable, *flags, "-m", "vecinv2", *argv],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}) for flags in ([], ["-O"]))
+    assert plain.returncode == 0, plain.stderr
+    assert plain.stdout
+    assert (optimized.stdout, optimized.returncode) == (
+        plain.stdout, plain.returncode)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -31,6 +32,7 @@ from vecinv2.oracle import (
     verify_relation_ideal,
 )
 from vecinv2.poly import (
+    DimensionMismatch,
     Poly,
     all_subsets,
     min_index,
@@ -39,6 +41,7 @@ from vecinv2.poly import (
     singleton,
 )
 from vecinv2.qring import (
+    QMon,
     QPoly,
     block_sums,
     evaluate,
@@ -1887,7 +1890,7 @@ def _leads_against_elimination(m, family, d_max):
     Returns the degrees the lead count decides."""
     spans = blocks.RelationSpans(m)
     decided = []
-    stable = vanishing = True
+    vanishing = True
     for d in range(2, d_max + 1):
         kernel = oracle._q_count(m, d) - evaluation_rank(m, d, 10 ** 12)
         for p, r in enumerate(family):
@@ -1896,7 +1899,7 @@ def _leads_against_elimination(m, family, d_max):
                           blocks.multidegrees(r.element))
                 vanishing = vanishing and vanishes(r.element)
         count = None
-        if stable and vanishing:
+        if vanishing:
             count = spans.lead_count(
                 d, oracle._q_count(m, d) - oracle._trace_linear_count(m, d))
         dependent = set(spans.dependent)
@@ -1906,7 +1909,6 @@ def _leads_against_elimination(m, family, d_max):
         if count == kernel:
             assert (rank, spans.dependent) == (count, dependent), (m, d)
             decided.append(d)
-        stable = stable and vanishing and rank == kernel
     return decided
 
 
@@ -1935,20 +1937,54 @@ def _enumerated_covered(monomials, linear):
                for t in monomials)
 
 
+def _enumerated_block_covered(m, d, linear):
+    """``_enumerated_covered`` over the trace-linear monomials of every
+    block of degree d."""
+    return sum(_enumerated_covered(trace_linear_monomials(m, alpha), linear)
+               for alpha in blocks.compositions(d, m))
+
+
+def _x_trace(m, c, trace):
+    """The lead x_c Tr(trace)."""
+    return QMon(tuple(int(i == c) for i in range(m)), (0,) * m, (trace,))
+
+
+def test_covered_count_matches_enumeration():
+    # the closed form counts, over every block of the degree, the
+    # trace-linear monomials some lead x_c Tr(B) divides, for any lead
+    # map: here seeded random ones, S_m-stable or not, on traces of
+    # size up to the degree
+    rng = random.Random(3011)
+    subsets = {m: all_subsets(m, min_size=2) for m in range(1, 5)}
+    compared = 0
+    for m in range(1, 5):
+        for d in range(2, 2 * m + 2):
+            for _ in range(12):
+                below = {trace: set(rng.sample(range(m), rng.randint(1, m)))
+                         for trace in subsets[m]
+                         if sum(trace) <= d and rng.random() < 0.5}
+                linear = {(trace,): [_x_trace(m, c, trace) for c in indices]
+                          for trace, indices in below.items()}
+                assert blocks._covered_count(m, d, below) == \
+                    _enumerated_block_covered(m, d, linear), (m, d, below)
+                compared += bool(below)
+    assert compared > 120  # of 240 maps, most hold a lead
+
+
 def test_closed_covered_matches_enumeration(monkeypatch):
-    # wherever the lead count reaches its closed-form _covered, each
-    # representative's count is the enumerated one, from every lower
-    # trace-linear lead, those it drops included: on the declared
-    # families for m <= 6 through degree 2m + 1, passed in so that the
-    # lead count runs, and on the route-table families
+    # wherever the lead count reaches its closed-form _covered_count,
+    # the total is the enumerated one over every block of the degree,
+    # from every lower trace-linear lead, those it drops included: on
+    # the declared families for m <= 5 through degree 2m + 1, passed in
+    # so that the lead count runs, and on the route-table families
     asked = []
-    covered = blocks._covered
+    covered = blocks._covered_count
     lead_count = blocks.RelationSpans.lead_count
     compared = Counter()
 
-    def recording(rho, below):
-        asked.append((rho, covered(rho, below)))
-        return asked[-1][1]
+    def recording(m, d, below):
+        asked.append(covered(m, d, below))
+        return asked[-1]
 
     def checking(self, d, several):
         asked.clear()
@@ -1960,26 +1996,35 @@ def test_closed_covered_matches_enumeration(monkeypatch):
                     for lead in self._leads(block):
                         if len(lead.traces) < 2:
                             linear.setdefault(lead.traces, []).append(lead)
-            assert [rho for rho, _ in asked] == list(
-                blocks.orbit_reps(d, self.m))
-            for rho, count in asked:
-                assert count == _enumerated_covered(
-                    trace_linear_monomials(self.m, rho), linear), (d, rho)
-            compared[self.m] += len(asked)
+            (count,) = asked
+            assert count == _enumerated_block_covered(self.m, d, linear), (
+                self.m, d)
+            compared[self.m] += 1
         return total
 
-    monkeypatch.setattr(blocks, "_covered", recording)
+    monkeypatch.setattr(blocks, "_covered_count", recording)
     monkeypatch.setattr(blocks.RelationSpans, "lead_count", checking)
-    for m in range(1, 7):
+    for m in range(1, 6):
         for flavor in ("II", "III"):
             assert verify_relation_ideal(
                 m, 2 * m + 1, flavor, budget=10 ** 40,
                 relations=relation_basis(m, flavor)).ok
-    assert all(compared[m] for m in range(1, 7))
+    assert all(compared[m] for m in range(1, 6))
     compared.clear()
     for m, flavor, family, _ in _route_table():
         verify_relation_ideal(m, flavor=flavor, relations=family)
     assert compared[3] and compared[4]
+
+
+def test_passed_in_family_of_another_width_is_refused():
+    # checked before any degree: a budget of 1 would stop degree 2
+    basis3, basis4 = relation_basis(3), relation_basis(4)
+    for m, family, offender in [(3, basis4, basis4[0]),
+                                (4, basis3, basis3[0]),
+                                (3, basis3 + [basis4[5]], basis4[5])]:
+        with pytest.raises(DimensionMismatch,
+                           match=re.escape(offender.label())):
+            verify_relation_ideal(m, budget=1, relations=family)
 
 
 def test_declared_relations_are_built_at_their_degree(monkeypatch):
