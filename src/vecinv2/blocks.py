@@ -43,7 +43,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, compress, product
-from math import factorial, inf, isqrt, log
+from math import comb, factorial, inf, isqrt, log
 from operator import le, sub
 
 from .f2 import RowSpan, bit_indices, left_kernel, row_of
@@ -168,13 +168,18 @@ def _factors(t: QMon) -> int:
     return sum(t.xe) + sum(t.ne) + len(t.traces)
 
 
-def monomial_series(weights: list[int], d: int) -> list[int]:
-    """Coefficients of t^0..t^d in the product of 1/(1 - t^w) over the
-    generator degrees ``weights``: how many monomials of each degree."""
+def monomial_series(weights: list[tuple[int, int]], d: int) -> list[int]:
+    """Coefficients of t^0..t^d in the product of 1/(1 - t^w)^c over the
+    pairs (w, c) of ``weights``, c generators of degree w each: how many
+    monomials of each degree.  1/(1 - t^w)^c has C(j + c - 1, j) at
+    t^(wj)."""
     coeffs = [1] + [0] * d
-    for w in weights:
-        for i in range(w, d + 1):
-            coeffs[i] += coeffs[i - w]
+    for w, c in weights:
+        if c:
+            powers = [comb(j + c - 1, j) for j in range(d // w + 1)]
+            coeffs = [sum(p * coeffs[i - w * j] for j, p in
+                          enumerate(powers[:i // w + 1]))
+                      for i in range(d + 1)]
     return coeffs
 
 
@@ -183,7 +188,7 @@ def free_series(m: int, d: int) -> list[list[int]]:
     1/((1-t)^j (1-t^2)^m), how many monomials x^I N^J of each degree
     have I supported on j given indices.  Row 0 is the series of the
     norms alone, and each row the partial sums of the one before."""
-    table = [monomial_series([2] * m, d)]
+    table = [monomial_series([(2, m)], d)]
     for _ in range(m):
         table.append(list(accumulate(table[-1])))
     return table

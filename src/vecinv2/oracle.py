@@ -189,9 +189,9 @@ def _charge(rows: int, cols: int, budget: int, what: str) -> None:
 
 
 def _enumerate(weights: list[int], d: int) -> list[list[tuple]]:
-    """The monomials ``monomial_series`` counts: entry k lists every
-    exponent vector over the generator degrees ``weights`` of weighted
-    degree k, for k = 0..d."""
+    """The monomials ``monomial_series`` counts, one weight in
+    ``weights`` per generator: entry k lists every exponent vector of
+    weighted degree k, for k = 0..d."""
     found = [[()]] + [[] for _ in range(d)]
     for w in weights:
         found = [[e + (k,) for k in range(i // w + 1)
@@ -202,9 +202,9 @@ def _enumerate(weights: list[int], d: int) -> list[list[tuple]]:
 @lru_cache(maxsize=None)
 def _q_count(m: int, d: int) -> int:
     """``len(q_monomials(m, d))``, without enumerating them: x's weigh
-    1, norms 2, and each trace symbol Tr(A) weighs |A|."""
-    traces = [k for k in range(2, m + 1) for _ in range(comb(m, k))]
-    return monomial_series([1] * m + [2] * m + traces, d)[d]
+    1, norms 2, and the C(m, k) trace symbols of size k weigh k."""
+    traces = [(k, comb(m, k)) for k in range(2, m + 1)]
+    return monomial_series([(1, m), (2, m), *traces], d)[d]
 
 
 def _trace_linear_count(m: int, d: int) -> int:

@@ -12,15 +12,35 @@ of ``blocks.RelationSpans._lead``: inserting pairs that no symbol reads
 changes neither nu', nor grevlex on the interleaved y_i, x_i, nor the
 tuple order.
 
-``shape_cores`` lists the shapes of one width and degree directly as
-masks, with no ``Relation`` built: type I on [k], and the quadratics
-by the set S of pairs in both A and B and an A-only submask of the
-rest, each with its multidegree, its lead by the family's table and the
-terms its family's mask core writes (``relations``).  ``shape_holds``
-decides a shape in one pass over those terms: it vanishes, leads as
-the table says, and has two generator factors or more in every term.
-The cores, and the lead order's ``blocks._nu`` and ``blocks._tie_break``,
-are looked up on their modules when called, so a shape is always written
+Size classes.  A quadratic shape splits [k] into the Venn regions
+S = A & B, X = A - B and Y = B - A of its pair, A the larger by
+(cardinality, mask).  Its core reads nothing but those regions, the
+least member of one (IIIa: of B = Y; IIIb: of B = S) and that
+orientation.  A permutation of the pairs that is monotone on each region
+and maps the regions of one shape onto those of another with the same
+sizes (|S|, |X|, |Y|) keeps all three, so the second shape's terms are
+the first's, permuted.  Evaluation commutes with every permutation of
+the pairs, and none changes what ``shape_holds`` reads: the multidegree,
+the factor count, nu' from popcounts and the XOR of the images.  A
+quadratic has a unique top term, Tr(A)Tr(B), so ``blocks._tie_break``,
+which reads the order of the pairs, is never reached.  So one shape per
+class decides all of them: ``shape_cores`` lists type I on [k] and one
+quadratic per size triple, with S on the first pairs, then X, then Y:
+O(k^2) shapes of width k over all degrees, of about 3^k / 2.
+``shape_holds`` refuses a quadratic whose top terms tie, as the
+tie-break would decide it on the representative alone; the sweep then
+takes its per-relation path.  The limit: Tier-1 compares every
+quadratic shape with its class representative for k <= 7 and the
+embedded shapes with the family for m <= 6, so a core changed to break
+region-monotone commutation only at wider widths goes unseen there.
+
+``shape_cores`` gives each shape as masks, with no ``Relation`` built:
+its multidegree, its lead by the family's table and the terms its
+family's mask core writes (``relations``).  ``shape_holds`` decides a
+shape in one pass over those terms: it vanishes, leads as the table
+says, and has two generator factors or more in every term.  The cores,
+and the lead order's ``blocks._nu`` and ``blocks._tie_break``, are
+looked up on their modules when called, so a shape is always written
 and led by the code that writes and leads the relation.
 
 A shape of width k is the same at every m >= k, so ``oracle`` keeps the
@@ -34,11 +54,11 @@ clears that memo before the next one.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate
 from operator import mul
 
 from . import blocks, relations
-from .poly import int_submasks, parity_collect
+from .poly import parity_collect
 from .qring import term_image
 from .relations import _term
 
@@ -46,33 +66,32 @@ __all__ = ["shape_cores", "shape_holds"]
 
 
 def shape_cores(k: int, d: int, flavor: str = "III"):
-    """The members of degree d of ``relation_basis(k, flavor)`` whose
-    defining sets cover all k pairs, each as ``(alpha, lead, terms)``:
-    its multidegree as a mask of bytes, the lead the family's table
-    gives it as an (x, n, traces) tuple of masks, and its core's terms.
-    They are type I on C = [k] when d = k >= 3, leading with
-    x_0 Tr(C - {0}); and one quadratic per set S of d - k pairs in both
-    A and B and submask T of the rest R, with A = S | T, B = S | (R - T)
-    and |A|, |B| >= 2, leading with Tr(A)Tr(B), of multidegree 1 on [k]
-    plus 1 on S.  Its pair is oriented as ``relations_of_degree``
-    orients it (A before B, the larger by (cardinality, mask), since
-    type II is not symmetric), so a T with B larger than A is the swap
-    of one kept and is skipped."""
+    """One member of degree d of ``relation_basis(k, flavor)`` for each
+    size class of the members whose defining sets cover all k pairs,
+    each as ``(alpha, lead, terms)``: its multidegree as a mask of
+    bytes, the lead the family's table gives it as an (x, n, traces)
+    tuple of masks, and its core's terms.  They are type I on C = [k]
+    when d = k >= 3, leading with x_0 Tr(C - {0}); and one quadratic
+    per split of [k] into S = A & B, X = A - B and Y = B - A with
+    |S| = d - k, |X| >= |Y| and |A|, |B| >= 2, taking S on the first
+    pairs, then X, then Y, leading with Tr(A)Tr(B), of multidegree 1 on
+    [k] plus 1 on S.  A is the larger of the pair by (cardinality,
+    mask), as ``relations_of_degree`` orients it, since type II is not
+    symmetric."""
     relations._check_family(k, flavor)
     full = int.from_bytes(bytes([1]) * k, "big")
     if d == k >= 3:
         c = 1 << 8 * (k - 1)
         yield full, (c, 0, (full ^ c,)), relations._core_i(full)
-    for both in combinations(range(k), d - k) if k <= d <= 2 * k else ():
-        s = sum(1 << 8 * (k - 1 - i) for i in both)
-        rest = full ^ s
-        for t in int_submasks(rest):
-            a, b = s | t, s | (rest ^ t)
-            if (min(a.bit_count(), b.bit_count()) >= 2
-                    and (a.bit_count(), a) >= (b.bit_count(), b)):
-                yield full + s, (0, 0, (max(a, b), min(a, b))), (
-                    relations._core_ii(a, b) if flavor == "II"
-                    else relations._core_iii(a, b)[-1])
+    if not k <= d <= 2 * k:
+        return
+    both = full ^ (full >> 8 * (d - k))
+    for y in range(max(0, k + 2 - d), (2 * k - d) // 2 + 1):
+        low = full >> 8 * (k - y)
+        a, b = full ^ low, both | low
+        yield full + both, (0, 0, (a, b)), (
+            relations._core_ii(a, b) if flavor == "II"
+            else relations._core_iii(a, b)[-1])
 
 
 @lru_cache(maxsize=1 << 14)
@@ -113,7 +132,8 @@ def shape_holds(k: int, alpha: int, lead: tuple, terms) -> bool:
     when their XOR is 0.  A term's factors are its exponent bytes plus
     its traces, and set bits bound the bytes from below.  nu' comes from
     the popcounts (``blocks._nu``).  A unique top term survives parity
-    collection and is the lead; where several tie, they alone are
+    collection and is the lead; where several tie, a quadratic is
+    refused (module docstring, "Size classes"), and type I's are
     converted, collected and handed to ``blocks._tie_break``.  A tie
     that cancels, a term off the block or one of one factor is refused
     even where its duplicate cancels it, which ``vanishes`` and
@@ -152,7 +172,9 @@ def shape_holds(k: int, alpha: int, lead: tuple, terms) -> bool:
     if len(tied) == 1:
         x, n, kept = tied[0]
         return (x, n, tuple(sorted(kept, reverse=True))) == lead
-    collected = parity_collect(_term(k, x, n, *kept) for x, n, kept in tied)
     x, n, traces = lead
+    if len(traces) > 1:
+        return False
+    collected = parity_collect(_term(k, x, n, *kept) for x, n, kept in tied)
     return bool(collected) and blocks._tie_break(list(collected)) == _term(
         k, x, n, *traces)

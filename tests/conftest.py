@@ -6,17 +6,19 @@ import inspect
 import random
 from collections import Counter
 from functools import cache, reduce
+from itertools import combinations
 from operator import add
 
 import pytest
 
-from vecinv2 import oracle, relations, shapes
+from vecinv2 import oracle, relations
 from vecinv2.blocks import RelationSpans, _factors, multidegrees
 from vecinv2.invariants import generator_set
 from vecinv2.poly import (
     DimensionMismatch,
     Poly,
     all_subsets,
+    int_submasks,
     min_index,
     singleton,
 )
@@ -248,17 +250,43 @@ def generator_leads_hold(m: int, d: int) -> bool:
                for k in range(1, min(d, max(m, 2)) + 1))
 
 
+def every_shape_core(k: int, d: int, flavor: str = "III"):
+    """Every member of degree d of ``relation_basis(k, flavor)`` whose
+    defining sets cover all k pairs, as ``shapes.shape_cores`` gives the
+    representatives of their size classes: type I on C = [k] when
+    d = k >= 3, and one quadratic per set S of d - k pairs in both A and
+    B and submask T of the rest R, with A = S | T, B = S | (R - T),
+    |A|, |B| >= 2 and A the larger by (cardinality, mask).  The
+    exhaustive reference for the class lister, about 3^k shapes per
+    width.  The cores are looked up when called, so monkeypatches of
+    them apply."""
+    relations._check_family(k, flavor)
+    full = int.from_bytes(bytes([1]) * k, "big")
+    if d == k >= 3:
+        c = 1 << 8 * (k - 1)
+        yield full, (c, 0, (full ^ c,)), relations._core_i(full)
+    for both in combinations(range(k), d - k) if k <= d <= 2 * k else ():
+        s = sum(1 << 8 * (k - 1 - i) for i in both)
+        rest = full ^ s
+        for t in int_submasks(rest):
+            a, b = s | t, s | (rest ^ t)
+            if (min(a.bit_count(), b.bit_count()) >= 2
+                    and (a.bit_count(), a) >= (b.bit_count(), b)):
+                yield full + s, (0, 0, (max(a, b), min(a, b))), (
+                    relations._core_ii(a, b) if flavor == "II"
+                    else relations._core_iii(a, b)[-1])
+
+
 def relation_shapes(k: int, d: int, flavor: str = "III"):
-    """The shapes ``shapes.shape_cores`` lists, each built by its
-    public constructor on the sets its table lead names: type I on
-    C = [k] for a lead x_0 Tr(C - {0}), and the quadratic on A and B,
-    the larger by (cardinality, bits) first, for a lead Tr(A)Tr(B).
-    The constructors are looked up when called, so monkeypatches of the
-    cores apply."""
+    """The shapes ``every_shape_core`` lists, each built by its public
+    constructor on the sets its table lead names: type I on C = [k] for
+    a lead x_0 Tr(C - {0}), and the quadratic on A and B, the larger by
+    (cardinality, bits) first, for a lead Tr(A)Tr(B).  The constructors
+    are looked up when called, so monkeypatches of the cores apply."""
     def members(mask):
         return tuple(mask.to_bytes(k, "big"))
 
-    for _, (x, _, traces), _ in shapes.shape_cores(k, d, flavor):
+    for _, (x, _, traces), _ in every_shape_core(k, d, flavor):
         if x:
             yield relations._type_i(members(x | traces[0]))
         else:

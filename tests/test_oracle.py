@@ -60,6 +60,7 @@ from vecinv2.relations import (
 )
 
 from conftest import (
+    every_shape_core,
     generator_leads_hold,
     involution,
     max_relation_degree,
@@ -110,6 +111,14 @@ def _series_count(m, d):
         for i in range(g, d + 1):
             coeffs[i] += coeffs[i - g]
     return coeffs[d]
+
+
+def test_q_count_groups_the_trace_weights_by_size():
+    # one factor 1/(1 - t^k)^C(m, k) per trace size is the series over
+    # one weight per generator symbol, through 2m + 1 for m <= 10
+    for m in range(1, 11):
+        for d in range(2 * m + 2):
+            assert oracle._q_count(m, d) == _series_count(m, d), (m, d)
 
 
 def test_q_monomials_counts_against_series():
@@ -1690,15 +1699,81 @@ def test_failed_shape_falls_back(monkeypatch, mutant):
     assert (report == expected) == report.ok
 
 
+def _tied_quadratics(monkeypatch):
+    """Quadratic cores that write their first term, Tr(A)Tr(B), twice
+    more: every relation stays as it was, but the top terms of every
+    quadratic shape tie."""
+    core_ii, core_iii = relations._core_ii, relations._core_iii
+
+    def tied(a, b):
+        *named, terms = core_iii(a, b)
+        return (*named, terms + terms[:1] * 2)
+
+    monkeypatch.setattr(relations, "_core_ii",
+                        lambda a, b: core_ii(a, b) + [(0, 0, a, b)] * 2)
+    monkeypatch.setattr(relations, "_core_iii", tied)
+
+
+def test_tied_representative_falls_back(monkeypatch):
+    # a class representative whose top terms tie is refused, even where
+    # the tied terms collect to its table lead alone, as it stands for
+    # shapes the tie-break would read in another pair order; type I on
+    # [k], a class of its own, still has its tie broken.  The sweep
+    # takes the per-relation path from degree 4, the first with a
+    # quadratic, to the report the family passed in gets, which is the
+    # declared one
+    shaped, walk = [], oracle.shape_cores
+    listed, due = [], oracle.relations_of_degree
+
+    def shaping(k, d, flavor):
+        shaped.append(d)
+        return walk(k, d, flavor)
+
+    def listing(m, d, flavor):
+        listed.append(d)
+        return due(m, d, flavor)
+
+    for flavor in ("II", "III"):
+        expected = verify_relation_ideal(4, 8, flavor)
+        with monkeypatch.context() as patch:
+            _tied_quadratics(patch)
+            oracle._shapes_hold.cache_clear()
+            for k in range(1, 6):
+                for d in range(2 * k + 1):
+                    for alpha, lead, terms in shapes.shape_cores(k, d, flavor):
+                        x, n, traces = lead
+                        assert shapes.shape_holds(k, alpha, lead, terms) == (
+                            len(traces) == 1)
+                        if len(traces) > 1:
+                            assert shapes.shape_holds(k, alpha, lead,
+                                                      terms[:-2])
+                        else:
+                            assert shapes.shape_holds(
+                                k, alpha, lead, terms + [(x, n, *traces)] * 2)
+            shaped.clear()
+            listed.clear()
+            patch.setattr(oracle, "shape_cores", shaping)
+            patch.setattr(oracle, "relations_of_degree", listing)
+            report = verify_relation_ideal(4, 8, flavor)
+            assert (max(shaped), listed) == (4, list(range(2, 9)))
+            passed = verify_relation_ideal(
+                4, 8, flavor, relations=relation_basis(4, flavor))
+        assert report.to_text() == passed.to_text()
+        assert json.dumps(report.to_json()) == json.dumps(passed.to_json())
+        assert report == passed == expected
+
+
 def test_one_pass_check_agrees_with_the_reference():
     # exhaustively for k <= 6, d <= 2k, both flavors: the one-pass check
-    # on a shape's core terms accepts exactly where the built relation
-    # vanishes and passes the reference lead-table and two-factor check
+    # on the core terms of every shape, not only the class
+    # representatives that shape_cores lists, accepts exactly where the
+    # built relation vanishes and passes the reference lead-table and
+    # two-factor check
     seen = 0
     for k in range(1, 7):
         for flavor in ("II", "III"):
             for d in range(2 * k + 1):
-                for shape, r in zip(shapes.shape_cores(k, d, flavor),
+                for shape, r in zip(every_shape_core(k, d, flavor),
                                     relation_shapes(k, d, flavor)):
                     assert shapes.shape_holds(k, *shape), r.label()
                     assert vanishes(r.element) and shape_leads_hold(r)
@@ -1763,13 +1838,14 @@ def _single_factor(monkeypatch):
 def test_mutated_cores_are_refused(monkeypatch, mutant):
     # a mutated core changes the constructors and the shapes alike: the
     # one-pass check agrees with the reference on every shape for
-    # k <= 6, refuses some, and the sweep falls back to the report, routes
-    # included, that the mutated family gets when passed in
+    # k <= 6, refuses some, and the sweep on the class representatives
+    # falls back to the report, routes included, that the mutated family
+    # gets when passed in
     for flavor in mutant(monkeypatch):
         refused = 0
         for k in range(1, 7):
             for d in range(2 * k + 1):
-                for shape, r in zip(shapes.shape_cores(k, d, flavor),
+                for shape, r in zip(every_shape_core(k, d, flavor),
                                     relation_shapes(k, d, flavor)):
                     holds = shapes.shape_holds(k, *shape)
                     assert holds == (vanishes(r.element)
@@ -1859,26 +1935,45 @@ def test_top_monomial_is_the_first_q_monomial():
         for d in range(2, 7)]
 
 
-@pytest.mark.slow
-def test_verify_m11_through_degree_23():
-    # lifted m = 11 through 2m + 1, whole process: the declared family
-    # passes on its shapes in under 60 s and 200 MB, its JSON report
-    # pinned by digest
+def _lifted_verify(m, d_max, budget):
+    """``python -m vecinv2 verify -m m --dmax d_max`` at ``budget`` as a
+    process, in JSON: its stdout and wall time, after asserting it
+    passed."""
     package_root = str(Path(oracle.__file__).parents[1])
     path = os.pathsep.join(filter(None, [package_root,
                                          os.environ.get("PYTHONPATH")]))
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "vecinv2", "verify", "-m", "11", "--dmax",
-         "23", "--budget", str(10 ** 40), "--format", "json"],
+        [sys.executable, "-m", "vecinv2", "verify", "-m", str(m), "--dmax",
+         str(d_max), "--budget", str(budget), "--format", "json"],
         capture_output=True, env={**os.environ, "PYTHONPATH": path})
     wall = time.perf_counter() - start
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["ok"]
-    assert hashlib.sha256(proc.stdout).hexdigest() == (
+    return proc.stdout, wall
+
+
+def test_verify_m11_through_degree_23():
+    # lifted m = 11 through 2m + 1, whole process: the declared family
+    # passes on its size classes in under 5 s and 200 MB, its JSON
+    # report pinned by digest
+    out, wall = _lifted_verify(11, 23, 10 ** 40)
+    assert hashlib.sha256(out).hexdigest() == (
         "1f029f9eadd6eefd86e13427f9d8b23a453afe19b3da0646c4f14a2f549cf041")
-    assert wall < 60
+    assert wall < 5
     # ru_maxrss is in KB on Linux
+    assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss < 200 * 1024
+
+
+@pytest.mark.slow
+def test_verify_m16_through_degree_33():
+    # lifted m = 16 through 2m + 1, whole process, on 491 class
+    # representatives in place of about 3^16 shapes: under 10 s and
+    # 200 MB, its JSON report pinned by digest
+    out, wall = _lifted_verify(16, 33, 10 ** 80)
+    assert hashlib.sha256(out).hexdigest() == (
+        "b06a2e47371c906bcd93a55513a27078f6224ac58bfb759a292a9850069b43f0")
+    assert wall < 10
     assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss < 200 * 1024
 
 
@@ -2028,10 +2123,12 @@ def test_passed_in_family_of_another_width_is_refused():
 
 
 def test_declared_relations_are_built_at_their_degree(monkeypatch):
-    # m = 8 stops at degree 5; only the 1 + 8 shapes of degree 3 and 4
-    # at k <= 8 are built, type I on [3] and [4] and the seven pairs of
-    # two-member sets covering [2], [3] or [4]: not the 56 + 476
-    # relations of those degrees, nor all 30847
+    # m = 8 stops at degree 5; only the 1 + 4 class representatives of
+    # degree 3 and 4 at k <= 8 are built, type I on [3] and [4] and one
+    # pair of two-member sets covering [2], [3] and [4] each, with
+    # (|S|, |X|, |Y|) = (2, 0, 0), (1, 1, 1) and (0, 2, 2): not the seven
+    # shapes of those pairs, nor the 56 + 476 relations of those degrees,
+    # nor all 30847
     built = []
 
     def counting(core):
@@ -2049,7 +2146,7 @@ def test_declared_relations_are_built_at_their_degree(monkeypatch):
     assert str(info.value) == (
         "evaluation rank at degree 5 needs a 15088 x 15504 matrix "
         "(233924352 entries > budget 100000000)")
-    assert sorted(built) == [3] + [4] * 8
+    assert sorted(built) == [3] + [4] * 4
 
 
 def test_declared_family_is_listed_degree_by_degree(monkeypatch):

@@ -35,6 +35,7 @@ from vecinv2.qring import (
     multidegree,
     qmon_trace_degree,
 )
+from vecinv2 import relations
 from vecinv2.relations import (
     Relation,
     VacuousRelationError,
@@ -54,6 +55,7 @@ from vecinv2.shapes import shape_cores
 
 from conftest import (
     drop_min,
+    every_shape_core,
     intersect,
     is_disjoint,
     is_subset_of,
@@ -620,9 +622,11 @@ def test_constructors_and_leads_commute_with_monotone_embeddings():
 
 
 def test_shapes_embed_onto_the_declared_family():
-    # each shape covers its k pairs, and the embeddings of the shapes of
-    # degree d over every k <= m are the declared relations of degree d,
-    # each once, in both flavors
+    # each shape of the exhaustive reference covers its k pairs, and the
+    # embeddings of the shapes of degree d over every k <= m are the
+    # declared relations of degree d, each once, in both flavors; the
+    # class representatives stand for these shapes
+    # (test_shape_classes_stand_for_every_shape)
     for m in range(1, 7):
         for flavor in ("II", "III"):
             for k in range(1, m + 1):
@@ -648,7 +652,8 @@ def test_shapes_embed_onto_the_declared_family():
 
 def test_shape_cores_convert_to_the_constructors_elements():
     # exhaustively for k <= 6, d <= 2k, both flavors: each shape's core
-    # terms, converted by _term and collected, are the element the
+    # terms (every shape, of which the class representatives are some),
+    # converted by _term and collected, are the element the
     # public constructor builds on the sets the shape's lead names, and
     # the reference builder's; every term has the listed multidegree,
     # and the listed lead, converted, is the table's
@@ -658,7 +663,7 @@ def test_shape_cores_convert_to_the_constructors_elements():
     for k in range(1, 7):
         for flavor in ("II", "III"):
             for d in range(2 * k + 1):
-                shapes = list(shape_cores(k, d, flavor))
+                shapes = list(every_shape_core(k, d, flavor))
                 built = list(relation_shapes(k, d, flavor))
                 assert len(shapes) == len(built)
                 for (alpha, (x, n, traces), terms), r in zip(shapes, built):
@@ -675,3 +680,135 @@ def test_shape_cores_convert_to_the_constructors_elements():
                     if r.b is not None:
                         assert lead.traces == tuple(
                             sorted((r.a, r.b), reverse=True))
+
+
+def _pairs(mask, k):
+    """The pairs of a mask of width k, least first."""
+    return [i for i in range(k) if mask >> 8 * (k - 1 - i) & 1]
+
+
+def _permutation(sigma, k):
+    """The permutation of the pairs sending pair i to sigma[i], on masks
+    of width k, exponent bytes included."""
+    def move(mask):
+        return sum((mask >> 8 * (k - 1 - i) & 0xFF) << 8 * (k - 1 - j)
+                   for i, j in enumerate(sigma))
+    return move
+
+
+def _regions(traces):
+    """The Venn regions S = A & B, X = A - B and Y = B - A of a shape's
+    pair, A the larger by (cardinality, mask)."""
+    a, b = sorted(traces, key=lambda t: (t.bit_count(), t), reverse=True)
+    return a & b, a & ~b, b & ~a
+
+
+def _class_misses(k, flavor):
+    """The quadratic shapes of width k, of every degree, that are not
+    the image of their size class's representative under the
+    permutation that maps each Venn region of the representative onto
+    the shape's, monotone on each: term for term, after ``_term``, with
+    the multidegree and the lead.  Each representative must be a shape
+    of the exhaustive reference, one per size triple; returns the
+    misses and how many shapes were compared."""
+    misses, seen = [], 0
+    for d in range(2 * k + 1):
+        reference = [shape for shape in every_shape_core(k, d, flavor)
+                     if not shape[1][0]]
+        representatives = {}
+        for shape in shape_cores(k, d, flavor):
+            if not shape[1][0]:
+                sizes = tuple(r.bit_count() for r in _regions(shape[1][2]))
+                assert sizes not in representatives and shape in reference
+                representatives[sizes] = shape
+        for alpha, (_, _, traces), terms in reference:
+            regions = _regions(traces)
+            r_alpha, (_, _, r_traces), r_terms = representatives[
+                tuple(r.bit_count() for r in regions)]
+            sigma = [None] * k
+            for source, target in zip(_regions(r_traces), regions):
+                for i, j in zip(_pairs(source, k), _pairs(target, k)):
+                    sigma[i] = j
+            move = _permutation(sigma, k)
+            image = Counter(_term(k, *map(move, t)) for t in r_terms)
+            if (move(r_alpha), sorted(map(move, r_traces)), image) != (
+                    alpha, sorted(traces),
+                    Counter(_term(k, *t) for t in terms)):
+                misses.append((d, traces))
+            seen += 1
+    return misses, seen
+
+
+def _middle_member(monkeypatch, k):
+    """A type III core that singles out the member of B nearest the
+    middle of [k], the lesser on a tie, instead of its least member."""
+    core = relations._core_iii
+
+    def middle(a, b):
+        family, a, b, single, terms = core(a, b)
+        if single:
+            pair = min(_pairs(b, k), key=lambda i: (abs(2 * i - (k - 1)), i))
+            single = 1 << 8 * (k - 1 - pair)
+            rest = b ^ single
+            terms = ([(0, 0, a, b), (0, 0, a | single, rest),
+                      (single, 0, a | rest), (single, 0, a, rest)]
+                     if family == "IIIa" else
+                     [(0, 0, a, b), (single, 0, a, rest),
+                      (0, single, a ^ single, rest),
+                      (single, rest, (a & ~b) | single)])
+        return family, a, b, single, terms
+
+    monkeypatch.setattr(relations, "_core_iii", middle)
+
+
+def test_shape_classes_stand_for_every_shape(monkeypatch):
+    # every one of the 1582 quadratic shapes at k <= 7 is, in both
+    # flavors, the image of its class representative under the
+    # region-monotone permutation, term for term; a type III core that
+    # singles out the member nearest the middle of [k], a choice that
+    # reads absolute positions, breaks that from k = 4 on (at k = 3 the
+    # only moved choice is within a two-member B = S of IIIb, where
+    # either member writes the same relation)
+    seen = 0
+    for k in range(1, 8):
+        for flavor in ("II", "III"):
+            misses, compared = _class_misses(k, flavor)
+            assert misses == [], (k, flavor)
+            seen += compared
+    assert seen == 2 * (1 + sum((3 ** k - 4 * k - 1) // 2
+                                for k in range(3, 8)))
+    core, broken = relations._core_iii, []
+    for k in range(1, 8):
+        _middle_member(monkeypatch, k)
+        if _class_misses(k, "III")[0]:
+            broken.append(k)
+        monkeypatch.setattr(relations, "_core_iii", core)
+    assert broken == [4, 5, 6, 7]
+
+
+def _class_count(k, d):
+    """The shapes ``shape_cores(k, d)`` lists, in closed form: type I on
+    [k] when d = k >= 3, and the y = |Y| with |S| = d - k, |S| + y >= 2
+    and y <= |X| = 2k - d - y."""
+    quadratic = (max(0, (2 * k - d) // 2 - max(0, k + 2 - d) + 1)
+                 if k <= d <= 2 * k else 0)
+    return (d == k >= 3) + quadratic
+
+
+def test_shape_classes_have_a_closed_count():
+    # per width and degree, in both flavors: the closed form, and for
+    # k <= 6 one shape per size triple of the exhaustive reference;
+    # summed over k <= m and d <= 2m + 1, O(m^3) shapes for about 3^m
+    for k in range(1, 17):
+        for flavor in ("II", "III"):
+            for d in range(2 * k + 2):
+                listed = list(shape_cores(k, d, flavor))
+                assert len(listed) == _class_count(k, d), (k, d)
+                if k <= 6:
+                    triples = {tuple(r.bit_count() for r in _regions(traces))
+                               for _, (x, _, traces), _ in every_shape_core(
+                                   k, d, flavor) if not x}
+                    assert len(listed) == (d == k >= 3) + len(triples)
+    assert [sum(_class_count(k, d) for k in range(1, m + 1)
+                for d in range(2 * m + 2)) for m in (8, 10, 12, 16)] == [
+        77, 139, 226, 491]
