@@ -4,6 +4,7 @@ exit statuses, JSON shape, and byte-for-byte determinism."""
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -220,22 +221,151 @@ def test_cli_goldens(capsys, monkeypatch):
 
 
 def test_main_builds_only_the_named_verbs_subparser(capsys, monkeypatch):
-    built = []
+    # a plain call is read off the verb table and builds no parser; a
+    # call the table declines builds the named verb's subparser alone,
+    # or, with no verb first, all seven
+    parsers, built = [], []
+    init = argparse.ArgumentParser.__init__
     add_parser = argparse._SubParsersAction.add_parser
+
+    def counting_init(self, *args, **kwargs):
+        parsers.append(self)
+        init(self, *args, **kwargs)
 
     def counting(self, name, **kwargs):
         built.append(name)
         return add_parser(self, name, **kwargs)
 
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
     every = ["gens", "trace", "relation", "basis", "reduce", "verify",
              "count"]
-    for argv, names in ((["verify", "-m", "2"], ["verify"]),
+    for argv, names in ((["verify", "-m", "2"], []),
+                        (["verify", "-m", "2", "--bogus"], ["verify"]),
+                        (["verify", "-h"], ["verify"]),
                         (["bogus"], every), (["-h"], every)):
+        parsers.clear()
         built.clear()
         cli.main(argv)
         assert built == names, argv
+        # the top-level parser and one per subparser, or none at all
+        assert len(parsers) == (len(names) + 1 if names else 0), argv
     capsys.readouterr()
+
+
+# Each verb's flags, written out here rather than read from cli._VERBS,
+# and values for each flag: two valid ones, drawn most often, then more
+# that argparse reads in its own way or refuses.
+GRAMMAR = {
+    "gens": ("-m", "--format"),
+    "trace": ("-m", "--subset", "--format"),
+    "relation": ("-m", "--flavor", "--subset", "--product", "--format"),
+    "basis": ("-m", "--flavor", "--format"),
+    "reduce": ("-m", "--product", "--format"),
+    "verify": ("-m", "--dmax", "--flavor", "--budget", "--format"),
+    "count": ("-m", "--format"),
+}
+VALUES = {
+    "-m": ("2", "3", "1", " 2", "\u0663", "0", "-3", "x", "", "2.0"),
+    "--dmax": ("4", "7", "1", "-1", "x", ""),
+    "--budget": ("100", "10000", "0", "-5", "1e3", ""),
+    "--flavor": ("II", "III", "I", "IV", "iii", ""),
+    "--format": ("text", "json", "xml", "", "-"),
+    "--subset": ("110", "10", "", "1a", "-1"),
+    "--product": ("11,11", "110,011", "11", "", "-1,1"),
+}
+
+
+def _fuzzed_value(rng, flag):
+    values = VALUES[flag]
+    return rng.choice(values[:2] if rng.random() < 0.85 else values)
+
+
+def _fuzzed_argv(rng):
+    """One argv from ``GRAMMAR``, and whether it is spelled as a plain
+    call (a verb, then FLAG VALUE pairs with each flag once).  Options
+    are left out at random, so required ones go missing; about half the
+    calls get one of argparse's other spellings or a stray token."""
+    verb = rng.choice(list(GRAMMAR) * 6 + ["bogus", "verif", "", "-h"])
+    pairs = [[flag, _fuzzed_value(rng, flag)]
+             for flag in GRAMMAR.get(verb, ("-m",)) if rng.random() < 0.8]
+    rng.shuffle(pairs)
+    plain = verb in GRAMMAR
+    kind = rng.choice(("none",) * 5 + ("joined", "abbreviated", "repeated",
+                                       "dropped", "token"))
+    if kind == "token" or (kind != "none" and not pairs):
+        token = rng.choice(("extra", "3", "", "-x", "--bogus", "--", "-h",
+                            "--help", "-m", "--format"))
+        tokens = [t for pair in pairs for t in pair]
+        tokens.insert(rng.randrange(len(tokens) + 1), token)
+        return [verb] + tokens, False
+    if kind != "none":
+        plain = False
+        i = rng.randrange(len(pairs))
+        flag, value = pairs[i]
+        if kind == "joined":
+            pairs[i] = [flag + ("=" if flag.startswith("--") else "") + value]
+        elif kind == "abbreviated":  # --fo for --format; -mm is no flag
+            pairs[i][0] = (flag[:rng.randrange(3, len(flag))]
+                           if flag.startswith("--") else flag + flag[-1])
+        elif kind == "repeated":
+            pairs.insert(rng.randrange(len(pairs) + 1),
+                         [flag, _fuzzed_value(rng, flag)])
+        else:
+            pairs[i] = [rng.choice(pairs[i])]
+    return [verb] + [t for pair in pairs for t in pair], plain
+
+
+def test_table_parse_agrees_with_argparse(capsys):
+    # whenever the table reads a call, argparse reads it too, to an
+    # equal namespace; any other spelling is left to argparse
+    assert set(GRAMMAR) == {name for name, *_ in cli._VERBS}
+    rng = random.Random(3301)
+    parser = cli.build_parser()
+    accepted = declined_plain = 0
+    for _ in range(4000):
+        argv, plain = _fuzzed_argv(rng)
+        table = cli._table_parse(argv)
+        if not plain:
+            assert table is None, argv
+            continue
+        if table is None:
+            declined_plain += 1
+            continue
+        accepted += 1
+        try:
+            parsed = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse refuses {argv!r}")
+        assert vars(table) == vars(parsed), argv
+    assert capsys.readouterr() == ("", "")
+    # neither side of the split may be vacuous
+    assert accepted > 1000 and declined_plain > 300, (accepted, declined_plain)
+
+
+def _argparse_spellings(argv):
+    """``argv`` spelled in ways only argparse reads: its last option
+    joined to its value (``--format=json``, ``-m3``), and each long
+    flag cut by one letter (``--forma``)."""
+    *head, flag, value = argv
+    joined = head + [flag + ("=" if flag.startswith("--") else "") + value]
+    cut = [t[:-1] if t.startswith("--") else t for t in argv]
+    return [joined] + ([cut] if cut != argv else [])
+
+
+def test_table_path_prints_what_argparse_prints(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    read = [case["argv"] for case in CLI_GOLDENS
+            if cli._table_parse(case["argv"]) is not None]
+    # every golden run but the help texts takes the table path
+    runs = [case["argv"] for case in CLI_GOLDENS
+            if case["code"] == 0 and not case["stdout"].startswith("usage:")]
+    assert runs and all(argv in read for argv in runs)
+    for argv in read:
+        table = run_cli(capsys, *argv)
+        for spelled in _argparse_spellings(argv):
+            assert cli._table_parse(spelled) is None, spelled
+            assert run_cli(capsys, *spelled) == table, spelled
 
 
 def test_main_reads_sys_argv_or_any_iterable(capsys, monkeypatch):
