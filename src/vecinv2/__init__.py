@@ -4,8 +4,8 @@ The action swaps nothing and shears everything: on each of m pairs of
 variables it fixes x and sends y to y + x.  This package constructs the
 invariant generators (the x's, the norms, and the transfers), the three
 families of relations among them, a rewriting engine that reduces
-products of transfers with a replayable log, and a brute-force linear
-algebra oracle that certifies the relation families degree by degree.
+products of transfers with a replayable log, and an oracle that
+certifies the relation families degree by degree.
 """
 
 from .poly import (

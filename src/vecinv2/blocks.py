@@ -19,8 +19,15 @@ against its own span.  While every relation filed vanishes,
 the distinct leads of the span's elements, all in closed form: the
 monomials with two or more traces, and the trace-linear monomials that
 a lower lead of the shape x_c Tr(B) divides, summed over every block of
-the degree (``_covered_count``) from the x/N series of ``free_series``,
-which ``oracle`` counts its monomials from too.
+the degree (``_covered_count``) from the x/N series of ``free_series``.
+
+The closed-form counts, here and in ``oracle``, read one series table
+per width m, kept for the process: the presentation ring's series
+(``q_series``) and the x/N rows (``free_series``), each built by
+``monomial_series`` once per table.  The table is built through
+degree 2m + 1 when its width is first asked for and grows by at least
+doubling past that, so its rows may run past the degree asked for.
+Every caller gets the table's own lists, to read, never to write.
 
 The relation spans key their columns by Goedel numbers: each symbol,
 x_i, N_i and each trace subset A, gets a prime of its own, and a
@@ -59,6 +66,7 @@ __all__ = [
     "orbit_reps",
     "orbit_size",
     "monomial_series",
+    "q_series",
     "free_series",
     "RelationSpans",
 ]
@@ -183,15 +191,42 @@ def monomial_series(weights: list[tuple[int, int]], d: int) -> list[int]:
     return coeffs
 
 
-def free_series(m: int, d: int) -> list[list[int]]:
-    """Row j, for j = 0..m: the coefficients of t^0..t^d in
-    1/((1-t)^j (1-t^2)^m), how many monomials x^I N^J of each degree
-    have I supported on j given indices.  Row 0 is the series of the
-    norms alone, and each row the partial sums of the one before."""
-    table = [monomial_series([(2, m)], d)]
-    for _ in range(m):
-        table.append(list(accumulate(table[-1])))
+_tables: dict[int, tuple[list[int], list[list[int]]]] = {}
+
+
+def _table(m: int, d: int) -> tuple[list[int], list[list[int]]]:
+    """The series table of width m, through degree d at least: the
+    presentation ring's series and the rows of ``free_series``.  It is
+    built the first time width m is asked for, through 2m + 1, and
+    rebuilt past its top through at least twice as far, so a sweep to
+    degree D builds it O(log D) times and one through 2m + 1 once."""
+    table = _tables.get(m)
+    if table is None or len(table[0]) <= d:
+        top = max(d, 2 * m + 1, 2 * len(table[0]) if table else 0)
+        free = [monomial_series([(2, m)], top)]
+        for _ in range(m):
+            free.append(list(accumulate(free[-1])))
+        traces = [(k, comb(m, k)) for k in range(2, m + 1)]
+        table = _tables[m] = (
+            monomial_series([(1, m), (2, m), *traces], top), free)
     return table
+
+
+def q_series(m: int, d: int) -> list[int]:
+    """The coefficients of t^0, t^1, ..., through t^d at least, of the
+    presentation ring's series: x's weigh 1, norms 2, and the C(m, k)
+    trace symbols of size k weigh k, one factor 1/(1 - t^k)^C(m, k) per
+    size.  It is width m's table row, so it may run past d."""
+    return _table(m, d)[0]
+
+
+def free_series(m: int, d: int) -> list[list[int]]:
+    """Row j, for j = 0..m: the coefficients of t^0, t^1, ..., through
+    t^d at least, in 1/((1-t)^j (1-t^2)^m), how many monomials x^I N^J
+    of each degree have I supported on j given indices.  Row 0 is the
+    series of the norms alone, and each row the partial sums of the one
+    before.  The rows are width m's table, so they may run past d."""
+    return _table(m, d)[1]
 
 
 def _covered_count(m: int, d: int, below: dict) -> int:

@@ -1,4 +1,4 @@
-"""Brute-force verification of the relation families, degree by degree.
+"""Verification of the relation families, degree by degree.
 
 Everything here reduces questions about the presentation to GF(2)
 linear algebra over monomial bases:
@@ -126,10 +126,10 @@ from .blocks import (
     RelationSpans,
     block_monomials,
     free_series,
-    monomial_series,
     multidegrees,
     orbit_reps,
     orbit_size,
+    q_series,
 )
 from .f2 import RowSpan, bit_indices, left_kernel
 from .poly import (
@@ -199,12 +199,10 @@ def _enumerate(weights: list[int], d: int) -> list[list[tuple]]:
     return found
 
 
-@lru_cache(maxsize=None)
 def _q_count(m: int, d: int) -> int:
-    """``len(q_monomials(m, d))``, without enumerating them: x's weigh
-    1, norms 2, and the C(m, k) trace symbols of size k weigh k."""
-    traces = [(k, comb(m, k)) for k in range(2, m + 1)]
-    return monomial_series([(1, m), (2, m), *traces], d)[d]
+    """``len(q_monomials(m, d))``, without enumerating them: t^d of the
+    one series table of width m (``q_series``), 0 below degree 0."""
+    return q_series(m, d)[d] if d >= 0 else 0
 
 
 def _trace_linear_count(m: int, d: int) -> int:

@@ -11,7 +11,7 @@ from operator import add
 
 import pytest
 
-from vecinv2 import oracle, relations
+from vecinv2 import blocks, oracle, relations
 from vecinv2.blocks import RelationSpans, _factors, multidegrees
 from vecinv2.invariants import generator_set
 from vecinv2.poly import (
@@ -28,11 +28,12 @@ from vecinv2.relations import Relation
 
 @pytest.fixture(autouse=True)
 def _cold_width_memos():
-    """Each test starts from cleared per-width verdicts, as a process
-    does, so a check a test patches is run, not read from a memo that
-    an earlier test filled."""
+    """Each test starts from cleared per-width verdicts and series
+    tables, as a process does, so a check a test patches is run, not
+    read from a memo that an earlier test filled."""
     oracle._width_leads.cache_clear()
     oracle._shapes_hold.cache_clear()
+    blocks._tables.clear()
 
 
 def replace(record, **changes):

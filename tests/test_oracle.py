@@ -11,7 +11,7 @@ import subprocess
 import sys
 import time
 from collections import Counter, deque
-from itertools import product
+from itertools import accumulate, product
 from math import comb, prod
 from operator import ge, le, sub
 from pathlib import Path
@@ -100,25 +100,81 @@ def test_poly_monomials_sorted_decreasing():
     assert keys == sorted(keys, reverse=True)
 
 
-def _series_count(m, d):
-    """Coefficient of t^d in the product of 1/(1 - t^deg) over the
-    generator degrees, computed by convolution."""
-    degrees = [1] * m + [2] * m
-    for size in range(2, m + 1):
-        degrees.extend([size] * comb(m, size))
+def _series(degrees, d):
+    """Coefficients of t^0..t^d in the product of 1/(1 - t^g) over the
+    generator degrees g in ``degrees``, computed by convolution."""
     coeffs = [1] + [0] * d
     for g in degrees:
         for i in range(g, d + 1):
             coeffs[i] += coeffs[i - g]
-    return coeffs[d]
+    return coeffs
 
 
-def test_q_count_groups_the_trace_weights_by_size():
-    # one factor 1/(1 - t^k)^C(m, k) per trace size is the series over
-    # one weight per generator symbol, through 2m + 1 for m <= 10
-    for m in range(1, 11):
-        for d in range(2 * m + 2):
-            assert oracle._q_count(m, d) == _series_count(m, d), (m, d)
+def _generator_degrees(m):
+    """One degree per generator symbol: the x's, the norms and the
+    trace symbols."""
+    degrees = [1] * m + [2] * m
+    for size in range(2, m + 1):
+        degrees.extend([size] * comb(m, size))
+    return degrees
+
+
+def _series_count(m, d):
+    """Coefficient of t^d in the product of 1/(1 - t^deg) over the
+    generator degrees, computed by convolution."""
+    return _series(_generator_degrees(m), d)[d]
+
+
+def test_series_tables_read_the_same_in_every_growth_order():
+    # each width's table is built at its first degree asked for and
+    # grown past its top; whichever degree comes first, highest or
+    # lowest, with the widths interleaved, every count reads as a
+    # series built for its own width directly, one weight per generator
+    # symbol where the table has one factor 1/(1 - t^k)^C(m, k) per
+    # trace size, and a negative degree reads 0, cold or warm, never
+    # the top coefficient
+    tops = {m: 4 * m + 5 for m in range(1, 13)}
+    expected = {}
+    for m, top in tops.items():
+        presentation = _series(_generator_degrees(m), top)
+        free = _series([2] * m, top)
+        for _ in range(m):
+            free = list(accumulate(free))
+        expected[m] = [(
+            presentation[d],
+            free[d] + sum(comb(m, k) * free[d - k]
+                          for k in range(2, min(m, d) + 1)),
+            invariant_dimension(m, d)) for d in range(top + 1)]
+    highest = max(tops.values())
+    for order in (range(highest, -1, -1), range(highest + 1)):
+        blocks._tables.clear()
+        assert oracle._q_count(5, -1) == 0
+        for d in order:
+            for m, top in tops.items():
+                if d <= top:
+                    assert (oracle._q_count(m, d),
+                            oracle._trace_linear_count(m, d),
+                            oracle._standard_count(m, d)) == \
+                        expected[m][d], (m, d)
+        assert all(oracle._q_count(m, -1) == 0 for m in tops)
+        assert all(len(blocks.q_series(m, 0)) > 2 * m + 1 for m in tops)
+
+
+def test_cold_verify_builds_each_series_once(monkeypatch):
+    # a cold sweep through 2m reads every closed-form count from one
+    # table per width: the presentation series and the norms' series
+    # are built once each, not once per degree or per count
+    built = []
+    series = blocks.monomial_series
+
+    def counting(weights, d):
+        built.append(tuple(weights))
+        return series(weights, d)
+
+    monkeypatch.setattr(blocks, "monomial_series", counting)
+    assert verify_relation_ideal(4, 8).ok
+    assert len(built) <= 2
+    assert len(set(built)) == len(built)
 
 
 def test_q_monomials_counts_against_series():
