@@ -13,21 +13,17 @@ too.  So the oracle's matrices split into blocks, one per multidegree
 Permuting the variable pairs permutes the blocks and commutes with
 evaluation.  ``orbit_reps`` picks one multidegree per S_m orbit, the
 non-increasing one, and ``orbit_size`` counts its orbit.
-``RelationSpans`` ranks a degree in one loop over its blocks, each
-against its own span.  While every relation filed vanishes,
-``RelationSpans.lead_count`` can count a degree with no row built, from
-the distinct leads of the span's elements, all in closed form: the
-monomials with two or more traces, and the trace-linear monomials that
-a lower lead of the shape x_c Tr(B) divides, summed over every block of
-the degree (``_covered_count``) from the x/N series of ``free_series``.
+``RelationSpans`` ranks a degree in one loop over the blocks that hold
+something, each against its own span.  While every relation filed
+vanishes, ``RelationSpans.lead_count`` can count a degree with no row
+built, from the distinct leads of the span's elements, all in closed
+form: the monomials with two or more traces, and the trace-linear
+monomials that a lower lead of the shape x_c Tr(B) divides, summed
+over every block of the degree (``_covered_count``) from the x/N
+series of ``series.free_series``.
 
-The closed-form counts, here and in ``oracle``, read one series table
-per width m, kept for the process: the presentation ring's series
-(``q_series``) and the x/N rows (``free_series``), each built by
-``monomial_series`` once per table.  The table is built through
-degree 2m + 1 when its width is first asked for and grows by at least
-doubling past that, so its rows may run past the degree asked for.
-Every caller gets the table's own lists, to read, never to write.
+The closed-form counts, here and in ``oracle``, read the series table
+of module ``series``.
 
 The relation spans key their columns by Goedel numbers: each symbol,
 x_i, N_i and each trace subset A, gets a prime of its own, and a
@@ -48,26 +44,25 @@ checks on masks, so both routes read one order.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
-from itertools import accumulate, compress, product
-from math import comb, factorial, inf, isqrt, log
-from operator import le, sub
+from functools import cached_property, lru_cache
+from itertools import compress, product
+from math import factorial, inf, isqrt, log, prod
+from operator import add, le, sub
 
 from .f2 import RowSpan, bit_indices, left_kernel, row_of
 from .poly import all_subsets, monomial_key
-from .qring import QMon, QPoly, multidegree, summand_lead
+from .qring import QMon, QPoly, multidegree, qmon_key, summand_lead
 from .relations import pair_count
+from .series import free_series
 
 __all__ = [
     "multidegrees",
     "relation_block",
     "block_monomials",
+    "merged_blocks",
     "compositions",
     "orbit_reps",
     "orbit_size",
-    "monomial_series",
-    "q_series",
-    "free_series",
     "RelationSpans",
 ]
 
@@ -94,33 +89,48 @@ def _splits(rest: tuple[int, ...], traces: tuple) -> list[QMon]:
             for ne in product(*(range(r // 2 + 1) for r in rest))]
 
 
-def block_monomials(m: int, alpha: tuple[int, ...]) -> list[QMon]:
-    """Every presentation monomial of multidegree ``alpha``: a multiset
-    of trace symbols that fits under alpha, listed in descending order,
-    with each split of the rest into x's and norms."""
+def _trace_multisets(m: int, alpha: tuple[int, ...]):
+    """Each multiset of trace symbols that fits under ``alpha``, as its
+    trace list in descending order with the rest of alpha it leaves:
+    the walk of ``block_monomials`` and of the multiplier keys of
+    ``RelationSpans``."""
     subsets = [a for a in sorted(all_subsets(m, min_size=2), reverse=True)
                if all(map(le, a, alpha))]
-    found = []
     stack = [(0, (), alpha)]
     while stack:
         start, traces, rest = stack.pop()
-        found += _splits(rest, traces)
+        yield traces, rest
         for k in range(start, len(subsets)):
             if all(map(le, subsets[k], rest)):
                 stack.append((k, traces + (subsets[k],),
                               tuple(map(sub, rest, subsets[k]))))
-    return found
 
 
-def compositions(d: int, m: int):
+def block_monomials(m: int, alpha: tuple[int, ...]) -> list[QMon]:
+    """Every presentation monomial of multidegree ``alpha``: a multiset
+    of trace symbols that fits under alpha, listed in descending order,
+    with each split of the rest into x's and norms."""
+    return [t for traces, rest in _trace_multisets(m, alpha)
+            for t in _splits(rest, traces)]
+
+
+def merged_blocks(m: int, alphas) -> tuple[QMon, ...]:
+    """The monomials of the blocks ``alphas``, merged largest first by
+    ``qring.qmon_key``: the members of ``oracle.q_monomials`` that lie
+    in those blocks, in its order."""
+    return tuple(sorted((t for alpha in alphas
+                         for t in block_monomials(m, alpha)),
+                        key=qmon_key, reverse=True))
+
+
+@lru_cache(maxsize=None)
+def compositions(d: int, m: int) -> tuple[tuple[int, ...], ...]:
     """Every m-tuple of naturals summing to d: each multidegree of
-    degree d."""
+    degree d, largest first part first."""
     if m == 1:
-        yield (d,)
-        return
-    for first in range(d, -1, -1):
-        for rest in compositions(d - first, m - 1):
-            yield (first,) + rest
+        return ((d,),)
+    return tuple((first,) + rest for first in range(d, -1, -1)
+                 for rest in compositions(d - first, m - 1))
 
 
 @lru_cache(maxsize=None)
@@ -176,59 +186,6 @@ def _factors(t: QMon) -> int:
     return sum(t.xe) + sum(t.ne) + len(t.traces)
 
 
-def monomial_series(weights: list[tuple[int, int]], d: int) -> list[int]:
-    """Coefficients of t^0..t^d in the product of 1/(1 - t^w)^c over the
-    pairs (w, c) of ``weights``, c generators of degree w each: how many
-    monomials of each degree.  1/(1 - t^w)^c has C(j + c - 1, j) at
-    t^(wj)."""
-    coeffs = [1] + [0] * d
-    for w, c in weights:
-        if c:
-            powers = [comb(j + c - 1, j) for j in range(d // w + 1)]
-            coeffs = [sum(p * coeffs[i - w * j] for j, p in
-                          enumerate(powers[:i // w + 1]))
-                      for i in range(d + 1)]
-    return coeffs
-
-
-_tables: dict[int, tuple[list[int], list[list[int]]]] = {}
-
-
-def _table(m: int, d: int) -> tuple[list[int], list[list[int]]]:
-    """The series table of width m, through degree d at least: the
-    presentation ring's series and the rows of ``free_series``.  It is
-    built the first time width m is asked for, through 2m + 1, and
-    rebuilt past its top through at least twice as far, so a sweep to
-    degree D builds it O(log D) times and one through 2m + 1 once."""
-    table = _tables.get(m)
-    if table is None or len(table[0]) <= d:
-        top = max(d, 2 * m + 1, 2 * len(table[0]) if table else 0)
-        free = [monomial_series([(2, m)], top)]
-        for _ in range(m):
-            free.append(list(accumulate(free[-1])))
-        traces = [(k, comb(m, k)) for k in range(2, m + 1)]
-        table = _tables[m] = (
-            monomial_series([(1, m), (2, m), *traces], top), free)
-    return table
-
-
-def q_series(m: int, d: int) -> list[int]:
-    """The coefficients of t^0, t^1, ..., through t^d at least, of the
-    presentation ring's series: x's weigh 1, norms 2, and the C(m, k)
-    trace symbols of size k weigh k, one factor 1/(1 - t^k)^C(m, k) per
-    size.  It is width m's table row, so it may run past d."""
-    return _table(m, d)[0]
-
-
-def free_series(m: int, d: int) -> list[list[int]]:
-    """Row j, for j = 0..m: the coefficients of t^0, t^1, ..., through
-    t^d at least, in 1/((1-t)^j (1-t^2)^m), how many monomials x^I N^J
-    of each degree have I supported on j given indices.  Row 0 is the
-    series of the norms alone, and each row the partial sums of the one
-    before.  The rows are width m's table, so they may run past d."""
-    return _table(m, d)[1]
-
-
 def _covered_count(m: int, d: int, below: dict) -> int:
     """How many trace-linear monomials of degree d, over every block,
     some lead x_c Tr(B) divides, where ``below`` maps each trace B, of
@@ -269,28 +226,30 @@ class RelationSpans:
     products of the relations filed strictly below alpha with the
     monomials of the remaining block.
 
-    ``rank`` counts a degree in one loop over its blocks: each block
-    alpha builds J_alpha and closes it by the relations filed at alpha
-    into the block's span.  The spans of the degree last ranked are
-    kept for ``missing``.
+    ``rank`` counts a degree in one loop over the blocks at or above a
+    key filed, found by adding each multiplier block gamma to each key
+    beta: each builds J_alpha from its pairs (beta, gamma), and the
+    blocks holding relations close it by them (``_close``) into their
+    span.  Every other block holds nothing, and ``missing`` and
+    ``short`` read it as an empty span.  The spans of the degree last
+    ranked are kept for ``missing`` and ``short``.
     ``lead_count`` bounds the same rank from below with no row built; it
     keeps the leads of the relations filed and the fewest generator
     factors of any of their terms.
 
     Columns are the monomials' Goedel numbers (``_pack``; see the
     module docstring), on one prime table per instance, sieved when the
-    first row is packed, so a key names the same monomial at every
-    degree, whatever degree a relation declares.  The keyed multiplier
-    blocks are cached for the whole sweep, so no block is enumerated
-    twice, and the keyed terms of a block's relations until ``add``
-    files another there."""
+    first key is made, so a key names the same monomial at every
+    degree, whatever degree a relation declares.  A multiplier block is
+    listed as keys alone (``_block_keys``), with no monomial built, and
+    cached for the whole sweep, so no block is enumerated twice; the
+    keyed terms of a block's relations are cached until ``add`` files
+    another there."""
 
     def __init__(self, m: int):
         self.m = m
         self.graded = True
         self.filed: dict[tuple, list[tuple[int, QPoly]]] = {}
-        self.primes: list[int] | None = None
-        self.trace_primes: dict[tuple, int] = {}
         self.multipliers: dict[tuple, list[int]] = {}
         self.keys: dict[tuple, list[list[int]]] = {}
         self.spans: dict[tuple, tuple[RowSpan, dict]] = {}
@@ -314,17 +273,19 @@ class RelationSpans:
             self.leads.pop(block, None)
             self.fewest = min(self.fewest, min(map(_factors, element.terms)))
 
+    @cached_property
+    def primes(self) -> tuple[list[int], dict]:
+        """The primes of the x's and norms, and those of the traces by
+        subset, sieved when first read, so a sweep that keys nothing,
+        such as one decided on its shapes, sieves nothing."""
+        subsets = all_subsets(self.m, min_size=2)
+        primes = _primes(2 * self.m + len(subsets))
+        return primes[:2 * self.m], dict(zip(subsets, primes[2 * self.m:]))
+
     def _pack(self, terms) -> list[int]:
         """The keys of presentation monomials: the product of the
-        primes of their symbols, each to its exponent.  The primes are
-        sieved at the first call, so a sweep that packs nothing, such
-        as one decided on its shapes, sieves nothing."""
-        if self.primes is None:
-            subsets = all_subsets(self.m, min_size=2)
-            primes = _primes(2 * self.m + len(subsets))
-            self.primes = primes[:2 * self.m]
-            self.trace_primes = dict(zip(subsets, primes[2 * self.m:]))
-        primes, trace = self.primes, self.trace_primes
+        primes of their symbols, each to its exponent."""
+        primes, trace = self.primes
         keys = []
         for t in terms:
             key = 1
@@ -336,12 +297,27 @@ class RelationSpans:
             keys.append(key)
         return keys
 
+    def _block_keys(self, alpha: tuple) -> list[int]:
+        """The keys of ``block_monomials(m, alpha)``, in another order,
+        with no monomial built: each trace multiset's key times the key
+        of each split of its rest into x's and norms, pair by pair."""
+        primes, trace = self.primes
+        found = []
+        for traces, rest in _trace_multisets(self.m, alpha):
+            keys = [prod(map(trace.__getitem__, traces))]
+            for x, n, r in zip(primes, primes[self.m:], rest):
+                if r:
+                    keys = [k * x ** (r - 2 * j) * n ** j
+                            for k in keys for j in range(r // 2 + 1)]
+            found += keys
+        return found
+
     def _multipliers(self, gamma: tuple) -> list[int]:
         if gamma not in self.multipliers:
-            self.multipliers[gamma] = self._pack(
-                block_monomials(self.m, gamma) if self.graded else
-                [t for alpha in compositions(gamma[0], self.m)
-                 for t in block_monomials(self.m, alpha)])
+            self.multipliers[gamma] = [
+                key for alpha in ([gamma] if self.graded
+                                  else compositions(gamma[0], self.m))
+                for key in self._block_keys(alpha)]
         return self.multipliers[gamma]
 
     def _keys(self, key: tuple) -> list[list[int]]:
@@ -350,18 +326,6 @@ class RelationSpans:
             self.keys[key] = [self._pack(element.terms)
                               for _, element in self.filed[key]]
         return self.keys.get(key, [])
-
-    def _products(self, alpha: tuple) -> tuple[RowSpan, dict]:
-        """J_alpha with its column index."""
-        index: dict = {}
-        span = RowSpan()
-        for key in self.filed:
-            if key != alpha and all(map(le, key, alpha)):
-                elements = self._keys(key)
-                for mult in self._multipliers(tuple(map(sub, alpha, key))):
-                    for keys in elements:
-                        span.add(row_of(map(mult.__mul__, keys), index))
-        return span, index
 
     def _close(self, alpha: tuple, span: RowSpan, index: dict) -> None:
         """Add to ``span``, J_alpha, the remainders modulo J_alpha of the
@@ -372,7 +336,7 @@ class RelationSpans:
         used = 0
         for mask in left_kernel(rows):
             used |= mask
-        filed = self.filed.get(alpha, ())
+        filed = self.filed[alpha]
         self.dependent.update(filed[i][0] for i in bit_indices(used))
         for row in rows:
             span.add(row)
@@ -380,13 +344,32 @@ class RelationSpans:
     def rank(self, d: int) -> tuple[int, str]:
         """The rank of the degree-d span and the route that counted it,
         one block at a time: "blocks", or "degree" off the multigrading,
-        where the one block is the whole degree.  The blocks holding
-        degree-d relations decide their minimality here."""
+        where the one block is the whole degree.  Only the blocks at or
+        above a key filed are built, each from the pairs (key, gamma)
+        with key + gamma = alpha; the rest hold nothing.  The blocks
+        holding degree-d relations decide their minimality here."""
+        below: dict[tuple, list[tuple]] = {}
+        for key in self.filed:
+            rest = d - sum(key)
+            if rest == 0:
+                below.setdefault(key, [])
+            elif rest > 0:
+                for gamma in compositions(rest, len(key)):
+                    below.setdefault(tuple(map(add, key, gamma)),
+                                     []).append((key, gamma))
         self.spans = {}
         total = 0
-        for alpha in compositions(d, self.m) if self.graded else [(d,)]:
-            span, index = self.spans[alpha] = self._products(alpha)
-            self._close(alpha, span, index)
+        for alpha, pairs in below.items():
+            index: dict = {}
+            span = RowSpan()
+            for key, gamma in pairs:
+                elements = self._keys(key)
+                for mult in self._multipliers(gamma):
+                    for keys in elements:
+                        span.add(row_of(map(mult.__mul__, keys), index))
+            if alpha in self.filed:
+                self._close(alpha, span, index)
+            self.spans[alpha] = span, index
             total += span.rank
         return total, "blocks" if self.graded else "degree"
 
@@ -467,6 +450,25 @@ class RelationSpans:
                 total += len(leads)
         return total
 
+    def short(self, d: int, kernel_dimension: int, dims: dict) -> list:
+        """The blocks of degree d where the span ``rank`` left falls
+        short of the kernel, in ``compositions`` order.  ``dims`` gives
+        each block's kernel dimension at its S_m orbit's non-increasing
+        representative, and a block ``rank`` skipped has span rank 0.
+        The dimensions must sum to the degree's ``kernel_dimension``,
+        or a RuntimeError is raised."""
+        found, total = [], 0
+        for alpha in compositions(d, self.m):
+            dim = dims[tuple(sorted(alpha, reverse=True))]
+            total += dim
+            if dim > (self.spans[alpha][0].rank if alpha in self.spans
+                      else 0):
+                found.append(alpha)
+        if total != kernel_dimension:
+            raise RuntimeError(f"the block kernels of degree {d} sum to"
+                               f" {total}, not {kernel_dimension}")
+        return found
+
     def missing(self, d: int, members):
         """The degree-d ``members`` the span misses, in order.  Each lies
         in one block (block (d,) off the multigrading) and is reduced
@@ -476,6 +478,8 @@ class RelationSpans:
         for member in members:
             block = (relation_block(d, multidegrees(member))
                      if self.graded else (d,))
+            if block not in self.spans:
+                self.spans[block] = RowSpan(), {}
             span, index = self.spans[block]
             if span.add(row_of(self._pack(member.terms), index)):
                 yield member

@@ -48,18 +48,13 @@ presentation monomials of multidegree alpha (``block_monomials``) and
 whose columns are the polynomial monomials of multidegree alpha.
 Per block the fixed space has dimension
 ``(prod(alpha_i + 1) + [every alpha_i even]) / 2``.  Once the
-generators' leads are checked (``qring.summand_lead``, against the
-images of the generators whose support is all of [k], once per width
-k: every generator is one of them with zero pairs inserted, which
-keeps its block int, its lead and its invariance; the lead is the top
-bit, and the involution a shift-XOR Taylor shift), a block's
+generators' leads are checked (``_generator_leads_hold``), a block's
 trace-linear monomials have exactly that many distinct leads, so
 ``evaluation_rank`` is ``invariant_dimension`` with no block listed
-(the proof is in its docstring).  Where the
-check fails, one block per S_m orbit, the non-increasing alpha, is
-eliminated and counted |S_m alpha| times: permuting the variable
-pairs commutes with evaluation, so the blocks of one orbit have equal
-rank.
+(the proof is in its docstring).  Where the check fails, one block
+per S_m orbit, the non-increasing alpha, is eliminated and counted
+|S_m alpha| times: permuting the variable pairs commutes with
+evaluation, so the blocks of one orbit have equal rank.
 
 Every type I, II and III relation is multihomogeneous, and so are its
 monomial multiples, so ``verify_relation_ideal`` files each relation
@@ -69,10 +64,8 @@ the products of the relations of block beta < alpha with the monomials
 of block alpha - beta, plus the relations of block alpha.  Rows of
 different blocks share no column, so a degree's span rank is the sum
 of its block ranks, and a relation is dependent exactly when it is
-dependent inside its own block.  ``RelationSpans.rank`` runs one loop
-over the blocks of a degree: each block alpha builds J_alpha, reduces
-alpha's relations modulo J_alpha, whose remainders name its dependent
-relations, and closes J_alpha with them into the block's span.
+dependent inside its own block, where ``RelationSpans.rank`` reduces
+it modulo J_alpha.
 
 Leads.  The declared family is decided on its shapes, with nothing
 built or filed.  Each relation is the image of one whose sets cover
@@ -94,7 +87,8 @@ per relation: while every relation built vanishes, ``lead_count``
 counts distinct leads of the relations filed, the trace-linear
 monomials lower leads x_c Tr(B) divide in closed form over every
 block, from the series ``_standard_count`` reads; else, or where that
-count misses, each block is eliminated, to the same report.  ``route``
+count misses, each block that holds something is eliminated, to the
+same report.  ``route``
 reads "leads" where a count decided.
 
 Fallbacks.  A relation without one multidegree, or whose multidegree
@@ -102,10 +96,12 @@ does not sum to its declared degree, or declared below degree 2,
 switches the sweep to one block per total degree, from the degree at
 which that relation is built on: the plain whole-degree span.  A
 failing degree's counterexample is the first ``kernel_basis`` member
-outside the span of its own block (``RelationSpans.missing``).  Each
+outside the span of its own block (``RelationSpans.missing``); each
 member lies in one block, as ``kernel_basis`` runs one left kernel per
-block, so that is the first member outside the whole-degree span,
-whichever route counted the ranks.
+block.  On the multigrading only the blocks whose span rank falls
+short of their kernel dimension are built (``_short_kernel``), in the
+basis's order: with every relation vanishing, a block's span lies in
+its kernel, so the members of the other blocks lie in the span.
 
 Every degree is gated by an entry budget (rows times columns),
 charged from closed-form monomial counts before any monomial of the
@@ -120,16 +116,16 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache, partial
-from math import comb
+from math import comb, prod
 
 from .blocks import (
     RelationSpans,
     block_monomials,
-    free_series,
+    compositions,
+    merged_blocks,
     multidegrees,
     orbit_reps,
     orbit_size,
-    q_series,
 )
 from .f2 import RowSpan, bit_indices, left_kernel
 from .poly import (
@@ -138,7 +134,6 @@ from .poly import (
     Record,
     _set,
     all_subsets,
-    cardinality,
     monomial_key,
 )
 from .qring import (
@@ -158,6 +153,7 @@ from .relations import (
     relation_degrees,
     relations_of_degree,
 )
+from .series import free_series, q_series
 from .shapes import shape_cores, shape_holds
 
 __all__ = [
@@ -241,25 +237,9 @@ def poly_monomials(m: int, d: int) -> list[Monomial]:
 
 @lru_cache(maxsize=None)
 def q_monomials(m: int, d: int) -> tuple[QMon, ...]:
-    """All presentation-ring monomials of degree d, largest first.
-
-    A monomial is a choice of exponents on the x's (degree 1 each), the
-    norms (degree 2 each), and a multiset of trace symbols (degree =
-    subset size).  Each trace multiset of weight w is paired with each
-    x/N part of degree d - w; the trace symbols are listed in
-    descending order, so every multiset comes out in ``QMon``'s
-    canonical descending form."""
-    subsets = sorted(all_subsets(m, min_size=2), reverse=True)
-    traces = _enumerate([cardinality(a) for a in subsets], d)
-    free = _enumerate([1] * m + [2] * m, d)
-    found = []
-    for w in range(d + 1):
-        for counts in traces[w]:
-            chosen = tuple(a for a, k in zip(subsets, counts)
-                           for _ in range(k))
-            found += (QMon(e[:m], e[m:], chosen) for e in free[d - w])
-    found.sort(key=qmon_key, reverse=True)
-    return tuple(found)
+    """All presentation-ring monomials of degree d, largest first: those
+    of every block of degree d."""
+    return merged_blocks(m, compositions(d, m))
 
 
 def _kernel(m: int, basis: tuple[QMon, ...]) -> list[QPoly]:
@@ -288,6 +268,28 @@ def kernel_basis(m: int, d: int, budget: int = DEFAULT_BUDGET) -> list[QPoly]:
     return _kernel(m, q_monomials(m, d))
 
 
+def _short_kernel(m: int, d: int, spans: RelationSpans,
+                  kernel_dimension: int, budget: int) -> list[QPoly]:
+    """The ``kernel_basis(m, d)`` members that can lie outside the
+    degree-d span ``spans.rank`` left, in that basis's order.  Off the
+    multigrading that is all of them.  On it, only those of the blocks
+    where the span falls short of the kernel
+    (``RelationSpans.short``) are built, after ``kernel_basis``'s
+    charge."""
+    if not spans.graded:
+        return kernel_basis(m, d, budget)
+    _charge(_q_count(m, d), _poly_count(m, d), budget,
+            f"kernel at degree {d}")
+    # each orbit's kernel dimension, by evaluation_rank's rule:
+    # prod(alpha_i + 1) is odd exactly when every alpha_i is even
+    leads = _generator_leads_hold(m, d)
+    dims = {alpha: len(block_monomials(m, alpha)) - (
+        (prod(a + 1 for a in alpha) + 1) // 2 if leads
+        else _eliminated_rank(m, alpha)) for alpha in orbit_reps(d, m)}
+    short = spans.short(d, kernel_dimension, dims)
+    return _kernel(m, merged_blocks(m, short))
+
+
 def linear_kernel_basis(m: int, d: int,
                         budget: int = DEFAULT_BUDGET) -> list[QPoly]:
     """Same kernel, restricted to terms with at most one trace factor."""
@@ -298,16 +300,14 @@ def linear_kernel_basis(m: int, d: int,
 
 def _trace_linear_monomials(m: int, d: int) -> tuple[QMon, ...]:
     """The members of ``q_monomials(m, d)`` with at most one trace, in
-    its order, listed directly: the x/N monomials of degree d, and for
-    each trace subset A those of degree d - |A| times Tr(A)."""
+    its order, listed directly: the x/N monomials of degree d - |A|
+    times Tr(A), for no trace (|A| = 0) and each trace subset A."""
     free = _enumerate([1] * m + [2] * m, d)
-    found = [QMon(e[:m], e[m:], ()) for e in free[d]]
-    for a in all_subsets(m, min_size=2):
-        k = cardinality(a)
-        if k <= d:
-            found += (QMon(e[:m], e[m:], (a,)) for e in free[d - k])
-    found.sort(key=qmon_key, reverse=True)
-    return tuple(found)
+    return tuple(sorted(
+        (QMon(e[:m], e[m:], traces) for traces in [()] + [
+            (a,) for a in all_subsets(m, min_size=2) if sum(a) <= d]
+         for e in free[d - sum(map(sum, traces))]),
+        key=qmon_key, reverse=True))
 
 
 def _generator_leads_hold(m: int, d: int) -> bool:
@@ -557,9 +557,11 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
     relation of degree at most ``d_max`` must evaluate to zero, which
     puts the span inside the kernel; equality then holds exactly when
     the span's rank is the kernel's dimension.  Failing degrees carry a
-    counterexample: a kernel element outside the span, or a monomial
-    multiple of the lowest-degree relation (first among equals) that
-    does not evaluate to zero.  A span rank above the kernel dimension,
+    counterexample: the first ``kernel_basis`` member outside the span,
+    built from the blocks where the span falls short alone on the
+    multigrading (``_short_kernel``), or a monomial multiple of the
+    lowest-degree relation (first among equals) that does not evaluate
+    to zero.  A span rank above the kernel dimension,
     which only a relation declared off its real degree can cause, fails
     with no counterexample: no kernel element lies outside the span.
     Minimality: no relation of degree 2 to ``d_max`` may lie in the span
@@ -647,22 +649,15 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
             span_rank, route = spans.rank(d)
         counterexample = None
         if stray is not None:
-            lift = largest_qmon(m, d - stray.degree)
-            counterexample = QPoly.monomial(lift) * stray.element
+            counterexample = QPoly.monomial(
+                largest_qmon(m, d - stray.degree)) * stray.element
         elif span_rank != kernel_dimension:
-            counterexample = next(
-                spans.missing(d, kernel_basis(m, d, budget)), None)
+            counterexample = next(spans.missing(d, _short_kernel(
+                m, d, spans, kernel_dimension, budget)), None)
         generated = stray is None and span_rank == kernel_dimension
         reports.append(DegreeReport(
-            degree=d,
-            n_q_monomials=_q_count(m, d),
-            n_poly_monomials=_poly_count(m, d),
-            kernel_dimension=kernel_dimension,
-            span_rank=span_rank,
-            generated=generated,
-            counterexample=counterexample,
-            route=route,
-        ))
+            d, _q_count(m, d), _poly_count(m, d), kernel_dimension,
+            span_rank, generated, counterexample, route))
     return VerificationReport(
         m=m,
         flavor=flavor,

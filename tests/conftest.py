@@ -11,7 +11,7 @@ from operator import add
 
 import pytest
 
-from vecinv2 import blocks, oracle, relations
+from vecinv2 import oracle, relations, series
 from vecinv2.blocks import RelationSpans, _factors, multidegrees
 from vecinv2.invariants import generator_set
 from vecinv2.poly import (
@@ -33,7 +33,7 @@ def _cold_width_memos():
     read from a memo that an earlier test filled."""
     oracle._width_leads.cache_clear()
     oracle._shapes_hold.cache_clear()
-    blocks._tables.clear()
+    series._tables.clear()
 
 
 def replace(record, **changes):

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from vecinv2 import blocks, cli, oracle, qring, relations, shapes
+from vecinv2 import blocks, cli, oracle, qring, relations, series, shapes
 from vecinv2.f2 import RowSpan, bit_indices, left_kernel, row_of
 from vecinv2.oracle import (
     BudgetExceeded,
@@ -147,7 +147,7 @@ def test_series_tables_read_the_same_in_every_growth_order():
             invariant_dimension(m, d)) for d in range(top + 1)]
     highest = max(tops.values())
     for order in (range(highest, -1, -1), range(highest + 1)):
-        blocks._tables.clear()
+        series._tables.clear()
         assert oracle._q_count(5, -1) == 0
         for d in order:
             for m, top in tops.items():
@@ -157,7 +157,7 @@ def test_series_tables_read_the_same_in_every_growth_order():
                             oracle._standard_count(m, d)) == \
                         expected[m][d], (m, d)
         assert all(oracle._q_count(m, -1) == 0 for m in tops)
-        assert all(len(blocks.q_series(m, 0)) > 2 * m + 1 for m in tops)
+        assert all(len(series.q_series(m, 0)) > 2 * m + 1 for m in tops)
 
 
 def test_cold_verify_builds_each_series_once(monkeypatch):
@@ -165,16 +165,28 @@ def test_cold_verify_builds_each_series_once(monkeypatch):
     # table per width: the presentation series and the norms' series
     # are built once each, not once per degree or per count
     built = []
-    series = blocks.monomial_series
+    build = series.monomial_series
 
-    def counting(weights, d):
+    def counting(weights, d, *start):
         built.append(tuple(weights))
-        return series(weights, d)
+        return build(weights, d, *start)
 
-    monkeypatch.setattr(blocks, "monomial_series", counting)
+    monkeypatch.setattr(series, "monomial_series", counting)
     assert verify_relation_ideal(4, 8).ok
     assert len(built) <= 2
     assert len(set(built)) == len(built)
+
+
+def test_q_series_starts_the_traces_from_the_free_row():
+    # the table convolves the trace factors onto the x/N row m of
+    # free_series, not onto 1 with the x/N weights again; its series
+    # reads as the whole product built from 1 for every width
+    for m in range(1, 13):
+        top = 4 * m + 5
+        whole = series.monomial_series(
+            [(1, m), (2, m)] + [(k, comb(m, k)) for k in range(2, m + 1)],
+            top)
+        assert series.q_series(m, top)[:top + 1] == whole, m
 
 
 def test_q_monomials_counts_against_series():
@@ -792,17 +804,16 @@ def _no_lead_route(monkeypatch):
 
 def test_sweep_enumerates_each_block_once(monkeypatch):
     # the shape route enumerates no block; on elimination (the caller
-    # path, with the lead count off) each multiplier block is enumerated
-    # once and kept for the rest of the sweep
+    # path, with the lead count off) the keys of each multiplier block
+    # are enumerated once and kept for the rest of the sweep
     seen = Counter()
-    enumerate_block = blocks.block_monomials
+    enumerate_keys = blocks.RelationSpans._block_keys
 
-    def counting(m, alpha):
-        seen[m, alpha] += 1
-        return enumerate_block(m, alpha)
+    def counting(self, alpha):
+        seen[self.m, alpha] += 1
+        return enumerate_keys(self, alpha)
 
-    monkeypatch.setattr(blocks, "block_monomials", counting)
-    monkeypatch.setattr(oracle, "block_monomials", counting)
+    monkeypatch.setattr(blocks.RelationSpans, "_block_keys", counting)
     assert verify_relation_ideal(4, 8).ok
     assert not seen
     assert max_relation_degree(3) == 6
@@ -833,6 +844,25 @@ def test_prime_keys_are_distinct_and_multiplicative():
             assert pack([st]) == [pack([s])[0] * pack([t])[0]], (s, t)
             traced += bool(s.traces and t.traces)
     assert traced > 100
+
+
+def test_block_keys_are_the_packed_block_monomials():
+    # the multiplier keys of a block, enumerated with no monomial built,
+    # are the keys of its monomials, on and off the multigrading
+    for m in (1, 2, 3, 4):
+        spans = blocks.RelationSpans(m)
+        for e in range(9):
+            whole = []
+            for gamma in blocks.compositions(e, m):
+                want = sorted(spans._pack(blocks.block_monomials(m, gamma)))
+                assert sorted(spans._block_keys(gamma)) == want, (m, gamma)
+                assert sorted(spans._multipliers(gamma)) == want
+                whole += want
+            spans.graded = False
+            spans.multipliers = {}
+            assert sorted(spans._multipliers((e,))) == sorted(whole)
+            spans.graded = True
+            spans.multipliers = {}
 
 
 def test_block_monomials_partition_the_degree():
@@ -1157,6 +1187,81 @@ def test_dropped_relation_reports_golden():
             assert report.to_text() == want, (key, position)
 
 
+def _dropped_families():
+    """Families with one relation dropped: every drop at m = 3 and every
+    ninth one at m = 4, the last included, in both flavors."""
+    for m, step in ((3, 1), (4, 9)):
+        for flavor in ("II", "III"):
+            basis = relation_basis(m, flavor)
+            for position in sorted({*range(0, len(basis), step),
+                                    len(basis) - 1}):
+                yield m, flavor, basis[:position] + basis[position + 1:]
+
+
+def test_short_block_counterexamples_match_the_whole_kernel(monkeypatch):
+    # the counterexample built from the short blocks alone is the first
+    # member of the whole degree's kernel_basis outside the span, as
+    # spans.missing finds it, in every report of the dropped families
+    cases = list(_dropped_families())
+    reports = [verify_relation_ideal(m, flavor=flavor, relations=family)
+               for m, flavor, family in cases]
+    monkeypatch.setattr(oracle, "_short_kernel",
+                        lambda m, d, spans, kernel, budget:
+                        kernel_basis(m, d, budget))
+    for (m, flavor, family), got in zip(cases, reports):
+        want = verify_relation_ideal(m, flavor=flavor, relations=family)
+        assert not got.ok
+        assert got.to_text() == want.to_text(), (m, flavor)
+        assert got.to_json() == want.to_json()
+        assert any(r.counterexample for r in got.degrees)
+
+
+def test_graded_fallback_builds_no_whole_kernel(monkeypatch):
+    # on the multigrading no failing degree builds kernel_basis, yet
+    # every dropped family and the bogus m = 3 family names its
+    # counterexamples
+    def whole(*args, **kwargs):
+        raise AssertionError("kernel_basis on the multigrading")
+
+    monkeypatch.setattr(oracle, "kernel_basis", whole)
+    for m, flavor, family in _dropped_families():
+        report = verify_relation_ideal(m, flavor=flavor, relations=family)
+        failed = [r for r in report.degrees if not r.generated]
+        assert failed and failed[0].counterexample is not None
+    bogus = verify_relation_ideal(3, relations=relation_basis(3) + [
+        Relation("bogus", (1, 1, 0), None, None, formal_trace((1, 1, 0)),
+                 2)])
+    assert all(r.counterexample is not None for r in bogus.degrees)
+
+
+def test_block_kernels_must_sum_to_the_degree(monkeypatch):
+    # the short blocks are read off per-block kernel dimensions, which
+    # must sum to the degree's; a mismatch raises, under python -O too
+    family = relation_basis(3)[:-1]
+    spans = blocks.RelationSpans(3)
+    for p, r in enumerate(family):
+        spans.add(p, r.degree, r.element, blocks.multidegrees(r.element))
+    rank, _ = spans.rank(6)
+    kernel = oracle._q_count(3, 6) - evaluation_rank(3, 6)
+    assert rank < kernel
+    members = oracle._short_kernel(3, 6, spans, kernel, DEFAULT_BUDGET)
+    assert members and set(members) <= set(kernel_basis(3, 6))
+    # where the generator check fails, the blocks are eliminated, to the
+    # same dimensions and members
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_generator_leads_hold", lambda m, d: False)
+        assert oracle._short_kernel(
+            3, 6, spans, kernel, DEFAULT_BUDGET) == members
+    with pytest.raises(RuntimeError) as info:
+        oracle._short_kernel(3, 6, spans, kernel + 1, DEFAULT_BUDGET)
+    assert str(info.value) == (
+        f"the block kernels of degree 6 sum to {kernel}, not {kernel + 1}")
+    # the charge is kernel_basis's, taken before any block is built
+    with pytest.raises(BudgetExceeded) as info:
+        oracle._short_kernel(3, 6, spans, kernel, 10)
+    assert str(info.value).startswith("kernel at degree 6 needs")
+
+
 def test_kernel_basis_golden():
     for d, want in GOLDENS["kernel_basis_m3"].items():
         assert [str(q) for q in kernel_basis(3, int(d))] == want, d
@@ -1342,8 +1447,10 @@ def test_blocked_sweep_matches_whole_degree_matrices():
 
 def _count_span_builds(monkeypatch):
     """A counter of the RowSpans ``blocks`` builds, by the degree last
-    ranked."""
+    ranked, and the spans each degree keeps by block, after ``rank`` and
+    any ``missing`` that follows it."""
     built = Counter()
+    kept = {}
     degree = [None]
 
     class Counting(RowSpan):
@@ -1355,17 +1462,28 @@ def _count_span_builds(monkeypatch):
 
     def ranking(self, d):
         degree[0] = d
-        return rank(self, d)
+        found = rank(self, d)
+        kept[d] = self.spans
+        return found
 
     monkeypatch.setattr(blocks, "RowSpan", Counting)
     monkeypatch.setattr(blocks.RelationSpans, "rank", ranking)
-    return built
+    return built, kept
+
+
+def _occupied(family, d):
+    """The blocks of degree d at or above the multidegree of a relation
+    of ``family`` of degree at most d: those that hold something."""
+    keys = {multidegree(next(iter(r.element.terms)))
+            for r in family if r.degree <= d}
+    return {alpha for alpha in blocks.compositions(d, family[0].element.m)
+            if any(all(map(le, beta, alpha)) for beta in keys)}
 
 
 def test_passing_sweep_builds_no_relation_span(monkeypatch):
     # the lead count decides every degree of a passing sweep, so no
     # relation span is built, not even J_alpha for one block
-    built = _count_span_builds(monkeypatch)
+    built, _ = _count_span_builds(monkeypatch)
     report = verify_relation_ideal(4, 8)
     assert report.ok
     assert [r.route for r in report.degrees] == ["leads"] * 7
@@ -1374,25 +1492,32 @@ def test_passing_sweep_builds_no_relation_span(monkeypatch):
 
 def test_passing_sweep_builds_one_span_per_block(monkeypatch):
     # on elimination a passing sweep builds J_alpha once for each block
-    # alpha, the products of the lower relations, and nothing more; the
-    # family is passed in, as the declared one is decided on its shapes
-    built = _count_span_builds(monkeypatch)
+    # alpha that holds something, the products of the lower relations,
+    # and nothing more; the family is passed in, as the declared one is
+    # decided on its shapes
+    built, kept = _count_span_builds(monkeypatch)
     _no_lead_route(monkeypatch)
-    report = verify_relation_ideal(4, 8, relations=relation_basis(4))
+    family = relation_basis(4)
+    report = verify_relation_ideal(4, 8, relations=family)
     assert report.ok
     assert [r.route for r in report.degrees] == ["blocks"] * 7
-    assert built == {d: comb(d + 3, 3) for d in range(2, 9)}
-    # the comb(11, 3) = 165 blocks of degree 8
-    assert built[8] == 165
+    assert {d: set(kept[d]) for d in kept} == {
+        d: _occupied(family, d) for d in range(2, 9)}
+    assert built == {d: len(kept[d]) for d in range(3, 9)}
+    # of the comb(11, 3) = 165 blocks of degree 8, the 16 of the shapes
+    # (8, 0, 0, 0) and (7, 1, 0, 0), under which no relation lies, are
+    # skipped
+    assert built[8] == 149
 
 
 def test_generator_search_builds_one_span_per_block(monkeypatch):
     # max_relation_degree looks for the members its spans miss in J_alpha
     # as rank built it, closed in place by alpha's generators: a block
     # builds no second span
-    built = _count_span_builds(monkeypatch)
+    built, kept = _count_span_builds(monkeypatch)
     assert max_relation_degree(4, budget=5 * 10 ** 8) == 8
-    assert built == {d: comb(d + 3, 3) for d in range(2, 10)}
+    assert built == {d: len(kept[d]) for d in range(3, 10)}
+    assert all(len(kept[d]) <= comb(d + 3, 3) for d in kept)
 
 
 def _ranked(m, family, d_max, kernels):
@@ -1494,19 +1619,22 @@ def test_blocked_sweep_rows_stay_block_sized(monkeypatch):
     assert len(kernel_basis(4, 8)) == 8156 - evaluation_rank(4, 8)
     block_sized(4, [8])
     # without the degree-8 relation, degree 8 fails and takes its
-    # counterexample from kernel_basis and the span of its block
+    # counterexample from the kernels of the blocks where the span falls
+    # short, and the span of its block
     basis = relation_basis(4)
     assert basis[-1].degree == 8
     report = verify_relation_ideal(4, 8, relations=basis[:-1])
     assert [r.generated for r in report.degrees] == [True] * 6 + [False]
     assert report.degrees[-1].counterexample is not None
     block_sized(4, [8])
+    # degree 2 holds no relation and no kernel, so it builds no row
     assert max_relation_degree(3) == 6
-    block_sized(3, list(range(2, 8)))
-    # elimination at every degree, on the caller path
+    block_sized(3, list(range(3, 8)))
+    # elimination at every degree that holds a relation, on the caller
+    # path
     _no_lead_route(monkeypatch)
     assert verify_relation_ideal(4, 8, relations=basis).ok
-    block_sized(4, list(range(2, 9)))
+    block_sized(4, list(range(3, 9)))
     assert _largest_block(4, 8) == 226
 
 
@@ -2031,6 +2159,40 @@ def test_verify_m16_through_degree_33():
         "b06a2e47371c906bcd93a55513a27078f6224ac58bfb759a292a9850069b43f0")
     assert wall < 10
     assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss < 200 * 1024
+
+
+@pytest.mark.slow
+def test_verify_m5_without_its_last_relation():
+    # the m = 5 family without its degree-10 relation, lifted, as a
+    # process: it fails at degree 10 with the report of the whole-degree
+    # kernel, from its short blocks alone, in under 5 s and 150 MB
+    package_root = str(Path(oracle.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root,
+                                         os.environ.get("PYTHONPATH")]))
+    script = (
+        "import json, resource\n"
+        "from vecinv2.oracle import verify_relation_ideal\n"
+        "from vecinv2.relations import relation_basis\n"
+        "basis = relation_basis(5)\n"
+        "report = verify_relation_ideal(5, relations=basis[:-1],"
+        " budget=10 ** 12)\n"
+        "print(report.to_text())\n"
+        "print(json.dumps(report.to_json()))\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    wall = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    *text, blob, rss = proc.stdout.splitlines()
+    assert text[-1] == "FAIL: generation"
+    assert hashlib.sha256("\n".join(text).encode()).hexdigest() == (
+        "33009590ec689d9657ab5dbf7b46a1f7c698d354593b75a53427e8b5dfeb058c")
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "d40fb4dcf5f5e10ba9049cc2f12052af38174ebf4a413752b752a9f7a1747fca")
+    assert wall < 5
+    # ru_maxrss is in KB on Linux
+    assert int(rss) < 150 * 1024
 
 
 def _leads_against_elimination(m, family, d_max):
