@@ -75,8 +75,8 @@ def multidegrees(q: QPoly) -> set[tuple[int, ...]]:
 def relation_block(degree: int, alphas) -> tuple[int, ...] | None:
     """The multidegree of a relation whose terms have the multidegrees
     ``alphas`` (a set, or the keys of ``qring.block_sums``), when it has
-    one whose total is the declared ``degree``, at least 2; else None."""
-    if len(alphas) != 1 or degree < 2:
+    one whose total is the declared ``degree``; else None."""
+    if len(alphas) != 1:
         return None
     (beta,) = alphas
     return beta if sum(beta) == degree else None
@@ -217,11 +217,9 @@ def _primes(n: int) -> list[int]:
 class RelationSpans:
     """The relation span of each degree, block by block.
 
-    ``add`` files a relation, by position, degree, element and the
-    multidegrees of its terms, under its block: its multidegree while
-    every relation filed has one (``relation_block``).  The first that
-    does not refiles them all under (declared degree,), one block per
-    degree from then on.  The span of block alpha is J_alpha plus the
+    ``add`` files a relation, by position, under its block, the one
+    multidegree of its terms (``relation_block``; the caller refuses a
+    relation without one).  The span of block alpha is J_alpha plus the
     relations filed at alpha, J_alpha being the row space of the
     products of the relations filed strictly below alpha with the
     monomials of the remaining block.
@@ -240,15 +238,13 @@ class RelationSpans:
     Columns are the monomials' Goedel numbers (``_pack``; see the
     module docstring), on one prime table per instance, sieved when the
     first key is made, so a key names the same monomial at every
-    degree, whatever degree a relation declares.  A multiplier block is
-    listed as keys alone (``_block_keys``), with no monomial built, and
-    cached for the whole sweep, so no block is enumerated twice; the
-    keyed terms of a block's relations are cached until ``add`` files
-    another there."""
+    degree.  A multiplier block is listed as keys alone
+    (``_block_keys``), with no monomial built, and cached for the whole
+    sweep, so no block is enumerated twice; the keyed terms of a
+    block's relations are cached until ``add`` files another there."""
 
     def __init__(self, m: int):
         self.m = m
-        self.graded = True
         self.filed: dict[tuple, list[tuple[int, QPoly]]] = {}
         self.multipliers: dict[tuple, list[int]] = {}
         self.keys: dict[tuple, list[list[int]]] = {}
@@ -257,21 +253,11 @@ class RelationSpans:
         self.fewest = inf
         self.dependent: set[int] = set()
 
-    def add(self, position: int, degree: int, element: QPoly, alphas) -> None:
-        beta = relation_block(degree, alphas)
-        if beta is None and self.graded:
-            # a key sums to the declared degree of the relations under it
-            self.graded = False
-            refiled: dict[tuple, list[tuple[int, QPoly]]] = {}
-            for key, filed in self.filed.items():
-                refiled.setdefault((sum(key),), []).extend(filed)
-            self.filed, self.keys = refiled, {}
-        block = beta if self.graded else (degree,)
+    def add(self, position: int, block: tuple, element: QPoly) -> None:
         self.filed.setdefault(block, []).append((position, element))
         self.keys.pop(block, None)
-        if self.graded:
-            self.leads.pop(block, None)
-            self.fewest = min(self.fewest, min(map(_factors, element.terms)))
+        self.leads.pop(block, None)
+        self.fewest = min(self.fewest, min(map(_factors, element.terms)))
 
     @cached_property
     def primes(self) -> tuple[list[int], dict]:
@@ -314,10 +300,7 @@ class RelationSpans:
 
     def _multipliers(self, gamma: tuple) -> list[int]:
         if gamma not in self.multipliers:
-            self.multipliers[gamma] = [
-                key for alpha in ([gamma] if self.graded
-                                  else compositions(gamma[0], self.m))
-                for key in self._block_keys(alpha)]
+            self.multipliers[gamma] = self._block_keys(gamma)
         return self.multipliers[gamma]
 
     def _keys(self, key: tuple) -> list[list[int]]:
@@ -341,20 +324,19 @@ class RelationSpans:
         for row in rows:
             span.add(row)
 
-    def rank(self, d: int) -> tuple[int, str]:
-        """The rank of the degree-d span and the route that counted it,
-        one block at a time: "blocks", or "degree" off the multigrading,
-        where the one block is the whole degree.  Only the blocks at or
-        above a key filed are built, each from the pairs (key, gamma)
-        with key + gamma = alpha; the rest hold nothing.  The blocks
-        holding degree-d relations decide their minimality here."""
+    def rank(self, d: int) -> int:
+        """The rank of the degree-d span, one block at a time.  Only the
+        blocks at or above a key filed are built, each from the pairs
+        (key, gamma) with key + gamma = alpha; the rest hold nothing.
+        The blocks holding degree-d relations decide their minimality
+        here."""
         below: dict[tuple, list[tuple]] = {}
         for key in self.filed:
             rest = d - sum(key)
             if rest == 0:
                 below.setdefault(key, [])
             elif rest > 0:
-                for gamma in compositions(rest, len(key)):
+                for gamma in compositions(rest, self.m):
                     below.setdefault(tuple(map(add, key, gamma)),
                                      []).append((key, gamma))
         self.spans = {}
@@ -371,7 +353,7 @@ class RelationSpans:
                 self._close(alpha, span, index)
             self.spans[alpha] = span, index
             total += span.rank
-        return total, "blocks" if self.graded else "degree"
+        return total
 
     @staticmethod
     def _lead(element: QPoly) -> QMon:
@@ -414,10 +396,8 @@ class RelationSpans:
         ``fewest`` + 1 factors or more, so no such element has one of
         those leads as a term, the relations are independent modulo
         J_alpha, and none is dependent.  A missing pair, a lower
-        trace-linear lead of another shape, a repeated lead, one with
-        more factors, or a sweep off the multigrading gives None."""
-        if not self.graded:
-            return None
+        trace-linear lead of another shape, a repeated lead, or one with
+        more factors gives None."""
         linear: dict[tuple, set[QMon]] = {}
         pairs = set()
         for block in self.filed:
@@ -471,13 +451,11 @@ class RelationSpans:
 
     def missing(self, d: int, members):
         """The degree-d ``members`` the span misses, in order.  Each lies
-        in one block (block (d,) off the multigrading) and is reduced
-        against that block's span as ``rank`` closed it.  It is added to
-        the span when found, so none lies in the span of the ones before
-        it."""
+        in one block and is reduced against that block's span as ``rank``
+        closed it.  It is added to the span when found, so none lies in
+        the span of the ones before it."""
         for member in members:
-            block = (relation_block(d, multidegrees(member))
-                     if self.graded else (d,))
+            block = relation_block(d, multidegrees(member))
             if block not in self.spans:
                 self.spans[block] = RowSpan(), {}
             span, index = self.spans[block]

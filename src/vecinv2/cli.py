@@ -17,12 +17,9 @@ Each verb is one row of ``_VERBS``, and its options are data there: a
 flag and its ``add_argument`` keywords.  ``main`` reads a plain call,
 the verb's name and then each of its flags at most once with a value,
 straight off that table (``_table_parse``), because building a parser
-is most of what a short command costs.  Any other call goes to
-argparse, so help, usage and error text come from argparse alone.
-When the first argument is exactly a verb's name, it builds that
-verb's subparser alone; otherwise (no argument, an option first, or an
-unknown verb) all seven, so every help text and error that lists the
-verbs comes from the full parser.
+is most of what a short command costs.  Any other call goes to the
+full argparse parser, all seven subparsers, so help, usage and error
+text come from argparse alone.
 """
 
 from __future__ import annotations
@@ -237,25 +234,18 @@ _VERBS = (
 _BY_NAME = {row[0]: row for row in _VERBS}
 
 
-def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
-    """The parser for every verb, or, given a verb's name, for that
-    verb alone.  The one-verb parser spells out the subcommand metavar,
-    so that its usage line still lists every verb.  The full parser
-    must not: an explicit metavar would rename ``argument command`` in
-    its "required" and "invalid choice" errors."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser for every verb."""
     parser = argparse.ArgumentParser(
         prog="vecinv2",
         description="Exact workbench for mod-2 vector invariants of an "
                     "order-two group action.")
-    metavar = None if verb is None else "{" + ",".join(_BY_NAME) + "}"
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, text, options, command in _VERBS:
-        if verb in (None, name):
-            p = sub.add_parser(name, help=text)
-            for flag, keywords in options:
-                p.add_argument(flag, **keywords)
-            p.set_defaults(func=command)
+        p = sub.add_parser(name, help=text)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=command)
     return parser
 
 
@@ -296,10 +286,8 @@ def main(argv: Iterable[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = _table_parse(argv)
     if args is None:
-        parser = build_parser(argv[0] if argv and argv[0] in _BY_NAME
-                              else None)
         try:
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as err:
             return err.code if isinstance(err.code, int) else 2
     try:

@@ -91,17 +91,16 @@ count misses, each block that holds something is eliminated, to the
 same report.  ``route``
 reads "leads" where a count decided.
 
-Fallbacks.  A relation without one multidegree, or whose multidegree
-does not sum to its declared degree, or declared below degree 2,
-switches the sweep to one block per total degree, from the degree at
-which that relation is built on: the plain whole-degree span.  A
-failing degree's counterexample is the first ``kernel_basis`` member
-outside the span of its own block (``RelationSpans.missing``); each
-member lies in one block, as ``kernel_basis`` runs one left kernel per
-block.  On the multigrading only the blocks whose span rank falls
-short of their kernel dimension are built (``_short_kernel``), in the
-basis's order: with every relation vanishing, a block's span lies in
-its kernel, so the members of the other blocks lie in the span.
+Fallbacks.  The multigrading is the sweep's only grading: a relation
+passed in must have one multidegree, summing to its declared degree
+(``verify_relation_ideal``).  A failing degree's counterexample is
+the first ``kernel_basis`` member outside the span of its own block
+(``RelationSpans.missing``); each member lies in one block, as
+``kernel_basis`` runs one left kernel per block.  Only the blocks
+whose span rank falls short of their kernel dimension are built
+(``_short_kernel``), in the basis's order: with every relation
+vanishing, a block's span lies in its kernel, so the members of the
+other blocks lie in the span.
 
 Every degree is gated by an entry budget (rows times columns),
 charged from closed-form monomial counts before any monomial of the
@@ -126,6 +125,7 @@ from .blocks import (
     multidegrees,
     orbit_reps,
     orbit_size,
+    relation_block,
 )
 from .f2 import RowSpan, bit_indices, left_kernel
 from .poly import (
@@ -271,13 +271,10 @@ def kernel_basis(m: int, d: int, budget: int = DEFAULT_BUDGET) -> list[QPoly]:
 def _short_kernel(m: int, d: int, spans: RelationSpans,
                   kernel_dimension: int, budget: int) -> list[QPoly]:
     """The ``kernel_basis(m, d)`` members that can lie outside the
-    degree-d span ``spans.rank`` left, in that basis's order.  Off the
-    multigrading that is all of them.  On it, only those of the blocks
-    where the span falls short of the kernel
+    degree-d span ``spans.rank`` left, in that basis's order: only those
+    of the blocks where the span falls short of the kernel
     (``RelationSpans.short``) are built, after ``kernel_basis``'s
     charge."""
-    if not spans.graded:
-        return kernel_basis(m, d, budget)
     _charge(_q_count(m, d), _poly_count(m, d), budget,
             f"kernel at degree {d}")
     # each orbit's kernel dimension, by evaluation_rank's rule:
@@ -430,10 +427,9 @@ def _charge_span(m: int, d: int, degrees: Counter, budget: int) -> None:
 class DegreeReport(Record):
     # route, how span_rank was counted: "leads", by a count of leads, on
     # the shapes or, while every relation built vanishes, by
-    # ``blocks.RelationSpans.lead_count``; else by elimination
-    # (``RelationSpans.rank``) on "blocks", one multidegree block at a
-    # time, or "degree", the whole degree, once a relation has no
-    # multidegree.  Not part of the text or JSON report
+    # ``blocks.RelationSpans.lead_count``; else "blocks", by elimination
+    # one multidegree block at a time (``RelationSpans.rank``).  Not part
+    # of the text or JSON report
     __slots__ = ("degree", "n_q_monomials", "n_poly_monomials",
                  "kernel_dimension", "span_rank", "generated",
                  "counterexample", "route")
@@ -561,9 +557,7 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
     built from the blocks where the span falls short alone on the
     multigrading (``_short_kernel``), or a monomial multiple of the
     lowest-degree relation (first among equals) that does not evaluate
-    to zero.  A span rank above the kernel dimension,
-    which only a relation declared off its real degree can cause, fails
-    with no counterexample: no kernel element lies outside the span.
+    to zero.
     Minimality: no relation of degree 2 to ``d_max`` may lie in the span
     of the others at its own degree.  The declared family is decided
     on its shapes (module docstring, "Leads"), and names no dependent
@@ -577,8 +571,12 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
     it.  Relations are built at their own degree, after its budget
     charges (those declared below 2 at degree 2), and evaluated by
     ``qring.block_sums``, which also names a relation's block, until
-    one does not vanish.  The declared family is counted in closed
-    form (``relation_degrees``), so a budget exit never waits for it.
+    one does not vanish.  A relation passed in whose terms do not share
+    one multidegree summing to its declared degree, the zero element
+    included, raises ``ValueError`` where the sweep files it: the
+    relation ideal is multigraded, so its multihomogeneous elements
+    generate it.  The declared family is counted in closed form
+    (``relation_degrees``), so a budget exit never waits for it.
     Passing ``relations`` overrides the declared basis, so that broken
     families can be shown to fail; one of another width than m raises
     ``DimensionMismatch``, before any degree is checked.
@@ -623,37 +621,39 @@ def verify_relation_ideal(m: int, d_max: int | None = None,
                 d, _q_count(m, d), _poly_count(m, d), kernel_dimension,
                 kernel_dimension, True, None, "leads"))
             continue
-        if shapes:
-            shapes = False
-            for e in range(2, d):
-                for position, build in due(e):
-                    built[position] = r = build()
-                    spans.add(position, r.degree, r.element,
-                              multidegrees(r.element))
-        for position, build in due(d):
-            relation = build()
-            if stray is None:
-                # one grouping by multidegree: the images and the block
-                alphas = block_sums(relation.element)
-                if any(image for _, image in alphas.values()):
-                    stray = relation
-            else:
-                alphas = multidegrees(relation.element)
-            built[position] = relation
-            spans.add(position, relation.degree, relation.element, alphas)
+        # past a shape that failed, the relations below d too, in order
+        for e in range(2 if shapes else d, d + 1):
+            for position, build in due(e):
+                relation = build()
+                if stray is None:
+                    # one grouping by multidegree: the images and the block
+                    alphas = block_sums(relation.element)
+                    if any(image for _, image in alphas.values()):
+                        stray = relation
+                else:
+                    alphas = multidegrees(relation.element)
+                block = relation_block(relation.degree, alphas)
+                if block is None:
+                    raise ValueError(
+                        f"relation {relation.label()} is declared at degree"
+                        f" {relation.degree}, but its terms have the"
+                        f" multidegrees {sorted(alphas)}")
+                built[position] = relation
+                spans.add(position, block, relation.element)
+        shapes = False
         span_rank, route = None, "leads"
         if stray is None:
             span_rank = spans.lead_count(
                 d, _q_count(m, d) - _trace_linear_count(m, d))
         if span_rank != kernel_dimension:
-            span_rank, route = spans.rank(d)
+            span_rank, route = spans.rank(d), "blocks"
         counterexample = None
         if stray is not None:
             counterexample = QPoly.monomial(
                 largest_qmon(m, d - stray.degree)) * stray.element
         elif span_rank != kernel_dimension:
             counterexample = next(spans.missing(d, _short_kernel(
-                m, d, spans, kernel_dimension, budget)), None)
+                m, d, spans, kernel_dimension, budget)))
         generated = stray is None and span_rank == kernel_dimension
         reports.append(DegreeReport(
             d, _q_count(m, d), _poly_count(m, d), kernel_dimension,

@@ -12,7 +12,12 @@ from operator import add
 import pytest
 
 from vecinv2 import oracle, relations, series
-from vecinv2.blocks import RelationSpans, _factors, multidegrees
+from vecinv2.blocks import (
+    RelationSpans,
+    _factors,
+    multidegrees,
+    relation_block,
+)
 from vecinv2.invariants import generator_set
 from vecinv2.poly import (
     DimensionMismatch,
@@ -209,9 +214,10 @@ def max_relation_degree(m: int, budget: int = oracle.DEFAULT_BUDGET) -> int:
         kernel_dimension = (oracle._q_count(m, d)
                             - oracle.evaluation_rank(m, d, budget))
         oracle._charge_span(m, d, degrees, budget)
-        if spans.rank(d)[0] < kernel_dimension:
+        if spans.rank(d) < kernel_dimension:
             for member in spans.missing(d, oracle.kernel_basis(m, d, budget)):
-                spans.add(degrees.total(), d, member, multidegrees(member))
+                spans.add(degrees.total(),
+                          relation_block(d, multidegrees(member)), member)
                 degrees[d] += 1
             top = d
     return top

@@ -848,21 +848,14 @@ def test_prime_keys_are_distinct_and_multiplicative():
 
 def test_block_keys_are_the_packed_block_monomials():
     # the multiplier keys of a block, enumerated with no monomial built,
-    # are the keys of its monomials, on and off the multigrading
+    # are the keys of its monomials
     for m in (1, 2, 3, 4):
         spans = blocks.RelationSpans(m)
         for e in range(9):
-            whole = []
             for gamma in blocks.compositions(e, m):
                 want = sorted(spans._pack(blocks.block_monomials(m, gamma)))
                 assert sorted(spans._block_keys(gamma)) == want, (m, gamma)
                 assert sorted(spans._multipliers(gamma)) == want
-                whole += want
-            spans.graded = False
-            spans.multipliers = {}
-            assert sorted(spans._multipliers((e,))) == sorted(whole)
-            spans.graded = True
-            spans.multipliers = {}
 
 
 def test_block_monomials_partition_the_degree():
@@ -995,22 +988,29 @@ def test_dropping_any_relation_breaks_generation():
 
 
 def test_duplicate_relation_flagged_dependent():
-    basis = relation_basis(3)
-    first, second = [r for r in basis if r.degree == 4][:2]
+    basis, basis4 = relation_basis(3), relation_basis(4)
+    # type I on 1111 and IIIa A=1001 B=0110, both in block (1, 1, 1, 1)
+    first, second = basis4[4], basis4[13]
+    assert [first.label(), second.label()] == [
+        "I A=1111 degree=4", "IIIa A=1001 B=0110 index=2 degree=4"]
     total = Relation("sum", first.a, second.a, None,
                      first.element + second.element, 4)
-    shifted = Relation("shifted", first.a, first.b, None,
-                       first.element + QPoly.x_power((1, 0, 0))
-                       * basis[0].element, 4)
+    # IIIc A=101 B=011 plus x3 times type I on 111, in block (1, 1, 2)
+    lower, third = basis[0], basis[2]
+    assert third.label() == "IIIc A=101 B=011 degree=4"
+    shifted = Relation("shifted", third.a, third.b, None,
+                       third.element + QPoly.x_power((0, 0, 1))
+                       * lower.element, 4)
     cases = [
-        (basis + [basis[0]], [basis[0].label()] * 2),
+        (3, basis + [basis[0]], [basis[0].label()] * 2),
         # each of the three is the sum of the other two
-        (basis + [total], [first.label(), second.label(), total.label()]),
+        (4, basis4 + [total], [first.label(), second.label(),
+                               total.label()]),
         # equal modulo a multiple of the degree-3 relation
-        (basis + [shifted], [first.label(), shifted.label()]),
+        (3, basis + [shifted], [third.label(), shifted.label()]),
     ]
-    for family, labels in cases:
-        report = verify_relation_ideal(3, relations=family)
+    for m, family, labels in cases:
+        report = verify_relation_ideal(m, relations=family)
         assert report.generated
         assert not report.minimal
         assert list(report.dependent) == labels
@@ -1240,8 +1240,8 @@ def test_block_kernels_must_sum_to_the_degree(monkeypatch):
     family = relation_basis(3)[:-1]
     spans = blocks.RelationSpans(3)
     for p, r in enumerate(family):
-        spans.add(p, r.degree, r.element, blocks.multidegrees(r.element))
-    rank, _ = spans.rank(6)
+        spans.add(p, _block(r), r.element)
+    rank = spans.rank(6)
     kernel = oracle._q_count(3, 6) - evaluation_rank(3, 6)
     assert rank < kernel
     members = oracle._short_kernel(3, 6, spans, kernel, DEFAULT_BUDGET)
@@ -1298,7 +1298,10 @@ def _rank(rows):
 def _whole_degree_sweep(m, d_max, relations):
     """Verify's checks on whole-degree matrices, one per degree: per
     degree (kernel dimension, span rank, generated, counterexample
-    text), and the sorted positions of the dependent relations."""
+    text), and the sorted positions of the dependent relations.  It
+    files each multiple of r at r.degree plus the multiplier's degree,
+    so it is a reference only for relations declared at their own
+    degree, the only ones verify accepts."""
     out = []
     dependent = set()
     stray = None
@@ -1362,24 +1365,10 @@ def _route_table():
     ones for m <= 4, and mutants of them."""
     basis3 = relation_basis(3)
     basis4 = relation_basis(4)
-    first, second = [r for r in basis3 if r.degree == 4][:2]
-    assert _block(first) != _block(second)
-    mixed = Relation("sum", first.a, second.a, None,
-                     first.element + second.element, 4)
     tr110 = Relation("bogus", (1, 1, 0), None, None,
                      formal_trace((1, 1, 0)), 2)
     multiple = Relation("multiple", (1, 1, 1), None, None,
                         QPoly.x_power((0, 0, 1)) * basis3[0].element, 4)
-    dropped = basis3[1]
-    assert dropped.label() == "IIIb A=011 B=011 index=2 degree=4"
-    # a genuine relation of degree 9 declared at degree 2, the
-    # misdeclared-degree case: its multidegree does not sum to its
-    # declared degree, so the sweep takes the whole-degree route, and
-    # its degree-d products reach degree d + 7
-    heavy = Relation("heavy", (0, 1, 1), (0, 1, 1), 2, QPoly.x_power(
-        (5, 0, 0)) * dropped.element, 2)
-    assert {qmon_degree(t) for t in heavy.element.terms} == {9}
-    assert evaluate(heavy.element) == Poly.zero(3)
     # shifted relations and duplicates in blocks off the orbit
     # representatives (1, 1, 2), (0, 1, 1, 2), (1, 2, 2) and (1, 1, 2, 2)
     assert [_block(r)
@@ -1405,12 +1394,6 @@ def _route_table():
          ["leads"] * 2 + ["blocks"] * 3),
         # degree 4 lacks the dropped relation: the count falls short
         (3, "III", basis3[:1] + basis3[2:], ["leads"] * 2 + ["blocks"] * 3),
-        # no multidegree for the sum, so one block per degree from 4 on
-        (3, "III", basis3 + [mixed], ["leads"] * 2 + ["degree"] * 3),
-        # declared below its degree, so one block per degree throughout;
-        # its rows lie outside the degree, so every span rank tops the
-        # kernel dimension and no counterexample exists
-        (3, "III", basis3 + [heavy], ["degree"] * 5),
         # generated degree by degree; the shifted relations keep their
         # leads, so the lead count decides throughout
         (3, "III", _shifted(3, basis3, 2, 0), ["leads"] * 5),
@@ -1522,19 +1505,18 @@ def test_generator_search_builds_one_span_per_block(monkeypatch):
 
 def _ranked(m, family, d_max, kernels):
     """``family`` fed to one RelationSpans degree by degree: per degree
-    the route, the span rank and the kernel members the span misses,
-    then the dependent positions."""
+    the span rank and the kernel members the span misses, then the
+    dependent positions."""
     spans = blocks.RelationSpans(m)
     out = []
     for d in range(2, d_max + 1):
         for p, r in enumerate(family):
             if r.degree == d:
-                spans.add(p, r.degree, r.element,
-                          blocks.multidegrees(r.element))
-        rank, route = spans.rank(d)
+                spans.add(p, _block(r), r.element)
+        rank = spans.rank(d)
         if (m, d) not in kernels:
             kernels[m, d] = kernel_basis(m, d)
-        out.append((route, rank, list(spans.missing(d, kernels[m, d]))))
+        out.append((rank, list(spans.missing(d, kernels[m, d]))))
     return out, spans.dependent
 
 
@@ -1555,12 +1537,11 @@ def test_block_route_ranks_and_misses():
     kernels = {}
     for m, family, d_max, dependent, short in cases:
         ranked, found = _ranked(m, family, d_max, kernels)
-        assert {route for route, _, _ in ranked} == {"blocks"}
-        for d, (_, rank, missed) in enumerate(ranked[:-1], start=2):
+        for d, (rank, missed) in enumerate(ranked[:-1], start=2):
             assert (rank, missed) == (len(kernels[m, d]), []), (m, d)
         assert found == dependent, m
         kernel = len(kernels[m, d_max])
-        _, rank, missed = ranked[-1]
+        rank, missed = ranked[-1]
         assert (rank, kernel) == (short or (kernel, kernel)), m
         assert len(missed) == kernel - rank
         assert all(blocks.relation_block(d_max, blocks.multidegrees(member))
@@ -2208,15 +2189,14 @@ def _leads_against_elimination(m, family, d_max):
         kernel = oracle._q_count(m, d) - evaluation_rank(m, d, 10 ** 12)
         for p, r in enumerate(family):
             if max(r.degree, 2) == d:
-                spans.add(p, r.degree, r.element,
-                          blocks.multidegrees(r.element))
+                spans.add(p, _block(r), r.element)
                 vanishing = vanishing and vanishes(r.element)
         count = None
         if vanishing:
             count = spans.lead_count(
                 d, oracle._q_count(m, d) - oracle._trace_linear_count(m, d))
         dependent = set(spans.dependent)
-        rank, _ = spans.rank(d)
+        rank = spans.rank(d)
         if count is not None:
             assert count <= rank, (m, d)
         if count == kernel:
@@ -2338,6 +2318,53 @@ def test_passed_in_family_of_another_width_is_refused():
         with pytest.raises(DimensionMismatch,
                            match=re.escape(offender.label())):
             verify_relation_ideal(m, budget=1, relations=family)
+
+
+def _times(relation, x):
+    """``relation`` times the monomial x^x, still declared at its own
+    degree."""
+    return Relation(relation.family, relation.a, relation.b, relation.index,
+                    QPoly.x_power(x) * relation.element, relation.degree)
+
+
+def test_relation_off_its_declared_multidegree_is_refused():
+    # the multigrading is the sweep's only grading, so a relation passed
+    # in whose terms do not share one multidegree summing to its
+    # declared degree, the zero element included, is refused where the
+    # sweep files it, by its label, declared degree and multidegrees.
+    # The first two, the last relation times x1 (x4 at m = 4) declared
+    # at its old degree, would otherwise have their multiples counted a
+    # degree too low, and read PASS
+    basis3, basis4 = relation_basis(3), relation_basis(4)
+    first, second = [r for r in basis3 if r.degree == 4][:2]
+    assert _block(first) != _block(second)
+    mixed = Relation("sum", first.a, second.a, None,
+                     first.element + second.element, 4)
+    # a genuine relation of degree 9 declared at degree 2
+    heavy = Relation("heavy", (0, 1, 1), (0, 1, 1), 2, QPoly.x_power(
+        (5, 0, 0)) * basis3[1].element, 2)
+    assert {qmon_degree(t) for t in heavy.element.terms} == {9}
+    assert evaluate(heavy.element) == Poly.zero(3)
+    zero = Relation("zero", (1, 1, 1), None, None, QPoly.zero(3), 3)
+    cases = [
+        (3, basis3[:-1] + [_times(basis3[-1], (1, 0, 0))], [(3, 2, 2)]),
+        (4, basis4[:-1] + [_times(basis4[-1], (0, 0, 0, 1))],
+         [(2, 2, 2, 3)]),
+        (3, basis3 + [mixed], [(0, 2, 2), (1, 1, 2)]),
+        (3, basis3 + [heavy], [(5, 2, 2)]),
+        (3, basis3 + [zero], []),
+    ]
+    for m, family, alphas in cases:
+        offender = family[-1]
+        with pytest.raises(ValueError) as info:
+            verify_relation_ideal(m, relations=family)
+        assert str(info.value) == (
+            f"relation {offender.label()} is declared at degree"
+            f" {offender.degree}, but its terms have the multidegrees"
+            f" {alphas}")
+    assert cases[0][1][-1].label() == "IIIb A=111 B=111 index=1 degree=6"
+    assert cases[1][1][-1].label() == (
+        "IIIb A=1111 B=1111 index=1 degree=8")
 
 
 def test_declared_relations_are_built_at_their_degree(monkeypatch):

@@ -1,6 +1,8 @@
 """Rules about the library source itself."""
 
 import ast
+import io
+import tokenize
 from pathlib import Path
 
 import vecinv2
@@ -17,6 +19,21 @@ def test_library_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_module_stays_under_the_token_budget():
+    # CPython 3.11's parser doubles its token array past about 4,096
+    # tokens; oracle.py's compile peak, which sets most of the
+    # benchmark's peak_rss_mb, then jumps by about 0.24 MB with nothing
+    # more run.  So no module reaches 4,000 tokens, counting the
+    # tokenize tokens other than comments and non-logical newlines
+    counts = {path.name: sum(
+        token.type not in (tokenize.COMMENT, tokenize.NL)
+        for token in tokenize.generate_tokens(
+            io.StringIO(path.read_text()).readline))
+        for path in SOURCES}
+    assert counts["oracle.py"] > 3000
+    assert {name: n for name, n in counts.items() if n >= 4000} == {}
 
 
 def test_benchmark_tracer_finds_every_traced_name(monkeypatch):
