@@ -407,12 +407,31 @@ def invariant_dimension(m: int, d: int) -> int:
 # the relation ideal
 
 
-@lru_cache(maxsize=None)
+_verdicts: dict = {}
+
+
 def _shapes_hold(k: int, d: int, flavor: str) -> bool:
     """Whether every shape of width k and degree d holds: the verdict
-    ``verify_relation_ideal`` needs at each k <= m, once per process, as
-    the shapes of width k do not depend on m."""
-    return all(shape_holds(k, *shape) for shape in shape_cores(k, d, flavor))
+    ``verify_relation_ideal`` needs at each k <= m, kept in ``_verdicts``
+    once per process, as the shapes of width k do not depend on m.  Type
+    I on [k], the first shape at d = k >= 3, is the same in every
+    flavor, so its verdict is kept there once per width, under (k, None).
+    ``_shapes_hold.cache_clear`` empties them all."""
+    verdict = _verdicts.get((k, d, flavor))
+    if verdict is None:
+        shapes = shape_cores(k, d, flavor)
+        verdict = True
+        if d == k >= 3:
+            first = next(shapes)
+            verdict = _verdicts.get((k, None))
+            if verdict is None:
+                verdict = _verdicts[k, None] = shape_holds(k, *first)
+        verdict = _verdicts[k, d, flavor] = verdict and all(
+            shape_holds(k, *shape) for shape in shapes)
+    return verdict
+
+
+_shapes_hold.cache_clear = _verdicts.clear
 
 
 def _charge_span(m: int, d: int, degrees: Counter, budget: int) -> None:

@@ -72,10 +72,11 @@ relations that vanish prove its image.
 
 ``times_monomial`` lists the terms of a product by one monomial.
 Such a product is injective on monomials, so its terms are distinct
-and need no parity collection; the rewrite procedures use it to
-toggle multiples into term sets without building a ``QPoly``.  (The
-relation spans multiply prime-product keys instead, in ``blocks``.)
-``QPoly.__mul__`` is its sum over the terms of the left factor.
+and need no parity collection.  It serves only ``QPoly.__mul__``,
+which is its sum over the terms of the left factor: the relation
+spans multiply prime-product keys (``blocks``), and the rewrite loops
+packed int keys (``_Keys``, described in ``rewrite``), where a product
+is one addition.
 ``largest_qmon`` writes down the greatest monomial of a degree under
 ``qmon_key``, with nothing enumerated.
 """
@@ -84,8 +85,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import add, mul, xor
+from struct import Struct
 from typing import Iterable, NamedTuple
 
 from .f2 import bit_indices
@@ -286,6 +288,117 @@ def times_monomial(mon: QMon, q: QPoly) -> list[QMon]:
                  tuple(sorted(traces + t.traces, reverse=True))
                  if traces else t.traces)
             for t in q.terms]
+
+
+@lru_cache(maxsize=None)
+def _keys(m: int, b: int) -> "_Keys":
+    """The packed keys of width m sized for degrees of b bits, one per
+    process."""
+    return _Keys(m, b)
+
+
+class _Keys:
+    """Packed int keys of the monomials of width m whose degree fits b
+    bits, for the rewrite loops (the ``rewrite`` docstring says what the
+    fields are and why their order is ``qmon_key``'s).  From the top:
+    the degree and the trace degree, b bits each; one count per trace
+    mask, b - 1 bits, as a count is at most half the degree; then the N
+    exponents, the x exponents and the number of traces, in fields of
+    one, two, four or eight bytes, which ``struct`` packs.  ``ranked``
+    puts the key of a summand lead above a key.  The key of each trace,
+    and its part of a lead key, are recorded as it is first packed, with
+    the subset its mask decodes to; ``relations`` is the type I table of
+    ``rewrite``, kept for the process."""
+
+    def __init__(self, m: int, b: int):
+        if b > 64:
+            raise OverflowError(f"a degree of {b} bits is too large to pack")
+        self.m, self.b, self.ones = m, b, (1 << b) - 1
+        width = max(0, (b - 1).bit_length() - 3)
+        exps = Struct(">" + "BHIQ"[width] * (2 * m + 1))
+        self.pack, self.unpack, self.size = exps.pack, exps.unpack, exps.size
+        self.count = (1 << (8 << width)) - 1
+        self.counts = 8 * exps.size
+        self.low = (1 << self.counts) - 1
+        self.c = c = max(b - 1, 0)
+        self.region = (1 << (c << m)) - 1
+        self.td = self.counts + (c << m)
+        self.deg = self.td + b
+        self.wide = self.deg + b
+        top = 2 * m * b
+        self.leads = ([(1 << top) - (1 << (2 * i + 1) * b) for i in range(m)]
+                      + [(2 << top) - (2 << 2 * i * b) for i in range(m)])
+        self.keyed: dict = {}
+        self.lead: dict = {}
+        self.subsets: dict = {}
+        self.relations: dict = {}
+
+    def trace(self, a: Subset) -> int:
+        """The key of Tr(a), recorded with its part of a lead key, that of
+        x_c y^(a - c) for c = min a."""
+        b, size, c = self.b, sum(a), a.index(1)
+        mask = int(subset_to_bits(a), 2)
+        self.subsets[mask] = a
+        self.lead[a] = (size << 2 * self.m * b) - sum(
+            1 << (2 * i + (i == c)) * b for i in range(self.m) if a[i])
+        self.keyed[a] = found = ((size << self.deg) + (size << self.td)
+                                 + (1 << self.counts + self.c * mask) + 1)
+        return found
+
+    def key(self, t: QMon) -> int:
+        """The key of ``t``, recording its traces' keys."""
+        xe, ne, traces = t
+        if len(xe) != self.m:
+            raise DimensionMismatch(
+                f"mixed widths: m={self.m} vs m={len(xe)}")
+        k = (sum(xe) + 2 * sum(ne) << self.deg) + int.from_bytes(
+            self.pack(*ne, *xe, 0), "big")
+        keyed = self.keyed
+        for a in traces:
+            k += keyed[a] if a in keyed else self.trace(a)
+        return k
+
+    def ranked(self, t: QMon, k: int) -> int:
+        """The key ``k`` of ``t`` below the key of ``summand_lead(t)``:
+        the lead's degree, shifted by 2mb, less its exponents in b-bit
+        fields, x_m's the highest and y_1's the lowest, which orders the
+        leads as ``poly.monomial_key`` does.  The lead of a product is
+        the product of the leads, so this is a sum too.  Packing ``t``
+        into ``k`` recorded its traces' parts."""
+        lead = sum(map(mul, t.xe + t.ne, self.leads))
+        for a in t.traces:
+            lead += self.lead[a]
+        return (lead << self.wide) + k
+
+    def qmon(self, k: int, seen: dict) -> QMon:
+        """The monomial of key ``k``.  The terms one call decodes share
+        their trace lists through ``seen``, which keys them by their
+        counts."""
+        exps = self.unpack((k & self.low).to_bytes(self.size, "big"))
+        counts = k >> self.counts & self.region
+        traces = seen.get(counts)
+        if traces is None:
+            c, found, rest = self.c, [], counts
+            while rest:
+                top = (rest.bit_length() - 1) // c
+                n = rest >> top * c
+                rest -= n << top * c
+                found += [self.subsets[top]] * n
+            traces = seen[counts] = tuple(found)
+        return QMon(exps[self.m:-1], exps[:self.m], traces)
+
+    def poly(self, keys: set, seen: dict, known: dict) -> QPoly:
+        """The element whose terms ``keys`` holds, emptying it: each key
+        is freed as its term is decoded, so that the keys and the terms
+        never all coexist.  A key ``known`` maps to a term is not
+        decoded.  The terms are gathered in a dict, as a frozenset copied
+        from a dict or a set is sized to it, while one grown from a list
+        can take twice the table."""
+        terms = {}
+        while keys:
+            k = keys.pop()
+            terms[known.get(k) or self.qmon(k, seen)] = None
+        return QPoly(self.m, frozenset(terms))
 
 
 def formal_trace(a: Subset) -> QPoly:

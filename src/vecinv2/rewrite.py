@@ -43,10 +43,55 @@ relations its descent applied, and evaluates its input only when the
 descent fails or one of them does not vanish, to name the lead of a
 nonzero image.  ``_relation_vanishes`` decides each distinct relation
 element once per process; keyed by the element, not by its subsets, it
-never takes a patched relation for the real one.  Each step's product
-by a monomial comes from ``qring.times_monomial``, whose terms are
-distinct, so it is toggled into the running term set without a
-``QPoly`` in between.
+never takes a patched relation for the real one.
+
+Packed keys.  The rewrite loops and their checks run on one int per
+monomial of width m (``qring._Keys``).  Its fields, from the top: the
+degree; the trace degree; one count per trace subset A, at the field of
+A's bitmask (pair 1 the high bit), so a larger mask is more
+significant; the N exponents, then the x exponents, pair 1 the most
+significant in each; and the number of traces.  With b the bit length
+of the largest degree in play, the degree fields take b bits, the
+counts b - 1, as a count is at most half the degree, and the exponents
+and the number of traces one, two, four or eight bytes (a degree of
+2^64 or more does not pack).  The degree in play is the start's for a
+normal form or a descent, where no product tops the term it replaces,
+and for a replay or a combination also each multiplier's degree plus
+its relation's largest.  No field then exceeds what it may hold, so
+none carries: multiplying two monomials is adding their keys, and
+dividing one by a factor is a subtraction.  The degree field is
+unbounded, and a carry could only raise it, so a relation with a term
+above the degree it is applied at is refused before it can overflow a
+product (``_rows``).  The int order is exactly ``qmon_key``'s: degree,
+then trace degree, then the descending trace lists, which compare as
+their count vectors do from the largest subset down, then the N and x
+exponent tuples; the trace count below them never decides.  So
+``normal_form`` keeps a set of keys and a heap of negated keys, and
+pops the largest term with two traces as the tuple path did, step for
+step.  The multiplier's key is the term's minus that of Tr(A)Tr(B), and
+each product is one int addition.
+
+``_descend`` puts above each key the key of its summand lead,
+deg << 2mb minus the lead's exponents in b-bit fields, x_m's the
+highest and y_1's the lowest: grevlex compares the degree, then prefers
+the smaller exponent from the last variable down, as
+``poly.monomial_key`` does.  The lead of a product is the product of
+the leads, so this key too is a sum, and the largest key carries the
+lead of the step.  ``LinearCertificate.verify`` packs the start into
+the fields of the combination and compares the key sets (``_holds``),
+refusing a start with a term above them; ``ReductionTrace.verify``
+compares the decoded replay, which a large trace holds in less memory
+than a second set of keys.
+
+``QMon``s are decoded (``_Keys.qmon``) only for the terms a log names:
+each popped term, the achievers of each descent step, and the result of
+a normal form, a replay or a combination.  A normal form knows, and
+does not decode, the start's terms and those of a relation applied
+with the multiplier 1.  A relation's terms are packed once per call,
+keyed by the relation element, so a patched relation is never read as
+the real one: type III tables live for one call, and the type I table
+of each width and field size, which the 605 certificates of a kernel
+basis share, for the process.
 """
 
 from __future__ import annotations
@@ -54,17 +99,16 @@ from __future__ import annotations
 import heapq
 from functools import lru_cache
 from itertools import pairwise
+from struct import error as StructError
 
 from .poly import (
     DimensionMismatch,
     Monomial,
     Record,
     Subset,
-    ZeroPolynomialError,
     _set,
     cardinality,
     min_index,
-    monomial_key,
     monomial_text,
     parity_update,
     singleton,
@@ -75,12 +119,11 @@ from .poly import (
 from .qring import (
     QMon,
     QPoly,
+    _keys,
     evaluate,
     qmon_degree,
-    qmon_key,
     qmon_trace_degree,
     summand_lead,
-    times_monomial,
     vanishes,
 )
 from .relations import (
@@ -118,6 +161,50 @@ def _relation_vanishes(element: QPoly) -> bool:
     """``vanishes(element)`` for a relation a certificate applies, decided
     once per process for each distinct element."""
     return vanishes(element)
+
+
+def _top_degree(terms) -> int:
+    return max(map(qmon_degree, terms), default=0)
+
+
+def _rows(keys, table: dict, element: QPoly, top: int,
+          ranked: bool = False) -> tuple:
+    """The terms of ``element`` in one order, its degree, and the keys
+    of the terms in that order, plus their keys ranked by their summand
+    leads if asked (``_Keys.ranked``), from ``table`` or packed into it,
+    keyed by the element.  A product stays inside the fields only while
+    every term of the relation is of degree ``top`` at most, so a
+    relation with a term above it is refused: a carry could only raise
+    the degree field, which tops the key, and an exponent too large for
+    its byte field does not pack."""
+    entry = table.get(element)
+    if entry is None:
+        terms = tuple(element.terms)
+        try:
+            packed = list(map(keys.key, terms))
+        except StructError:
+            pass
+        else:
+            entry = table[element] = (
+                terms, max(packed, default=0) >> keys.deg, packed,
+                list(map(keys.ranked, terms, packed)) if ranked else None)
+    if entry is None or entry[1] > top:
+        raise RuntimeError(
+            f"relation {element} has a term above degree {top}")
+    return entry
+
+
+def _holds(keys, odd: set, q: QPoly) -> bool:
+    """Whether ``q`` is the element whose exact keys ``odd`` holds.  A
+    term of ``q`` above the degree the fields hold reads above it in its
+    key, as a carry could only raise the degree field, so it is not in
+    ``odd``; or it does not pack."""
+    if q.m != keys.m:
+        return False
+    try:
+        return set(map(keys.key, q.terms)) == odd
+    except StructError:
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +250,26 @@ class ReductionTrace(Record):
         _set(self, "steps", steps)
 
     def replay(self) -> QPoly:
-        """Re-run the logged steps from ``start``; equals ``result``."""
-        odd = set(self.start.terms)
+        """Re-run the logged steps from ``start``; equals ``result``.  The
+        fields are sized from the start and from each multiplier's
+        degree plus its relation's largest."""
+        tops: dict[QPoly, int] = {}
+        top = _top_degree(self.start.terms)
         for step in self.steps:
-            parity_update(odd, times_monomial(step.multiplier,
-                                              step.relation.element))
-        return QPoly(self.start.m, frozenset(odd))
+            element = step.relation.element
+            if element not in tops:
+                tops[element] = _top_degree(element.terms)
+            top = max(top, qmon_degree(step.multiplier) + tops[element])
+        keys = _keys(self.start.m, top.bit_length())
+        odd = set(map(keys.key, self.start.terms))
+        packed: dict = {}
+        for step in self.steps:
+            element = step.relation.element
+            odd.symmetric_difference_update(map(
+                keys.key(step.multiplier).__add__,
+                _rows(keys, packed, element, tops[element])[2]))
+        packed.clear()  # freed before the result is decoded
+        return keys.poly(odd, {}, {})
 
     def _measures_hold(self) -> bool:
         """Each logged measure is its term's (degree, trace degree), and
@@ -202,26 +303,14 @@ class ReductionTrace(Record):
 
 
 def _split_two_largest(term: QMon) -> tuple[Subset, Subset, tuple]:
-    factors = sorted(term.traces, key=subset_key, reverse=True)
+    # a stable sort by size keeps equal sizes in the term's descending
+    # order, so this is the order of subset_key
+    factors = sorted(term.traces, key=sum, reverse=True)
     first, second = factors[0], factors[1]
     rest = list(term.traces)
     rest.remove(first)
     rest.remove(second)
     return first, second, tuple(rest)
-
-
-class _Largest:
-    """Heap entry for a term; the term largest under ``qmon_key`` pops
-    first from a ``heapq`` min-heap."""
-
-    __slots__ = ("key", "term")
-
-    def __init__(self, term: QMon):
-        self.key = qmon_key(term)
-        self.term = term
-
-    def __lt__(self, other: "_Largest") -> bool:
-        return self.key > other.key
 
 
 def normal_form(q: QPoly) -> ReductionTrace:
@@ -233,45 +322,60 @@ def normal_form(q: QPoly) -> ReductionTrace:
     squared factor sizes) for each replacement term, which is what makes
     any schedule terminate.
 
-    The element is kept as a mutable term set, and the terms with two or
-    more traces in a max-heap.  A term is pushed whenever it enters the
-    set; an entry whose term has since left the set is skipped when it
-    pops.  Every term in the set thus has an entry, so the first live
-    entry to pop is the largest offending term (``qmon_key`` is a total
-    order).
+    The element is kept as a mutable set of packed keys, and the keys
+    of the terms with two or more traces in a heap of their negations.
+    A key is pushed whenever it enters the set; an entry whose key has
+    since left the set is skipped when it pops.  Every term in the set
+    thus has an entry, so the first live entry to pop is the largest
+    offending term (the key order is ``qmon_key``'s, a total order).
     """
-    terms = set(q.terms)
-    heap = [_Largest(t) for t in terms if len(t.traces) >= 2]
+    keys = _keys(q.m, _top_degree(q.terms).bit_length())
+    count = keys.count
+    # the terms known without decoding: the start's, and those of each
+    # relation applied with the multiplier 1
+    named = dict(zip(map(keys.key, q.terms), q.terms))
+    terms = set(named)
+    heap = [-k for k in terms if k & count >= 2]
     heapq.heapify(heap)
+    packed: dict = {}
+    seen: dict = {}
     steps: list[ReductionStep] = []
     last_measure: tuple[int, int] | None = None
     while heap:
-        entry = heapq.heappop(heap)
-        term = entry.term
-        if term not in terms:
+        k = -heapq.heappop(heap)
+        if k not in terms:
             continue
+        term = named.get(k) or keys.qmon(k, seen)
         first, second, rest = _split_two_largest(term)
         relation = type_iii_relation(first, second)
-        # rest keeps the canonical trace order of term, so make_qmon's
-        # checks would add nothing
-        multiplier = QMon(term.xe, term.ne, rest)
-        for t in times_monomial(multiplier, relation.element):
+        # the decoded traces were packed, so their keys are recorded
+        lead = keys.keyed[first] + keys.keyed[second]
+        relation_terms, _, rows, _ = _rows(keys, packed, relation.element,
+                                           lead >> keys.deg)
+        if k == lead:
+            named.update(zip(rows, relation_terms))
+        for t in rows:
+            t += k - lead
             if t in terms:
                 terms.remove(t)
             else:
                 terms.add(t)
-                if len(t.traces) >= 2:
-                    heapq.heappush(heap, _Largest(t))
-        if term in terms:
+                if t & count >= 2:
+                    heapq.heappush(heap, -t)
+        if k in terms:
             raise RuntimeError(
                 f"normal_form step left its term {QPoly.monomial(term)}")
-        measure = entry.key[:2]
+        measure = (k >> keys.deg, k >> keys.td & keys.ones)
         if last_measure is not None and measure > last_measure:
             raise RuntimeError(
                 f"normal_form measure rose from {last_measure} to {measure}")
         last_measure = measure
-        steps.append(ReductionStep(term, relation, multiplier, measure))
-    return ReductionTrace(start=q, result=QPoly(q.m, frozenset(terms)),
+        # rest keeps the canonical trace order of term, so make_qmon's
+        # checks would add nothing
+        steps.append(ReductionStep(term, relation,
+                                   QMon(term.xe, term.ne, rest), measure))
+    packed.clear()  # freed before the result is decoded
+    return ReductionTrace(start=q, result=keys.poly(terms, seen, named),
                           steps=tuple(steps))
 
 
@@ -295,22 +399,6 @@ def reduce_product(a: Subset, b: Subset) -> ReductionTrace:
 
 # ---------------------------------------------------------------------------
 # certifying trace-linear relations
-
-
-def _lead_achievers(h: QPoly) -> tuple[Monomial, list[QMon]]:
-    best: Monomial | None = None
-    best_key = None
-    achievers: list[QMon] = []
-    for term in h.terms:
-        mono = summand_lead(term)
-        key = monomial_key(mono)
-        if best is None or key > best_key:
-            best, best_key, achievers = mono, key, [term]
-        elif key == best_key:
-            achievers.append(term)
-    if best is None:
-        raise ZeroPolynomialError("zero element has no lead achievers")
-    return best, achievers
 
 
 class LinearStep(Record):
@@ -350,16 +438,30 @@ class LinearCertificate(Record):
         _set(self, "coefficients", coefficients)
         _set(self, "steps", steps)
 
-    def combination(self) -> QPoly:
-        odd: set = set()
+    def _combined(self) -> tuple:
+        """The keys and the packed combination, with fields sized from
+        each coefficient term's degree plus its subset's."""
+        top = 0
         for subset, coefficient in self.coefficients.items():
-            element = type_i_relation(subset).element
+            top = max(top, cardinality(subset)
+                      + _top_degree(coefficient.terms))
+        keys = _keys(self.start.m, top.bit_length())
+        odd: set[int] = set()
+        for subset, coefficient in self.coefficients.items():
+            rows = _rows(keys, keys.relations,
+                         type_i_relation(subset).element, cardinality(subset),
+                         ranked=True)[2]
             for mon in coefficient.terms:
-                parity_update(odd, times_monomial(mon, element))
-        return QPoly(self.start.m, frozenset(odd))
+                odd.symmetric_difference_update(map(keys.key(mon).__add__,
+                                                    rows))
+        return keys, odd
+
+    def combination(self) -> QPoly:
+        keys, odd = self._combined()
+        return keys.poly(odd, {}, {})
 
     def verify(self) -> bool:
-        return self.combination() == self.start
+        return _holds(*self._combined(), self.start)
 
     def sorted_subsets(self) -> list[Subset]:
         return sorted(self.coefficients, key=subset_key)
@@ -412,25 +514,33 @@ def linear_reduce(h: QPoly) -> LinearCertificate:
 
 def _descend(h: QPoly) -> tuple[LinearCertificate, set[QPoly]]:
     """The descent of ``linear_reduce``: its certificate, and the
-    relation elements it applied."""
+    relation elements it applied.  The terms are packed keys ranked by
+    their summand leads (``_Keys.ranked``), so the largest carries the
+    lead of each step, and its achievers are the keys from that lead's
+    up."""
     m = h.m
-    coefficients: dict[Subset, QPoly] = {}
+    keys = _keys(m, _top_degree(h.terms).bit_length())
+    current = {keys.ranked(t, keys.key(t)) for t in h.terms}
+    coefficients: dict[Subset, set[QMon]] = {}
+    seen: dict = {}
     steps: list[LinearStep] = []
     applied: set[QPoly] = set()
-    current = h
     last_rank = None
-    while current.terms:
-        lead, achievers = _lead_achievers(current)
-        with_trace = [t for t in achievers if t.traces]
+    while current:
+        best = max(current) >> keys.wide
+        floor = best << keys.wide
+        achievers = [keys.qmon(k - floor, seen)
+                     for k in filter(floor.__le__, current)]
+        lead = summand_lead(achievers[0])
         # A trace-free term has all even y-exponents in its summand lead
         # and no other term shares that lead, so it can never top a
         # combination that evaluates to zero.
-        if len(with_trace) != len(achievers) or len(with_trace) < 2:
+        if len(achievers) < 2 or not all(t.traces for t in achievers):
             raise NotARelationError(
                 "descent stalled at " + monomial_text(lead)
                 + f" with {len(achievers)} achieving term(s)")
-        with_trace.sort(key=lambda t: (t.traces[0], t.xe))
-        first, second = with_trace[0], with_trace[1]
+        achievers.sort(key=lambda t: (t.traces[0], t.xe))
+        first, second = achievers[0], achievers[1]
         other = min_index(second.traces[0])
         subset = union(first.traces[0], singleton(m, other))
         xe = list(first.xe)
@@ -443,16 +553,17 @@ def _descend(h: QPoly) -> tuple[LinearCertificate, set[QPoly]]:
         multiplier = QMon(tuple(xe), first.ne, ())
         element = type_i_relation(subset).element
         applied.add(element)
-        current = QPoly(m, current.terms.symmetric_difference(
-            times_monomial(multiplier, element)))
-        coefficients[subset] = (coefficients.get(subset, QPoly.zero(m))
-                                + QPoly.monomial(multiplier))
-        rank = (monomial_key(lead), len(achievers))
+        current.symmetric_difference_update(map(
+            keys.ranked(multiplier, keys.key(multiplier)).__add__,
+            _rows(keys, keys.relations, element, cardinality(subset),
+                  ranked=True)[3]))
+        parity_update(coefficients.setdefault(subset, set()), (multiplier,))
+        rank = (best, len(achievers))
         if last_rank is not None and rank >= last_rank:
             raise RuntimeError(
                 "descent did not fall at " + monomial_text(lead))
         last_rank = rank
         steps.append(LinearStep(subset, multiplier, lead, len(achievers)))
-    coefficients = {a: c for a, c in coefficients.items() if c.terms}
-    return (LinearCertificate(start=h, coefficients=coefficients,
-                              steps=tuple(steps)), applied)
+    return (LinearCertificate(start=h, coefficients={
+        a: QPoly(m, frozenset(c)) for a, c in coefficients.items() if c},
+        steps=tuple(steps)), applied)

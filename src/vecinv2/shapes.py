@@ -46,7 +46,8 @@ and led by the code that writes and leads the relation.
 A shape of width k is the same at every m >= k, so ``oracle`` keeps the
 verdict of each width, degree and flavor for the process
 (``oracle._shapes_hold``): verifying m = 3 and then m = 4 checks only
-the shapes of width 4 the second time.  A kept verdict reads no core
+the shapes of width 4 the second time.  Type I on [k] is kept once per
+width, as every flavor lists the same one.  A kept verdict reads no core
 again, so code that swaps a core or the lead order after a sweep
 clears that memo before the next one.
 """

@@ -2,6 +2,7 @@
 presentation rings, sized to keep the property tests fast, and the
 references the tests check the library against."""
 
+import heapq
 import inspect
 import random
 from collections import Counter
@@ -11,7 +12,7 @@ from operator import add
 
 import pytest
 
-from vecinv2 import oracle, relations, series
+from vecinv2 import oracle, relations, rewrite, series
 from vecinv2.blocks import (
     RelationSpans,
     _factors,
@@ -22,12 +23,25 @@ from vecinv2.invariants import generator_set
 from vecinv2.poly import (
     DimensionMismatch,
     Poly,
+    ZeroPolynomialError,
     all_subsets,
     int_submasks,
     min_index,
+    monomial_key,
+    parity_update,
     singleton,
+    subset_key,
+    union,
 )
-from vecinv2.qring import QMon, QPoly, make_qmon, multidegree
+from vecinv2.qring import (
+    QMon,
+    QPoly,
+    make_qmon,
+    multidegree,
+    qmon_key,
+    summand_lead,
+    times_monomial,
+)
 from vecinv2.relations import Relation
 
 
@@ -318,3 +332,121 @@ def shape_leads_hold(relation: Relation) -> bool:
                     tuple(sorted((relation.a, relation.b), reverse=True)))
     return (RelationSpans._lead(relation.element) == lead
             and min(map(_factors, relation.element.terms)) >= 2)
+
+
+# The rewrite loops on ``QMon`` tuples that ``rewrite`` ran before its
+# packed keys, kept as the reference the packed loops are checked
+# against: each product by a monomial is ``qring.times_monomial``, terms
+# are ordered by ``qmon_key`` and summand leads by ``poly.monomial_key``.
+# The relations are looked up through module ``rewrite`` when called, so
+# monkeypatches of them apply.
+
+class _Largest:
+    """Heap entry for a term; the term largest under ``qmon_key`` pops
+    first from a ``heapq`` min-heap."""
+
+    __slots__ = ("key", "term")
+
+    def __init__(self, term: QMon):
+        self.key = qmon_key(term)
+        self.term = term
+
+    def __lt__(self, other: "_Largest") -> bool:
+        return self.key > other.key
+
+
+def reference_normal_form(q: QPoly) -> rewrite.ReductionTrace:
+    """``rewrite.normal_form`` on tuples: the largest term with two
+    traces or more pops from a heap and is rewritten by the type III
+    relation on its two largest traces, the rest of the term as the
+    multiplier."""
+    terms = set(q.terms)
+    heap = [_Largest(t) for t in terms if len(t.traces) >= 2]
+    heapq.heapify(heap)
+    steps = []
+    while heap:
+        entry = heapq.heappop(heap)
+        term = entry.term
+        if term not in terms:
+            continue
+        factors = sorted(term.traces, key=subset_key, reverse=True)
+        rest = list(term.traces)
+        rest.remove(factors[0])
+        rest.remove(factors[1])
+        relation = rewrite.type_iii_relation(factors[0], factors[1])
+        multiplier = QMon(term.xe, term.ne, tuple(rest))
+        for t in times_monomial(multiplier, relation.element):
+            if t in terms:
+                terms.remove(t)
+            else:
+                terms.add(t)
+                if len(t.traces) >= 2:
+                    heapq.heappush(heap, _Largest(t))
+        steps.append(rewrite.ReductionStep(term, relation, multiplier,
+                                           entry.key[:2]))
+    return rewrite.ReductionTrace(start=q, result=QPoly(q.m, frozenset(terms)),
+                                  steps=tuple(steps))
+
+
+def reference_replay(trace: rewrite.ReductionTrace) -> QPoly:
+    """``ReductionTrace.replay`` on tuples."""
+    odd = set(trace.start.terms)
+    for step in trace.steps:
+        parity_update(odd, times_monomial(step.multiplier,
+                                          step.relation.element))
+    return QPoly(trace.start.m, frozenset(odd))
+
+
+def lead_achievers(h: QPoly):
+    """The largest summand lead of the terms of ``h``, and the terms
+    that reach it."""
+    best, best_key, achievers = None, None, []
+    for term in h.terms:
+        mono = summand_lead(term)
+        key = monomial_key(mono)
+        if best is None or key > best_key:
+            best, best_key, achievers = mono, key, [term]
+        elif key == best_key:
+            achievers.append(term)
+    if best is None:
+        raise ZeroPolynomialError("zero element has no lead achievers")
+    return best, achievers
+
+
+def reference_descend(h: QPoly):
+    """``rewrite._descend`` on tuples, for an element the descent
+    certifies: its certificate, and the relation elements it applied."""
+    m = h.m
+    coefficients, steps, applied = {}, [], set()
+    current = h
+    while current.terms:
+        lead, achievers = lead_achievers(current)
+        first, second = sorted(achievers,
+                               key=lambda t: (t.traces[0], t.xe))[:2]
+        other = min_index(second.traces[0])
+        subset = union(first.traces[0], singleton(m, other))
+        xe = list(first.xe)
+        xe[other] -= 1
+        multiplier = QMon(tuple(xe), first.ne, ())
+        element = rewrite.type_i_relation(subset).element
+        applied.add(element)
+        current = QPoly(m, current.terms.symmetric_difference(
+            times_monomial(multiplier, element)))
+        coefficients[subset] = (coefficients.get(subset, QPoly.zero(m))
+                                + QPoly.monomial(multiplier))
+        steps.append(rewrite.LinearStep(subset, multiplier, lead,
+                                        len(achievers)))
+    return (rewrite.LinearCertificate(
+        start=h, coefficients={a: c for a, c in coefficients.items()
+                               if c.terms},
+        steps=tuple(steps)), applied)
+
+
+def reference_combination(certificate: rewrite.LinearCertificate) -> QPoly:
+    """``LinearCertificate.combination`` on tuples."""
+    odd: set = set()
+    for subset, coefficient in certificate.coefficients.items():
+        element = rewrite.type_i_relation(subset).element
+        for mon in coefficient.terms:
+            parity_update(odd, times_monomial(mon, element))
+    return QPoly(certificate.start.m, frozenset(odd))

@@ -1661,6 +1661,27 @@ def test_quadratic_relations_lead_with_their_bare_pair():
                 if _old_measure(t) == top] == [shared]
 
 
+def test_type_i_shape_is_checked_once_per_width(monkeypatch):
+    # type I on [k] is the same shape in every flavor, so verifying both
+    # flavors checks it once per width, to the same reports
+    expected = [verify_relation_ideal(4, 7, flavor=flavor).to_json()
+                for flavor in ("III", "II")]
+    oracle._shapes_hold.cache_clear()
+    checked = []
+    holds = oracle.shape_holds
+
+    def counting(k, alpha, lead, terms):
+        checked.append((k, lead[0] != 0))
+        return holds(k, alpha, lead, terms)
+
+    monkeypatch.setattr(oracle, "shape_holds", counting)
+    reports = [verify_relation_ideal(4, 7, flavor=flavor).to_json()
+               for flavor in ("III", "II")]
+    assert reports == expected
+    assert sorted(k for k, type_i in checked if type_i) == [3, 4]
+    assert len(checked) > 2
+
+
 def test_old_order_falls_back(monkeypatch):
     # under the old nu the IIIc shapes of degree 6 lead with Tr(A | B)
     # Tr(A & B), so the sweep leaves the shapes at degree 6; the leads of

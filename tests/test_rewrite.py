@@ -2,6 +2,7 @@
 and certifying trace-linear kernel elements as combinations of the
 cubic-and-up relations."""
 
+import json
 import random
 
 import pytest
@@ -18,7 +19,9 @@ from vecinv2.poly import (
     monomial_text,
     parity_update,
 )
+from vecinv2.oracle import linear_kernel_basis
 from vecinv2.qring import (
+    QMon,
     QPoly,
     evaluate,
     formal_trace,
@@ -38,7 +41,15 @@ from vecinv2.rewrite import (
     summand_lead,
 )
 
-from conftest import random_qpoly, replace
+from conftest import (
+    lead_achievers,
+    random_qpoly,
+    reference_combination,
+    reference_descend,
+    reference_normal_form,
+    reference_replay,
+    replace,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +233,35 @@ def test_normal_form_rejects_a_step_that_keeps_its_term(monkeypatch):
         reduce_product((1, 1, 0), (0, 1, 1))
 
 
+def test_rewrites_refuse_a_relation_above_its_degree(monkeypatch):
+    # the fields hold the degree a relation is applied at; a patched
+    # relation with a term above it would overflow a product
+    real_iii, real_i = rewrite.type_iii_relation, rewrite.type_i_relation
+    for extra in ("x1^5", "x1^300"):
+        def heavy(a, b, extra=extra):
+            relation = real_iii(a, b)
+            return replace(relation, element=relation.element
+                           + QPoly.parse(len(a), extra))
+
+        def heavy_i(a, extra=extra):
+            relation = real_i(a)
+            return replace(relation, element=relation.element
+                           + QPoly.parse(len(a), extra))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(rewrite, "type_iii_relation", heavy)
+            with pytest.raises(RuntimeError, match="above degree 4"):
+                reduce_product((1, 1, 0), (0, 1, 1))
+            patch.setattr(rewrite, "type_i_relation", heavy_i)
+            element = real_i((1, 1, 1)).element
+            with pytest.raises(RuntimeError, match="above degree 3"):
+                linear_reduce(element)
+            certificate = LinearCertificate(
+                start=element, coefficients={(1, 1, 1): QPoly.parse(3, "1")})
+            with pytest.raises(RuntimeError, match="above degree 3"):
+                certificate.verify()
+
+
 def test_trace_verify_rejects_a_tampered_result():
     trace = reduce_product((1, 1, 0), (0, 1, 1))
     assert trace.verify()
@@ -323,13 +363,15 @@ def test_max_summand_lead_golden():
     # the largest summand lead, and the terms reaching it, which
     # linear_reduce reads off at each step
     h = QPoly.parse(2, "Tr(11) + x1*x2")
-    assert rewrite._lead_achievers(h) == (
+    assert lead_achievers(h) == (
         (0, 1, 1, 0), [make_qmon((0, 0), (0, 0), [(1, 1)])])
     element = type_i_relation((1, 1, 1)).element
-    lead, achievers = rewrite._lead_achievers(element)
+    lead, achievers = lead_achievers(element)
     assert lead == (0, 1, 0, 1, 1, 0)  # x1*x2*y3
     assert sorted(map(str, map(QPoly.monomial, achievers))) == [
         "x1*Tr(011)", "x2*Tr(101)"]
+    (step,) = linear_reduce(element).steps
+    assert (step.lead, step.achievers) == (lead, len(achievers))
 
 
 def test_summand_lead_matches_expansion():
@@ -348,7 +390,7 @@ def test_summand_lead_matches_expansion():
 
 def test_max_summand_lead_errors():
     with pytest.raises(ZeroPolynomialError):
-        rewrite._lead_achievers(QPoly.zero(2))
+        lead_achievers(QPoly.zero(2))
     square = QPoly.trace_symbol((1, 1)) * QPoly.trace_symbol((1, 1))
     with pytest.raises(NotTraceLinearError):
         linear_reduce(square)
@@ -536,3 +578,114 @@ def test_linear_certificate_json():
     assert blob["steps"][0]["subset"] == "111"
     assert blob["steps"][0]["achievers"] == 2
     assert blob["steps"][0]["lead"] == "x1*x2*y3"
+
+
+# ---------------------------------------------------------------------------
+# the packed loops against the tuple reference
+# ---------------------------------------------------------------------------
+
+def _text(record) -> str:
+    return json.dumps(record.to_json(), sort_keys=True)
+
+
+def test_packed_normal_forms_match_the_tuple_reference():
+    for m in range(2, 7):
+        cube = formal_trace((1,) * m) * formal_trace((1,) * m)
+        cube = cube * formal_trace((1,) * m)
+        trace = normal_form(cube)
+        assert _text(trace) == _text(reference_normal_form(cube))
+        assert trace.replay() == reference_replay(trace) == trace.result
+    for m in (2, 3, 4):
+        pairs = all_subsets(m, min_size=2)
+        for a in pairs:
+            for b in pairs:
+                trace = reduce_product(a, b)
+                assert (_text(trace)
+                        == _text(reference_normal_form(trace.start)))
+
+
+def test_packed_certificates_match_the_tuple_reference():
+    for m, d in ((3, 4), (3, 5), (4, 5), (4, 6), (5, 6)):
+        for h in linear_kernel_basis(m, d):
+            certificate = linear_reduce(h)
+            assert _text(certificate) == _text(reference_descend(h)[0])
+            assert (certificate.combination()
+                    == reference_combination(certificate) == h)
+
+
+def test_packed_fields_are_sized_from_the_degree():
+    # exponents past one byte, and a trace count past what a fixed
+    # small field would hold: none may alias another term
+    q = QPoly.parse(3, "x1^300*N2^260*Tr(110)*Tr(011)")
+    trace = normal_form(q)
+    assert _text(trace) == _text(reference_normal_form(q))
+    assert trace.verify()
+    h = QPoly.parse(3, "x1^300") * type_i_relation((1, 1, 1)).element
+    certificate = linear_reduce(h)
+    assert _text(certificate) == _text(reference_descend(h)[0])
+    assert certificate.verify()
+    square = QPoly.parse(2, "Tr(11)^20")
+    assert ReductionTrace(start=square, result=square,
+                          steps=()).replay() == square
+
+
+def test_packed_fields_are_sized_from_the_steps():
+    # a start of degree 4 and a multiplier of degree 300: the fields
+    # must hold the products, not the start alone
+    trace = reduce_product((1, 1, 0), (0, 1, 1))
+    big = make_qmon((300, 0, 0), (0, 0, 0), ())
+    forged = replace(trace, steps=(replace(trace.steps[0], multiplier=big),))
+    assert forged.replay() == reference_replay(forged)
+    assert max(map(qmon_key, forged.replay().terms))[0] == 304
+    assert not forged.verify()
+    certificate = LinearCertificate(
+        start=QPoly.zero(3), coefficients={(1, 1, 1): QPoly.parse(3, "x1^300")})
+    combination = certificate.combination()
+    assert combination == reference_combination(certificate)
+    assert combination == QPoly.parse(3, "x1^300") * type_i_relation(
+        (1, 1, 1)).element
+    assert not certificate.verify()
+    assert replace(certificate, start=combination).verify()
+
+
+def test_packed_checks_refuse_terms_above_the_fields():
+    # the fields are sized from the steps or the coefficients; a result
+    # or a start with a term above them must be refused, not aliased
+    square = QPoly.trace_symbol((1, 1)) * QPoly.trace_symbol((1, 1))
+    trace = normal_form(square)
+    certificate = linear_reduce(type_i_relation((1, 1, 1)).element)
+    assert trace.verify() and certificate.verify()
+    for extra in ("x1^8", "x1^300", "N1^200*x2^100"):
+        forged = replace(trace, result=trace.result + QPoly.parse(2, extra))
+        assert not forged.verify()
+        start = certificate.start + QPoly.parse(3, extra.replace("x2", "x3"))
+        assert not replace(certificate, start=start).verify()
+    assert not replace(trace, result=QPoly.zero(3)).verify()
+
+
+def test_trace_verify_rejects_a_multiplier_off_by_one_exponent():
+    cube = formal_trace((1,) * 4) * formal_trace((1,) * 4)
+    trace = normal_form(cube * formal_trace((1,) * 4))
+    assert trace.verify()
+    for i, step in enumerate(trace.steps):
+        exponents = list(step.multiplier.xe + step.multiplier.ne)
+        exponents[i % 8] += 1
+        multiplier = QMon(tuple(exponents[:4]), tuple(exponents[4:]),
+                          step.multiplier.traces)
+        steps = list(trace.steps)
+        steps[i] = replace(step, multiplier=multiplier)
+        forged = replace(trace, steps=tuple(steps))
+        assert forged.replay() != forged.result
+        assert not forged.verify()
+
+
+def test_linear_certificate_rejects_a_coefficient_on_another_subset():
+    elem = type_i_relation((1, 1, 1, 0)).element
+    cert = linear_reduce(QPoly.parse(4, "x4 + N1") * elem)
+    assert cert.verify()
+    coefficient = cert.coefficients[(1, 1, 1, 0)]
+    others = [a for a in all_subsets(4, min_size=3) if a != (1, 1, 1, 0)]
+    assert others
+    for other in others:
+        moved = replace(cert, coefficients={other: coefficient})
+        assert not moved.verify()
